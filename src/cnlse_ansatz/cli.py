@@ -378,10 +378,10 @@ def cmd_scan(rc: RunConfig) -> int:
     reports = []
     for name, (sz, sq) in rc.branches:
         par = with_branch(rc.params, sz, sq)
-        sampler = make_field_sampler(par)
-        for x in xs:
-            for t in ts:
-                reports.append(report_at(par, float(x), float(t), cfg, sampler=sampler))
+        # t-major, so each time's memoised state serves the whole x row;
+        # the reports are written x-major
+        by_t = [[report_at(par, float(x), float(t), cfg) for x in xs] for t in ts]
+        reports.extend(rep for row in zip(*by_t) for rep in row)
     _write_reports(rc, reports, {
         "grid": rc.grid if rc.grid is not None else SCAN_DEFAULT_GRID,
         "branch": ",".join(name for name, _ in rc.branches),

@@ -89,11 +89,11 @@ def wp_pair(
 
     Each element is halved until it fits inside the summation radius, the
     series for wp and wp' is summed there, and the duplication rule walks
-    the value back up.  With ``uniform_depth`` every element of the batch is
-    halved the same number of times (the maximum needed anywhere).  Finite
-    difference stencils rely on that: the evaluation error then varies
-    smoothly across the stencil instead of stepping at the radii where the
-    halving count changes, a step a difference quotient would amplify.
+    the value back up.  With ``uniform_depth`` each element is halved up to
+    the batch maximum but at most once more than it needs, so a finite
+    difference stencil gets one depth and its error does not step where the
+    halving count changes (a difference quotient would amplify the step),
+    while a wide batch is not over-halved into amplified round-off.
 
     Raises PoleProximity when any element sits within ``eps_pole`` of the
     double pole at the origin.
@@ -119,7 +119,7 @@ def wp_pair(
     if np.any(big):
         n[big] = np.ceil(np.log2(au[big] / thr)).astype(int)
     if uniform_depth and n.size:
-        n[:] = n.max()
+        n = np.minimum(n.max(), n + 1)
     # Round-off noise from each duplication pass is amplified by the next,
     # reaching ~1e-11 after three passes at large invariants.  Extended
     # precision keeps the walk back up exact to well below double round-off

@@ -80,9 +80,9 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi, *, derivative: b
     multiplies the initial slope, which pins the numerator sign of wp'
     (wp' ~ -2 xi^-3 near zero) to -sigma.
 
-    Accepts scalar or array xi.  Array batches are evaluated with a uniform
-    argument-halving depth so the evaluation error is smooth across finite
-    difference stencils.  |xi| below the elliptic pole guard returns the
+    Accepts scalar or array xi.  Array batches use ``uniform_depth``, so a
+    finite difference stencil gets one argument-halving depth and a smooth
+    evaluation error.  |xi| below the elliptic pole guard returns the
     analytic pole limit (y0, and slope sigma sqrt(R(y0))).
 
     Solution poles, where the denominator vanishes, map to non-finite

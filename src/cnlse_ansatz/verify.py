@@ -27,8 +27,8 @@ from .ansatz import (
     _q_curve_from_state,
     make_field_sampler,
     q_curve,
+    time_state,
     z_curve,
-    z_of_t,
     z_with_rate,
 )
 from .elliptic import EllipticInvariants
@@ -152,10 +152,8 @@ def residual_P(params: AnsatzParams, x: float, t: float, cfg: DiffConfig | None 
     cfg = cfg if cfg is not None else DiffConfig()
     x = float(x)
     t = float(t)
-    z, zt = z_with_rate(params, t)
-    z = float(z)
-    curve = _q_curve_from_state(params, z, float(zt))
-    q_center = weierstrass_solution(curve, params.Q0, params.sigma_Q, x)
+    st = time_state(params, t)
+    q_center = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
 
     if x == 0.0:
         q_t = 0.0
@@ -173,7 +171,7 @@ def residual_P(params: AnsatzParams, x: float, t: float, cfg: DiffConfig | None 
         else:
             q_t = _central_first(q_at, t, cfg.h_t, cfg.richardson_levels)
 
-    return q_t - math.sqrt(z) * (params.c1 - params.q * (3.0 * z + q_center ** 2))
+    return q_t - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + q_center ** 2))
 
 
 def residual_R1(params: AnsatzParams, t: float) -> float:
@@ -189,8 +187,7 @@ def residual_R1(params: AnsatzParams, t: float) -> float:
         rate = _one_sided_first(z_at, 0.0, R1_TIME_STEP)
     else:
         rate = _central_first(z_at, t, R1_TIME_STEP, 2)
-    z = float(z_of_t(params, t))
-    r = float(eval_with_derivatives(curve, z)[0])
+    r = float(eval_with_derivatives(curve, time_state(params, t).z)[0])
     return abs(rate * rate - r) / max(1.0, abs(r))
 
 
@@ -243,14 +240,12 @@ def invariant_crosscheck(params: AnsatzParams, t: float):
     """Max relative deviation between classical invariants of the
     coefficient lists and the closed forms, for the z-curve pair and the
     profile-curve pair at time t."""
-    z, zt = z_with_rate(params, float(t))
-    z = float(z)
-    zt = float(zt)
+    st = time_state(params, t)
     cz = invariants_from_coefficients(z_curve(params))
     ez = closed_form_invariants_z(params)
     dev_z = max(_rel_dev(cz.g2, ez.g2), _rel_dev(cz.g3, ez.g3))
-    cq = invariants_from_coefficients(_q_curve_from_state(params, z, zt))
-    eq = closed_form_invariants_q(params, z, zt)
+    cq = invariants_from_coefficients(st.curve)
+    eq = closed_form_invariants_q(params, st.z, st.zt)
     dev_q = max(_rel_dev(cq.g2, eq.g2), _rel_dev(cq.g3, eq.g3))
     return dev_z, dev_q
 

@@ -54,6 +54,8 @@ PHI = {
     (1, 1.0): 0.10391202305043712823,
     (-1, 0.5): -0.40645345853606202018,
     (-1, 1.0): -1.0993575009792671335,
+    (1, 10.0): -6.687307490268267,
+    (-1, 10.0): -6.687805938318958,
 }
 
 # profile values Q(x=1, t) keyed by branch name

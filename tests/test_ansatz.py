@@ -20,7 +20,7 @@ from cnlse_ansatz import (
     z_of_t,
     z_with_rate,
 )
-from cnlse_ansatz.ansatz import _q_curve_from_state, _require_real_z
+from cnlse_ansatz.ansatz import _q_curve_from_state, _require_real_z, time_state
 
 from _pins import (
     A_AT_1_05_MM,
@@ -127,6 +127,17 @@ class TestOrbit:
             assert np.all(zs > 0.28)
             assert np.all(zs < 1.65)
 
+    def test_wide_batch_matches_scalar(self):
+        # elements of a wide batch keep their own halving depth (plus at
+        # most one level), so far-apart times agree with scalar calls
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        for ts in (np.array([0.1, 0.3, 99.0]), np.linspace(0.0, 14.0, 200)):
+            z, zt = z_with_rate(p, ts)
+            for t, zb, ztb in zip(ts, z, zt):
+                zs, zts = z_with_rate(p, float(t))
+                assert abs(zb - zs) <= 1e-12 * max(1.0, abs(zs)), t
+                assert abs(ztb - zts) <= 1e-12 * max(1.0, abs(zts)), t
+
     def test_reality_guard(self):
         # unreachable end to end with the shipped evaluator (the orbit is
         # bounded below by z = 0); exercised directly
@@ -192,21 +203,28 @@ class TestPhase:
     def test_phi_pins(self):
         for (sigma, t), want in PHI.items():
             p = with_branch(REFERENCE_PARAMS, sigma, 1)
-            assert abs(phi_of_t(p, t) - want) < 1e-10, (sigma, t)
+            assert abs(phi_of_t(p, t) - want) < 1e-13, (sigma, t)
 
     def test_phi_offset(self):
         p = with_branch(REFERENCE_PARAMS, 1, 1)
         shifted = AnsatzParams(
             q=p.q, c1=p.c1, c2=p.c2, c3=p.c3, z0=p.z0, Q0=p.Q0, phi0=0.25
         )
-        assert abs(phi_of_t(shifted, 0.5) - (PHI[(1, 0.5)] + 0.25)) < 1e-10
+        assert abs(phi_of_t(shifted, 0.5) - (PHI[(1, 0.5)] + 0.25)) < 1e-13
+
+    def test_negative_time_reverses_branch(self):
+        # z(-t) on one branch is z(t) on the other, so the phase integral
+        # over [0, -t] is minus the pinned one of the opposite branch
+        for (sigma, t), want in PHI.items():
+            p = with_branch(REFERENCE_PARAMS, -sigma, 1)
+            assert abs(phi_of_t(p, -t) + want) < 1e-13, (sigma, t)
 
     def test_equilibrium_closed_form(self):
         # constant z: phi = phi0 + (c1 - 2 q z0) t, here phi0 + t
         p = EQUILIBRIUM_PARAMS
         t = 0.8
         want = p.phi0 + (p.c1 - 2.0 * p.q * p.z0) * t
-        assert abs(phi_of_t(p, t) - want) < 1e-10
+        assert abs(phi_of_t(p, t) - want) < 1e-13
 
 
 class TestField:
@@ -242,6 +260,14 @@ class TestField:
         b = sampler(0.5, 0.8)
         assert a == b
         assert isinstance(a, complex)
+
+    def test_state_is_memoised(self):
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        st = time_state(p, 0.8)
+        assert time_state(p, 0.8) is st
+        assert q_curve(p, 0.8) is st.curve
+        assert st.sqrt_z == math.sqrt(z_of_t(p, 0.8))
+        assert st.phase == np.exp(1j * phi_of_t(p, 0.8))
 
     def test_field_at_origin(self):
         # A(0, 0) = (Q0 + i sqrt(z0)) e^{i phi0}

@@ -89,6 +89,16 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "mode is required" in proc.stderr
 
+    def test_runs_without_scipy(self):
+        # numpy is the only runtime dependency: a blocked scipy import
+        # must not matter
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from cnlse_ansatz.cli import main; "
+                "sys.exit(main(['paper-check', '--branch', 'mm']))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestPaperCheck:
     def test_table_layout(self, capsys):
@@ -142,6 +152,20 @@ class TestScan:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert body_lines(a) == body_lines(b)
+
+    def test_many_times_phase_each_once(self, tmp_path, monkeypatch):
+        # 220 times bring 1,100 stencil times, more than the per-time memo
+        # holds; the scan still computes the phase of each time once
+        from cnlse_ansatz import ansatz
+        seen = []
+        phi = ansatz.phi_of_t
+        monkeypatch.setattr(ansatz, "phi_of_t",
+                            lambda p, t: seen.append(t) or phi(p, t))
+        out = tmp_path / "many.csv"
+        assert main(["scan", "--branch", "mm", "--grid", "0.5:1.0:2,0.05:11.0:220",
+                     "--out", str(out)]) == 0
+        assert len(body_lines(out)) == 1 + 2 * 220
+        assert len(seen) == len(set(seen))
 
     def test_pole_adjacent_flagged(self, tmp_path):
         out = tmp_path / "pole.csv"

@@ -1,4 +1,6 @@
+import dataclasses
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cnlse_ansatz import (
     convergence_order,
     invariant_crosscheck,
     invariants_from_coefficients,
+    q_curve,
     report_at,
     residual_P,
     residual_R1,
@@ -269,6 +272,34 @@ class TestReportAt:
         rep = report_at(p, 0.5, 0.4, sampler=bad)
         assert "StencilOutOfDomain" in rep.notes
         assert np.isnan(rep.pde_abs)
+
+    def test_long_time_identity(self):
+        # Re e^{-i phi} (i A_t + A_xx + q A |A|^2) cancels through the
+        # profile ODE, so pde_abs = |P|; the FD time stencil sees the phase
+        # quadrature, whose error must stay continuous in t even at t = 1000,
+        # a panel edge
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = report_at(p, 1.0, 1000.0)
+        assert rep.notes == ""
+        assert abs(rep.pde_abs - abs(rep.P)) <= 1e-6 * max(1.0, abs(rep.P))
+
+    def test_long_time_needs_no_phase(self, monkeypatch):
+        # P, r1, r2 and the profile curve never read the phase, whose
+        # quadrature grows with t, so they stay cheap at t = 1e4
+        from cnlse_ansatz import ansatz
+
+        def no_phase(*args):
+            raise AssertionError("phase computed")
+
+        monkeypatch.setattr(ansatz, "phi_of_t", no_phase)
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        assert residual_R1(p, 1e4) < 1e-5
+        assert np.all(np.isfinite(dataclasses.astuple(q_curve(p, 1e4))))
+        rep = report_at(p, 1.0, 1e4, include_pde=False)
+        assert rep.notes == ""
+        assert np.all(np.isfinite([rep.P, rep.r1, rep.r2]))
 
     def test_serialization_order(self):
         rep = ResidualReport(
