@@ -81,6 +81,49 @@ class TestEvolution:
         back = split_step_evolve(fwd, 1.0, 2.0, WIDE, 500, reverse=True)
         assert np.max(np.abs(back - a0)) < 1e-8
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 500])
+    def test_matches_unfused_strang(self, steps, reverse):
+        # textbook Strang loop, two half-steps per step: the fused
+        # integrator must land on the same state
+        p, q = 1.0, 2.0
+        dt = -WIDE.dt if reverse else WIDE.dt
+        half = np.exp(-0.5j * p * WIDE.wavenumbers ** 2 * dt)
+        a0 = np.asarray(soliton_field(1.0)(WIDE.x, 0.0), dtype=complex)
+        want = a0
+        for _ in range(steps):
+            want = np.fft.ifft(half * np.fft.fft(want))
+            want = want * np.exp(1j * q * dt * np.abs(want) ** 2)
+            want = np.fft.ifft(half * np.fft.fft(want))
+        kept = a0.copy()
+        out = split_step_evolve(a0, p, q, WIDE, steps, reverse=reverse)
+        assert np.max(np.abs(out - want)) <= 1e-12
+        assert np.array_equal(a0, kept)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_no_steps_returns_a_copy(self, steps):
+        a0 = np.asarray(soliton_field(1.0)(WIDE.x, 0.0), dtype=complex)
+        out = split_step_evolve(a0, 1.0, 2.0, WIDE, steps)
+        assert out is not a0
+        assert np.array_equal(out, a0)
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 7])
+    def test_one_fft_pair_per_step(self, steps, monkeypatch):
+        # fused half-steps: n steps take n + 1 forward/inverse pairs
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kw):
+                calls.append(fn)
+                return fn(*args, **kw)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        a0 = np.asarray(soliton_field(1.0)(WIDE.x, 0.0), dtype=complex)
+        split_step_evolve(a0, 1.0, 2.0, WIDE, steps)
+        assert len(calls) == (2 * steps + 2 if steps else 0)
+
     def test_shape_and_finiteness_checks(self):
         with pytest.raises(ValueError):
             split_step_evolve(np.ones(8, dtype=complex), 1.0, 1.0, WIDE, 1)
@@ -172,6 +215,10 @@ class TestAnsatzDivergence:
         assert series.points[0].linf == 0.0
         assert series.points[-1].linf > 0.1
         assert series.monotone
+        # regression pin: the integrator's own output before the Strang
+        # half-steps were fused (not an independent oracle)
+        assert series.points[-1].linf == pytest.approx(2.375521127436536,
+                                                       rel=1e-10)
 
     def test_window_with_pole_is_rejected(self):
         # the pp profile has a pole near x = 0.94 at t = 0
