@@ -128,7 +128,7 @@ def z_of_t(params: AnsatzParams, t):
 
 
 def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
-    if z <= 0.0:
+    if np.real(z) <= 0.0:
         raise RealityViolation(f"z = {z:g} <= 0: profile curve needs sqrt(z)")
     rz = np.sqrt(z)
     return QuarticCurve(

@@ -37,10 +37,11 @@ POLE_EPSILON = 1e-10     # arguments closer to 0 than this count as "at the pole
 
 @dataclass(frozen=True)
 class EllipticInvariants:
-    """Invariant pair (g2, g3) that fixes a Weierstrass function."""
+    """Invariant pair (g2, g3) that fixes a Weierstrass function; real, or
+    complex when a complex-step derivative flows through them."""
 
-    g2: float
-    g3: float
+    g2: complex
+    g3: complex
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.g2) and np.isfinite(self.g3)):
@@ -53,14 +54,14 @@ class EllipticInvariants:
 
 
 @lru_cache(maxsize=512)
-def _laurent_coefficients(g2: float, g3: float, order: int) -> np.ndarray:
+def _laurent_coefficients(g2: complex, g3: complex, order: int) -> np.ndarray:
     """Coefficients c[k] of wp(u) = u^-2 + sum_{k>=2} c[k] u^(2k-2).
 
     The recursion is the classical one obtained by inserting the expansion
     into the defining differential equation; only c2 and c3 carry the
     invariants, every later coefficient is a polynomial in those two.
     """
-    c = np.zeros(order + 1)
+    c = np.zeros(order + 1, dtype=np.result_type(g2, g3, float))
     c[2] = g2 / 20.0
     c[3] = g3 / 28.0
     for k in range(4, order + 1):
@@ -95,6 +96,11 @@ def wp_pair(
     halving count changes (a difference quotient would amplify the step),
     while a wide batch is not over-halved into amplified round-off.
 
+    The invariants may be complex as well as real: the series and the
+    duplication walk are analytic in (u, g2, g3), so a complex-step
+    perturbation of any of them carries its derivative to the output.  The
+    halving depth reads only magnitudes, which such a step leaves unchanged.
+
     Raises PoleProximity when any element sits within ``eps_pole`` of the
     double pole at the origin.
     """
@@ -126,8 +132,7 @@ def wp_pair(
     # (a silent no-op where long double is plain double).
     v = (uf / np.exp2(n)).astype(np.clongdouble)
 
-    c = _laurent_coefficients(float(inv.g2), float(inv.g3), order)
-    c = c.astype(np.longdouble)
+    c = _laurent_coefficients(inv.g2, inv.g3, order).astype(np.clongdouble)
     w = v * v
     s_even = np.zeros_like(v)
     s_odd = np.zeros_like(v)
@@ -137,7 +142,7 @@ def wp_pair(
     W = 1.0 / w + s_even * w
     W1 = -2.0 / (w * v) + s_odd * v
 
-    half_g2 = np.longdouble(0.5) * np.longdouble(inv.g2)
+    half_g2 = np.clongdouble(0.5) * np.clongdouble(inv.g2)
     depth = int(n.max()) if n.size else 0
     for step in range(depth):
         act = n > step

@@ -80,10 +80,14 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi, *, derivative: b
     multiplies the initial slope, which pins the numerator sign of wp'
     (wp' ~ -2 xi^-3 near zero) to -sigma.
 
-    Accepts scalar or array xi.  Array batches use ``uniform_depth``, so a
-    finite difference stencil gets one argument-halving depth and a smooth
+    Accepts scalar or array xi, real or complex, and a curve with real or
+    complex coefficients; the output is real exactly when both are, so a
+    complex step xi + ih (or a curve built from one) returns its derivative
+    in the imaginary part.  Array batches use ``uniform_depth``, so a finite
+    difference stencil gets one argument-halving depth and a smooth
     evaluation error.  |xi| below the elliptic pole guard returns the
-    analytic pole limit (y0, and slope sigma sqrt(R(y0))).
+    analytic pole limit, the Taylor polynomial y0 + sigma sqrt(R(y0)) xi +
+    R'(y0) xi^2 / 4 (exactly y0 at xi = 0).
 
     Solution poles, where the denominator vanishes, map to non-finite
     outputs rather than exceptions; callers that must reject them check
@@ -93,42 +97,41 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi, *, derivative: b
     s = _check_sigma(sigma)
     y0 = float(y0)
     r0, r1, r2, r3, r4 = eval_with_derivatives(R, y0)
-    if r0 < 0.0:
+    if np.real(r0) < 0.0:
         raise NegativeRadicand(f"R(y0) = {r0:g} < 0: no real slope at y0")
     sq = np.sqrt(r0)
     b = r2 / 24.0
     inv = invariants_from_coefficients(R)
 
-    xi_arr = np.asarray(xi, dtype=float)
+    xi_arr = np.asarray(xi)
     scalar = xi_arr.ndim == 0
-    xf = np.atleast_1d(xi_arr).astype(float)
+    xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, r0, float))
     if not np.all(np.isfinite(xf)):
         raise NonFiniteSamples("xi must be finite")
 
-    y = np.full(xf.shape, y0, dtype=float)
-    dy = np.full(xf.shape, s * sq, dtype=float)
-    if r0 == 0.0 and r1 == 0.0:
-        # double root at y0: the exact equilibrium, and the closed form
-        # would produce 0/0 wherever wp crosses b
-        if scalar:
-            return (y0, 0.0) if derivative else y0
-        return (y, dy) if derivative else y
     away = np.abs(xf) >= POLE_EPSILON
-    if np.any(away):
+    xn = np.where(away, 0.0, xf)
+    y = y0 + s * sq * xn + 0.25 * r1 * xn * xn
+    dy = s * sq + 0.5 * r1 * xn
+    # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
+    # closed form would produce 0/0 wherever wp crosses b
+    if np.any(away) and not (r0 == 0.0 and r1 == 0.0):
+        # real in, real out: the wp arithmetic is complex throughout
+        part = np.real if y.dtype.kind == "f" else np.asarray
         W, W1 = wp_pair(xf[away], inv, uniform_depth=True)
         Wb = W - b
         num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
         den = 2.0 * Wb * Wb - r0 * r4 / 48.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            y[away] = y0 + (num / den).real
+            y[away] = y0 + part(num / den)
             if derivative:
                 W2 = 6.0 * W * W - 0.5 * inv.g2
                 nump = 0.5 * r1 * W1 - s * sq * W2
                 denp = 4.0 * Wb * W1
-                dy[away] = ((nump * den - num * denp) / (den * den)).real
+                dy[away] = part((nump * den - num * denp) / (den * den))
 
     if scalar:
-        return (float(y[0]), float(dy[0])) if derivative else float(y[0])
+        return (y[0].item(), dy[0].item()) if derivative else y[0].item()
     return (y, dy) if derivative else y
 
 

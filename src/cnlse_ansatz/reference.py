@@ -161,11 +161,14 @@ def divergence_from(field, grid: SpectralGrid, p: float, q: float,
     the taper is identically 1 on the inner region.
     """
     t_end = float(t_end)
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    if not np.isfinite(t_end) or t_end < 0.0:
+        raise ValueError("t_end must be finite and nonnegative")
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 6)[1:] if t_end > 0.0 else []
-    targets = sorted(float(s) for s in sample_times if float(s) > 0.0)
+    times = [float(s) for s in sample_times]
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
+    targets = sorted(s for s in times if s > 0.0)
 
     x = grid.x
     w = raised_cosine_taper(grid.n, taper_fraction)

@@ -9,9 +9,11 @@ Three layers of checking live here:
 * a full finite-difference residual of the dispersive equation itself,
   validated against an exact soliton before it is trusted on the ansatz.
 
-All derivatives are finite differences with Richardson refinement; stencil
-values are evaluated in single batches so the elliptic argument reduction
-uses one depth across each stencil.
+The Q_t of P is a complex-step derivative, exact to round-off.  Every other
+derivative is a finite difference with Richardson refinement, so that r1,
+r2 and the PDE residual stay checks independent of the closed forms;
+stencil values are evaluated in single batches so the elliptic argument
+reduction uses one depth across each stencil.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .ansatz import (
     q_curve,
     time_state,
     z_curve,
-    z_with_rate,
 )
 from .elliptic import EllipticInvariants
 from .errors import (
@@ -48,13 +49,17 @@ from .quartic import eval_with_derivatives, invariants_from_coefficients, weiers
 R1_TIME_STEP = 5e-4
 R2_SPACE_STEP = 1e-3
 
+# Complex step of P's Q_t = Im Q(x, t + ih) / h: with no difference to cancel,
+# h can sit far below round-off, so the O(h^2) error vanishes in double.
+P_STEP = 1e-30
+
 # |Q| beyond this marks a grid point as sitting next to a profile pole.
 POLE_ADJACENT_Q = 15.0
 
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """Finite difference controls: steps and Richardson depth."""
+    """Finite difference controls of the PDE residual: steps and Richardson depth."""
 
     h_t: float = 1e-5
     h_x: float = 1e-4
@@ -113,20 +118,12 @@ def _extrapolate(estimates) -> float:
     return est[0]
 
 
-def _central_first(f, x0: float, h: float, levels: int) -> float:
-    """First derivative of f at x0; f maps an ndarray of points to values.
-
-    One batched evaluation covers every stencil node of every level.
-    """
-    offsets = []
-    for m in range(levels):
-        hm = h / 2.0 ** m
-        offsets += [-hm, hm]
-    vals = np.asarray(f(x0 + np.asarray(offsets)), dtype=float)
-    ests = [
-        (vals[2 * m + 1] - vals[2 * m]) / (2.0 * h / 2.0 ** m) for m in range(levels)
-    ]
-    return _extrapolate(ests)
+def _central_first(f, x0: float, h: float) -> float:
+    """First derivative of f at x0 from central differences at steps h and
+    h/2 and one Richardson pass; f maps an ndarray of points to values, and
+    one batched evaluation covers all four stencil nodes."""
+    vals = np.asarray(f(x0 + np.array([-h, h, -h / 2.0, h / 2.0])), dtype=float)
+    return _extrapolate([(vals[1] - vals[0]) / (2.0 * h), (vals[3] - vals[2]) / h])
 
 
 def _one_sided_first(f, x0: float, h: float) -> float:
@@ -140,38 +137,25 @@ def _one_sided_first(f, x0: float, h: float) -> float:
     return (8.0 * half - full) / 7.0
 
 
-def residual_P(params: AnsatzParams, x: float, t: float, cfg: DiffConfig | None = None) -> float:
+def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     """Inconsistency functional
 
         P(x, t) = Q_t(x, t) - sqrt(z) (c1 - q (3 z + Q^2)).
 
-    Q_t is a Richardson-refined central difference in t (one-sided at
-    t = 0).  Since Q(0, .) = Q0 is constant in t, x = 0 short-circuits to
-    the exact Q_t = 0.
+    Q_t is the complex-step derivative Im Q(x, t + ih) / h, h = P_STEP: the
+    complex time flows through the orbit z, the profile curve and its closed
+    form, so Q_t is exact to round-off at every t and x, t = 0 and x = 0
+    included (Q(0, .) = Q0 gives Q_t = 0 exactly).
     """
-    cfg = cfg if cfg is not None else DiffConfig()
     x = float(x)
     t = float(t)
     st = time_state(params, t)
     q_center = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
-
-    if x == 0.0:
-        q_t = 0.0
-    else:
-        def q_at(ts: np.ndarray) -> np.ndarray:
-            zs, zts = z_with_rate(params, ts)
-            out = np.empty(ts.shape)
-            for i in range(ts.size):
-                ci = _q_curve_from_state(params, float(zs[i]), float(zts[i]))
-                out[i] = weierstrass_solution(ci, params.Q0, params.sigma_Q, x)
-            return out
-
-        if t == 0.0:
-            q_t = _one_sided_first(q_at, 0.0, cfg.h_t)
-        else:
-            q_t = _central_first(q_at, t, cfg.h_t, cfg.richardson_levels)
-
-    return q_t - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + q_center ** 2))
+    z, zt = weierstrass_solution(
+        z_curve(params), params.z0, params.sigma_z, complex(t, P_STEP), derivative=True
+    )
+    q = weierstrass_solution(_q_curve_from_state(params, z, zt), params.Q0, params.sigma_Q, x)
+    return q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + q_center ** 2))
 
 
 def residual_R1(params: AnsatzParams, t: float) -> float:
@@ -186,7 +170,7 @@ def residual_R1(params: AnsatzParams, t: float) -> float:
     if t == 0.0:
         rate = _one_sided_first(z_at, 0.0, R1_TIME_STEP)
     else:
-        rate = _central_first(z_at, t, R1_TIME_STEP, 2)
+        rate = _central_first(z_at, t, R1_TIME_STEP)
     r = float(eval_with_derivatives(curve, time_state(params, t).z)[0])
     return abs(rate * rate - r) / max(1.0, abs(r))
 
@@ -203,7 +187,7 @@ def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
         slope = _one_sided_first(q_at, 0.0, R2_SPACE_STEP)
         q_val = float(params.Q0)
     else:
-        slope = _central_first(q_at, x, R2_SPACE_STEP, 2)
+        slope = _central_first(q_at, x, R2_SPACE_STEP)
         q_val = float(weierstrass_solution(curve, params.Q0, params.sigma_Q, x))
     r = float(eval_with_derivatives(curve, q_val)[0])
     return abs(slope * slope - r) / max(1.0, abs(r))
@@ -334,7 +318,6 @@ def report_at(params: AnsatzParams, x: float, t: float,
               sampler=None) -> ResidualReport:
     """Full residual record at one point, never raising on pole contact:
     failures are recorded in the notes field and the numbers set to nan."""
-    cfg = cfg if cfg is not None else DiffConfig()
     x = float(x)
     t = float(t)
     notes: list = []
@@ -345,7 +328,7 @@ def report_at(params: AnsatzParams, x: float, t: float,
             notes.append("pole")
         elif abs(q_val) > POLE_ADJACENT_Q:
             notes.append("pole_adjacent")
-        p_val = residual_P(params, x, t, cfg)
+        p_val = residual_P(params, x, t)
         r1 = residual_R1(params, t)
         r2 = residual_R2(params, x, t)
         if include_pde:

@@ -13,7 +13,7 @@ from cnlse_ansatz.cli import (
     main,
 )
 
-from _pins import WP_03
+from _pins import P_AT_1_1, WP_03
 
 
 def body_lines(path):
@@ -123,6 +123,14 @@ class TestPaperCheck:
         out = capsys.readouterr().out
         row = next(ln for ln in out.splitlines() if ln.startswith("mm"))
         assert "0.113" in row
+
+    def test_p_column_prints_the_pinned_digits(self, capsys):
+        assert main(["paper-check"]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                if ln[:2] in BRANCH_ORDER]
+        assert {r[0]: r[3] for r in rows} == {
+            name: format(P_AT_1_1[name], ".10g") for name in BRANCH_ORDER
+        }
 
 
 class TestScan:
@@ -263,6 +271,15 @@ class TestEvolve:
     def test_bad_window(self, capsys):
         assert main(["evolve", "--branch", "mm", "--grid", "0:1"]) == 1
         capsys.readouterr()
+
+    def test_nan_end_time_exits_nonzero(self, capsys):
+        assert main(["evolve", "--branch", "mm", "--t-end", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("error: t_end must be finite")
+
+    def test_nan_sample_times_exit_nonzero(self, capsys):
+        assert main(["evolve", "--branch", "mm",
+                     "--grid=-1.25:1.25:256,nan:0.5:3"]) == 1
+        assert capsys.readouterr().err.startswith("error: sample times must be finite")
 
 
 class TestElliptic:

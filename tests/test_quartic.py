@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnlse_ansatz import (
+    POLE_EPSILON,
+    REFERENCE_PARAMS,
     NegativeRadicand,
     NonFiniteSamples,
     QuarticCurve,
@@ -11,6 +13,7 @@ from cnlse_ansatz import (
     invariants_from_coefficients,
     solution_denominator,
     weierstrass_solution,
+    z_curve,
 )
 
 from _pins import (
@@ -228,3 +231,46 @@ class TestDenominator:
 
     def test_infinite_at_origin(self):
         assert np.isposinf(float(solution_denominator(Z_CURVE, 1.0, 0.0)))
+
+
+class TestComplexStep:
+    # xi + ih with h far below round-off: Im y / h is dy/dxi to round-off,
+    # since no difference of nearby values is taken
+    H = 1e-30
+    CURVE = z_curve(REFERENCE_PARAMS)
+    Y0 = REFERENCE_PARAMS.z0
+
+    def test_matches_analytic_rate(self):
+        for sigma in (1, -1):
+            for t in (0.0, 5e-11, -5e-11, 0.3, -0.7, 1.0):
+                _, rate = weierstrass_solution(self.CURVE, self.Y0, sigma, t, derivative=True)
+                y = weierstrass_solution(self.CURVE, self.Y0, sigma, complex(t, self.H))
+                assert isinstance(y, complex)
+                assert abs(y.imag / self.H - rate) <= 1e-13 * abs(rate), (sigma, t)
+
+    def test_matches_analytic_rate_on_an_array(self):
+        ts = np.linspace(-1.0, 1.2, 23)
+        for sigma in (1, -1):
+            _, rates = weierstrass_solution(self.CURVE, self.Y0, sigma, ts, derivative=True)
+            y = weierstrass_solution(self.CURVE, self.Y0, sigma, ts + 1j * self.H)
+            assert y.dtype == np.complex128
+            assert np.all(np.abs(y.imag / self.H - rates) <= 1e-13 * np.abs(rates))
+
+    def test_real_in_real_out(self):
+        y, dy = weierstrass_solution(self.CURVE, self.Y0, 1, 0.3, derivative=True)
+        assert type(y) is float and type(dy) is float
+        assert type(weierstrass_solution(self.CURVE, self.Y0, -1, 1e-11)) is float
+        ys, dys = weierstrass_solution(
+            self.CURVE, self.Y0, 1, np.array([0.0, 1e-11, 0.3]), derivative=True
+        )
+        assert ys.dtype == np.float64 and dys.dtype == np.float64
+
+    def test_taylor_limit_inside_pole_guard(self):
+        r0, r1 = eval_with_derivatives(self.CURVE, self.Y0)[:2]
+        for sigma in (1, -1):
+            for xi in (3e-11, -7e-11):
+                y, dy = weierstrass_solution(self.CURVE, self.Y0, sigma, xi, derivative=True)
+                assert 0.0 < abs(xi) < POLE_EPSILON
+                assert abs(y - (self.Y0 + sigma * np.sqrt(r0) * xi + r1 * xi * xi / 4.0)) <= 1e-15
+                assert abs(dy - (sigma * np.sqrt(r0) + r1 * xi / 2.0)) <= 1e-15
+            assert weierstrass_solution(self.CURVE, self.Y0, sigma, 0.0) == self.Y0

@@ -64,8 +64,8 @@ class TestDiffConfig:
 
 class TestInconsistency:
     def test_origin_is_exactly_minus_two(self):
-        # Q(0, .) is constant so Q_t = 0 without differencing; the rest is
-        # a short exact-float chain
+        # Q(0, .) = Q0 is constant, so the complex step returns Q_t = 0
+        # exactly; the rest is a short exact-float chain
         for name, (sz, sq) in BRANCHES.items():
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_P(p, 0.0, 0.0) == -2.0, name
@@ -73,10 +73,9 @@ class TestInconsistency:
     def test_reference_point_pins(self):
         for name, (sz, sq) in BRANCHES.items():
             p = with_branch(REFERENCE_PARAMS, sz, sq)
-            assert abs(residual_P(p, 1.0, 1.0) - P_AT_1_1[name]) < 1e-5, name
-            assert abs(residual_P(p, 1.0, 0.5) - P_AT_1_05[name]) < 1e-5, name
-            got0 = residual_P(p, 1.0, 0.0)  # one-sided t stencil
-            assert abs(got0 - P_AT_1_0[name]) < 1e-4 * abs(P_AT_1_0[name]), name
+            for t, pins in ((1.0, P_AT_1_1), (0.5, P_AT_1_05), (0.0, P_AT_1_0)):
+                got = residual_P(p, 1.0, t)
+                assert abs(got - pins[name]) <= 1e-12 * abs(pins[name]), (name, t)
 
     def test_mismatch_is_order_tenth(self):
         # the headline number: the leftover equation misses by ~0.11, far
