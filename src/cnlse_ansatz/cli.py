@@ -10,6 +10,7 @@ file, falling back to the built-in reference set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -32,13 +33,9 @@ from .ansatz import (
 from .elliptic import EllipticInvariants, cubic_roots, wp_pair
 from .errors import (
     AliasingWarning,
-    DegenerateResiduals,
-    NegativeRadicand,
-    NonFiniteSamples,
     PoleProximity,
     RealityViolation,
     StencilOutOfDomain,
-    WindowContainsPole,
 )
 from .quartic import (
     QuarticCurve,
@@ -51,6 +48,7 @@ from .reference import SpectralGrid, ansatz_divergence, mass, split_step_evolve
 from .verify import (
     DiffConfig,
     ResidualReport,
+    _rel_dev,
     closed_form_invariants_q,
     closed_form_invariants_z,
     cnlse_residual,
@@ -80,8 +78,10 @@ DEFAULT_TOLERANCES = {
 P_MATCH_TARGET = 0.113
 BRANCH_ORDER = ("pp", "pm", "mp", "mm")
 CLI_COLUMNS = ("sigma_z", "sigma_q", "x", "t", "P", "r1", "r2", "pde_abs", "flags")
+_CSV_FIELD = {"flags": "notes"}  # CSV column -> record key, where they differ
 SCAN_DEFAULT_GRID = "0.2:1.2:10,0.2:1.2:10"
 EVOLVE_DEFAULT_WINDOW = "-1.25:1.25:256"
+_DEFAULT_GRID = {"scan": SCAN_DEFAULT_GRID, "evolve": EVOLVE_DEFAULT_WINDOW}
 
 _PARAM_FLAGS = ("q", "c1", "c2", "c3", "z0", "q0", "phi0")
 _FIELD_OF_FLAG = {"q": "q", "c1": "c1", "c2": "c2", "c3": "c3",
@@ -211,10 +211,7 @@ def _resolve_run(ns) -> RunConfig:
             fields[name] = float(raw)
         except (TypeError, ValueError) as exc:
             raise CliError(f"--{flag} must be a number, got {raw!r}") from exc
-    try:
-        params = AnsatzParams(**fields)
-    except (ValueError, NegativeRadicand) as exc:
-        raise CliError(str(exc)) from exc
+    params = AnsatzParams(**fields)
 
     branch = pick("branch", "all")
     if branch == "all":
@@ -254,7 +251,7 @@ def _resolve_run(ns) -> RunConfig:
         branches=branches,
         x=float(pick("x", 1.0)),
         t=float(pick("t", 1.0)),
-        grid=pick("grid", None),
+        grid=pick("grid", _DEFAULT_GRID.get(ns.mode)),
         fmt=fmt,
         out=pick("out", None),
         tolerances=tolerances,
@@ -264,37 +261,49 @@ def _resolve_run(ns) -> RunConfig:
     )
 
 
+def _parse_axis(chunk: str, name: str) -> np.ndarray:
+    """The points of one ``LO:HI:N`` axis; HI must exceed LO when N > 1.
+
+    The comparison lets NaN through, so a non-finite time axis reaches the
+    sample-time check of the spectral cross-check and is reported there.
+    """
+    bits = chunk.split(":")
+    if len(bits) != 3:
+        raise CliError(f"{name} axis must be LO:HI:N, got {chunk!r}")
+    try:
+        lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
+    except ValueError as exc:
+        raise CliError(f"bad {name} axis {chunk!r}") from exc
+    if n <= 0:
+        raise CliError(f"empty grid: {name} axis has {n} points")
+    if n == 1:
+        # HI plays no part in a one-point axis, even when it is not finite
+        return np.array([lo])
+    if hi <= lo:
+        raise CliError(f"{name} axis needs HI > LO")
+    return np.linspace(lo, hi, n)
+
+
 def _parse_grid(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise CliError(f"grid must look like X0:X1:NX,T0:T1:NT, got {text!r}")
-
-    def axis(chunk, name):
-        bits = chunk.split(":")
-        if len(bits) != 3:
-            raise CliError(f"{name} axis must be LO:HI:N, got {chunk!r}")
-        try:
-            lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
-        except ValueError as exc:
-            raise CliError(f"bad {name} axis {chunk!r}") from exc
-        if n <= 0:
-            raise CliError(f"empty grid: {name} axis has {n} points")
-        if n == 1:
-            return np.array([lo])
-        if hi <= lo:
-            raise CliError(f"{name} axis needs HI > LO")
-        return np.linspace(lo, hi, n)
-
-    return axis(parts[0], "x"), axis(parts[1], "t")
+    return _parse_axis(parts[0], "x"), _parse_axis(parts[1], "t")
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """Yield stdout, or the file at ``path`` opened for writing and closed
+    on the way out."""
     if path is None:
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline=""), True
+        stream = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+    with stream:
+        yield stream
 
 
 def _timestamp() -> str:
@@ -308,34 +317,32 @@ def _params_dict(params: AnsatzParams) -> dict:
     }
 
 
-def _write_reports(rc: RunConfig, reports, extra_meta: dict) -> None:
-    meta = {"mode": rc.mode, **extra_meta}
-    stream, owned = _open_out(rc.out)
-    try:
+def _write_table(rc: RunConfig, meta: dict, columns, key: str, records) -> None:
+    """Write ``records`` (dicts) with the run metadata.
+
+    CSV: ``# generated_at``, ``# mode`` and one ``# key=value`` line per
+    metadata entry, then ``columns`` as header and rows at 12 significant
+    digits (the ``flags`` column reads a record's ``notes``).  JSON:
+    ``{"metadata": {generated_at, mode, ..., params}, key: records}``.
+    """
+    meta = {"generated_at": _timestamp(), "mode": rc.mode, **meta}
+    with _output(rc.out) as stream:
         if rc.fmt == "csv":
-            stream.write(f"# generated_at={_timestamp()}\n")
-            for key, value in meta.items():
-                stream.write(f"# {key}={value}\n")
+            for name, value in meta.items():
+                stream.write(f"# {name}={value}\n")
             writer = csv.writer(stream)
-            writer.writerow(CLI_COLUMNS)
-            for rep in reports:
-                writer.writerow([
-                    rep.sigma_z, rep.sigma_q,
-                    _fmt12(rep.x), _fmt12(rep.t), _fmt12(float(rep.P)),
-                    _fmt12(float(rep.r1)), _fmt12(float(rep.r2)),
-                    _fmt12(float(rep.pde_abs)), rep.notes,
-                ])
+            writer.writerow(columns)
+            for rec in records:
+                writer.writerow([_fmt12(rec[_CSV_FIELD.get(c, c)]) for c in columns])
         else:
-            doc = {
-                "metadata": {"generated_at": _timestamp(), **meta,
-                             "params": _params_dict(rc.params)},
-                "reports": [rep.to_json_dict() for rep in reports],
-            }
-            json.dump(doc, stream, indent=2)
+            meta["params"] = _params_dict(rc.params)
+            json.dump({"metadata": meta, key: records}, stream, indent=2)
             stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
+
+
+def _write_reports(rc: RunConfig, reports, meta: dict) -> None:
+    _write_table(rc, meta, CLI_COLUMNS, "reports",
+                 [rep.to_json_dict() for rep in reports])
 
 
 def cmd_paper_check(rc: RunConfig) -> int:
@@ -373,26 +380,23 @@ def cmd_paper_check(rc: RunConfig) -> int:
 
 
 def cmd_scan(rc: RunConfig) -> int:
-    xs, ts = _parse_grid(rc.grid if rc.grid is not None else SCAN_DEFAULT_GRID)
-    cfg = DiffConfig()
+    xs, ts = _parse_grid(rc.grid)
     reports = []
     for name, (sz, sq) in rc.branches:
         par = with_branch(rc.params, sz, sq)
         # t-major, so each time's memoised state serves the whole x row;
         # the reports are written x-major
-        by_t = [[report_at(par, float(x), float(t), cfg) for x in xs] for t in ts]
+        by_t = [[report_at(par, x, t) for x in xs] for t in ts]
         reports.extend(rep for row in zip(*by_t) for rep in row)
     _write_reports(rc, reports, {
-        "grid": rc.grid if rc.grid is not None else SCAN_DEFAULT_GRID,
-        "branch": ",".join(name for name, _ in rc.branches),
+        "grid": rc.grid, "branch": ",".join(name for name, _ in rc.branches),
     })
     return 0
 
 
 def cmd_residuals(rc: RunConfig) -> int:
-    cfg = DiffConfig()
     reports = [
-        report_at(with_branch(rc.params, sz, sq), rc.x, rc.t, cfg)
+        report_at(with_branch(rc.params, sz, sq), rc.x, rc.t)
         for _, (sz, sq) in rc.branches
     ]
     _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
@@ -400,7 +404,6 @@ def cmd_residuals(rc: RunConfig) -> int:
 
 
 def cmd_pde(rc: RunConfig) -> int:
-    cfg = DiffConfig()
     reports = []
     for _, (sz, sq) in rc.branches:
         par = with_branch(rc.params, sz, sq)
@@ -408,7 +411,7 @@ def cmd_pde(rc: RunConfig) -> int:
         value = float("nan")
         try:
             value = abs(cnlse_residual(make_field_sampler(par), rc.x, rc.t,
-                                       cfg, 1.0, par.q))
+                                       p=1.0, q=par.q))
         except StencilOutOfDomain as exc:
             notes = type(exc).__name__
         reports.append(ResidualReport(
@@ -437,31 +440,10 @@ def cmd_evolve(rc: RunConfig) -> int:
     (name, (sz, sq)), = rc.branches
     par = with_branch(rc.params, sz, sq)
 
-    grid_text = rc.grid if rc.grid is not None else EVOLVE_DEFAULT_WINDOW
-    window, _, t_axis = grid_text.partition(",")
-    bits = window.split(":")
-    if len(bits) != 3:
-        raise CliError(f"evolve window must be X0:X1:N, got {window!r}")
-    try:
-        x0, x1, n = float(bits[0]), float(bits[1]), int(bits[2])
-    except ValueError as exc:
-        raise CliError(f"bad window {window!r}") from exc
-    try:
-        grid = SpectralGrid(x0, x1, n, rc.dt)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    sample_times = None
-    if t_axis:
-        tb = t_axis.split(":")
-        if len(tb) != 3:
-            raise CliError(f"evolve time axis must be T0:T1:NT, got {t_axis!r}")
-        try:
-            lo, hi, nt = float(tb[0]), float(tb[1]), int(tb[2])
-        except ValueError as exc:
-            raise CliError(f"bad time axis {t_axis!r}") from exc
-        if nt <= 0:
-            raise CliError("empty time axis")
-        sample_times = list(np.linspace(lo, hi, nt)) if nt > 1 else [lo]
+    window, _, t_axis = rc.grid.partition(",")
+    xs = _parse_axis(window, "window")
+    grid = SpectralGrid(float(xs[0]), float(xs[-1]), xs.size, rc.dt)
+    sample_times = _parse_axis(t_axis, "time") if t_axis else None
 
     control = _soliton_control(rc.dt)
     with warnings.catch_warnings(record=True) as caught:
@@ -469,35 +451,11 @@ def cmd_evolve(rc: RunConfig) -> int:
         series = ansatz_divergence(par, grid, 1.0, rc.t_end, sample_times)
     aliasing = any(issubclass(w.category, AliasingWarning) for w in caught)
 
-    meta = {
-        "branch": name,
-        "soliton_control_linf": control,
-        "aliasing_warned": aliasing,
-        **series.metadata,
-    }
-    stream, owned = _open_out(rc.out)
-    try:
-        if rc.fmt == "csv":
-            stream.write(f"# generated_at={_timestamp()}\n")
-            stream.write("# mode=evolve\n")
-            for key, value in meta.items():
-                stream.write(f"# {key}={value}\n")
-            writer = csv.writer(stream)
-            writer.writerow(("t", "l2", "linf"))
-            for pt in series.points:
-                writer.writerow([_fmt12(pt.t), _fmt12(pt.l2), _fmt12(pt.linf)])
-        else:
-            doc = series.to_json_dict()
-            doc["metadata"].update(
-                generated_at=_timestamp(), mode="evolve", branch=name,
-                soliton_control_linf=control, aliasing_warned=aliasing,
-                params=_params_dict(rc.params),
-            )
-            json.dump(doc, stream, indent=2)
-            stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
+    doc = series.to_json_dict()
+    _write_table(rc, {
+        "branch": name, "soliton_control_linf": control,
+        "aliasing_warned": aliasing, **doc["metadata"],
+    }, ("t", "l2", "linf"), "points", doc["points"])
     return 0
 
 
@@ -514,26 +472,18 @@ def cmd_elliptic(ns) -> int:
     for i, r in enumerate(roots, start=1):
         payload[f"e{i}_re"] = r.real
         payload[f"e{i}_im"] = r.imag
-    stream, owned = _open_out(ns.out)
-    try:
+    with _output(ns.out) as stream:
         if ns.fmt == "json":
             json.dump(payload, stream, indent=2)
             stream.write("\n")
         else:
             for key, val in payload.items():
                 stream.write(f"{key},{_fmt12(float(val))}\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
 # ---------------------------------------------------------------------------
 # selftest suite
-
-
-def _rdev(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def _check_wp_ode(tol: float):
@@ -564,7 +514,7 @@ def _check_invariants(tol: float):
         zc = z_curve(draw)
         cz = invariants_from_coefficients(zc)
         ez = closed_form_invariants_z(draw)
-        worst = max(worst, _rdev(cz.g2, ez.g2), _rdev(cz.g3, ez.g3))
+        worst = max(worst, _rel_dev(cz.g2, ez.g2), _rel_dev(cz.g3, ez.g3))
         z = float(rng.uniform(0.05, 2.5))
         r1z = float(eval_with_derivatives(zc, z)[0])
         if r1z < 0.0:
@@ -572,7 +522,7 @@ def _check_invariants(tol: float):
         zt = float(rng.choice([-1.0, 1.0])) * float(np.sqrt(r1z))
         cq = invariants_from_coefficients(_q_curve_from_state(draw, z, zt))
         eq = closed_form_invariants_q(draw, z, zt)
-        worst = max(worst, _rdev(cq.g2, eq.g2), _rdev(cq.g3, eq.g3))
+        worst = max(worst, _rel_dev(cq.g2, eq.g2), _rel_dev(cq.g3, eq.g3))
     return worst <= tol, worst
 
 
@@ -701,12 +651,8 @@ def main(argv=None) -> int:
         if ns.mode == "elliptic":
             return cmd_elliptic(ns)
         return _DISPATCH[ns.mode](_resolve_run(ns))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PoleProximity, RealityViolation, NegativeRadicand, StencilOutOfDomain,
-            WindowContainsPole, NonFiniteSamples, DegenerateResiduals,
-            ValueError, OSError) as exc:
+    # the package's other failure classes all derive from ValueError
+    except (CliError, PoleProximity, RealityViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -148,6 +148,21 @@ class DivergenceSeries:
         }
 
 
+def _sample_targets(t_end: float, sample_times) -> list:
+    """The positive sample times in increasing order, after checking that
+    t_end is finite and nonnegative and that every sample time is finite;
+    ``None`` means five even steps up to t_end."""
+    t_end = float(t_end)
+    if not np.isfinite(t_end) or t_end < 0.0:
+        raise ValueError("t_end must be finite and nonnegative")
+    if sample_times is None:
+        sample_times = np.linspace(0.0, t_end, 6)[1:]
+    times = [float(s) for s in sample_times]
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
+    return sorted(s for s in times if s > 0.0)
+
+
 def divergence_from(field, grid: SpectralGrid, p: float, q: float,
                     t_end: float, sample_times=None, *,
                     taper_fraction: float = 0.10,
@@ -160,16 +175,7 @@ def divergence_from(field, grid: SpectralGrid, p: float, q: float,
     the realized one.  The t = 0 entry is exact zero by construction since
     the taper is identically 1 on the inner region.
     """
-    t_end = float(t_end)
-    if not np.isfinite(t_end) or t_end < 0.0:
-        raise ValueError("t_end must be finite and nonnegative")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 6)[1:] if t_end > 0.0 else []
-    times = [float(s) for s in sample_times]
-    if not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be finite")
-    targets = sorted(s for s in times if s > 0.0)
-
+    targets = _sample_targets(t_end, sample_times)
     x = grid.x
     w = raised_cosine_taper(grid.n, taper_fraction)
     a0 = np.asarray(field(x, 0.0), dtype=complex)
@@ -217,13 +223,9 @@ def ansatz_divergence(params: AnsatzParams, grid: SpectralGrid, p: float = 1.0,
     means a profile pole lies inside the window and the comparison is
     rejected with WindowContainsPole.
     """
-    t_end = float(t_end)
-    if sample_times is None:
-        times = list(np.linspace(0.0, t_end, 6)[1:]) if t_end > 0.0 else []
-    else:
-        times = [float(s) for s in sample_times]
+    targets = _sample_targets(t_end, sample_times)
     xs = np.linspace(grid.x_min, grid.x_max, 4 * grid.n + 1)
-    for t in [0.0] + [s for s in times if s > 0.0]:
+    for t in [0.0] + targets:
         den = solution_denominator(q_curve(params, t), params.Q0, xs)
         if np.any(den == 0.0) or np.any(np.sign(den[:-1]) != np.sign(den[1:])):
             raise WindowContainsPole(
@@ -231,6 +233,6 @@ def ansatz_divergence(params: AnsatzParams, grid: SpectralGrid, p: float = 1.0,
             )
     sampler = make_field_sampler(params)
     return divergence_from(
-        sampler, grid, p, params.q, t_end, times,
+        sampler, grid, p, params.q, t_end, targets,
         taper_fraction=taper_fraction, inner_fraction=inner_fraction,
     )

@@ -99,12 +99,6 @@ class ResidualReport:
             "notes": self.notes,
         }
 
-    csv_fields = ("x", "t", "sigma_z", "sigma_q", "P", "r1", "r2", "pde_abs", "notes")
-
-    def to_csv_row(self) -> list:
-        d = self.to_json_dict()
-        return [d[k] for k in self.csv_fields]
-
 
 def _extrapolate(estimates) -> float:
     """Collapse a list of difference estimates at steps h, h/2, ... by

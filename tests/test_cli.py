@@ -270,7 +270,19 @@ class TestEvolve:
 
     def test_bad_window(self, capsys):
         assert main(["evolve", "--branch", "mm", "--grid", "0:1"]) == 1
+        # a time axis is LO:HI:N with HI > LO, like every other axis
+        for t_axis in ("0.3:0.1:3", "0.2:0.2:3", "0.1:0.3:x"):
+            assert main(["evolve", "--branch", "mm",
+                         f"--grid=-1.25:1.25:256,{t_axis}"]) == 1, t_axis
         capsys.readouterr()
+
+    def test_reversed_window_uses_the_axis_message(self, capsys):
+        assert main(["evolve", "--branch", "mm", "--grid", "1.25:-1.25:256"]) == 1
+        assert capsys.readouterr().err.startswith("error: window axis needs HI > LO")
+
+    def test_infinite_end_time_exits_nonzero(self, capsys):
+        assert main(["evolve", "--branch", "mm", "--t-end", "inf"]) == 1
+        assert capsys.readouterr().err.startswith("error: t_end must be finite")
 
     def test_nan_end_time_exits_nonzero(self, capsys):
         assert main(["evolve", "--branch", "mm", "--t-end", "nan"]) == 1
@@ -280,6 +292,23 @@ class TestEvolve:
         assert main(["evolve", "--branch", "mm",
                      "--grid=-1.25:1.25:256,nan:0.5:3"]) == 1
         assert capsys.readouterr().err.startswith("error: sample times must be finite")
+
+
+class TestMetadata:
+    @pytest.mark.parametrize("args", [
+        ["scan", "--grid", "0.3:0.9:2,0.3:0.9:2"],
+        ["residuals"],
+        ["pde", "--branch", "mm", "--x", "0.5", "--t", "0.4"],
+        ["evolve", "--branch", "mm"],
+    ], ids=lambda args: args[0])
+    def test_csv_comments_match_json_metadata(self, tmp_path, args):
+        csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main(args + ["--out", str(csv_out)]) == 0
+        assert main(args + ["--format", "json", "--out", str(json_out)]) == 0
+        csv_keys = [ln[2:].partition("=")[0] for ln in comment_lines(csv_out)]
+        json_keys = list(json.loads(json_out.read_text())["metadata"])
+        json_keys.remove("params")
+        assert csv_keys == json_keys
 
 
 class TestElliptic:
@@ -388,6 +417,11 @@ class TestGridParsing:
     def test_single_point_axis(self):
         xs, ts = _parse_grid("0.7:9:1,0:1:2")
         assert list(xs) == [0.7]
+
+    def test_single_point_axis_ignores_hi(self):
+        for hi in ("nan", "inf", "-1"):
+            xs, _ = _parse_grid(f"0.7:{hi}:1,0:1:2")
+            assert list(xs) == [0.7], hi
 
     def test_malformed(self):
         for text in ("0:1:3", "0:1:3,0:1", "0:1:x,0:1:2", "1:0:3,0:1:2",

@@ -226,3 +226,9 @@ class TestAnsatzDivergence:
         grid = SpectralGrid(x_min=-1.25, x_max=1.25, n=256, dt=1e-3)
         with pytest.raises(WindowContainsPole):
             ansatz_divergence(p, grid, t_end=0.5)
+
+    def test_infinite_end_time_rejected_before_the_pole_screen(self):
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        grid = SpectralGrid(x_min=-1.25, x_max=1.25, n=256, dt=1e-3)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            ansatz_divergence(p, grid, t_end=float("inf"))

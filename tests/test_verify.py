@@ -306,5 +306,5 @@ class TestReportAt:
             P=0.1, r1=1e-12, r2=2e-12, pde_abs=0.3, notes="n",
         )
         d = rep.to_json_dict()
-        assert tuple(d) == ResidualReport.csv_fields
-        assert rep.to_csv_row() == [1.0, 2.0, 1, -1, 0.1, 1e-12, 2e-12, 0.3, "n"]
+        assert tuple(d) == ("x", "t", "sigma_z", "sigma_q",
+                            "P", "r1", "r2", "pde_abs", "notes")

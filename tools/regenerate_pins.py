@@ -141,15 +141,18 @@ def phase(sigma_z, t):
     return PHI0 + C1 * t - 2 * Q * integral
 
 
+# Q_t is a central difference with a fixed step h, so its truncation error
+# is O(h^2) = 1e-40.  At t = 0.05 * 2^k the two stencil nodes take different
+# halving depths in wp_pair, and their round-off (about 1e-44) no longer
+# cancels: over h = 1e-20 that is negligible, while mp.diff's much smaller
+# default step turned it into errors of 1e2 to 1e5 there.
+DIFF_STEP = mp.mpf("1e-20")
+
+
 def inconsistency(x, t, sigma_z, sigma_q):
     z, _ = orbit(sigma_z, t)
     q_val = profile(x, t, sigma_z, sigma_q)
-    if x == 0:
-        q_t = mp.mpf(0)
-    elif t == 0:
-        q_t = mp.diff(lambda s: profile(x, s, sigma_z, sigma_q), 0, direction=1)
-    else:
-        q_t = mp.diff(lambda s: profile(x, s, sigma_z, sigma_q), t)
+    q_t = mp.diff(lambda s: profile(x, s, sigma_z, sigma_q), t, h=DIFF_STEP)
     return q_t - mp.sqrt(z) * (C1 - Q * (3 * z + q_val**2))
 
 
