@@ -147,8 +147,6 @@ def phi_of_t(params: AnsatzParams, t: float) -> float:
     so the error, at round-off here, is continuous in t, as the FD time
     stencil of the envelope needs."""
     t = float(t)
-    if t == 0.0:
-        return params.phi0
     edges = math.copysign(1.0, t) * np.append(np.arange(0.0, abs(t), PHASE_PANEL), abs(t))
     half = 0.5 * np.diff(edges)[:, None]
     z = z_with_rate(params, (edges[:-1, None] + half * (1.0 + _GL_X)).ravel())[0]

@@ -48,7 +48,9 @@ from .reference import SpectralGrid, ansatz_divergence, mass, split_step_evolve
 from .verify import (
     DiffConfig,
     ResidualReport,
+    _central_differences,
     _rel_dev,
+    _stencil_offsets,
     closed_form_invariants_q,
     closed_form_invariants_z,
     cnlse_residual,
@@ -174,6 +176,8 @@ _CONFIG_KEYS = set(_PARAM_FLAGS) | {
     "x", "t", "branch", "grid", "format", "out", "dt", "t_end", "t-end",
     "tol", "skip",
 }
+# config values read as numbers; the other keys that flags mirror read strings
+_NUMBER_KEYS = set(_PARAM_FLAGS) | {"x", "t", "dt", "t_end"}
 
 
 def _positive_float(text, what: str) -> float:
@@ -197,20 +201,19 @@ def _resolve_run(ns) -> RunConfig:
         v = getattr(ns, attr, None)
         if v is not None:
             return v
-        if flag in config:
-            return config[flag]
-        if flag == "t_end" and "t-end" in config:
-            return config["t-end"]
-        return fallback
+        key = flag if flag in config else {"t_end": "t-end"}.get(flag)
+        if key not in config:
+            return fallback
+        v = config[key]
+        kind = "number" if flag in _NUMBER_KEYS else "string"
+        if isinstance(v, bool) or not isinstance(v, (int, float) if kind == "number" else str):
+            raise CliError(f"config key {key!r} must be a {kind}, got {v!r}")
+        return v
 
     fields = {}
     for flag in _PARAM_FLAGS:
         name = _FIELD_OF_FLAG[flag]
-        raw = pick(flag, getattr(REFERENCE_PARAMS, name))
-        try:
-            fields[name] = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"--{flag} must be a number, got {raw!r}") from exc
+        fields[name] = float(pick(flag, getattr(REFERENCE_PARAMS, name)))
     params = AnsatzParams(**fields)
 
     branch = pick("branch", "all")
@@ -551,7 +554,7 @@ def _check_quartic_ode(tol: float):
         tried += 1
         for _ in range(6):
             xi = float(rng.uniform(0.05, 1.5))
-            stencil = xi + h * np.array([-1.0, 1.0, -0.5, 0.5, 0.0])
+            stencil = xi + _stencil_offsets(h)
             # sample away from solution poles: a difference quotient cannot
             # track the near-vertical stretches next to them
             den = np.abs(solution_denominator(curve, y0, stencil))
@@ -560,10 +563,8 @@ def _check_quartic_ode(tol: float):
             vals = weierstrass_solution(curve, y0, 1, stencil)
             if not np.all(np.isfinite(vals)) or float(np.max(np.abs(vals))) > 50.0:
                 continue
-            est1 = (vals[1] - vals[0]) / (2.0 * h)
-            est2 = (vals[3] - vals[2]) / h
-            slope = (4.0 * est2 - est1) / 3.0
-            r = float(eval_with_derivatives(curve, float(vals[4]))[0])
+            slope, _ = _central_differences(vals, h)
+            r = float(eval_with_derivatives(curve, float(vals[0]))[0])
             worst = max(worst, abs(slope * slope - r) / max(1.0, abs(r)))
     return worst <= tol, worst
 

@@ -84,17 +84,16 @@ def wp_pair(
     order: int = SERIES_ORDER,
     threshold: float = HALVING_THRESHOLD,
     eps_pole: float = POLE_EPSILON,
-    uniform_depth: bool = False,
 ):
     """Evaluate (wp(u), wp'(u)) for scalar or array ``u``.
 
     Each element is halved until it fits inside the summation radius, the
     series for wp and wp' is summed there, and the duplication rule walks
-    the value back up.  With ``uniform_depth`` each element is halved up to
-    the batch maximum but at most once more than it needs, so a finite
-    difference stencil gets one depth and its error does not step where the
-    halving count changes (a difference quotient would amplify the step),
-    while a wide batch is not over-halved into amplified round-off.
+    the value back up.  Each element of a batch is halved up to the batch
+    maximum but at most once more than it needs, so a finite difference
+    stencil gets one depth and its error does not step where the halving
+    count changes (a difference quotient would amplify the step), while a
+    wide batch is not over-halved into amplified round-off.
 
     The invariants may be complex as well as real: the series and the
     duplication walk are analytic in (u, g2, g3), so a complex-step
@@ -124,7 +123,7 @@ def wp_pair(
     big = au > thr
     if np.any(big):
         n[big] = np.ceil(np.log2(au[big] / thr)).astype(int)
-    if uniform_depth and n.size:
+    if n.size:
         n = np.minimum(n.max(), n + 1)
     # Round-off noise from each duplication pass is amplified by the next,
     # reaching ~1e-11 after three passes at large invariants.  Extended

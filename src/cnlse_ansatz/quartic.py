@@ -83,8 +83,8 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi, *, derivative: b
     Accepts scalar or array xi, real or complex, and a curve with real or
     complex coefficients; the output is real exactly when both are, so a
     complex step xi + ih (or a curve built from one) returns its derivative
-    in the imaginary part.  Array batches use ``uniform_depth``, so a finite
-    difference stencil gets one argument-halving depth and a smooth
+    in the imaginary part.  An array batch shares one argument-halving
+    depth (see ``wp_pair``), so a finite difference stencil gets a smooth
     evaluation error.  |xi| below the elliptic pole guard returns the
     analytic pole limit, the Taylor polynomial y0 + sigma sqrt(R(y0)) xi +
     R'(y0) xi^2 / 4 (exactly y0 at xi = 0).
@@ -118,7 +118,7 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi, *, derivative: b
     if np.any(away) and not (r0 == 0.0 and r1 == 0.0):
         # real in, real out: the wp arithmetic is complex throughout
         part = np.real if y.dtype.kind == "f" else np.asarray
-        W, W1 = wp_pair(xf[away], inv, uniform_depth=True)
+        W, W1 = wp_pair(xf[away], inv)
         Wb = W - b
         num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
         den = 2.0 * Wb * Wb - r0 * r4 / 48.0
@@ -154,7 +154,7 @@ def solution_denominator(R: QuarticCurve, y0: float, xi):
     den = np.full(xf.shape, np.inf)
     away = np.abs(xf) >= POLE_EPSILON
     if np.any(away):
-        W, _ = wp_pair(xf[away], inv, uniform_depth=True)
+        W, _ = wp_pair(xf[away], inv)
         Wb = W - b
         den[away] = (2.0 * Wb * Wb - r0 * r4 / 48.0).real
     return float(den[0]) if scalar else den

@@ -10,10 +10,10 @@ Three layers of checking live here:
   validated against an exact soliton before it is trusted on the ansatz.
 
 The Q_t of P is a complex-step derivative, exact to round-off.  Every other
-derivative is a finite difference with Richardson refinement, so that r1,
-r2 and the PDE residual stay checks independent of the closed forms;
-stencil values are evaluated in single batches so the elliptic argument
-reduction uses one depth across each stencil.
+derivative comes from one central Richardson stencil, used at the origin
+too, so that r1, r2 and the PDE residual stay checks independent of the
+closed forms; stencil values are evaluated in single batches so the
+elliptic argument reduction uses one depth across each stencil.
 """
 
 from __future__ import annotations
@@ -112,23 +112,21 @@ def _extrapolate(estimates) -> float:
     return est[0]
 
 
-def _central_first(f, x0: float, h: float) -> float:
-    """First derivative of f at x0 from central differences at steps h and
-    h/2 and one Richardson pass; f maps an ndarray of points to values, and
-    one batched evaluation covers all four stencil nodes."""
-    vals = np.asarray(f(x0 + np.array([-h, h, -h / 2.0, h / 2.0])), dtype=float)
-    return _extrapolate([(vals[1] - vals[0]) / (2.0 * h), (vals[3] - vals[2]) / h])
+def _stencil_offsets(h: float, levels: int = 2) -> np.ndarray:
+    """Nodes of the central stencil: 0, then -h/2^m and +h/2^m for m < levels."""
+    return np.array([0.0] + [s * h / 2.0 ** m for m in range(levels) for s in (-1.0, 1.0)])
 
 
-def _one_sided_first(f, x0: float, h: float) -> float:
-    """4-point one-sided first derivative, for boundary points where a
-    symmetric stencil would cross a pole of the closed form.  One
-    Richardson pass over step h and h/2 (shared samples) cancels the
-    leading h^3 term of the raw formula."""
-    vals = np.asarray(f(x0 + h * np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])), dtype=float)
-    full = (-11.0 * vals[0] + 18.0 * vals[2] - 9.0 * vals[4] + 2.0 * vals[5]) / (6.0 * h)
-    half = (-11.0 * vals[0] + 18.0 * vals[1] - 9.0 * vals[2] + 2.0 * vals[3]) / (3.0 * h)
-    return (8.0 * half - full) / 7.0
+def _central_differences(vals, h: float):
+    """Richardson-extrapolated central first and second differences from the
+    values on ``_stencil_offsets(h, levels)``, in that order."""
+    first, second = [], []
+    for m in range((len(vals) - 1) // 2):
+        hm = h / 2.0 ** m
+        left, right = vals[1 + 2 * m], vals[2 + 2 * m]
+        first.append((right - left) / (2.0 * hm))
+        second.append((left - 2.0 * vals[0] + right) / hm ** 2)
+    return _extrapolate(first), _extrapolate(second)
 
 
 def residual_P(params: AnsatzParams, x: float, t: float) -> float:
@@ -152,39 +150,24 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     return q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + q_center ** 2))
 
 
+def _ode_defect(curve, y0: float, sigma: int, xi: float, h: float) -> float:
+    """Relative defect |(dy/dxi)^2 - R(y)| / max(1, |R(y)|) of the closed form
+    at xi, with dy/dxi and y from one batch on the central stencil."""
+    y = weierstrass_solution(curve, y0, sigma, float(xi) + _stencil_offsets(h))
+    slope, _ = _central_differences(y, h)
+    r = float(eval_with_derivatives(curve, y[0])[0])
+    return abs(slope * slope - r) / max(1.0, abs(r))
+
+
 def residual_R1(params: AnsatzParams, t: float) -> float:
     """Relative defect |(dz/dt)^2 - R1(z)| / max(1, |R1(z)|) with a finite
     difference dz/dt.  Zero to discretization error by construction."""
-    t = float(t)
-    curve = z_curve(params)
-
-    def z_at(ts: np.ndarray) -> np.ndarray:
-        return weierstrass_solution(curve, params.z0, params.sigma_z, ts)
-
-    if t == 0.0:
-        rate = _one_sided_first(z_at, 0.0, R1_TIME_STEP)
-    else:
-        rate = _central_first(z_at, t, R1_TIME_STEP)
-    r = float(eval_with_derivatives(curve, time_state(params, t).z)[0])
-    return abs(rate * rate - r) / max(1.0, abs(r))
+    return _ode_defect(z_curve(params), params.z0, params.sigma_z, t, R1_TIME_STEP)
 
 
 def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at fixed t."""
-    x = float(x)
-    curve = q_curve(params, float(t))
-
-    def q_at(xs: np.ndarray) -> np.ndarray:
-        return weierstrass_solution(curve, params.Q0, params.sigma_Q, xs)
-
-    if x == 0.0:
-        slope = _one_sided_first(q_at, 0.0, R2_SPACE_STEP)
-        q_val = float(params.Q0)
-    else:
-        slope = _central_first(q_at, x, R2_SPACE_STEP)
-        q_val = float(weierstrass_solution(curve, params.Q0, params.sigma_Q, x))
-    r = float(eval_with_derivatives(curve, q_val)[0])
-    return abs(slope * slope - r) / max(1.0, abs(r))
+    return _ode_defect(q_curve(params, float(t)), params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
 
 
 def closed_form_invariants_z(params: AnsatzParams) -> EllipticInvariants:
@@ -260,36 +243,23 @@ def cnlse_residual(field, x: float, t: float, cfg: DiffConfig | None = None,
     t = float(t)
     lv = int(cfg.richardson_levels)
     try:
-        offs = [0.0]
-        for m in range(lv):
-            hm = cfg.h_x / 2.0 ** m
-            offs += [-hm, hm]
-        xv = np.asarray(field(x + np.asarray(offs), t), dtype=complex)
-        a0 = complex(xv[0])
-        axx = _extrapolate(
-            [
-                (xv[1 + 2 * m] - 2.0 * xv[0] + xv[2 + 2 * m]) / (cfg.h_x / 2.0 ** m) ** 2
-                for m in range(lv)
-            ]
-        )
-        at_est = []
-        tv = [a0]
-        for m in range(lv):
-            hm = cfg.h_t / 2.0 ** m
-            left = complex(field(x, t - hm))
-            right = complex(field(x, t + hm))
-            tv += [left, right]
-            at_est.append((right - left) / (2.0 * hm))
-        at = _extrapolate(at_est)
+        xv = np.asarray(field(x + _stencil_offsets(cfg.h_x, lv), t), dtype=complex)
+        # Python complex, as the sampler returns them: numpy would divide the
+        # differences through a reciprocal and move the last bit
+        tv = [complex(xv[0])] + [
+            complex(field(x, t + dt)) for dt in _stencil_offsets(cfg.h_t, lv)[1:]
+        ]
     except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
         raise StencilOutOfDomain(
             f"field not evaluable on the stencil at ({x:g}, {t:g})"
         ) from exc
-    samples = np.concatenate([xv, np.asarray(tv, dtype=complex)])
-    if not np.all(np.isfinite(samples)):
+    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(tv))):
         raise StencilOutOfDomain(
             f"non-finite field values on the stencil at ({x:g}, {t:g})"
         )
+    _, axx = _central_differences(xv, cfg.h_x)
+    at, _ = _central_differences(tv, cfg.h_t)
+    a0 = tv[0]
     return 1j * at + p * axx + q * a0 * (abs(a0) ** 2)
 
 

@@ -378,6 +378,27 @@ class TestConfig:
         assert main(["paper-check", "--config", str(cfg)]) == 1
         assert "must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, config, key", [
+        ("scan", {"grid": 5}, "grid"),
+        ("residuals", {"x": [1]}, "x"),
+        ("residuals", {"t": None}, "t"),
+        ("residuals", {"branch": ["mm"]}, "branch"),
+        ("residuals", {"out": 7}, "out"),
+    ])
+    def test_config_value_types(self, tmp_path, mode, config, key):
+        # a subprocess, so that a wrong type cannot reach this process's
+        # file descriptors
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnlse_ansatz", mode, "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
+        assert repr(key) in err[0]
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):

@@ -78,10 +78,10 @@ class TestSymmetries:
         assert np.max(np.abs(wp1_plus + wp1_minus)) < 1e-12
 
     def test_uniform_depth_matches_per_element(self):
-        # same values to round-off; the flag only aligns halving counts
+        # same values to round-off; a batch only aligns halving counts
         u = np.linspace(0.2, 2.4, 40)
-        w_a, w1_a = wp_pair(u, INV)
-        w_b, w1_b = wp_pair(u, INV, uniform_depth=True)
+        w_a, w1_a = np.array([wp_pair(float(v), INV) for v in u]).T
+        w_b, w1_b = wp_pair(u, INV)
         assert np.max(np.abs(w_a - w_b)) < 1e-10 * np.max(np.abs(w_a))
         assert np.max(np.abs(w1_a - w1_b)) < 1e-10 * np.max(np.abs(w1_a))
 

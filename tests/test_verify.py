@@ -101,11 +101,30 @@ class TestAlgebraicResiduals:
             assert residual_R2(p, 1.0, 1.0) < 1e-10, name
 
     def test_boundary_stencils(self):
-        # t = 0 and x = 0 switch to the one-sided formula
+        # the closed forms are smooth through xi = 0, so the symmetric
+        # stencil holds round-off at t = 0 and x = 0 too
         for name, (sz, sq) in BRANCHES.items():
             p = with_branch(REFERENCE_PARAMS, sz, sq)
-            assert residual_R1(p, 0.0) < 1e-9, name
-            assert residual_R2(p, 0.0, 0.3) < 1e-9, name
+            assert residual_R1(p, 0.0) < 2e-12, name
+            assert residual_R2(p, 0.0, 0.3) < 2e-12, name
+            assert residual_R2(p, 0.0, 0.0) < 2e-12, name
+
+    def test_r2_is_one_profile_batch(self, monkeypatch):
+        # the centre value comes from the stencil batch, not a second call
+        from cnlse_ansatz import quartic
+
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        q_curve(p, 0.3)  # the per-time state is memoised outside the count
+        calls = []
+        real_wp_pair = quartic.wp_pair
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real_wp_pair(*args, **kwargs)
+
+        monkeypatch.setattr(quartic, "wp_pair", counted)
+        assert residual_R2(p, 0.7, 0.3) < 1e-10
+        assert len(calls) == 1
 
     def test_small_grid(self):
         p = with_branch(REFERENCE_PARAMS, -1, -1)
