@@ -208,12 +208,17 @@ def _resolve_run(ns) -> RunConfig:
         kind = "number" if flag in _NUMBER_KEYS else "string"
         if isinstance(v, bool) or not isinstance(v, (int, float) if kind == "number" else str):
             raise CliError(f"config key {key!r} must be a {kind}, got {v!r}")
+        if kind == "number":
+            try:
+                return float(v)
+            except OverflowError:
+                raise CliError(f"config key {key!r} is too large for a float") from None
         return v
 
     fields = {}
     for flag in _PARAM_FLAGS:
         name = _FIELD_OF_FLAG[flag]
-        fields[name] = float(pick(flag, getattr(REFERENCE_PARAMS, name)))
+        fields[name] = pick(flag, getattr(REFERENCE_PARAMS, name))
     params = AnsatzParams(**fields)
 
     branch = pick("branch", "all")
@@ -252,15 +257,15 @@ def _resolve_run(ns) -> RunConfig:
         mode=ns.mode,
         params=params,
         branches=branches,
-        x=float(pick("x", 1.0)),
-        t=float(pick("t", 1.0)),
+        x=pick("x", 1.0),
+        t=pick("t", 1.0),
         grid=pick("grid", _DEFAULT_GRID.get(ns.mode)),
         fmt=fmt,
         out=pick("out", None),
         tolerances=tolerances,
         skips=tuple(str(s) for s in skips),
         dt=_positive_float(pick("dt", 1e-3), "dt"),
-        t_end=float(pick("t_end", 0.5)),
+        t_end=pick("t_end", 0.5),
     )
 
 
@@ -429,7 +434,7 @@ def cmd_pde(rc: RunConfig) -> int:
 def _soliton_control(dt: float) -> float:
     grid = SpectralGrid(-40.0, 40.0, 1024, dt)
     sol = soliton_field(1.0)
-    steps = int(round(1.0 / dt))
+    steps = max(1, int(round(1.0 / dt)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingWarning)
         evolved = split_step_evolve(np.asarray(sol(grid.x, 0.0)), 1.0, 2.0, grid, steps)

@@ -10,6 +10,7 @@ from cnlse_ansatz.cli import (
     CLI_COLUMNS,
     CliError,
     _parse_grid,
+    _soliton_control,
     main,
 )
 
@@ -293,6 +294,24 @@ class TestEvolve:
                      "--grid=-1.25:1.25:256,nan:0.5:3"]) == 1
         assert capsys.readouterr().err.startswith("error: sample times must be finite")
 
+    @pytest.mark.parametrize("dt", ["3", "0.3"])
+    def test_sample_time_under_a_step_exits_nonzero(self, dt):
+        # the default samples are 0.1 apart: a step of 3 realized no step
+        # at all, a step of 0.3 repeated rows and ran past t_end
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnlse_ansatz", "evolve", "--branch", "mm",
+             "--dt", dt, "--t-end", "0.5"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sample time 0.1"), proc.stderr
+        assert proc.stdout == ""
+
+    def test_soliton_control_takes_a_step(self):
+        # round(1 / dt) is 0 for dt > 2; the control still evolves one step
+        assert _soliton_control(3.0) > 0.0
+
 
 class TestMetadata:
     @pytest.mark.parametrize("args", [
@@ -398,6 +417,18 @@ class TestConfig:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
         assert repr(key) in err[0]
+
+    def test_config_number_too_large_for_a_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x": 10 ** 400}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnlse_ansatz", "residuals", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
+        assert "'x'" in err[0]
 
 
 class TestSelftest:

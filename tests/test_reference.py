@@ -100,6 +100,32 @@ class TestEvolution:
         assert np.max(np.abs(out - want)) <= 1e-12
         assert np.array_equal(a0, kept)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 500])
+    @pytest.mark.parametrize("q", [2.0, -1.0])
+    def test_kernel_keeps_the_exponential_kick_bits(self, q, steps, reverse):
+        # the fused loop with a freshly allocated exp(i q dt |a|^2) kick:
+        # the buffered cos/sin kernel must give the same bits
+        p = 1.0
+        dt = -WIDE.dt if reverse else WIDE.dt
+        k = WIDE.wavenumbers
+        half = np.exp(-0.5j * p * k * k * dt)
+        full = np.exp(-1j * p * k * k * dt)
+        a0 = np.asarray(soliton_field(1.0)(WIDE.x, 0.0), dtype=complex)
+        spec = np.fft.fft(a0) * half
+        for i in range(steps):
+            a = np.fft.ifft(spec)
+            a *= np.exp(1j * q * dt * (a.real ** 2 + a.imag ** 2))
+            spec = np.fft.fft(a)
+            spec *= full if i + 1 < steps else half
+        want = np.fft.ifft(spec)
+        out = split_step_evolve(a0, p, q, WIDE, steps, reverse=reverse)
+        again = split_step_evolve(a0, p, q, WIDE, steps, reverse=reverse)
+        assert np.array_equal(out, want)
+        assert np.array_equal(again, want)
+        assert not np.shares_memory(out, a0)
+        assert not np.shares_memory(out, again)
+
     @pytest.mark.parametrize("steps", [0, -3])
     def test_no_steps_returns_a_copy(self, steps):
         a0 = np.asarray(soliton_field(1.0)(WIDE.x, 0.0), dtype=complex)
@@ -190,6 +216,13 @@ class TestDivergenceFromExactSolution:
         assert ts[0] == 0.0
         for t in ts[1:]:
             assert abs(t / WIDE.dt - round(t / WIDE.dt)) < 1e-9
+
+    @pytest.mark.parametrize("times", [[0.1, 0.1], [0.1, 0.1004], [0.0004]])
+    def test_sample_time_under_a_step_rejected(self, times):
+        # a target that realizes no step would repeat the row before it
+        s = soliton_field(1.0)
+        with pytest.raises(ValueError, match="rounds to no step"):
+            divergence_from(s, WIDE, 1.0, 2.0, 0.1, sample_times=times)
 
     def test_negative_t_end_rejected(self):
         s = soliton_field(1.0)
