@@ -176,8 +176,9 @@ class TimeState:
 def time_state(params: AnsatzParams, t: float) -> TimeState:
     """The per-time state at scalar t, memoised for the stencils and scans that
     revisit the same times; params and state are frozen, so sharing is safe.
-    A scan point holds 5 times live (its centre and the 4 times of the
-    envelope's time stencil), so any bound of 5 or more serves a t-major scan."""
+    A scan point holds 5 times live per branch (its centre and the 4 times
+    of the envelope's time stencil), so any bound of 20 or more serves a scan,
+    which visits a time's x row once for all four branches."""
     t = float(t)
     z, zt = map(float, z_with_rate(params, t))
     return TimeState(params, t, z, zt, _q_curve_from_state(params, z, zt), math.sqrt(z))

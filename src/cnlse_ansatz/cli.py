@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 import time
 import types
@@ -215,6 +216,13 @@ def _resolve_run(ns) -> RunConfig:
                 raise CliError(f"config key {key!r} is too large for a float") from None
         return v
 
+    def finite(flag, fallback):
+        v = pick(flag, fallback)
+        if not math.isfinite(v):
+            where = f"--{flag}" if getattr(ns, flag) is not None else f"config key {flag!r}"
+            raise CliError(f"{where} must be finite, got {v!r}")
+        return v
+
     fields = {}
     for flag in _PARAM_FLAGS:
         name = _FIELD_OF_FLAG[flag]
@@ -257,8 +265,8 @@ def _resolve_run(ns) -> RunConfig:
         mode=ns.mode,
         params=params,
         branches=branches,
-        x=pick("x", 1.0),
-        t=pick("t", 1.0),
+        x=finite("x", 1.0),
+        t=finite("t", 1.0),
         grid=pick("grid", _DEFAULT_GRID.get(ns.mode)),
         fmt=fmt,
         out=pick("out", None),
@@ -270,11 +278,8 @@ def _resolve_run(ns) -> RunConfig:
 
 
 def _parse_axis(chunk: str, name: str) -> np.ndarray:
-    """The points of one ``LO:HI:N`` axis; HI must exceed LO when N > 1.
-
-    The comparison lets NaN through, so a non-finite time axis reaches the
-    sample-time check of the spectral cross-check and is reported there.
-    """
+    """The points of one ``LO:HI:N`` axis: LO finite, and when N > 1, HI
+    finite and above LO."""
     bits = chunk.split(":")
     if len(bits) != 3:
         raise CliError(f"{name} axis must be LO:HI:N, got {chunk!r}")
@@ -284,9 +289,13 @@ def _parse_axis(chunk: str, name: str) -> np.ndarray:
         raise CliError(f"bad {name} axis {chunk!r}") from exc
     if n <= 0:
         raise CliError(f"empty grid: {name} axis has {n} points")
+    if not math.isfinite(lo):
+        raise CliError(f"{name} axis LO must be finite, got {chunk!r}")
     if n == 1:
         # HI plays no part in a one-point axis, even when it is not finite
         return np.array([lo])
+    if not math.isfinite(hi):
+        raise CliError(f"{name} axis HI must be finite, got {chunk!r}")
     if hi <= lo:
         raise CliError(f"{name} axis needs HI > LO")
     return np.linspace(lo, hi, n)
@@ -389,13 +398,14 @@ def cmd_paper_check(rc: RunConfig) -> int:
 
 def cmd_scan(rc: RunConfig) -> int:
     xs, ts = _parse_grid(rc.grid)
-    reports = []
-    for name, (sz, sq) in rc.branches:
-        par = with_branch(rc.params, sz, sq)
-        # t-major, so each time's memoised state serves the whole x row;
-        # the reports are written x-major
-        by_t = [[report_at(par, x, t) for x in xs] for t in ts]
-        reports.extend(rep for row in zip(*by_t) for rep in row)
+    pars = [with_branch(rc.params, sz, sq) for _, (sz, sq) in rc.branches]
+    # t, then x, then the branch: each time's memoised state serves its x
+    # row, and the branches evaluated back to back share the z-curve's and
+    # the two profile-curve families' wp arguments through wp_pair's memo.
+    # The reports are written branch, then x, then t.
+    by_t = [[[report_at(par, x, t) for par in pars] for x in xs] for t in ts]
+    reports = [by_t[j][i][b] for b in range(len(pars))
+               for i in range(len(xs)) for j in range(len(ts))]
     _write_reports(rc, reports, {
         "grid": rc.grid, "branch": ",".join(name for name, _ in rc.branches),
     })

@@ -15,10 +15,19 @@ threshold is tightened by the homogeneity scale
 
 which keeps the summed series inside the same effective radius as the
 moderate-invariant case instead of silently losing digits.
+
+``wp_pair`` memoises its results in a least recently used store of at most
+MEMO_ELEMENTS arguments, keyed by the exact bits of the arguments and the
+invariants.  A hit returns the bits a fresh evaluation would, so callers
+that revisit an argument (the four slope branches of a scan share the
+orbit's arguments) pay for it once; errors are raised on every call and
+never stored.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,7 +62,9 @@ class EllipticInvariants:
         return self.g2 ** 3 - 27.0 * self.g3 ** 2
 
 
-@lru_cache(maxsize=512)
+# typed: float and complex invariants of equal value give coefficients that
+# differ in the last bits, so they must not share an entry
+@lru_cache(maxsize=512, typed=True)
 def _laurent_coefficients(g2: complex, g3: complex, order: int) -> np.ndarray:
     """Coefficients c[k] of wp(u) = u^-2 + sum_{k>=2} c[k] u^(2k-2).
 
@@ -75,6 +86,53 @@ def _halving_scale(g2: float, g3: float) -> float:
     # Invariants beyond ~5 in magnitude need a smaller summation radius; the
     # exponents 1/4 and 1/6 are the homogeneity weights of g2 and g3.
     return max(1.0, (abs(g2) / 5.0) ** 0.25, (abs(g3) / 5.0) ** (1.0 / 6.0))
+
+
+class _PairMemo:
+    """Least recently used store of computed (wp, wp') pairs, each kept as
+    one stacked array and bounded by the number of arguments held, not by
+    the number of entries.  A lock keeps the entries and their count
+    consistent when threads share the memo."""
+
+    def __init__(self, max_elements: int):
+        self.max_elements = max_elements
+        self.elements = 0
+        self.entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            stacked = self.entries.get(key)
+            if stacked is not None:
+                self.entries.move_to_end(key)
+            return stacked
+
+    def put(self, key, W: np.ndarray, W1: np.ndarray) -> None:
+        size = W.size
+        if not 0 < size <= self.max_elements:
+            return
+        stacked = np.stack((W, W1))
+        with self._lock:
+            if key in self.entries:  # another thread stored it meanwhile
+                return
+            self.entries[key] = stacked
+            self.elements += size
+            while self.elements > self.max_elements:
+                self.elements -= self.entries.popitem(last=False)[1][0].size
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self.elements = 0
+
+
+# Bound of the wp_pair memo, in stored arguments.  It holds a four-branch
+# scan's rows several times over (a row is a few hundred arguments),
+# so the rare bit-equal profile curves of distant times are shared too,
+# while the 4,097-point pole screen of the spectral cross-check and the
+# phase batch of a distant time pass through without being stored.
+MEMO_ELEMENTS = 4096
+_PAIR_MEMO = _PairMemo(MEMO_ELEMENTS)
 
 
 def wp_pair(
@@ -100,6 +158,17 @@ def wp_pair(
     perturbation of any of them carries its derivative to the output.  The
     halving depth reads only magnitudes, which such a step leaves unchanged.
 
+    Results are memoised: the four slope branches share the z-curve's
+    arguments, two of them share each profile curve, and a residual
+    revisits arguments its neighbours already evaluated.  The key is the
+    exact bits and dtypes of ``u``, ``g2`` and ``g3`` with the three
+    keyword settings, so 1.0 and 1+0j, or 0.0 and -0.0, never share an
+    entry, and a hit returns the very bits a fresh evaluation would.  The
+    memo keeps the most recently used MEMO_ELEMENTS arguments; a batch
+    larger than that is evaluated and not stored.  Arrays are returned as
+    copies, so a caller cannot change a stored entry.  The input checks run
+    on every call, and a call that raises stores nothing.
+
     Raises PoleProximity when any element sits within ``eps_pole`` of the
     double pole at the origin.
     """
@@ -107,9 +176,8 @@ def wp_pair(
         raise ValueError("series order below 4 cannot carry both invariants")
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    u_arr = np.asarray(u, dtype=complex)
-    scalar = u_arr.ndim == 0
-    uf = np.atleast_1d(u_arr)
+    u_arr = np.asarray(u)
+    uf = np.atleast_1d(u_arr.astype(complex, copy=False))
     if not np.all(np.isfinite(uf)):
         raise NonFiniteSamples("wp arguments must be finite")
     au = np.abs(uf)
@@ -118,6 +186,25 @@ def wp_pair(
             f"wp argument within {eps_pole:g} of the double pole at u = 0"
         )
 
+    # the evaluation reads u only as uf; the dtypes keep real and complex
+    # callers apart, and the bytes tell 0.0 from -0.0
+    g2, g3 = np.asarray(inv.g2), np.asarray(inv.g3)
+    key = (uf.shape, u_arr.dtype.str + g2.dtype.str + g3.dtype.str,
+           uf.tobytes() + g2.astype(complex).tobytes() + g3.astype(complex).tobytes(),
+           order, threshold, eps_pole)
+    stacked = _PAIR_MEMO.get(key)
+    if stacked is None:
+        W, W1 = _evaluate(uf, au, inv, order, threshold)
+        _PAIR_MEMO.put(key, W, W1)
+    else:
+        W, W1 = stacked[0].copy(), stacked[1].copy()
+    if u_arr.ndim == 0:
+        return complex(W[0]), complex(W1[0])
+    return W, W1
+
+
+def _evaluate(uf, au, inv: EllipticInvariants, order: int, threshold: float):
+    """(wp, wp') at the checked complex arguments ``uf`` (moduli ``au``)."""
     thr = threshold / _halving_scale(inv.g2, inv.g3)
     n = np.zeros(uf.shape, dtype=int)
     big = au > thr
@@ -153,11 +240,7 @@ def wp_pair(
         W[act] = -2.0 * Wa + W2a * W2a / (4.0 * W1a * W1a)
         W1[act] = -W1a + 3.0 * Wa * (W2a / W1a) - W2a ** 3 / (4.0 * W1a ** 3)
 
-    W = W.astype(complex)
-    W1 = W1.astype(complex)
-    if scalar:
-        return complex(W[0]), complex(W1[0])
-    return W, W1
+    return W.astype(complex), W1.astype(complex)
 
 
 def wp(u, inv: EllipticInvariants, **kwargs) -> ComplexValue:

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cnlse_ansatz import REFERENCE_PARAMS, elliptic, invariants_from_coefficients, z_curve
 from cnlse_ansatz.cli import (
     BRANCH_ORDER,
     CLI_COLUMNS,
@@ -15,6 +19,13 @@ from cnlse_ansatz.cli import (
 )
 
 from _pins import P_AT_1_1, WP_03
+
+# child processes import the package from src/, as this process does
+CHILD_ENV = dict(os.environ)
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                CHILD_ENV.get("PYTHONPATH")) if p
+)
 
 
 def body_lines(path):
@@ -85,7 +96,7 @@ class TestExitCodes:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cnlse_ansatz"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
         )
         assert proc.returncode == 1
         assert "mode is required" in proc.stderr
@@ -97,7 +108,8 @@ class TestExitCodes:
                 "from cnlse_ansatz.cli import main; "
                 "sys.exit(main(['paper-check', '--branch', 'mm']))")
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60,
+                              env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -211,6 +223,80 @@ class TestScan:
             docs.append(doc)
         assert docs[0] == docs[1]
 
+    def test_branch_order_does_not_change_records(self, tmp_path):
+        # the four-branch scan evaluates every point's branches back to back
+        # through the shared wp memo; each branch scanned alone, from an
+        # empty memo, must give the same bytes
+        def records(branch):
+            elliptic._PAIR_MEMO.clear()
+            out = tmp_path / f"{branch}.json"
+            assert main(["scan", "--branch", branch, "--grid", "0.2:1.2:3,0.2:1.2:3",
+                         "--format", "json", "--out", str(out)]) == 0
+            return json.loads(out.read_text())["reports"]
+
+        alone = [rec for branch in BRANCH_ORDER for rec in records(branch)]
+        together = records("all")
+        assert len(together) == 4 * 3 * 3
+        assert json.dumps(together) == json.dumps(alone)
+
+    def test_four_branch_scan_evaluates_each_argument_once(self, monkeypatch):
+        # count evaluations behind the memo, not wp_pair calls
+        evaluated = []
+        evaluate = elliptic._evaluate
+
+        def spy(uf, au, inv, *args):
+            evaluated.append((uf.tobytes(), np.asarray(inv.g2).tobytes(),
+                              np.asarray(inv.g3).tobytes()))
+            return evaluate(uf, au, inv, *args)
+
+        monkeypatch.setattr(elliptic, "_evaluate", spy)
+        inv = invariants_from_coefficients(z_curve(REFERENCE_PARAMS))
+        z_bits = (np.asarray(inv.g2).tobytes(), np.asarray(inv.g3).tobytes())
+
+        def z_curve_evaluations(branch):
+            elliptic._PAIR_MEMO.clear()
+            evaluated.clear()
+            assert main(["scan", "--branch", branch, "--grid", "0.2:1.2:3,0.2:1.2:3",
+                         "--out", os.devnull]) == 0
+            assert len(evaluated) == len(set(evaluated))
+            return sum(key[1:] == z_bits for key in evaluated)
+
+        # the z-curve does not depend on the branch: four branches cost what one does
+        one = z_curve_evaluations("mm")
+        assert one > 0
+        assert z_curve_evaluations("all") == one
+
+
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("args, flag", [
+        (["residuals", "--t", "nan"], "--t"),
+        (["residuals", "--x", "inf"], "--x"),
+        (["pde", "--x", "nan"], "--x"),
+        (["paper-check", "--t", "nan"], "--t"),
+    ])
+    def test_flag_named(self, capsys, args, flag):
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+
+    def test_config_key_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        # json reads 1e400 as inf
+        cfg.write_text('{"x": 1e400}')
+        assert main(["residuals", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: config key 'x' must be finite")
+
+    @pytest.mark.parametrize("grid, message", [
+        ("nan:1:3,0.2:1:2", "x axis LO must be finite"),
+        ("0.2:1:3,0.2:inf:2", "t axis HI must be finite"),
+        ("0.2:1:3,-inf:1:1", "t axis LO must be finite"),
+    ])
+    def test_grid_axis_named(self, capsys, grid, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan", "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), err
+
 
 class TestPointModes:
     def test_residuals_reports_all_branches(self, tmp_path):
@@ -292,7 +378,7 @@ class TestEvolve:
     def test_nan_sample_times_exit_nonzero(self, capsys):
         assert main(["evolve", "--branch", "mm",
                      "--grid=-1.25:1.25:256,nan:0.5:3"]) == 1
-        assert capsys.readouterr().err.startswith("error: sample times must be finite")
+        assert capsys.readouterr().err.startswith("error: time axis LO must be finite")
 
     @pytest.mark.parametrize("dt", ["3", "0.3"])
     def test_sample_time_under_a_step_exits_nonzero(self, dt):
@@ -301,7 +387,7 @@ class TestEvolve:
         proc = subprocess.run(
             [sys.executable, "-m", "cnlse_ansatz", "evolve", "--branch", "mm",
              "--dt", dt, "--t-end", "0.5"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
         )
         assert proc.returncode == 1
         err = proc.stderr.splitlines()
@@ -411,7 +497,7 @@ class TestConfig:
         cfg.write_text(json.dumps(config))
         proc = subprocess.run(
             [sys.executable, "-m", "cnlse_ansatz", mode, "--config", str(cfg)],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
         )
         assert proc.returncode == 1
         err = proc.stderr.splitlines()
@@ -423,7 +509,7 @@ class TestConfig:
         cfg.write_text(json.dumps({"x": 10 ** 400}))
         proc = subprocess.run(
             [sys.executable, "-m", "cnlse_ansatz", "residuals", "--config", str(cfg)],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
         )
         assert proc.returncode == 1
         err = proc.stderr.splitlines()

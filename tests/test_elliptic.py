@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from cnlse_ansatz import (
     NonFiniteSamples,
     PoleProximity,
     cubic_roots,
+    elliptic,
     wp,
     wp_pair,
     wp_prime,
@@ -158,3 +162,148 @@ class TestValidation:
         u = np.linspace(0.2, 1.4, 7)
         w, w1 = wp_pair(u, INV)
         assert w.shape == u.shape and w1.shape == u.shape
+
+
+def _bits(pair):
+    return tuple(np.asarray(part).tobytes() for part in pair)
+
+
+class TestMemo:
+    @pytest.fixture(autouse=True)
+    def evaluations(self, monkeypatch):
+        """Empty memo; the list of arguments evaluated behind it."""
+        seen = []
+        evaluate = elliptic._evaluate
+
+        def spy(uf, *args):
+            seen.append(uf.size)
+            return evaluate(uf, *args)
+
+        elliptic._PAIR_MEMO.clear()
+        monkeypatch.setattr(elliptic, "_evaluate", spy)
+        yield seen
+        elliptic._PAIR_MEMO.clear()
+
+    @staticmethod
+    def fresh(u, inv):
+        elliptic._PAIR_MEMO.clear()
+        pair = wp_pair(u, inv)
+        elliptic._PAIR_MEMO.clear()
+        return pair
+
+    @pytest.mark.parametrize("u, inv", [
+        (0.7, INV),
+        (0.9 + 1e-4 * np.array([0.0, -1.0, 1.0, -0.5, 0.5]), INV),
+        (0.6, EllipticInvariants(3.52 + 1e-30j, 1.0384 - 2e-31j)),
+        (np.array([0.4 + 1e-30j, 1.3 + 1e-30j]), EllipticInvariants(0.7 + 0j, -0.1 + 0j)),
+    ])
+    def test_hit_is_bit_equal_to_fresh(self, evaluations, u, inv):
+        want = _bits(self.fresh(u, inv))
+        first = wp_pair(u, inv)
+        second = wp_pair(u, inv)
+        assert evaluations == [np.size(u)] * 2  # the fresh one, then one stored
+        assert _bits(first) == want and _bits(second) == want
+        assert type(second[0]) is type(first[0])
+
+    def test_equal_values_keep_apart(self, evaluations):
+        # Python compares each of these pairs equal; the memo must not
+        variants = [
+            (0.5, INV),
+            (0.5 + 0j, INV),
+            (complex(0.5, -0.0), INV),
+            (0.5, EllipticInvariants(complex(INV.g2), complex(INV.g3))),
+            (0.5, EllipticInvariants(0.0, 1.0)),
+            (0.5, EllipticInvariants(-0.0, 1.0)),
+        ]
+        want = [_bits(self.fresh(u, inv)) for u, inv in variants]
+        evaluations.clear()
+        got = [_bits(wp_pair(u, inv)) for u, inv in variants]
+        assert evaluations == [1] * len(variants)
+        assert len(elliptic._PAIR_MEMO.entries) == len(variants)
+        assert got == want
+
+    def test_laurent_coefficients_follow_the_invariant_type(self):
+        # float and complex coefficient sums differ in the last bits, so an
+        # equal-valued entry of the other type must not serve
+        real = elliptic._laurent_coefficients(3.52, 1.0384, 24)
+        cplx = elliptic._laurent_coefficients(3.52 + 0j, 1.0384 + 0j, 24)
+        assert real.dtype == float and cplx.dtype == complex
+
+    def test_returned_arrays_are_copies(self):
+        u = np.linspace(0.3, 1.1, 5)
+        want = _bits(self.fresh(u, INV))
+        for _ in range(3):
+            w, w1 = wp_pair(u, INV)
+            assert _bits((w, w1)) == want
+            w[:] = 0.0
+            w1[:] = np.nan
+
+    def test_errors_raise_on_every_call(self, evaluations):
+        wp_pair(0.5, INV)
+        for _ in range(3):
+            with pytest.raises(PoleProximity):
+                wp_pair(np.array([0.5, 1e-12]), INV)
+            with pytest.raises(NonFiniteSamples):
+                wp_pair(np.array([0.5, np.nan]), INV)
+            with pytest.raises(PoleProximity):
+                wp_pair(0.5, INV, eps_pole=1.0)
+        assert evaluations == [1]
+        assert len(elliptic._PAIR_MEMO.entries) == 1
+
+    def test_oversize_batch_not_retained(self, evaluations):
+        wp_pair(0.5, INV)
+        u = np.linspace(0.1, 2.0, elliptic.MEMO_ELEMENTS + 1)
+        first = wp_pair(u, INV)
+        assert _bits(wp_pair(u, INV)) == _bits(first)
+        assert evaluations == [1, u.size, u.size]
+        # nor does it push out what the memo held
+        assert elliptic._PAIR_MEMO.elements == 1
+        wp_pair(0.5, INV)
+        assert evaluations == [1, u.size, u.size]
+
+    def test_bound_evicts_least_recently_used(self, evaluations, monkeypatch):
+        monkeypatch.setattr(elliptic._PAIR_MEMO, "max_elements", 10)
+        a, b, c = (np.linspace(lo, lo + 0.4, 5) for lo in (0.2, 0.7, 1.2))
+        wp_pair(a, INV)
+        wp_pair(b, INV)
+        wp_pair(a, INV)  # a is now the most recently used
+        wp_pair(c, INV)  # evicts b
+        assert elliptic._PAIR_MEMO.elements == 10
+        evaluations.clear()
+        wp_pair(a, INV)
+        wp_pair(c, INV)
+        assert evaluations == []
+        wp_pair(b, INV)
+        assert evaluations == [5]
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        # a small bound makes the threads evict each other's entries while
+        # they hit and fill the memo; a lost update would leave the count off
+        monkeypatch.setattr(elliptic._PAIR_MEMO, "max_elements", 12)
+        args = [np.linspace(0.2 + 0.1 * k, 0.6 + 0.1 * k, 1 + k % 4) for k in range(10)]
+        want = [_bits(self.fresh(u, INV)) for u in args]
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for k in rng.integers(len(args), size=1000):
+                    if _bits(wp_pair(args[k], INV)) != want[k]:
+                        errors.append(k)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        memo = elliptic._PAIR_MEMO
+        assert memo.elements == sum(v[0].size for v in memo.entries.values()) <= 12
