@@ -19,7 +19,13 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import NegativeRadicand, PoleProximity, RealityViolation
-from .quartic import QuarticCurve, eval_with_derivatives, weierstrass_solution
+from .elliptic import real_period
+from .quartic import (
+    QuarticCurve,
+    eval_with_derivatives,
+    invariants_from_coefficients,
+    weierstrass_solution,
+)
 
 # Branch label -> (sigma_z, sigma_Q).  The slope sign pair is part of the
 # parameter record; these labels are the short names used by reports.
@@ -140,24 +146,56 @@ def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCur
     )
 
 
-def phi_of_t(params: AnsatzParams, t: float) -> float:
-    """Phase phi(t) = phi0 + c1 t - 2 q * integral of z over [0, t], by a
-    composite Gauss-Legendre rule with all nodes in one orbit batch.  Panel
-    edges sit at the fixed multiples of PHASE_PANEL (the last panel partial),
-    so the error, at round-off here, is continuous in t, as the FD time
-    stencil of the envelope needs."""
-    t = float(t)
+def _z_integral(params: AnsatzParams, t: float) -> float:
+    """Integral of z over [0, t] by a composite Gauss-Legendre rule with all
+    nodes in one orbit batch.  Panel edges sit at the fixed multiples of
+    PHASE_PANEL (the last panel partial), so the error, at round-off here,
+    is continuous in t."""
     edges = math.copysign(1.0, t) * np.append(np.arange(0.0, abs(t), PHASE_PANEL), abs(t))
     half = 0.5 * np.diff(edges)[:, None]
     z = z_with_rate(params, (edges[:-1, None] + half * (1.0 + _GL_X)).ravel())[0]
-    integral = float(np.sum(half * _GL_W * z.reshape(half.shape[0], PHASE_NODES)))
+    return float(np.sum(half * _GL_W * z.reshape(half.shape[0], PHASE_NODES)))
+
+
+def _z_period(params: AnsatzParams):
+    """Real period 2w of the z-curve lattice, or None where it has none."""
+    return real_period(invariants_from_coefficients(z_curve(params)))
+
+
+@lru_cache(maxsize=64)
+def _period_integral(params: AnsatzParams, sign: float) -> float:
+    """Integral of z over one real period, [0, sign 2w]."""
+    return _z_integral(params, sign * _z_period(params))
+
+
+def phi_of_t(params: AnsatzParams, t: float) -> float:
+    """Phase phi(t) = phi0 + c1 t - 2 q * integral of z over [0, t].
+
+    z is periodic with the real period 2w of its lattice, so with
+    |t| = k 2w + r, 0 <= r < 2w, the integral is k I + (integral over
+    [0, +-r]), where I, the integral over one period in the direction of
+    t, is computed once per parameter set.  Both integrals use the same
+    fixed panels (see ``_z_integral``), so phi is continuous as r reaches
+    2w, as the FD time stencil of the envelope needs, and the work is at
+    most one period's panels whatever |t|.  Below one period, and for a
+    lattice without a real period, it is the plain integral over [0, t]."""
+    t = float(t)
+    period = _z_period(params)
+    k = 0 if period is None else math.floor(abs(t) / period)
+    if k:
+        sign = math.copysign(1.0, t)
+        rest = _z_integral(params, sign * (abs(t) - k * period))
+        integral = k * _period_integral(params, sign) + rest
+    else:
+        integral = _z_integral(params, t)
     return params.phi0 + params.c1 * t - 2.0 * params.q * integral
 
 
 @dataclass(frozen=True)
 class TimeState:
     """State of the construction at one time t.  The phase factor is built
-    on first use: its quadrature grows with |t| and only the envelope reads it."""
+    on first use: its quadrature, up to one period's panels, is the largest
+    cost of the state and only the envelope reads it."""
 
     params: AnsatzParams
     t: float

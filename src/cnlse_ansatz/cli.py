@@ -188,6 +188,8 @@ def _positive_float(text, what: str) -> float:
         raise CliError(f"{what} must be a number, got {text!r}") from exc
     if not v > 0.0:
         raise CliError(f"{what} must be positive")
+    if v == math.inf:
+        raise CliError(f"{what} must be finite, got {text!r}")
     return v
 
 
@@ -216,11 +218,13 @@ def _resolve_run(ns) -> RunConfig:
                 raise CliError(f"config key {key!r} is too large for a float") from None
         return v
 
+    def named(flag):
+        return f"--{flag}" if getattr(ns, flag) is not None else f"config key {flag!r}"
+
     def finite(flag, fallback):
         v = pick(flag, fallback)
         if not math.isfinite(v):
-            where = f"--{flag}" if getattr(ns, flag) is not None else f"config key {flag!r}"
-            raise CliError(f"{where} must be finite, got {v!r}")
+            raise CliError(f"{named(flag)} must be finite, got {v!r}")
         return v
 
     fields = {}
@@ -272,7 +276,7 @@ def _resolve_run(ns) -> RunConfig:
         out=pick("out", None),
         tolerances=tolerances,
         skips=tuple(str(s) for s in skips),
-        dt=_positive_float(pick("dt", 1e-3), "dt"),
+        dt=_positive_float(pick("dt", 1e-3), named("dt")),
         t_end=pick("t_end", 0.5),
     )
 

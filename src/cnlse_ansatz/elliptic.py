@@ -16,6 +16,14 @@ threshold is tightened by the homogeneity scale
 which keeps the summed series inside the same effective radius as the
 moderate-invariant case instead of silently losing digits.
 
+For real invariants wp is periodic along the real axis with the lattice's
+real period 2w (``real_period``).  An argument that would need three or
+more halvings is first folded by whole real periods into the cell
+|Re u| <= w, so the halving depth stays bounded and the round-off no longer
+grows with |u|.  Complex invariants, which carry a complex-step
+derivative, are never folded: a period computed from them would bring the
+derivative of the period into the argument.
+
 ``wp_pair`` memoises its results in a least recently used store of at most
 MEMO_ELEMENTS arguments, keyed by the exact bits of the arguments and the
 invariants.  A hit returns the bits a fresh evaluation would, so callers
@@ -42,6 +50,9 @@ ComplexValue = complex
 SERIES_ORDER = 24        # highest Laurent index kept in the expansion
 HALVING_THRESHOLD = 0.5  # sum the series only below this reduced radius
 POLE_EPSILON = 1e-10     # arguments closer to 0 than this count as "at the pole"
+
+_LONG_EPS = np.finfo(np.longdouble).eps
+_LONG_PI = 4.0 * np.arctan(np.longdouble(1.0))
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,52 @@ def _laurent_coefficients(g2: complex, g3: complex, order: int) -> np.ndarray:
         acc = np.dot(c[2:k - 1], c[k - 2:1:-1])
         c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
     return c
+
+
+# typed, as for the Laurent coefficients: a complex-typed pair is a
+# complex-step lattice, whose period must not enter the argument
+@lru_cache(maxsize=512, typed=True)
+def _real_period(g2: complex, g3: complex) -> float | None:
+    if np.iscomplexobj(g2) or np.iscomplexobj(g3):
+        return None
+    inv = EllipticInvariants(g2, g3)
+    disc = inv.discriminant
+    if disc == 0.0:
+        return None
+    # Newton-polished roots and the AGM in extended precision keep 2w
+    # within an ulp where double roots lose up to 1e-14 (a silent
+    # no-op where long double is plain double)
+    G2, G3 = np.longdouble(g2), np.longdouble(g3)
+
+    def root(e):
+        e = np.longdouble(e.real)
+        for _ in range(2):
+            e -= (4.0 * e ** 3 - G2 * e - G3) / (12.0 * e * e - G2)
+        return e
+
+    roots = cubic_roots(inv)
+    if disc > 0.0:  # three real roots, DLMF 19.8(i) and 23.6
+        e1, e2, e3 = map(root, roots)
+        a, b = e1 - e3, e1 - e2
+    else:           # one real root e2, A&S 18.9
+        e2 = root(min(roots, key=lambda r: abs(r.imag)))
+        a = np.sqrt(3.0 * e2 * e2 - 0.25 * G2)
+        b = 0.5 * a + 0.75 * e2
+    if not (a > 0.0 and b > 0.0):  # roots merged in round-off: degenerate
+        return None
+    a, b = np.sqrt(a), np.sqrt(b)
+    while a - b > 4.0 * _LONG_EPS * a:
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return float(_LONG_PI / a)
+
+
+def real_period(inv: EllipticInvariants) -> float | None:
+    """Real period 2w of the lattice of real invariants, the smallest
+    P > 0 with wp(u + P) = wp(u): pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2))
+    for a discriminant above zero, and the A&S 18.9 form through the
+    real root for one below.  None for a degenerate lattice (discriminant
+    zero, one period infinite) and for complex invariants."""
+    return _real_period(inv.g2, inv.g3)
 
 
 def _halving_scale(g2: float, g3: float) -> float:
@@ -129,8 +186,8 @@ class _PairMemo:
 # Bound of the wp_pair memo, in stored arguments.  It holds a four-branch
 # scan's rows several times over (a row is a few hundred arguments),
 # so the rare bit-equal profile curves of distant times are shared too,
-# while the 4,097-point pole screen of the spectral cross-check and the
-# phase batch of a distant time pass through without being stored.
+# while the 4,097-point pole screen of the spectral cross-check passes
+# through without being stored.
 MEMO_ELEMENTS = 4096
 _PAIR_MEMO = _PairMemo(MEMO_ELEMENTS)
 
@@ -145,13 +202,20 @@ def wp_pair(
 ):
     """Evaluate (wp(u), wp'(u)) for scalar or array ``u``.
 
-    Each element is halved until it fits inside the summation radius, the
-    series for wp and wp' is summed there, and the duplication rule walks
-    the value back up.  Each element of a batch is halved up to the batch
-    maximum but at most once more than it needs, so a finite difference
-    stencil gets one depth and its error does not step where the halving
-    count changes (a difference quotient would amplify the step), while a
-    wide batch is not over-halved into amplified round-off.
+    An element that would need three or more halvings (|u| > 4 times the
+    scaled threshold) first has Re u replaced by Re u - k 2w with
+    k = round(Re u / 2w), where 2w is the real period of real invariants
+    (``real_period``); Im u is kept, so a complex step in u survives the
+    fold.  An argument on a lattice point other than 0 folds one period
+    short, onto +-2w, rather than onto the pole.  Elements below the
+    trigger, complex invariants and degenerate lattices are not folded.
+    Each element is then halved until it fits inside the summation radius,
+    the series for wp and wp' is summed there, and the duplication rule
+    walks the value back up.  Each element of a batch is halved up to the
+    batch maximum but at most once more than it needs, so a finite
+    difference stencil gets one depth and its error does not step where
+    the halving count changes (a difference quotient would amplify the
+    step), while a wide batch is not over-halved into amplified round-off.
 
     The invariants may be complex as well as real: the series and the
     duplication walk are analytic in (u, g2, g3), so a complex-step
@@ -194,7 +258,7 @@ def wp_pair(
            order, threshold, eps_pole)
     stacked = _PAIR_MEMO.get(key)
     if stacked is None:
-        W, W1 = _evaluate(uf, au, inv, order, threshold)
+        W, W1 = _evaluate(uf, au, inv, order, threshold, eps_pole)
         _PAIR_MEMO.put(key, W, W1)
     else:
         W, W1 = stacked[0].copy(), stacked[1].copy()
@@ -203,9 +267,20 @@ def wp_pair(
     return W, W1
 
 
-def _evaluate(uf, au, inv: EllipticInvariants, order: int, threshold: float):
+def _evaluate(uf, au, inv: EllipticInvariants, order: int, threshold: float,
+              eps_pole: float):
     """(wp, wp') at the checked complex arguments ``uf`` (moduli ``au``)."""
     thr = threshold / _halving_scale(inv.g2, inv.g3)
+    far = au > 4.0 * thr  # would need three or more halvings
+    period = real_period(inv) if np.any(far) else None
+    if period is not None:
+        k = np.round(uf.real[far] / period)
+        # an argument on a lattice point other than 0 folds one period
+        # short, onto the point at +-2w, rather than onto the pole
+        k -= np.sign(k) * (np.abs(uf[far] - k * period) < eps_pole)
+        uf = uf.copy()
+        uf[far] -= k * period
+        au = np.abs(uf)
     n = np.zeros(uf.shape, dtype=int)
     big = au > thr
     if np.any(big):

@@ -45,7 +45,12 @@ Z_ORBIT = {
     (-1, 0.25): (0.54901669805929399499, -1.1107210073991359903),
     (-1, 0.5): (0.36821730467491271447, -0.43967976798091018846),
     (-1, 1.0): (0.28263141768566481359, 0.021836176695233639395),
+    (-1, 5115.1): (0.8043211684165748676, -2.0401657776633692104),
 }
+
+# real period 2w of the z-curve lattice, and the integral of z over it
+Z_REAL_PERIOD = 2.4975665360588436139
+Z_PERIOD_INTEGRAL = 1.6616216909767887344
 
 # phase integral keyed by (sigma_z, t)
 PHI = {
@@ -54,8 +59,10 @@ PHI = {
     (1, 1.0): 0.10391202305043712823,
     (-1, 0.5): -0.40645345853606202018,
     (-1, 1.0): -1.0993575009792671335,
-    (1, 10.0): -6.687307490268267,
-    (-1, 10.0): -6.687805938318958,
+    (1, 10.0): -6.687307490268267312,
+    (-1, 10.0): -6.6878059383189580279,
+    (-1, 1000.0): -669.81703752758719456,
+    (-1, 10000.0): -6694.428891820982944,
 }
 
 # profile values Q(x=1, t) keyed by branch name

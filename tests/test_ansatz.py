@@ -3,6 +3,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnlse_ansatz import (
     AnsatzParams,
@@ -12,15 +14,17 @@ from cnlse_ansatz import (
     RealityViolation,
     REFERENCE_PARAMS,
     field_A,
+    invariants_from_coefficients,
     make_field_sampler,
     phi_of_t,
     q_curve,
+    real_period,
     with_branch,
     z_curve,
     z_of_t,
     z_with_rate,
 )
-from cnlse_ansatz.ansatz import _q_curve_from_state, _require_real_z, time_state
+from cnlse_ansatz.ansatz import _period_integral, _q_curve_from_state, _require_real_z, time_state
 
 from _pins import (
     A_AT_1_05_MM,
@@ -30,12 +34,25 @@ from _pins import (
     Q_AT_1_1,
     Q_CURVE_T0,
     Q_CURVE_T1,
+    R1_ROOTS,
     Z_ORBIT,
+    Z_PERIOD_INTEGRAL,
+    Z_REAL_PERIOD,
 )
 
 # Rate quartic -32 z (z - 1)^2 (2z + 1): a double root at z0 = 1, so z(t)
 # never leaves its starting level.  Exact in float arithmetic.
 EQUILIBRIUM_PARAMS = AnsatzParams(q=-2.0, c1=-3.0, c2=1.125, c3=-8.0, z0=1.0, Q0=1.0)
+
+# Real period 2w of the z-curve lattice at the reference parameters.
+PERIOD = real_period(invariants_from_coefficients(z_curve(REFERENCE_PARAMS)))
+
+
+def far_tol(tol, t):
+    """A pin tolerance widened for a distant time: the float invariants'
+    period is off the exact one by about an ulp, which t / 2w periods
+    accumulate into a drift of about 1e-16 |t| times the rate."""
+    return max(tol, 1e-15 * abs(t))
 
 
 class TestParams:
@@ -99,8 +116,8 @@ class TestOrbit:
         for (sigma, t), (z_want, zt_want) in Z_ORBIT.items():
             p = with_branch(REFERENCE_PARAMS, sigma, 1)
             z, zt = z_with_rate(p, t)
-            assert abs(z - z_want) < 1e-12, (sigma, t)
-            assert abs(zt - zt_want) < 1e-11, (sigma, t)
+            assert abs(z - z_want) < far_tol(1e-12, t), (sigma, t)
+            assert abs(zt - zt_want) < far_tol(1e-11, t), (sigma, t)
 
     def test_rate_continues_through_turning_point(self):
         # sigma_z=-1 reaches the lower turning point near t ~ 0.96 and the
@@ -126,6 +143,21 @@ class TestOrbit:
             zs = np.array([z_of_t(p, float(t)) for t in ts])
             assert np.all(zs > 0.28)
             assert np.all(zs < 1.65)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.sampled_from((1, -1)), t=st.floats(-30.0, 30.0))
+    def test_orbit_is_periodic(self, sigma, t):
+        p = with_branch(REFERENCE_PARAMS, sigma, 1)
+        z, zt = z_with_rate(p, t)
+        z_next, zt_next = z_with_rate(p, t + PERIOD)
+        assert abs(z_next - z) < 1e-12
+        assert abs(zt_next - zt) < 1e-11
+
+    def test_orbit_stays_in_lobe_past_t_5115(self):
+        # 2048 periods out, where an unfolded argument needs 14 halvings
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        zs = [z_of_t(p, float(t)) for t in np.linspace(5114.9, 5115.2, 301)]
+        assert R1_ROOTS[2] - 1e-9 < min(zs) and max(zs) < R1_ROOTS[3] + 1e-9
 
     def test_wide_batch_matches_scalar(self):
         # elements of a wide batch keep their own halving depth (plus at
@@ -203,7 +235,7 @@ class TestPhase:
     def test_phi_pins(self):
         for (sigma, t), want in PHI.items():
             p = with_branch(REFERENCE_PARAMS, sigma, 1)
-            assert abs(phi_of_t(p, t) - want) < 1e-13, (sigma, t)
+            assert abs(phi_of_t(p, t) - want) < far_tol(1e-13, t), (sigma, t)
 
     def test_phi_offset(self):
         p = with_branch(REFERENCE_PARAMS, 1, 1)
@@ -217,7 +249,30 @@ class TestPhase:
         # over [0, -t] is minus the pinned one of the opposite branch
         for (sigma, t), want in PHI.items():
             p = with_branch(REFERENCE_PARAMS, -sigma, 1)
-            assert abs(phi_of_t(p, -t) + want) < 1e-13, (sigma, t)
+            assert abs(phi_of_t(p, -t) + want) < far_tol(1e-13, t), (sigma, t)
+
+    def test_period_pin(self):
+        assert PERIOD == pytest.approx(Z_REAL_PERIOD, rel=2e-16)
+
+    def test_period_integral_pin(self):
+        # one period's integral, in either direction and on either branch
+        for sigma in (1, -1):
+            p = with_branch(REFERENCE_PARAMS, sigma, 1)
+            for sign in (1.0, -1.0):
+                whole = _period_integral(p, sign)
+                assert sign * whole == pytest.approx(Z_PERIOD_INTEGRAL, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 3, 400])
+    def test_continuous_at_whole_periods(self, k):
+        # below k 2w the phase sums k - 1 periods and a remainder close to
+        # 2w, from k 2w on it sums k periods: the two must join
+        for sigma in (1, -1):
+            p = with_branch(REFERENCE_PARAMS, sigma, 1)
+            for t in (k * PERIOD, -k * PERIOD):
+                below = np.nextafter(t, 0.0)
+                rate = p.c1 - 2.0 * p.q * z_of_t(p, t)
+                jump = phi_of_t(p, t) - phi_of_t(p, below) - rate * (t - below)
+                assert abs(jump) <= 4.0 * np.spacing(abs(phi_of_t(p, t))), (sigma, t)
 
     def test_equilibrium_closed_form(self):
         # constant z: phi = phi0 + (c1 - 2 q z0) t, here phi0 + t

@@ -76,6 +76,22 @@ class TestExitCodes:
         assert main(["paper-check", "--tol", "r_alg=abc"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, message", [
+        (["residuals", "--dt", "inf"], "--dt must be finite"),
+        (["evolve", "--branch", "mm", "--dt", "inf"], "--dt must be finite"),
+        (["paper-check", "--tol", "r_alg=inf"], "tolerance r_alg must be finite"),
+        (["paper-check", "--tol", "inf"], "tolerance must be finite"),
+    ])
+    def test_infinite_value_is_named(self, capsys, args, message):
+        # an infinite step would reach numpy as inf, and an infinite
+        # tolerance would turn its verdict off
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}, got ")
+        assert captured.out == ""
+
     def test_bare_tolerance_rebinds_all(self, capsys):
         # 1e-6 is loose for r1, r2 but far too tight for the 0.113 match,
         # so the run is valid but matchless
@@ -265,6 +281,15 @@ class TestScan:
         one = z_curve_evaluations("mm")
         assert one > 0
         assert z_curve_evaluations("all") == one
+
+
+class TestLongTime:
+    def test_paper_check_2048_periods_out(self, capsys):
+        # P, r1 and r2 repeat with the orbit's period, so the verdict does too
+        period = elliptic.real_period(invariants_from_coefficients(z_curve(REFERENCE_PARAMS)))
+        assert main(["paper-check", "--t", repr(1.0 + 2048 * period)]) == 0
+        rows = {ln.split()[0]: ln.split() for ln in capsys.readouterr().out.splitlines()}
+        assert abs(float(rows["mm"][3]) - P_AT_1_1["mm"]) <= 1e-10
 
 
 class TestNonFinitePoint:

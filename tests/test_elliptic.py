@@ -12,12 +12,13 @@ from cnlse_ansatz import (
     PoleProximity,
     cubic_roots,
     elliptic,
+    real_period,
     wp,
     wp_pair,
     wp_prime,
 )
 
-from _pins import CUBIC_ROOTS, WP_03, WP_10, WP_INVARIANTS, WP_PRIME_03
+from _pins import CUBIC_ROOTS, WP_03, WP_10, WP_INVARIANTS, WP_PRIME_03, Z_REAL_PERIOD
 
 INV = EllipticInvariants(*WP_INVARIANTS)
 
@@ -88,6 +89,82 @@ class TestSymmetries:
         w_b, w1_b = wp_pair(u, INV)
         assert np.max(np.abs(w_a - w_b)) < 1e-10 * np.max(np.abs(w_a))
         assert np.max(np.abs(w1_a - w1_b)) < 1e-10 * np.max(np.abs(w1_a))
+
+
+def _lattice(positive, e, gap_a, gap_b):
+    """Real invariants from the roots of 4y^3 - g2 y - g3: three real roots
+    for a positive discriminant, else a real root e and a conjugate pair,
+    with every root at least 0.2 from the others."""
+    if positive:
+        e1, e2, e3 = e + gap_a, e, e - gap_b
+        shift = (e1 + e2 + e3) / 3.0
+        e1, e2, e3 = e1 - shift, e2 - shift, e3 - shift
+        return EllipticInvariants(-4.0 * (e1 * e2 + e1 * e3 + e2 * e3), 4.0 * e1 * e2 * e3)
+    re, im = -0.5 * e, gap_a
+    pair = re * re + im * im
+    return EllipticInvariants(-4.0 * (2.0 * re * e + pair), 4.0 * e * pair)
+
+
+class TestRealPeriod:
+    def test_reference_period(self):
+        assert real_period(INV) == pytest.approx(Z_REAL_PERIOD, rel=2e-16)
+
+    @pytest.mark.parametrize("inv", [
+        EllipticInvariants(3.0, 1.0),     # discriminant exactly 0
+        EllipticInvariants(0.0, 0.0),
+        EllipticInvariants(3.52 + 0j, 1.0384),
+        EllipticInvariants(3.52, 1.0384 + 1e-30j),
+    ])
+    def test_degenerate_and_complex_have_none(self, inv):
+        assert real_period(inv) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        positive=st.booleans(),
+        e=st.floats(-1.5, 1.5),
+        gap_a=st.floats(0.2, 3.0),
+        gap_b=st.floats(0.2, 3.0),
+        re=st.floats(0.1, 0.9),
+        im=st.floats(-0.3, 0.3),
+        k=st.integers(-60, 60).filter(bool),
+    )
+    def test_whole_periods_fold_away(self, positive, e, gap_a, gap_b, re, im, k):
+        # wp(u + 2kw) = wp(u): the shifted argument folds back, the plain one
+        # sits below the fold trigger; the bound is the rounding of u + 2kw
+        inv = _lattice(positive, e, gap_a, gap_b)
+        assert (inv.discriminant > 0.0) == positive
+        period = real_period(inv)
+        u = complex(re, im)
+        w, w1 = wp_pair(u, inv)
+        v, v1 = wp_pair(u + k * period, inv)
+        shift = abs(k * period)
+        assert abs(v - w) <= 1e-14 * (abs(w) + abs(w1) * shift)
+        assert abs(v1 - w1) <= 1e-14 * (abs(w1) + abs(6.0 * w * w - 0.5 * inv.g2) * shift)
+
+    def test_half_period_is_not_a_period(self):
+        for positive in (True, False):
+            inv = _lattice(positive, 0.3, 1.1, 0.7)
+            u = np.array([0.3, 0.5])
+            half = wp_pair(u + 0.5 * real_period(inv), inv)[0]
+            assert np.min(np.abs(half - wp_pair(u, inv)[0])) > 0.1
+
+    def test_below_the_trigger_nothing_folds(self, monkeypatch):
+        # |u| <= 4 * threshold needs at most two halvings: such a batch never
+        # asks for the period and keeps its bits exactly
+        u = np.array([0.3, 1.2, 1.99, 1.5 + 0.8j, -1.9])
+        elliptic._PAIR_MEMO.clear()
+        want = _bits(wp_pair(u, INV))
+        elliptic._PAIR_MEMO.clear()
+        monkeypatch.setattr(elliptic, "real_period", _no_call)
+        assert _bits(wp_pair(u, INV)) == want
+        elliptic._PAIR_MEMO.clear()
+
+    def test_lattice_point_folds_off_the_pole(self):
+        # 2w itself folds onto +-2w, not onto the pole at 0
+        period = real_period(INV)
+        for k in (1, 2, -3, 2048):
+            w, w1 = wp_pair(k * period, INV)
+            assert np.isfinite(w) and abs(w) > 1e12
 
 
 class TestCubicRoots:
@@ -166,6 +243,10 @@ class TestValidation:
 
 def _bits(pair):
     return tuple(np.asarray(part).tobytes() for part in pair)
+
+
+def _no_call(*args):
+    raise AssertionError("the period was consulted")
 
 
 class TestMemo:

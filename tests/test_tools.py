@@ -28,3 +28,12 @@ def test_inconsistency_across_a_halving_depth_jump(regenerate_pins, t):
     got = float(regenerate_pins.inconsistency(mp.mpf("0.5"), mp.mpf(t), -1, -1))
     want = residual_P(with_branch(REFERENCE_PARAMS, -1, -1), 0.5, float(t))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_reduced_phase_matches_one_quadrature(regenerate_pins):
+    # the pins beyond t ~ 10 come from the phase reduced by whole periods,
+    # since one mp.quad over [0, 1e4] does not converge; at t = 10 both
+    # routes are open and must agree
+    t = mp.mpf(10)
+    reduced = regenerate_pins.phase(-1, t)
+    assert abs(reduced - regenerate_pins.quad_phase(-1, t)) < mp.mpf("1e-25")

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cnlse_ansatz import (
     BRANCHES,
@@ -20,6 +22,7 @@ from cnlse_ansatz import (
     invariant_crosscheck,
     invariants_from_coefficients,
     q_curve,
+    real_period,
     report_at,
     residual_P,
     residual_R1,
@@ -38,6 +41,9 @@ from _pins import (
     Q_CURVE_G3_AT_T0,
     Z_CURVE_INVARIANTS,
 )
+
+# Real period 2w of the z-curve lattice at the reference parameters.
+PERIOD = real_period(invariants_from_coefficients(z_curve(REFERENCE_PARAMS)))
 
 
 class TestDiffConfig:
@@ -85,6 +91,31 @@ class TestInconsistency:
         assert abs(val - 0.113) < 2e-3
         assert abs(val) > 0.05
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        branch=st.sampled_from(sorted(BRANCHES)),
+        x=st.floats(0.2, 1.2),
+        t=st.floats(0.05, 2.45),
+    )
+    def test_periodic_in_time(self, branch, x, t):
+        # the profile curve reads t only through (z, z_t), which repeat
+        # after one real period of the z-curve lattice.  The times keep
+        # away from the lattice points 0 and 2w, next to which the complex
+        # step through the closed form loses digits on its own
+        p = with_branch(REFERENCE_PARAMS, *BRANCHES[branch])
+        try:
+            want = residual_P(p, x, t)
+        except PoleProximity:
+            assume(False)
+        assume(abs(want) < 1e3)  # off the profile's solution poles
+        got = residual_P(p, x, t + PERIOD)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_pin_2048_periods_out(self):
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        got = residual_P(p, 1.0, 1.0 + 2048 * PERIOD)
+        assert abs(got - P_AT_1_1["mm"]) <= 1e-10
+
     def test_sign_pattern_at_reference_point(self):
         signs = {}
         for name, (sz, sq) in BRANCHES.items():
@@ -108,6 +139,25 @@ class TestAlgebraicResiduals:
             assert residual_R1(p, 0.0) < 2e-12, name
             assert residual_R2(p, 0.0, 0.3) < 2e-12, name
             assert residual_R2(p, 0.0, 0.0) < 2e-12, name
+
+    def test_long_time_all_branches(self):
+        # 2048 periods out; r1 is set there by the spacing of floats near t
+        # over its stencil step, about 4e-10
+        for name, (sz, sq) in BRANCHES.items():
+            p = with_branch(REFERENCE_PARAMS, sz, sq)
+            assert residual_R1(p, 5115.1) <= 1e-8, name
+            for x in (0.4, 1.0):
+                assert residual_R2(p, x, 5115.1) <= 1e-8, (name, x)
+
+    @pytest.mark.parametrize("k", [2, 100, 2047])
+    def test_r1_across_a_fold_edge(self, k):
+        # at t = (k + 1/2) 2w the stencil nodes fold by k and k + 1 periods,
+        # onto either side of the period cell; r1 must not notice
+        edge = (k + 0.5) * PERIOD
+        for sigma in (1, -1):
+            p = with_branch(REFERENCE_PARAMS, sigma, 1)
+            for offset in (-2e-5, -1e-6, 0.0, 1e-6, 2e-5):
+                assert residual_R1(p, edge + offset) <= 1e-10, (sigma, offset)
 
     def test_r2_is_one_profile_batch(self, monkeypatch):
         # the centre value comes from the stencil batch, not a second call
@@ -304,8 +354,8 @@ class TestReportAt:
         assert abs(rep.pde_abs - abs(rep.P)) <= 1e-6 * max(1.0, abs(rep.P))
 
     def test_long_time_needs_no_phase(self, monkeypatch):
-        # P, r1, r2 and the profile curve never read the phase, whose
-        # quadrature grows with t, so they stay cheap at t = 1e4
+        # P, r1, r2 and the profile curve never read the phase, so at
+        # t = 1e4 they run no phase quadrature
         from cnlse_ansatz import ansatz
 
         def no_phase(*args):

@@ -10,6 +10,7 @@ Usage: python3 tools/regenerate_pins.py
 """
 
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath as mp
@@ -136,9 +137,38 @@ def profile(x, t, sigma_z, sigma_q):
     return solve(q_coeffs(z, zt), Q0, sigma_q, x)
 
 
-def phase(sigma_z, t):
+@lru_cache(maxsize=None)
+def real_period():
+    """Real period 2w = pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2)) of the z-curve
+    lattice (three real roots), DLMF 19.8(i) and 23.6."""
+    g2, g3 = invariants(z_coeffs())
+    e1, e2, e3 = sorted((mp.re(r) for r in mp.polyroots([4, 0, -g2, -g3])), reverse=True)
+    return mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
+
+
+@lru_cache(maxsize=None)
+def period_integral():
+    """Integral of z over one real period; the same for both branches,
+    since z on one branch is z on the other run backwards."""
+    return mp.quad(lambda s: orbit(1, s)[0], [0, real_period()])
+
+
+def quad_phase(sigma_z, t):
+    """phi(t) with one quadrature over [0, t]."""
     integral = mp.quad(lambda s: orbit(sigma_z, s)[0], [0, t])
     return PHI0 + C1 * t - 2 * Q * integral
+
+
+def phase(sigma_z, t):
+    """phi(t) with the integral reduced by whole periods, |t| = k 2w + r:
+    k period integrals plus one quadrature over [0, r].  No quadrature
+    spans more than a period, where one mp.quad over [0, 1e4] would have
+    to resolve 4,000 oscillations of z."""
+    period = real_period()
+    k = mp.floor(abs(t) / period)
+    sign = mp.sign(t)
+    rest = mp.quad(lambda s: orbit(sigma_z, sign * s)[0], [0, abs(t) - k * period])
+    return PHI0 + C1 * t - 2 * Q * sign * (k * period_integral() + rest)
 
 
 # Q_t is a central difference with a fixed step h, so its truncation error
@@ -191,7 +221,7 @@ def report(name, got, pinned, tol=mp.mpf("1e-15")):
     _worst = max(_worst, dev / tol * mp.mpf("1e-15"))
     flag = "" if dev <= tol else "   <-- DIFFERS FROM PIN"
     if mp.im(mp.mpc(got)) == 0:
-        literal = repr(float(mp.re(got)))
+        literal = mp.nstr(mp.re(got), 20)
     else:
         literal = repr(complex(got))
     print(f"{name:<28} {literal:<42} dev {mp.nstr(dev, 3)}{flag}")
@@ -236,13 +266,17 @@ def main():
     ) + Q * zt0**2 / (32 * Z0)
     report("Q_CURVE_G3_AT_T0", g3q, _pins.Q_CURVE_G3_AT_T0)
 
+    # the times are the exact binary values of the float keys, as the
+    # package receives them (5115.1 is not a dyadic rational)
     for (sigma, t), (z_pin, zt_pin) in sorted(_pins.Z_ORBIT.items()):
-        z, zt = orbit(sigma, mp.mpf(str(t)))
+        z, zt = orbit(sigma, mp.mpf(t))
         report(f"Z_ORBIT[{sigma},{t}].z", z, z_pin)
         report(f"Z_ORBIT[{sigma},{t}].zt", zt, zt_pin)
 
+    report("Z_REAL_PERIOD", real_period(), _pins.Z_REAL_PERIOD)
+    report("Z_PERIOD_INTEGRAL", period_integral(), _pins.Z_PERIOD_INTEGRAL)
     for (sigma, t), pin in sorted(_pins.PHI.items()):
-        report(f"PHI[{sigma},{t}]", phase(sigma, mp.mpf(str(t))), pin)
+        report(f"PHI[{sigma},{t}]", phase(sigma, mp.mpf(t)), pin)
 
     co0 = q_coeffs(*orbit(1, mp.mpf(0)))
     for v, pin in zip(co0, _pins.Q_CURVE_T0):
