@@ -8,14 +8,13 @@ are flagged, not silently included.
 
 import numpy as np
 
-from cnlse_ansatz import DiffConfig, REFERENCE_PARAMS, report_at, with_branch
+from cnlse_ansatz import REFERENCE_PARAMS, report_at, with_branch
 
 par = with_branch(REFERENCE_PARAMS, -1, -1)
-cfg = DiffConfig()
 
 xs = np.linspace(0.2, 1.2, 6)
 ts = np.linspace(0.2, 1.2, 6)
-reports = [report_at(par, float(x), float(t), cfg) for x in xs for t in ts]
+reports = [report_at(par, float(x), float(t)) for x in xs for t in ts]
 
 print("x      t      P            r1          r2          flags")
 for rep in reports:

@@ -12,25 +12,20 @@ from .ansatz import (
     AnsatzParams,
     Q_of_xt,
     field_A,
-    make_field_sampler,
     phi_of_t,
     q_curve,
     with_branch,
     z_curve,
-    z_of_t,
     z_with_rate,
 )
 from .elliptic import (
     HALVING_THRESHOLD,
     POLE_EPSILON,
     SERIES_ORDER,
-    ComplexValue,
     EllipticInvariants,
     cubic_roots,
     real_period,
-    wp,
     wp_pair,
-    wp_prime,
 )
 from .errors import (
     AliasingWarning,
@@ -80,7 +75,6 @@ __all__ = [
     "AliasingWarning",
     "AnsatzParams",
     "BRANCHES",
-    "ComplexValue",
     "DegenerateResiduals",
     "DiffConfig",
     "DivergencePoint",
@@ -111,7 +105,6 @@ __all__ = [
     "field_A",
     "invariant_crosscheck",
     "invariants_from_coefficients",
-    "make_field_sampler",
     "mass",
     "phi_of_t",
     "q_curve",
@@ -126,10 +119,7 @@ __all__ = [
     "split_step_evolve",
     "weierstrass_solution",
     "with_branch",
-    "wp",
     "wp_pair",
-    "wp_prime",
     "z_curve",
-    "z_of_t",
     "z_with_rate",
 ]

@@ -8,13 +8,15 @@ the profile Q(x, t), the phase phi(t), and the complex envelope
 z solves a fixed quartic ODE in t; for each time the profile Q solves a
 second quartic ODE in x whose coefficients depend on z(t) and its rate.
 The dispersion coefficient is fixed to 1 throughout this construction.
+The envelope as a sampler (x, t) -> A, the form the residual stencils and
+the spectral cross-check take, is ``partial(field_A, params)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,11 +130,6 @@ def z_with_rate(params: AnsatzParams, t):
     return z, zt
 
 
-def z_of_t(params: AnsatzParams, t):
-    """z(t); raises RealityViolation where the computed value drops below 0."""
-    return z_with_rate(params, t)[0]
-
-
 def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
     if np.real(z) <= 0.0:
         raise RealityViolation(f"z = {z:g} <= 0: profile curve needs sqrt(z)")
@@ -162,6 +159,15 @@ def _z_period(params: AnsatzParams):
     return real_period(invariants_from_coefficients(z_curve(params)))
 
 
+def _split_periods(params: AnsatzParams, t: float):
+    """(k, r) with |t| = k 2w + |r| and r of the sign of t: the whole real
+    periods of the orbit in t, k = floor(|t| / 2w), and the remainder.
+    Below one period, and for a lattice without a real period, (0, t)."""
+    period = _z_period(params)
+    k = 0 if period is None else math.floor(abs(t) / period)
+    return k, (math.copysign(abs(t) - k * period, t) if k else t)
+
+
 @lru_cache(maxsize=64)
 def _period_integral(params: AnsatzParams, sign: float) -> float:
     """Integral of z over one real period, [0, sign 2w]."""
@@ -180,14 +186,10 @@ def phi_of_t(params: AnsatzParams, t: float) -> float:
     most one period's panels whatever |t|.  Below one period, and for a
     lattice without a real period, it is the plain integral over [0, t]."""
     t = float(t)
-    period = _z_period(params)
-    k = 0 if period is None else math.floor(abs(t) / period)
+    k, rest = _split_periods(params, t)
+    integral = _z_integral(params, rest)
     if k:
-        sign = math.copysign(1.0, t)
-        rest = _z_integral(params, sign * (abs(t) - k * period))
-        integral = k * _period_integral(params, sign) + rest
-    else:
-        integral = _z_integral(params, t)
+        integral += k * _period_integral(params, math.copysign(1.0, t))
     return params.phi0 + params.c1 * t - 2.0 * params.q * integral
 
 
@@ -238,9 +240,3 @@ def field_A(params: AnsatzParams, x, t: float):
     st = time_state(params, t)
     Q = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
     return (Q + 1j * st.sqrt_z) * st.phase
-
-
-def make_field_sampler(params: AnsatzParams):
-    """Callable (x, t) -> A(x, t), x scalar or array, for residual stencils and
-    grid evolution.  It keeps no state: ``time_state`` memoises each time."""
-    return partial(field_A, params)

@@ -19,6 +19,7 @@ import time
 import types
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .ansatz import (
     REFERENCE_PARAMS,
     AnsatzParams,
     _q_curve_from_state,
-    make_field_sampler,
+    field_A,
     with_branch,
     z_curve,
 )
@@ -432,8 +433,7 @@ def cmd_pde(rc: RunConfig) -> int:
         notes = ""
         value = float("nan")
         try:
-            value = abs(cnlse_residual(make_field_sampler(par), rc.x, rc.t,
-                                       p=1.0, q=par.q))
+            value = abs(cnlse_residual(partial(field_A, par), rc.x, rc.t, q=par.q))
         except StencilOutOfDomain as exc:
             notes = type(exc).__name__
         reports.append(ResidualReport(
@@ -470,7 +470,7 @@ def cmd_evolve(rc: RunConfig) -> int:
     control = _soliton_control(rc.dt)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingWarning)
-        series = ansatz_divergence(par, grid, 1.0, rc.t_end, sample_times)
+        series = ansatz_divergence(par, grid, rc.t_end, sample_times)
     aliasing = any(issubclass(w.category, AliasingWarning) for w in caught)
 
     doc = series.to_json_dict()

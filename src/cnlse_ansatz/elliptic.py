@@ -6,10 +6,10 @@ and the algebraic duplication rule.  No lattice or theta machinery is used;
 everything is driven by the invariant pair (g2, g3), which is what the
 quartic reduction naturally produces.
 
-Accuracy model: the expansion is summed for |v| <= threshold where the
-truncation error of the default order is far below double round-off for
-moderate invariants.  Large invariants shrink the convergence disk, so the
-threshold is tightened by the homogeneity scale
+Accuracy model: the expansion, kept to index SERIES_ORDER, is summed for
+|v| <= HALVING_THRESHOLD, where its truncation error is far below double
+round-off for moderate invariants.  Large invariants shrink the convergence
+disk, so the threshold is tightened by the homogeneity scale
 
     wp(u; g2, g3) = s^2 wp(s u; g2 / s^4, g3 / s^6),
 
@@ -43,10 +43,6 @@ import numpy as np
 
 from .errors import NonFiniteSamples, PoleProximity
 
-# Public alias: complex scalars flow through every elliptic computation even
-# when the physically meaningful inputs and outputs are real.
-ComplexValue = complex
-
 SERIES_ORDER = 24        # highest Laurent index kept in the expansion
 HALVING_THRESHOLD = 0.5  # sum the series only below this reduced radius
 POLE_EPSILON = 1e-10     # arguments closer to 0 than this count as "at the pole"
@@ -76,17 +72,17 @@ class EllipticInvariants:
 # typed: float and complex invariants of equal value give coefficients that
 # differ in the last bits, so they must not share an entry
 @lru_cache(maxsize=512, typed=True)
-def _laurent_coefficients(g2: complex, g3: complex, order: int) -> np.ndarray:
+def _laurent_coefficients(g2: complex, g3: complex) -> np.ndarray:
     """Coefficients c[k] of wp(u) = u^-2 + sum_{k>=2} c[k] u^(2k-2).
 
     The recursion is the classical one obtained by inserting the expansion
     into the defining differential equation; only c2 and c3 carry the
     invariants, every later coefficient is a polynomial in those two.
     """
-    c = np.zeros(order + 1, dtype=np.result_type(g2, g3, float))
+    c = np.zeros(SERIES_ORDER + 1, dtype=np.result_type(g2, g3, float))
     c[2] = g2 / 20.0
     c[3] = g3 / 28.0
-    for k in range(4, order + 1):
+    for k in range(4, SERIES_ORDER + 1):
         # sum over m = 2 .. k-2 of c[m] * c[k-m]
         acc = np.dot(c[2:k - 1], c[k - 2:1:-1])
         c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
@@ -192,14 +188,7 @@ MEMO_ELEMENTS = 4096
 _PAIR_MEMO = _PairMemo(MEMO_ELEMENTS)
 
 
-def wp_pair(
-    u,
-    inv: EllipticInvariants,
-    *,
-    order: int = SERIES_ORDER,
-    threshold: float = HALVING_THRESHOLD,
-    eps_pole: float = POLE_EPSILON,
-):
+def wp_pair(u, inv: EllipticInvariants):
     """Evaluate (wp(u), wp'(u)) for scalar or array ``u``.
 
     An element that would need three or more halvings (|u| > 4 times the
@@ -225,40 +214,35 @@ def wp_pair(
     Results are memoised: the four slope branches share the z-curve's
     arguments, two of them share each profile curve, and a residual
     revisits arguments its neighbours already evaluated.  The key is the
-    exact bits and dtypes of ``u``, ``g2`` and ``g3`` with the three
-    keyword settings, so 1.0 and 1+0j, or 0.0 and -0.0, never share an
-    entry, and a hit returns the very bits a fresh evaluation would.  The
-    memo keeps the most recently used MEMO_ELEMENTS arguments; a batch
-    larger than that is evaluated and not stored.  Arrays are returned as
-    copies, so a caller cannot change a stored entry.  The input checks run
-    on every call, and a call that raises stores nothing.
+    exact bits and dtypes of ``u``, ``g2`` and ``g3``, so 1.0 and 1+0j,
+    or 0.0 and -0.0, never share an entry, and a hit returns the very bits
+    a fresh evaluation would.  The memo keeps the most recently used
+    MEMO_ELEMENTS arguments; a batch larger than that is evaluated and not
+    stored.  Arrays are returned as copies, so a caller cannot change a
+    stored entry.  The input checks run on every call, and a call that
+    raises stores nothing.
 
-    Raises PoleProximity when any element sits within ``eps_pole`` of the
+    Raises PoleProximity when any element sits within POLE_EPSILON of the
     double pole at the origin.
     """
-    if order < 4:
-        raise ValueError("series order below 4 cannot carry both invariants")
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
     u_arr = np.asarray(u)
     uf = np.atleast_1d(u_arr.astype(complex, copy=False))
     if not np.all(np.isfinite(uf)):
         raise NonFiniteSamples("wp arguments must be finite")
     au = np.abs(uf)
-    if np.any(au < eps_pole):
+    if np.any(au < POLE_EPSILON):
         raise PoleProximity(
-            f"wp argument within {eps_pole:g} of the double pole at u = 0"
+            f"wp argument within {POLE_EPSILON:g} of the double pole at u = 0"
         )
 
     # the evaluation reads u only as uf; the dtypes keep real and complex
     # callers apart, and the bytes tell 0.0 from -0.0
     g2, g3 = np.asarray(inv.g2), np.asarray(inv.g3)
     key = (uf.shape, u_arr.dtype.str + g2.dtype.str + g3.dtype.str,
-           uf.tobytes() + g2.astype(complex).tobytes() + g3.astype(complex).tobytes(),
-           order, threshold, eps_pole)
+           uf.tobytes() + g2.astype(complex).tobytes() + g3.astype(complex).tobytes())
     stacked = _PAIR_MEMO.get(key)
     if stacked is None:
-        W, W1 = _evaluate(uf, au, inv, order, threshold, eps_pole)
+        W, W1 = _evaluate(uf, au, inv)
         _PAIR_MEMO.put(key, W, W1)
     else:
         W, W1 = stacked[0].copy(), stacked[1].copy()
@@ -267,17 +251,16 @@ def wp_pair(
     return W, W1
 
 
-def _evaluate(uf, au, inv: EllipticInvariants, order: int, threshold: float,
-              eps_pole: float):
+def _evaluate(uf, au, inv: EllipticInvariants):
     """(wp, wp') at the checked complex arguments ``uf`` (moduli ``au``)."""
-    thr = threshold / _halving_scale(inv.g2, inv.g3)
+    thr = HALVING_THRESHOLD / _halving_scale(inv.g2, inv.g3)
     far = au > 4.0 * thr  # would need three or more halvings
     period = real_period(inv) if np.any(far) else None
     if period is not None:
         k = np.round(uf.real[far] / period)
         # an argument on a lattice point other than 0 folds one period
         # short, onto the point at +-2w, rather than onto the pole
-        k -= np.sign(k) * (np.abs(uf[far] - k * period) < eps_pole)
+        k -= np.sign(k) * (np.abs(uf[far] - k * period) < POLE_EPSILON)
         uf = uf.copy()
         uf[far] -= k * period
         au = np.abs(uf)
@@ -293,11 +276,11 @@ def _evaluate(uf, au, inv: EllipticInvariants, order: int, threshold: float,
     # (a silent no-op where long double is plain double).
     v = (uf / np.exp2(n)).astype(np.clongdouble)
 
-    c = _laurent_coefficients(inv.g2, inv.g3, order).astype(np.clongdouble)
+    c = _laurent_coefficients(inv.g2, inv.g3).astype(np.clongdouble)
     w = v * v
     s_even = np.zeros_like(v)
     s_odd = np.zeros_like(v)
-    for k in range(order, 1, -1):
+    for k in range(SERIES_ORDER, 1, -1):
         s_even = s_even * w + c[k]
         s_odd = s_odd * w + (2 * k - 2) * c[k]
     W = 1.0 / w + s_even * w
@@ -316,16 +299,6 @@ def _evaluate(uf, au, inv: EllipticInvariants, order: int, threshold: float,
         W1[act] = -W1a + 3.0 * Wa * (W2a / W1a) - W2a ** 3 / (4.0 * W1a ** 3)
 
     return W.astype(complex), W1.astype(complex)
-
-
-def wp(u, inv: EllipticInvariants, **kwargs) -> ComplexValue:
-    """Weierstrass wp(u) for the given invariants."""
-    return wp_pair(u, inv, **kwargs)[0]
-
-
-def wp_prime(u, inv: EllipticInvariants, **kwargs) -> ComplexValue:
-    """Derivative wp'(u) for the given invariants."""
-    return wp_pair(u, inv, **kwargs)[1]
 
 
 def cubic_roots(inv: EllipticInvariants):

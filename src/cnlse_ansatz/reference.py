@@ -11,20 +11,25 @@ taken from the constructed envelope is propagated as a true solution of the
 dispersive equation and compared against the construction at later times.
 
 The constructed envelope is not periodic, so a raised-cosine taper brings
-the initial data to zero over the outer part of the window and deviations
-are measured only on the inner part, away from boundary artifacts.
+the initial data to zero over the outer TAPER_FRACTION of the window at each
+end, and deviations are measured only on the central INNER_FRACTION, away
+from boundary artifacts.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .ansatz import AnsatzParams, make_field_sampler, q_curve
+from .ansatz import AnsatzParams, field_A, q_curve
 from .errors import AliasingWarning, NonFiniteSamples, WindowContainsPole
 from .quartic import solution_denominator
+
+TAPER_FRACTION = 0.10  # share of the window at each end that the taper rolls off
+INNER_FRACTION = 0.60  # central share of the window where deviations are measured
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ def mass(samples, dx: float) -> float:
 
 
 def split_step_evolve(samples, p: float, q: float, grid: SpectralGrid,
-                      steps: int, *, reverse: bool = False) -> np.ndarray:
+                      steps: int) -> np.ndarray:
     """Advance the samples by ``steps`` time steps of size grid.dt.
 
     Strang splitting: linear half-step L/2 (multiplier exp(-i p k^2 dt/2)
@@ -75,8 +80,11 @@ def split_step_evolve(samples, p: float, q: float, grid: SpectralGrid,
     L/2 (N L)^(n-1) N L/2 with n + 1 FFT pairs and returns the same full
     Strang state as n unfused steps; n <= 0 returns a copy of the input.
     Both substeps conserve discrete mass exactly, so the only drift is
-    round-off.  ``reverse`` runs the same scheme with dt negated, which is
-    the time-reversed evolution.
+    round-off.  Backward evolution needs no option of its own: running
+    backward in time is running forward with (p, q) negated, and by the
+    symmetry A(x, t) -> conj A(x, -t) of the equation,
+    conj(split_step_evolve(conj(b), p, q, grid, n)) undoes the n steps that
+    led to b.
 
     Each step reuses buffers allocated once per call.  The kick is built
     as cos(theta) + i sin(theta) with theta = q dt |a|^2, which is bit for
@@ -91,13 +99,13 @@ def split_step_evolve(samples, p: float, q: float, grid: SpectralGrid,
         raise ValueError(f"expected {grid.n} samples, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteSamples("initial samples contain non-finite values")
-    dt = -grid.dt if reverse else grid.dt
+    dt = grid.dt
     k = grid.wavenumbers
     k_max = float(np.max(np.abs(k)))
-    if p != 0.0 and abs(dt) > 0.5 / (abs(p) * k_max ** 2):
+    if p != 0.0 and dt > 0.5 / (abs(p) * k_max ** 2):
         warnings.warn(
             AliasingWarning(
-                f"dt = {abs(dt):g} exceeds 0.5/(|p| k_max^2) = "
+                f"dt = {dt:g} exceeds 0.5/(|p| k_max^2) = "
                 f"{0.5 / (abs(p) * k_max ** 2):g}; high modes underresolved"
             ),
             stacklevel=2,
@@ -181,12 +189,10 @@ def _sample_targets(t_end: float, sample_times) -> list:
 
 
 def divergence_from(field, grid: SpectralGrid, p: float, q: float,
-                    t_end: float, sample_times=None, *,
-                    taper_fraction: float = 0.10,
-                    inner_fraction: float = 0.60) -> DivergenceSeries:
-    """Evolve tapered initial data field(x, 0) and measure (L2, Linf)
-    deviation from field(x, t) at the sample times, restricted to the
-    central ``inner_fraction`` of the window.
+                    t_end: float, sample_times=None) -> DivergenceSeries:
+    """Evolve initial data field(x, 0), tapered over TAPER_FRACTION, and
+    measure (L2, Linf) deviation from field(x, t) at the sample times,
+    restricted to the central INNER_FRACTION of the window.
 
     Sample times are realized as whole numbers of steps; the recorded t is
     the realized one.  A sample time that rounds to no step past the time
@@ -196,13 +202,13 @@ def divergence_from(field, grid: SpectralGrid, p: float, q: float,
     """
     targets = _sample_targets(t_end, sample_times)
     x = grid.x
-    w = raised_cosine_taper(grid.n, taper_fraction)
+    w = raised_cosine_taper(grid.n, TAPER_FRACTION)
     a0 = np.asarray(field(x, 0.0), dtype=complex)
     if not np.all(np.isfinite(a0)):
         raise NonFiniteSamples("field has non-finite values on the grid at t = 0")
     a = a0 * w
 
-    lo = int(round(grid.n * (1.0 - inner_fraction) / 2.0))
+    lo = int(round(grid.n * (1.0 - INNER_FRACTION) / 2.0))
     sel = slice(lo, grid.n - lo)
 
     def deviation(state: np.ndarray, t: float) -> DivergencePoint:
@@ -230,16 +236,16 @@ def divergence_from(field, grid: SpectralGrid, p: float, q: float,
     meta = {
         "x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n, "dt": grid.dt,
         "p": p, "q": q,
-        "taper_fraction": taper_fraction, "inner_fraction": inner_fraction,
+        "taper_fraction": TAPER_FRACTION, "inner_fraction": INNER_FRACTION,
     }
     return DivergenceSeries(points=tuple(points), monotone=monotone, metadata=meta)
 
 
-def ansatz_divergence(params: AnsatzParams, grid: SpectralGrid, p: float = 1.0,
-                      t_end: float = 0.5, sample_times=None, *,
-                      taper_fraction: float = 0.10,
-                      inner_fraction: float = 0.60) -> DivergenceSeries:
-    """Deviation of the true evolution from the constructed envelope.
+def ansatz_divergence(params: AnsatzParams, grid: SpectralGrid,
+                      t_end: float = 0.5, sample_times=None) -> DivergenceSeries:
+    """Deviation of the true evolution from the constructed envelope, under
+    the equation the construction solves: dispersion p = 1, nonlinearity
+    params.q.
 
     The window is screened first: on a 4x refined grid at every sample
     time, a sign change (or zero) of the closed-form solution denominator
@@ -254,8 +260,4 @@ def ansatz_divergence(params: AnsatzParams, grid: SpectralGrid, p: float = 1.0,
             raise WindowContainsPole(
                 f"profile pole inside [{grid.x_min:g}, {grid.x_max:g}] at t = {t:g}"
             )
-    sampler = make_field_sampler(params)
-    return divergence_from(
-        sampler, grid, p, params.q, t_end, targets,
-        taper_fraction=taper_fraction, inner_fraction=inner_fraction,
-    )
+    return divergence_from(partial(field_A, params), grid, 1.0, params.q, t_end, targets)

@@ -14,12 +14,17 @@ derivative comes from one central Richardson stencil, used at the origin
 too, so that r1, r2 and the PDE residual stay checks independent of the
 closed forms; stencil values are evaluated in single batches so the
 elliptic argument reduction uses one depth across each stencil.
+
+``report_at`` gathers P, r1, r2 and the PDE residual at one point with
+fixed settings: the default ``DiffConfig`` steps and the envelope
+``partial(field_A, params)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +32,8 @@ from .ansatz import (
     AnsatzParams,
     Q_of_xt,
     _q_curve_from_state,
-    make_field_sampler,
+    _split_periods,
+    field_A,
     q_curve,
     time_state,
     z_curve,
@@ -161,7 +167,14 @@ def _ode_defect(curve, y0: float, sigma: int, xi: float, h: float) -> float:
 
 def residual_R1(params: AnsatzParams, t: float) -> float:
     """Relative defect |(dz/dt)^2 - R1(z)| / max(1, |R1(z)|) with a finite
-    difference dz/dt.  Zero to discretization error by construction."""
+    difference dz/dt.  Zero to discretization error by construction.
+
+    z is periodic with the real period 2w of its lattice, so t is first
+    reduced by whole periods, as ``phi_of_t`` reduces it: a stencil of the
+    fixed step R1_TIME_STEP around a large t would read the spacing of
+    floats near t.  |t| < 2w, and a lattice without a real period, are
+    not reduced."""
+    t = _split_periods(params, float(t))[1]
     return _ode_defect(z_curve(params), params.z0, params.sigma_z, t, R1_TIME_STEP)
 
 
@@ -277,11 +290,11 @@ def convergence_order(residuals) -> float:
     return float(np.mean(ratios))
 
 
-def report_at(params: AnsatzParams, x: float, t: float,
-              cfg: DiffConfig | None = None, *, include_pde: bool = True,
-              sampler=None) -> ResidualReport:
+def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
     """Full residual record at one point, never raising on pole contact:
-    failures are recorded in the notes field and the numbers set to nan."""
+    failures are recorded in the notes field and the numbers set to nan.
+    The PDE residual is the default-step ``cnlse_residual`` of the envelope
+    ``partial(field_A, params)`` with p = 1 and the record's q."""
     x = float(x)
     t = float(t)
     notes: list = []
@@ -295,14 +308,10 @@ def report_at(params: AnsatzParams, x: float, t: float,
         p_val = residual_P(params, x, t)
         r1 = residual_R1(params, t)
         r2 = residual_R2(params, x, t)
-        if include_pde:
-            if sampler is None:
-                sampler = make_field_sampler(params)
-            pde = abs(cnlse_residual(sampler, x, t, cfg, 1.0, params.q))
+        pde = abs(cnlse_residual(partial(field_A, params), x, t, q=params.q))
     except (PoleProximity, RealityViolation, NegativeRadicand, StencilOutOfDomain) as exc:
         notes.append(type(exc).__name__)
-    produced = [p_val, r1, r2] + ([pde] if include_pde else [])
-    if not all(np.isfinite(v) for v in produced) and not notes:
+    if not all(np.isfinite(v) for v in (p_val, r1, r2, pde)) and not notes:
         notes.append("nonfinite")
     return ResidualReport(
         x=x, t=t, sigma_z=params.sigma_z, sigma_q=params.sigma_Q,

@@ -1,5 +1,6 @@
 import math
 import types
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,13 +16,11 @@ from cnlse_ansatz import (
     REFERENCE_PARAMS,
     field_A,
     invariants_from_coefficients,
-    make_field_sampler,
     phi_of_t,
     q_curve,
     real_period,
     with_branch,
     z_curve,
-    z_of_t,
     z_with_rate,
 )
 from cnlse_ansatz.ansatz import _period_integral, _q_curve_from_state, _require_real_z, time_state
@@ -110,7 +109,7 @@ class TestZCurve:
 
 class TestOrbit:
     def test_z_at_zero_exact(self):
-        assert z_of_t(REFERENCE_PARAMS, 0.0) == 1.0
+        assert z_with_rate(REFERENCE_PARAMS, 0.0)[0] == 1.0
 
     def test_orbit_pins(self):
         for (sigma, t), (z_want, zt_want) in Z_ORBIT.items():
@@ -133,14 +132,14 @@ class TestOrbit:
         # c2 = 9/8, c3 = -8 the quartic is -32 z (z - 1)^2 (2z + 1), zero
         # with zero slope at 1 in exact float arithmetic, so z stays put
         for t in (0.0, 0.3, 1.0, 2.5):
-            assert z_of_t(EQUILIBRIUM_PARAMS, t) == 1.0
+            assert z_with_rate(EQUILIBRIUM_PARAMS, t)[0] == 1.0
             assert z_with_rate(EQUILIBRIUM_PARAMS, t)[1] == 0.0
 
     def test_orbit_stays_in_lobe(self):
         for sigma in (1, -1):
             p = with_branch(REFERENCE_PARAMS, sigma, 1)
             ts = np.linspace(0.0, 3.0, 301)
-            zs = np.array([z_of_t(p, float(t)) for t in ts])
+            zs = np.array([z_with_rate(p, float(t))[0] for t in ts])
             assert np.all(zs > 0.28)
             assert np.all(zs < 1.65)
 
@@ -156,7 +155,7 @@ class TestOrbit:
     def test_orbit_stays_in_lobe_past_t_5115(self):
         # 2048 periods out, where an unfolded argument needs 14 halvings
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        zs = [z_of_t(p, float(t)) for t in np.linspace(5114.9, 5115.2, 301)]
+        zs = [z_with_rate(p, float(t))[0] for t in np.linspace(5114.9, 5115.2, 301)]
         assert R1_ROOTS[2] - 1e-9 < min(zs) and max(zs) < R1_ROOTS[3] + 1e-9
 
     def test_wide_batch_matches_scalar(self):
@@ -270,7 +269,7 @@ class TestPhase:
             p = with_branch(REFERENCE_PARAMS, sigma, 1)
             for t in (k * PERIOD, -k * PERIOD):
                 below = np.nextafter(t, 0.0)
-                rate = p.c1 - 2.0 * p.q * z_of_t(p, t)
+                rate = p.c1 - 2.0 * p.q * z_with_rate(p, t)[0]
                 jump = phi_of_t(p, t) - phi_of_t(p, below) - rate * (t - below)
                 assert abs(jump) <= 4.0 * np.spacing(abs(phi_of_t(p, t))), (sigma, t)
 
@@ -297,12 +296,13 @@ class TestField:
         x, t = 0.6, 0.9
         a = field_A(p, x, t)
         q_val = Q_of_xt(p, x, t)
-        z = z_of_t(p, t)
+        z = z_with_rate(p, t)[0]
         assert abs(abs(a) ** 2 - (q_val ** 2 + z)) < 1e-12
 
     def test_sampler_matches_field(self):
+        # the sampler form (x, t) -> A that the stencils and the cross-check take
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        sampler = make_field_sampler(p)
+        sampler = partial(field_A, p)
         xs = np.linspace(-1.0, 1.0, 11)
         batch = sampler(xs, 0.8)
         for x, got in zip(xs, batch):
@@ -310,7 +310,7 @@ class TestField:
 
     def test_sampler_caches_per_time(self):
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        sampler = make_field_sampler(p)
+        sampler = partial(field_A, p)
         a = sampler(0.5, 0.8)
         b = sampler(0.5, 0.8)
         assert a == b
@@ -321,7 +321,7 @@ class TestField:
         st = time_state(p, 0.8)
         assert time_state(p, 0.8) is st
         assert q_curve(p, 0.8) is st.curve
-        assert st.sqrt_z == math.sqrt(z_of_t(p, 0.8))
+        assert st.sqrt_z == math.sqrt(z_with_rate(p, 0.8)[0])
         assert st.phase == np.exp(1j * phi_of_t(p, 0.8))
 
     def test_field_at_origin(self):

@@ -13,9 +13,7 @@ from cnlse_ansatz import (
     cubic_roots,
     elliptic,
     real_period,
-    wp,
     wp_pair,
-    wp_prime,
 )
 
 from _pins import CUBIC_ROOTS, WP_03, WP_10, WP_INVARIANTS, WP_PRIME_03, Z_REAL_PERIOD
@@ -25,19 +23,21 @@ INV = EllipticInvariants(*WP_INVARIANTS)
 
 class TestPins:
     def test_value_at_0p3(self):
-        assert abs(wp(0.3, INV) - WP_03) < 1e-12 * abs(WP_03)
+        assert abs(wp_pair(0.3, INV)[0] - WP_03) < 1e-12 * abs(WP_03)
 
     def test_slope_at_0p3(self):
-        assert abs(wp_prime(0.3, INV) - WP_PRIME_03) < 1e-12 * abs(WP_PRIME_03)
+        assert abs(wp_pair(0.3, INV)[1] - WP_PRIME_03) < 1e-12 * abs(WP_PRIME_03)
 
     def test_value_after_halving(self):
         # |u| = 1.0 forces at least one duplication step
-        assert abs(wp(1.0, INV) - WP_10) < 1e-12
+        assert abs(wp_pair(1.0, INV)[0] - WP_10) < 1e-12
 
     def test_pair_matches_parts(self):
+        # a scalar pair is the middle entry of a batch of equal halving depth
         w, w1 = wp_pair(0.7, INV)
-        assert w == wp(0.7, INV)
-        assert w1 == wp_prime(0.7, INV)
+        wb, w1b = wp_pair(np.array([0.6, 0.7, 0.8]), INV)
+        assert abs(w - wb[1]) <= 1e-15 * abs(w)
+        assert abs(w1 - w1b[1]) <= 1e-15 * abs(w1)
 
 
 class TestDifferentialIdentity:
@@ -196,32 +196,19 @@ class TestCubicRoots:
 class TestValidation:
     def test_pole_guard(self):
         with pytest.raises(PoleProximity):
-            wp(1e-12, INV)
+            wp_pair(1e-12, INV)
 
     def test_pole_guard_in_array(self):
         with pytest.raises(PoleProximity):
             wp_pair(np.array([0.5, 1e-11]), INV)
 
-    def test_configurable_pole_radius(self):
-        with pytest.raises(PoleProximity):
-            wp(0.01, INV, eps_pole=0.05)
-        assert np.isfinite(wp(0.01, INV).real)
-
     def test_nonfinite_argument(self):
         with pytest.raises(NonFiniteSamples):
-            wp(np.nan, INV)
+            wp_pair(np.nan, INV)
 
     def test_nonfinite_invariants(self):
         with pytest.raises(NonFiniteSamples):
             EllipticInvariants(np.inf, 0.0)
-
-    def test_order_too_low(self):
-        with pytest.raises(ValueError):
-            wp(0.3, INV, order=3)
-
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            wp(0.3, INV, threshold=0.0)
 
     def test_discriminant(self):
         assert abs(INV.discriminant - (3.52 ** 3 - 27 * 1.0384 ** 2)) < 1e-12
@@ -306,8 +293,8 @@ class TestMemo:
     def test_laurent_coefficients_follow_the_invariant_type(self):
         # float and complex coefficient sums differ in the last bits, so an
         # equal-valued entry of the other type must not serve
-        real = elliptic._laurent_coefficients(3.52, 1.0384, 24)
-        cplx = elliptic._laurent_coefficients(3.52 + 0j, 1.0384 + 0j, 24)
+        real = elliptic._laurent_coefficients(3.52, 1.0384)
+        cplx = elliptic._laurent_coefficients(3.52 + 0j, 1.0384 + 0j)
         assert real.dtype == float and cplx.dtype == complex
 
     def test_returned_arrays_are_copies(self):
@@ -327,7 +314,7 @@ class TestMemo:
             with pytest.raises(NonFiniteSamples):
                 wp_pair(np.array([0.5, np.nan]), INV)
             with pytest.raises(PoleProximity):
-                wp_pair(0.5, INV, eps_pole=1.0)
+                wp_pair(0.0, INV)
         assert evaluations == [1]
         assert len(elliptic._PAIR_MEMO.entries) == 1
 

@@ -212,12 +212,12 @@ class TestOdeProperty:
 
 class TestDenominator:
     def test_matches_direct_formula(self):
-        from cnlse_ansatz import EllipticInvariants, wp
+        from cnlse_ansatz import wp_pair
 
         xi = 0.8
         r0, _, r2, _, r4 = eval_with_derivatives(Z_CURVE, 1.0)
         inv = invariants_from_coefficients(Z_CURVE)
-        w = wp(xi, inv).real
+        w = wp_pair(xi, inv)[0].real
         want = 2.0 * (w - r2 / 24.0) ** 2 - r0 * r4 / 48.0
         got = float(solution_denominator(Z_CURVE, 1.0, xi))
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))

@@ -1,6 +1,7 @@
 import dataclasses
 import types
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cnlse_ansatz import (
     closed_form_invariants_z,
     cnlse_residual,
     convergence_order,
+    field_A,
     invariant_crosscheck,
     invariants_from_coefficients,
     q_curve,
@@ -141,18 +143,25 @@ class TestAlgebraicResiduals:
             assert residual_R2(p, 0.0, 0.0) < 2e-12, name
 
     def test_long_time_all_branches(self):
-        # 2048 periods out; r1 is set there by the spacing of floats near t
-        # over its stencil step, about 4e-10
+        # 2048 periods out
         for name, (sz, sq) in BRANCHES.items():
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_R1(p, 5115.1) <= 1e-8, name
             for x in (0.4, 1.0):
                 assert residual_R2(p, x, 5115.1) <= 1e-8, (name, x)
 
+    @pytest.mark.parametrize("t", [1e4, 2e4])
+    def test_r1_reduces_whole_periods(self, t):
+        # without the reduction the fixed step would read the spacing of
+        # floats near t: 4.8e-9 to 1.25e-8 here, above r_alg at 2e4
+        for name, (sz, sq) in BRANCHES.items():
+            p = with_branch(REFERENCE_PARAMS, sz, sq)
+            assert residual_R1(p, t) <= 1e-10, name
+
     @pytest.mark.parametrize("k", [2, 100, 2047])
     def test_r1_across_a_fold_edge(self, k):
-        # at t = (k + 1/2) 2w the stencil nodes fold by k and k + 1 periods,
-        # onto either side of the period cell; r1 must not notice
+        # t = (k + 1/2) 2w reduces by k whole periods to half a period,
+        # whatever k; r1 must not notice
         edge = (k + 0.5) * PERIOD
         for sigma in (1, -1):
             p = with_branch(REFERENCE_PARAMS, sigma, 1)
@@ -301,9 +310,7 @@ class TestCnlseResidual:
         # the constructed envelope does not solve the dispersive equation;
         # the finite-difference residual is O(0.1), not round-off
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        from cnlse_ansatz import make_field_sampler
-
-        r = cnlse_residual(make_field_sampler(p), 0.5, 0.4, p=1.0, q=p.q)
+        r = cnlse_residual(partial(field_A, p), 0.5, 0.4, q=p.q)
         assert np.isfinite(r)
         assert 1e-3 < abs(r) < 10.0
 
@@ -318,26 +325,22 @@ class TestReportAt:
             assert np.isfinite(v)
         assert rep.r1 < 1e-8 and rep.r2 < 1e-8
 
-    def test_without_pde(self):
-        p = with_branch(REFERENCE_PARAMS, -1, -1)
-        rep = report_at(p, 0.5, 0.4, include_pde=False)
-        assert rep.notes == ""
-        assert np.isnan(rep.pde_abs)
-        assert np.isfinite(rep.P)
-
     def test_pole_adjacent_flag(self):
         # |Q| > 15 just short of the profile pole of the pp branch
         p = with_branch(REFERENCE_PARAMS, 1, 1)
-        rep = report_at(p, 0.978, 0.311, include_pde=False)
+        rep = report_at(p, 0.978, 0.311)
         assert "pole_adjacent" in rep.notes
 
-    def test_failure_is_noted_not_raised(self):
-        def bad(x, t):
+    def test_failure_is_noted_not_raised(self, monkeypatch):
+        from cnlse_ansatz import verify
+
+        def bad(params, x, t):
             xa = np.asarray(x, dtype=float)
             return np.full(xa.shape, np.nan, dtype=complex)
 
+        monkeypatch.setattr(verify, "field_A", bad)
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        rep = report_at(p, 0.5, 0.4, sampler=bad)
+        rep = report_at(p, 0.5, 0.4)
         assert "StencilOutOfDomain" in rep.notes
         assert np.isnan(rep.pde_abs)
 
@@ -363,11 +366,10 @@ class TestReportAt:
 
         monkeypatch.setattr(ansatz, "phi_of_t", no_phase)
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        assert residual_R1(p, 1e4) < 1e-5
+        assert residual_R1(p, 1e4) <= 1e-8
         assert np.all(np.isfinite(dataclasses.astuple(q_curve(p, 1e4))))
-        rep = report_at(p, 1.0, 1e4, include_pde=False)
-        assert rep.notes == ""
-        assert np.all(np.isfinite([rep.P, rep.r1, rep.r2]))
+        assert np.isfinite(residual_P(p, 1.0, 1e4))
+        assert residual_R2(p, 1.0, 1e4) <= 1e-8
 
     def test_serialization_order(self):
         rep = ResidualReport(
