@@ -99,6 +99,10 @@ PHASE_NODES = 16
 PHASE_PANEL = 0.25
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(PHASE_NODES)
 
+# Complex step h of every derivative of a closed form, Im y(xi + ih) / h: with
+# no difference to cancel, h sits far below round-off and O(h^2) vanishes.
+P_STEP = 1e-30
+
 
 def _require_real_z(z, t) -> None:
     za = np.atleast_1d(np.asarray(z, dtype=float))
@@ -119,15 +123,16 @@ def _require_real_z(z, t) -> None:
 def z_with_rate(params: AnsatzParams, t):
     """(z(t), z_t(t)) for scalar or array t.
 
-    The rate comes from the analytic derivative of the closed form, which
-    carries the sign of sigma_z sqrt(R1(z)) continued through turning
-    points without any crossing bookkeeping.
+    One complex-step evaluation of the closed form at t + ih, h = P_STEP:
+    z is its real part and the rate Im z(t + ih) / h, exact to round-off.
+    The rate carries the sign of sigma_z sqrt(R1(z)) continued through
+    turning points without any crossing bookkeeping.
     """
-    z, zt = weierstrass_solution(
-        z_curve(params), params.z0, params.sigma_z, t, derivative=True
+    y = weierstrass_solution(
+        z_curve(params), params.z0, params.sigma_z, np.asarray(t, dtype=float) + 1j * P_STEP
     )
-    _require_real_z(z, t)
-    return z, zt
+    _require_real_z(y.real, t)
+    return y.real, y.imag / P_STEP
 
 
 def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
@@ -150,7 +155,9 @@ def _z_integral(params: AnsatzParams, t: float) -> float:
     is continuous in t."""
     edges = math.copysign(1.0, t) * np.append(np.arange(0.0, abs(t), PHASE_PANEL), abs(t))
     half = 0.5 * np.diff(edges)[:, None]
-    z = z_with_rate(params, (edges[:-1, None] + half * (1.0 + _GL_X)).ravel())[0]
+    nodes = (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()
+    z = weierstrass_solution(z_curve(params), params.z0, params.sigma_z, nodes)
+    _require_real_z(z, nodes)
     return float(np.sum(half * _GL_W * z.reshape(half.shape[0], PHASE_NODES)))
 
 

@@ -61,14 +61,27 @@ def invariants_from_coefficients(R: QuarticCurve) -> EllipticInvariants:
     return EllipticInvariants(g2, g3)
 
 
-def _check_sigma(sigma) -> float:
-    s = float(sigma)
-    if s not in (1.0, -1.0):
-        raise ValueError("sigma must be +1 or -1")
-    return s
+def _closed_form_parts(R: QuarticCurve, y0: float, xi):
+    """Set-up shared by the closed form and its denominator: R and its
+    derivatives at y0, xi as a checked 1-d array, the mask of its elements
+    beyond the elliptic pole guard, and there wp - b, wp' and the
+    denominator 2 (wp - b)^2 - R(y0) R''''(y0)/48 (None where none is)."""
+    r = eval_with_derivatives(R, y0)
+    if np.real(r[0]) < 0.0:
+        raise NegativeRadicand(f"R(y0) = {r[0]:g} < 0: no real slope at y0")
+    xi_arr = np.asarray(xi)
+    xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, r[0], float))
+    if not np.all(np.isfinite(xf)):
+        raise NonFiniteSamples("xi must be finite")
+    away = np.abs(xf) >= POLE_EPSILON
+    if not np.any(away):
+        return r, xf, away, None, None, None
+    W, W1 = wp_pair(xf[away], invariants_from_coefficients(R))
+    Wb = W - r[2] / 24.0
+    return r, xf, away, Wb, W1, 2.0 * Wb * Wb - r[0] * r[4] / 48.0
 
 
-def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi, *, derivative: bool = False):
+def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
     """Solution y(xi) of (y')^2 = R(y) with y(0) = y0 and y'(0) = sigma sqrt(R(y0)).
 
     The closed form is
@@ -81,80 +94,42 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi, *, derivative: b
     (wp' ~ -2 xi^-3 near zero) to -sigma.
 
     Accepts scalar or array xi, real or complex, and a curve with real or
-    complex coefficients; the output is real exactly when both are, so a
-    complex step xi + ih (or a curve built from one) returns its derivative
-    in the imaginary part.  An array batch shares one argument-halving
-    depth (see ``wp_pair``), so a finite difference stencil gets a smooth
-    evaluation error.  |xi| below the elliptic pole guard returns the
-    analytic pole limit, the Taylor polynomial y0 + sigma sqrt(R(y0)) xi +
-    R'(y0) xi^2 / 4 (exactly y0 at xi = 0).
-
-    Solution poles, where the denominator vanishes, map to non-finite
-    outputs rather than exceptions; callers that must reject them check
-    finiteness.  With ``derivative`` returns the pair (y, dy/dxi), the
-    derivative taken analytically through the closed form.
+    complex coefficients; the output is real exactly when both are.  Its
+    one derivative rule is the complex step: at xi + ih, or on a curve
+    built from one, Im y / h is the derivative, exact to round-off.  An
+    array batch shares one argument-halving depth (see ``wp_pair``), so a
+    finite difference stencil gets a smooth evaluation error.  |xi| below
+    the elliptic pole guard returns the analytic pole limit, the Taylor
+    polynomial y0 + sigma sqrt(R(y0)) xi + R'(y0) xi^2 / 4 (exactly y0 at
+    xi = 0).  Solution poles, where the denominator vanishes, map to
+    non-finite outputs rather than exceptions; callers that must reject
+    them check finiteness.
     """
-    s = _check_sigma(sigma)
-    y0 = float(y0)
-    r0, r1, r2, r3, r4 = eval_with_derivatives(R, y0)
-    if np.real(r0) < 0.0:
-        raise NegativeRadicand(f"R(y0) = {r0:g} < 0: no real slope at y0")
+    s, y0 = float(sigma), float(y0)
+    if s not in (1.0, -1.0):
+        raise ValueError("sigma must be +1 or -1")
+    (r0, r1, _, r3, _), xf, away, Wb, W1, den = _closed_form_parts(R, y0, xi)
     sq = np.sqrt(r0)
-    b = r2 / 24.0
-    inv = invariants_from_coefficients(R)
-
-    xi_arr = np.asarray(xi)
-    scalar = xi_arr.ndim == 0
-    xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, r0, float))
-    if not np.all(np.isfinite(xf)):
-        raise NonFiniteSamples("xi must be finite")
-
-    away = np.abs(xf) >= POLE_EPSILON
     xn = np.where(away, 0.0, xf)
     y = y0 + s * sq * xn + 0.25 * r1 * xn * xn
-    dy = s * sq + 0.5 * r1 * xn
     # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
     # closed form would produce 0/0 wherever wp crosses b
-    if np.any(away) and not (r0 == 0.0 and r1 == 0.0):
+    if den is not None and not (r0 == 0.0 and r1 == 0.0):
         # real in, real out: the wp arithmetic is complex throughout
         part = np.real if y.dtype.kind == "f" else np.asarray
-        W, W1 = wp_pair(xf[away], inv)
-        Wb = W - b
         num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
-        den = 2.0 * Wb * Wb - r0 * r4 / 48.0
         with np.errstate(divide="ignore", invalid="ignore"):
             y[away] = y0 + part(num / den)
-            if derivative:
-                W2 = 6.0 * W * W - 0.5 * inv.g2
-                nump = 0.5 * r1 * W1 - s * sq * W2
-                denp = 4.0 * Wb * W1
-                dy[away] = part((nump * den - num * denp) / (den * den))
-
-    if scalar:
-        return (y[0].item(), dy[0].item()) if derivative else y[0].item()
-    return (y, dy) if derivative else y
+    return y[0].item() if np.ndim(xi) == 0 else y
 
 
 def solution_denominator(R: QuarticCurve, y0: float, xi):
-    """Denominator of the closed-form solution at xi.
-
-    Real zeros of this function in xi are the solution poles of
+    """Denominator of the closed-form solution at xi, +inf inside the pole
+    guard.  Real zeros of this function in xi are the solution poles of
     weierstrass_solution; scans use sign changes of it to detect a pole
-    crossing between grid nodes.
-    """
-    y0 = float(y0)
-    r0, _, r2, _, r4 = eval_with_derivatives(R, y0)
-    if r0 < 0.0:
-        raise NegativeRadicand(f"R(y0) = {r0:g} < 0: no real slope at y0")
-    b = r2 / 24.0
-    inv = invariants_from_coefficients(R)
-    xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
-    xf = np.atleast_1d(xi_arr).astype(float)
-    den = np.full(xf.shape, np.inf)
-    away = np.abs(xf) >= POLE_EPSILON
-    if np.any(away):
-        W, _ = wp_pair(xf[away], inv)
-        Wb = W - b
-        den[away] = (2.0 * Wb * Wb - r0 * r4 / 48.0).real
-    return float(den[0]) if scalar else den
+    crossing between grid nodes."""
+    _, xf, away, _, _, den = _closed_form_parts(R, float(y0), xi)
+    out = np.full(xf.shape, np.inf)
+    if den is not None:
+        out[away] = den.real
+    return float(out[0]) if np.ndim(xi) == 0 else out

@@ -9,7 +9,8 @@ Three layers of checking live here:
 * a full finite-difference residual of the dispersive equation itself,
   validated against an exact soliton before it is trusted on the ansatz.
 
-The Q_t of P is a complex-step derivative, exact to round-off.  Every other
+The Q_t of P is a complex-step derivative, exact to round-off, taken from
+the memoised per-time state (z, z_t) along the orbit ODE.  Every other
 derivative comes from one central Richardson stencil, used at the origin
 too, so that r1, r2 and the PDE residual stay checks independent of the
 closed forms; stencil values are evaluated in single batches so the
@@ -29,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from .ansatz import (
+    P_STEP,
     AnsatzParams,
     Q_of_xt,
     _q_curve_from_state,
@@ -54,10 +56,6 @@ from .quartic import eval_with_derivatives, invariants_from_coefficients, weiers
 # is function-evaluation round-off divided by h, not truncation.
 R1_TIME_STEP = 5e-4
 R2_SPACE_STEP = 1e-3
-
-# Complex step of P's Q_t = Im Q(x, t + ih) / h: with no difference to cancel,
-# h can sit far below round-off, so the O(h^2) error vanishes in double.
-P_STEP = 1e-30
 
 # |Q| beyond this marks a grid point as sitting next to a profile pole.
 POLE_ADJACENT_Q = 15.0
@@ -140,19 +138,21 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
 
         P(x, t) = Q_t(x, t) - sqrt(z) (c1 - q (3 z + Q^2)).
 
-    Q_t is the complex-step derivative Im Q(x, t + ih) / h, h = P_STEP: the
-    complex time flows through the orbit z, the profile curve and its closed
-    form, so Q_t is exact to round-off at every t and x, t = 0 and x = 0
-    included (Q(0, .) = Q0 gives Q_t = 0 exactly).
+    Q_t is the complex-step derivative Im Q(x, t + ih) / h, h = P_STEP.  Q
+    reads t only through the memoised orbit state, so the step is taken
+    there, z + ih z_t and z_t + ih R1'(z)/2 (z_tt from (z_t)^2 = R1(z)),
+    and flows through the profile curve and its closed form.  Q_t is exact
+    to round-off at every t and x, next to the orbit's lattice points,
+    t = 0 and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly).
     """
     x = float(x)
     t = float(t)
     st = time_state(params, t)
     q_center = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
-    z, zt = weierstrass_solution(
-        z_curve(params), params.z0, params.sigma_z, complex(t, P_STEP), derivative=True
-    )
-    q = weierstrass_solution(_q_curve_from_state(params, z, zt), params.Q0, params.sigma_Q, x)
+    ztt = 0.5 * eval_with_derivatives(z_curve(params), st.z)[1]
+    h = 1j * P_STEP
+    curve = _q_curve_from_state(params, st.z + h * st.zt, st.zt + h * ztt)
+    q = weierstrass_solution(curve, params.Q0, params.sigma_Q, x)
     return q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + q_center ** 2))
 
 
@@ -290,6 +290,14 @@ def convergence_order(residuals) -> float:
     return float(np.mean(ratios))
 
 
+def _pole_note(q_val) -> str:
+    """Flag of a profile value: "pole" if not finite, "pole_adjacent" if
+    |Q| > POLE_ADJACENT_Q, else ""."""
+    if not np.isfinite(q_val):
+        return "pole"
+    return "pole_adjacent" if abs(q_val) > POLE_ADJACENT_Q else ""
+
+
 def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
     """Full residual record at one point, never raising on pole contact:
     failures are recorded in the notes field and the numbers set to nan.
@@ -300,11 +308,9 @@ def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
     notes: list = []
     p_val = r1 = r2 = pde = float("nan")
     try:
-        q_val = Q_of_xt(params, x, t)
-        if not np.isfinite(q_val):
-            notes.append("pole")
-        elif abs(q_val) > POLE_ADJACENT_Q:
-            notes.append("pole_adjacent")
+        note = _pole_note(Q_of_xt(params, x, t))
+        if note:
+            notes.append(note)
         p_val = residual_P(params, x, t)
         r1 = residual_R1(params, t)
         r2 = residual_R2(params, x, t)

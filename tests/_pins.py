@@ -108,6 +108,32 @@ P_AT_1_0 = {
     "mm": -1.0640047244813982784,
 }
 
+# P(x=1, t) next to the lattice points 0, 2w and 4w of the orbit, keyed by
+# (branch name, t); the last two times are fl(2w) and 2 fl(2w), and every
+# time is taken as the exact binary value of its float key
+P_NEAR_LATTICE = {
+    ("pp", 1e-12): -357.55426980107385896,
+    ("pp", 1e-09): -357.55426459100401349,
+    ("pp", 1e-07): -357.55374827859526052,
+    ("pp", 2.497566536058844): -357.55426980628747787,
+    ("pp", 4.995133072117688): -357.55426980628581157,
+    ("pm", 1e-12): -0.6050712129907980659,
+    ("pm", 1e-09): -0.60507121459691584958,
+    ("pm", 1e-07): -0.60507137376174255178,
+    ("pm", 2.497566536058844): -0.60507121298919085406,
+    ("pm", 4.995133072117688): -0.60507121298919136774,
+    ("mp", 1e-12): -21.184566229726962987,
+    ("mp", 1e-09): -21.184565975454860102,
+    ("mp", 1e-07): -21.184540777335991891,
+    ("mp", 2.497566536058844): -21.184566229981408296,
+    ("mp", 4.995133072117688): -21.184566229981326973,
+    ("mm", 1e-12): -1.0640047244872950528,
+    ("mm", 1e-09): -1.0640047303781726989,
+    ("mm", 1e-07): -1.0640053141591654609,
+    ("mm", 2.497566536058844): -1.0640047244814001624,
+    ("mm", 4.995133072117688): -1.0640047244814020464,
+}
+
 # complex field A(x=1, t=1) keyed by branch name, plus one off-grid point
 A_AT_1_1 = {
     "pp": 1.4310322561580363234 + 0.7851555329431110082j,

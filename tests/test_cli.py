@@ -161,6 +161,32 @@ class TestPaperCheck:
             name: format(P_AT_1_1[name], ".10g") for name in BRANCH_ORDER
         }
 
+    def test_pole_adjacent_branch_keeps_r2_out_of_the_verdict(self, capsys):
+        # at t = 20000, x = 1 on mp sits next to a profile pole (|Q| = 16.8)
+        # where r2's difference quotient reads 1.0e-8; the run still exits
+        # 1, since |P| on pm is below the 0.05 floor
+        assert main(["paper-check", "--t", "20000"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        marked = [ln for ln in lines if ln.endswith("pole_adjacent")]
+        assert [ln[:2] for ln in marked] == ["mp"]
+        assert "constructed pair solves both quartic ODEs (r1, r2 <= 1e-08): yes" in lines
+        assert "|P| >= 0.05 on every branch: NO" in lines
+
+
+class TestOutFile:
+    # --out applies to every mode: the file gets exactly what stdout would
+    @pytest.mark.parametrize("args", [
+        ["paper-check", "--branch", "mm"],
+        ["selftest", "--skip", "quartic", "--skip", "verify", "--skip", "reference"],
+    ])
+    def test_text_modes_write_the_file(self, args, tmp_path, capsys):
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "out.txt"
+        assert main(args + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == printed
+
 
 class TestScan:
     def test_csv_shape_and_order(self, tmp_path):

@@ -13,7 +13,9 @@ from cnlse_ansatz import (
     invariants_from_coefficients,
     solution_denominator,
     weierstrass_solution,
+    with_branch,
     z_curve,
+    z_with_rate,
 )
 
 from _pins import (
@@ -102,7 +104,7 @@ class TestSolution:
         # the t=1 orbit values on both slope branches, oracle-pinned
         for sigma in (1, -1):
             z, zt = Z_ORBIT[(sigma, 1.0)]
-            got, rate = weierstrass_solution(Z_CURVE, 1.0, sigma, 1.0, derivative=True)
+            got, rate = z_with_rate(with_branch(REFERENCE_PARAMS, sigma, 1), 1.0)
             assert abs(got - z) < 1e-12
             assert abs(rate - zt) < 1e-11
 
@@ -147,9 +149,10 @@ class TestSolution:
         assert arr[0] == weierstrass_solution(Z_CURVE, 1.0, 1, 0.3)
 
     def test_analytic_derivative_matches_fd(self):
+        # the complex-step rate of the orbit against a central difference
         h = 1e-6
         for xi in (0.3, 0.8, 1.2):
-            _, rate = weierstrass_solution(Z_CURVE, 1.0, 1, xi, derivative=True)
+            _, rate = z_with_rate(REFERENCE_PARAMS, xi)
             fd = (
                 weierstrass_solution(Z_CURVE, 1.0, 1, xi + h)
                 - weierstrass_solution(Z_CURVE, 1.0, 1, xi - h)
@@ -202,7 +205,9 @@ class TestOdeProperty:
             xi = float(rng.uniform(0.05, 1.5))
             if abs(float(solution_denominator(curve, y0, xi))) < 0.05:
                 continue
-            y, dy = weierstrass_solution(curve, y0, 1, xi, derivative=True)
+            # the complex-step slope
+            yc = weierstrass_solution(curve, y0, 1, complex(xi, 1e-30))
+            y, dy = yc.real, yc.imag / 1e-30
             if not np.isfinite(y) or abs(y) > 50.0:
                 continue
             r = float(eval_with_derivatives(curve, y)[0])
@@ -232,6 +237,13 @@ class TestDenominator:
     def test_infinite_at_origin(self):
         assert np.isposinf(float(solution_denominator(Z_CURVE, 1.0, 0.0)))
 
+    def test_nonfinite_xi(self):
+        # rejected as weierstrass_solution rejects it: a nan is not inside
+        # the pole guard, where the denominator reads +inf
+        for xi in (np.nan, np.array([0.5, np.inf])):
+            with pytest.raises(NonFiniteSamples):
+                solution_denominator(Z_CURVE, 1.0, xi)
+
 
 class TestComplexStep:
     # xi + ih with h far below round-off: Im y / h is dy/dxi to round-off,
@@ -240,37 +252,45 @@ class TestComplexStep:
     CURVE = z_curve(REFERENCE_PARAMS)
     Y0 = REFERENCE_PARAMS.z0
 
+    def rate(self, sigma, xi):
+        return weierstrass_solution(self.CURVE, self.Y0, sigma, xi + 1j * self.H).imag / self.H
+
     def test_matches_analytic_rate(self):
+        # the slope solves the ODE, starts with the sign of sigma, and meets
+        # the oracle-pinned orbit rates
         for sigma in (1, -1):
             for t in (0.0, 5e-11, -5e-11, 0.3, -0.7, 1.0):
-                _, rate = weierstrass_solution(self.CURVE, self.Y0, sigma, t, derivative=True)
                 y = weierstrass_solution(self.CURVE, self.Y0, sigma, complex(t, self.H))
                 assert isinstance(y, complex)
-                assert abs(y.imag / self.H - rate) <= 1e-13 * abs(rate), (sigma, t)
+                rate = y.imag / self.H
+                r = eval_with_derivatives(self.CURVE, y.real)[0]
+                assert abs(rate * rate - r) <= 1e-13 * max(1.0, abs(r)), (sigma, t)
+            assert np.sign(self.rate(sigma, 5e-11)) == sigma
+            for t in (0.25, 0.5, 1.0):
+                assert abs(self.rate(sigma, t) - Z_ORBIT[(sigma, t)][1]) < 1e-11, (sigma, t)
 
     def test_matches_analytic_rate_on_an_array(self):
+        # a batch, with its shared halving depth, against scalar steps
         ts = np.linspace(-1.0, 1.2, 23)
         for sigma in (1, -1):
-            _, rates = weierstrass_solution(self.CURVE, self.Y0, sigma, ts, derivative=True)
             y = weierstrass_solution(self.CURVE, self.Y0, sigma, ts + 1j * self.H)
             assert y.dtype == np.complex128
+            rates = np.array([self.rate(sigma, t) for t in ts])
             assert np.all(np.abs(y.imag / self.H - rates) <= 1e-13 * np.abs(rates))
 
     def test_real_in_real_out(self):
-        y, dy = weierstrass_solution(self.CURVE, self.Y0, 1, 0.3, derivative=True)
-        assert type(y) is float and type(dy) is float
+        assert type(weierstrass_solution(self.CURVE, self.Y0, 1, 0.3)) is float
         assert type(weierstrass_solution(self.CURVE, self.Y0, -1, 1e-11)) is float
-        ys, dys = weierstrass_solution(
-            self.CURVE, self.Y0, 1, np.array([0.0, 1e-11, 0.3]), derivative=True
-        )
-        assert ys.dtype == np.float64 and dys.dtype == np.float64
+        ys = weierstrass_solution(self.CURVE, self.Y0, 1, np.array([0.0, 1e-11, 0.3]))
+        assert ys.dtype == np.float64
 
     def test_taylor_limit_inside_pole_guard(self):
         r0, r1 = eval_with_derivatives(self.CURVE, self.Y0)[:2]
         for sigma in (1, -1):
             for xi in (3e-11, -7e-11):
-                y, dy = weierstrass_solution(self.CURVE, self.Y0, sigma, xi, derivative=True)
+                y = weierstrass_solution(self.CURVE, self.Y0, sigma, xi)
                 assert 0.0 < abs(xi) < POLE_EPSILON
                 assert abs(y - (self.Y0 + sigma * np.sqrt(r0) * xi + r1 * xi * xi / 4.0)) <= 1e-15
+                dy = self.rate(sigma, xi)
                 assert abs(dy - (sigma * np.sqrt(r0) + r1 * xi / 2.0)) <= 1e-15
             assert weierstrass_solution(self.CURVE, self.Y0, sigma, 0.0) == self.Y0

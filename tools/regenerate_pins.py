@@ -296,6 +296,10 @@ def main():
                inconsistency(1, mp.mpf("0.5"), sz, sq), _pins.P_AT_1_05[name])
         report(f"P_AT_1_0[{name}]", inconsistency(1, 0, sz, sq), _pins.P_AT_1_0[name])
 
+    for (name, t), pin in sorted(_pins.P_NEAR_LATTICE.items()):
+        report(f"P_NEAR_LATTICE[{name},{t}]",
+               inconsistency(1, mp.mpf(t), *BRANCHES[name]), pin)
+
     for name, (sz, sq) in BRANCHES.items():
         report(f"A_AT_1_1[{name}]", envelope(1, 1, sz, sq), _pins.A_AT_1_1[name])
     report("A_AT_1_05_MM", envelope(1, mp.mpf("0.5"), -1, -1), _pins.A_AT_1_05_MM)
