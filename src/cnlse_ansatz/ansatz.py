@@ -94,9 +94,11 @@ def z_curve(params: AnsatzParams) -> QuarticCurve:
 # The default experiment: the parameter set every command falls back to.
 REFERENCE_PARAMS = AnsatzParams(q=-1.0, c1=-2.0, c2=0.4, c3=0.13, z0=1.0, Q0=1.0)
 
-# Phase quadrature: Gauss-Legendre nodes per panel, and the panel width.
+# Phase quadrature: Gauss-Legendre nodes per panel, the panel width, and
+# the panels per chunk of the phase's table of whole panels.
 PHASE_NODES = 16
 PHASE_PANEL = 0.25
+PHASE_CHUNK = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(PHASE_NODES)
 
 # Complex step h of every derivative of a closed form, Im y(xi + ih) / h: with
@@ -107,7 +109,7 @@ P_STEP = 1e-30
 def _require_real_z(z, t) -> None:
     za = np.atleast_1d(np.asarray(z, dtype=float))
     ta = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=float)), za.shape)
-    if not np.all(np.isfinite(za)):
+    if not np.isfinite(za).all():
         # Unreachable for valid parameters: the z-curve denominator
         # 2(wp-b)^2 + 8 q^2 R1(z0) is positive whenever R1(z0) > 0.
         bad = ta[~np.isfinite(za)][0]
@@ -148,29 +150,43 @@ def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCur
     )
 
 
-def _z_integral(params: AnsatzParams, t: float) -> float:
-    """Integral of z over [0, t] by a composite Gauss-Legendre rule with all
-    nodes in one orbit batch.  Panel edges sit at the fixed multiples of
-    PHASE_PANEL (the last panel partial), so the error, at round-off here,
-    is continuous in t."""
-    edges = math.copysign(1.0, t) * np.append(np.arange(0.0, abs(t), PHASE_PANEL), abs(t))
+def _panel_values(params: AnsatzParams, edges: np.ndarray) -> np.ndarray:
+    """Weighted Gauss-Legendre node values of z on the panels between the
+    ``edges``, all in one orbit batch: their sum is the integral."""
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()
     z = weierstrass_solution(z_curve(params), params.z0, params.sigma_z, nodes)
     _require_real_z(z, nodes)
-    return float(np.sum(half * _GL_W * z.reshape(half.shape[0], PHASE_NODES)))
+    return (half * _GL_W * z.reshape(half.shape[0], PHASE_NODES)).ravel()
 
 
-def _z_period(params: AnsatzParams):
-    """Real period 2w of the z-curve lattice, or None where it has none."""
-    return real_period(invariants_from_coefficients(z_curve(params)))
+@lru_cache(maxsize=256)
+def _panel_chunk(params: AnsatzParams, sign: float, m: int) -> np.ndarray:
+    """Node values of the whole panels m PHASE_CHUNK .. (m + 1) PHASE_CHUNK
+    - 1 in the direction sign, in one batch.  The chunks are the table the
+    phase reads, so its bits do not depend on which times came first."""
+    panels = np.arange(m * PHASE_CHUNK, (m + 1) * PHASE_CHUNK + 1)
+    return _panel_values(params, sign * PHASE_PANEL * panels)
 
 
-def _split_periods(params: AnsatzParams, t: float):
-    """(k, r) with |t| = k 2w + |r| and r of the sign of t: the whole real
-    periods of the orbit in t, k = floor(|t| / 2w), and the remainder.
-    Below one period, and for a lattice without a real period, (0, t)."""
-    period = _z_period(params)
+def _z_integral(params: AnsatzParams, t: float) -> float:
+    """Integral of z over [0, t] by a composite Gauss-Legendre rule with panel
+    edges at the multiples of PHASE_PANEL, so its error, at round-off here,
+    is continuous in t: the table's whole panels and the partial one."""
+    sign = math.copysign(1.0, t)
+    j = math.floor(abs(t) / PHASE_PANEL)
+    chunks = [_panel_chunk(params, sign, m) for m in range(-(-j // PHASE_CHUNK))]
+    whole = np.concatenate(chunks + [np.empty(0)])[:j * PHASE_NODES]
+    edge = sign * j * PHASE_PANEL
+    rest = _panel_values(params, np.array([edge, t])) if t != edge else ()
+    return float(np.sum(np.concatenate((whole, rest))))
+
+
+def _split_periods(curve: QuarticCurve, t: float):
+    """(k, r) with |t| = k 2w + |r|, r of the sign of t and 2w the real period
+    of the curve's lattice: k = floor(|t| / 2w) and the remainder.  Below
+    one period, and for a lattice without a real period, (0, t)."""
+    period = real_period(invariants_from_coefficients(curve))
     k = 0 if period is None else math.floor(abs(t) / period)
     return k, (math.copysign(abs(t) - k * period, t) if k else t)
 
@@ -178,7 +194,7 @@ def _split_periods(params: AnsatzParams, t: float):
 @lru_cache(maxsize=64)
 def _period_integral(params: AnsatzParams, sign: float) -> float:
     """Integral of z over one real period, [0, sign 2w]."""
-    return _z_integral(params, sign * _z_period(params))
+    return _z_integral(params, sign * real_period(invariants_from_coefficients(z_curve(params))))
 
 
 def phi_of_t(params: AnsatzParams, t: float) -> float:
@@ -187,13 +203,13 @@ def phi_of_t(params: AnsatzParams, t: float) -> float:
     z is periodic with the real period 2w of its lattice, so with
     |t| = k 2w + r, 0 <= r < 2w, the integral is k I + (integral over
     [0, +-r]), where I, the integral over one period in the direction of
-    t, is computed once per parameter set.  Both integrals use the same
-    fixed panels (see ``_z_integral``), so phi is continuous as r reaches
-    2w, as the FD time stencil of the envelope needs, and the work is at
-    most one period's panels whatever |t|.  Below one period, and for a
-    lattice without a real period, it is the plain integral over [0, t]."""
+    t, is computed once per parameter set.  Both integrals read the same
+    table of whole panels (see ``_z_integral``), so phi is continuous as
+    r reaches 2w, as the FD time stencil of the envelope needs, and a new
+    t costs one partial panel.  Below one period, and for a lattice
+    without a real period, it is the plain integral over [0, t]."""
     t = float(t)
-    k, rest = _split_periods(params, t)
+    k, rest = _split_periods(z_curve(params), t)
     integral = _z_integral(params, rest)
     if k:
         integral += k * _period_integral(params, math.copysign(1.0, t))
@@ -203,8 +219,7 @@ def phi_of_t(params: AnsatzParams, t: float) -> float:
 @dataclass(frozen=True)
 class TimeState:
     """State of the construction at one time t.  The phase factor is built
-    on first use: its quadrature, up to one period's panels, is the largest
-    cost of the state and only the envelope reads it."""
+    on first use: only the envelope reads it."""
 
     params: AnsatzParams
     t: float

@@ -46,6 +46,7 @@ from .errors import NonFiniteSamples, PoleProximity
 SERIES_ORDER = 24        # highest Laurent index kept in the expansion
 HALVING_THRESHOLD = 0.5  # sum the series only below this reduced radius
 POLE_EPSILON = 1e-10     # arguments closer to 0 than this count as "at the pole"
+LAURENT_BLOCK = 256      # arguments per power matrix of the series sum
 
 _LONG_EPS = np.finfo(np.longdouble).eps
 _LONG_PI = 4.0 * np.arctan(np.longdouble(1.0))
@@ -72,13 +73,11 @@ class EllipticInvariants:
 # typed: float and complex invariants of equal value give coefficients that
 # differ in the last bits, so they must not share an entry
 @lru_cache(maxsize=512, typed=True)
-def _laurent_coefficients(g2: complex, g3: complex) -> np.ndarray:
-    """Coefficients c[k] of wp(u) = u^-2 + sum_{k>=2} c[k] u^(2k-2).
-
-    The recursion is the classical one obtained by inserting the expansion
-    into the defining differential equation; only c2 and c3 carry the
-    invariants, every later coefficient is a polynomial in those two.
-    """
+def _laurent_matrix(g2: complex, g3: complex) -> np.ndarray:
+    """Rows c[k] and (2k - 2) c[k], k = SERIES_ORDER .. 2, in extended
+    precision, of wp(u) = u^-2 + sum c[k] u^(2k-2), by the recursion that
+    the differential equation gives: times w^(k-2), w = v^2, they sum
+    (wp - v^-2) / w and (wp' + 2 v^-3) / v, smallest term first."""
     c = np.zeros(SERIES_ORDER + 1, dtype=np.result_type(g2, g3, float))
     c[2] = g2 / 20.0
     c[3] = g3 / 28.0
@@ -86,7 +85,8 @@ def _laurent_coefficients(g2: complex, g3: complex) -> np.ndarray:
         # sum over m = 2 .. k-2 of c[m] * c[k-m]
         acc = np.dot(c[2:k - 1], c[k - 2:1:-1])
         c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
-    return c
+    c = c[:1:-1].astype(np.clongdouble)
+    return np.stack((c, (2 * np.arange(SERIES_ORDER, 1, -1) - 2) * c))
 
 
 # typed, as for the Laurent coefficients: a complex-typed pair is a
@@ -143,9 +143,9 @@ def _halving_scale(g2: float, g3: float) -> float:
 
 class _PairMemo:
     """Least recently used store of computed (wp, wp') pairs, each kept as
-    one stacked array and bounded by the number of arguments held, not by
-    the number of entries.  A lock keeps the entries and their count
-    consistent when threads share the memo."""
+    private copies of the two arrays and bounded by the number of arguments
+    held, not by the number of entries.  A lock keeps the entries and their
+    count consistent when threads share the memo."""
 
     def __init__(self, max_elements: int):
         self.max_elements = max_elements
@@ -155,20 +155,20 @@ class _PairMemo:
 
     def get(self, key):
         with self._lock:
-            stacked = self.entries.get(key)
-            if stacked is not None:
+            pair = self.entries.get(key)
+            if pair is not None:
                 self.entries.move_to_end(key)
-            return stacked
+            return pair
 
     def put(self, key, W: np.ndarray, W1: np.ndarray) -> None:
         size = W.size
         if not 0 < size <= self.max_elements:
             return
-        stacked = np.stack((W, W1))
+        pair = (W.copy(), W1.copy())
         with self._lock:
             if key in self.entries:  # another thread stored it meanwhile
                 return
-            self.entries[key] = stacked
+            self.entries[key] = pair
             self.elements += size
             while self.elements > self.max_elements:
                 self.elements -= self.entries.popitem(last=False)[1][0].size
@@ -226,11 +226,11 @@ def wp_pair(u, inv: EllipticInvariants):
     double pole at the origin.
     """
     u_arr = np.asarray(u)
-    uf = np.atleast_1d(u_arr.astype(complex, copy=False))
-    if not np.all(np.isfinite(uf)):
+    uf = u_arr.astype(complex, copy=False).ravel()
+    if not np.isfinite(uf).all():
         raise NonFiniteSamples("wp arguments must be finite")
     au = np.abs(uf)
-    if np.any(au < POLE_EPSILON):
+    if (au < POLE_EPSILON).any():
         raise PoleProximity(
             f"wp argument within {POLE_EPSILON:g} of the double pole at u = 0"
         )
@@ -238,24 +238,24 @@ def wp_pair(u, inv: EllipticInvariants):
     # the evaluation reads u only as uf; the dtypes keep real and complex
     # callers apart, and the bytes tell 0.0 from -0.0
     g2, g3 = np.asarray(inv.g2), np.asarray(inv.g3)
-    key = (uf.shape, u_arr.dtype.str + g2.dtype.str + g3.dtype.str,
+    key = (u_arr.shape, u_arr.dtype.str + g2.dtype.str + g3.dtype.str,
            uf.tobytes() + g2.astype(complex).tobytes() + g3.astype(complex).tobytes())
-    stacked = _PAIR_MEMO.get(key)
-    if stacked is None:
+    pair = _PAIR_MEMO.get(key)
+    if pair is None:
         W, W1 = _evaluate(uf, au, inv)
         _PAIR_MEMO.put(key, W, W1)
     else:
-        W, W1 = stacked[0].copy(), stacked[1].copy()
+        W, W1 = pair[0].copy(), pair[1].copy()
     if u_arr.ndim == 0:
         return complex(W[0]), complex(W1[0])
-    return W, W1
+    return W.reshape(u_arr.shape), W1.reshape(u_arr.shape)
 
 
 def _evaluate(uf, au, inv: EllipticInvariants):
-    """(wp, wp') at the checked complex arguments ``uf`` (moduli ``au``)."""
+    """(wp, wp') at the checked 1-d complex arguments ``uf`` (moduli ``au``)."""
     thr = HALVING_THRESHOLD / _halving_scale(inv.g2, inv.g3)
     far = au > 4.0 * thr  # would need three or more halvings
-    period = real_period(inv) if np.any(far) else None
+    period = real_period(inv) if far.any() else None
     if period is not None:
         k = np.round(uf.real[far] / period)
         # an argument on a lattice point other than 0 folds one period
@@ -266,7 +266,7 @@ def _evaluate(uf, au, inv: EllipticInvariants):
         au = np.abs(uf)
     n = np.zeros(uf.shape, dtype=int)
     big = au > thr
-    if np.any(big):
+    if big.any():
         n[big] = np.ceil(np.log2(au[big] / thr)).astype(int)
     if n.size:
         n = np.minimum(n.max(), n + 1)
@@ -276,27 +276,33 @@ def _evaluate(uf, au, inv: EllipticInvariants):
     # (a silent no-op where long double is plain double).
     v = (uf / np.exp2(n)).astype(np.clongdouble)
 
-    c = _laurent_coefficients(inv.g2, inv.g3).astype(np.clongdouble)
+    # both series as one product of the coefficient matrix with the powers
+    # w^(SERIES_ORDER - 2) .. w^0, a block at a time: a wide batch's powers
+    # stay small
+    mat = _laurent_matrix(inv.g2, inv.g3)
     w = v * v
-    s_even = np.zeros_like(v)
-    s_odd = np.zeros_like(v)
-    for k in range(SERIES_ORDER, 1, -1):
-        s_even = s_even * w + c[k]
-        s_odd = s_odd * w + (2 * k - 2) * c[k]
-    W = 1.0 / w + s_even * w
-    W1 = -2.0 / (w * v) + s_odd * v
+    sums = np.empty((2, v.size), dtype=np.clongdouble)
+    for lo in range(0, v.size, LAURENT_BLOCK):
+        block = w[lo:lo + LAURENT_BLOCK]
+        powers = np.ones((SERIES_ORDER - 1, block.size), dtype=np.clongdouble)
+        np.multiply.accumulate(np.broadcast_to(block, powers[1:].shape), out=powers[1:])
+        sums[:, lo:lo + LAURENT_BLOCK] = mat @ powers[::-1]
+    W = 1.0 / w + sums[0] * w
+    W1 = -2.0 / (w * v) + sums[1] * v
 
     half_g2 = np.clongdouble(0.5) * np.clongdouble(inv.g2)
-    depth = int(n.max()) if n.size else 0
+    depth, shallowest = (int(n.max()), int(n.min())) if n.size else (0, 0)
     for step in range(depth):
-        act = n > step
-        if not np.any(act):
-            break
-        Wa = W[act]
-        W1a = W1[act]
+        # every element takes `shallowest` halvings: no mask and no copy
+        act = slice(None) if step < shallowest else n > step
+        Wa, W1a = W[act], W1[act]
         W2a = 6.0 * Wa * Wa - half_g2
-        W[act] = -2.0 * Wa + W2a * W2a / (4.0 * W1a * W1a)
-        W1[act] = -W1a + 3.0 * Wa * (W2a / W1a) - W2a ** 3 / (4.0 * W1a ** 3)
+        Wa, W1a = (-2.0 * Wa + W2a * W2a / (4.0 * W1a * W1a),
+                   -W1a + 3.0 * Wa * (W2a / W1a) - W2a ** 3 / (4.0 * W1a ** 3))
+        if step < shallowest:
+            W, W1 = Wa, W1a
+        else:
+            W[act], W1[act] = Wa, W1a
 
     return W.astype(complex), W1.astype(complex)
 

@@ -13,6 +13,7 @@ with the Weierstrass function of those invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,22 +62,31 @@ def invariants_from_coefficients(R: QuarticCurve) -> EllipticInvariants:
     return EllipticInvariants(g2, g3)
 
 
-def _closed_form_parts(R: QuarticCurve, y0: float, xi):
-    """Set-up shared by the closed form and its denominator: R and its
-    derivatives at y0, xi as a checked 1-d array, the mask of its elements
-    beyond the elliptic pole guard, and there wp - b, wp' and the
-    denominator 2 (wp - b)^2 - R(y0) R''''(y0)/48 (None where none is)."""
+@lru_cache(maxsize=1024, typed=True)
+def _curve_setup(alpha, beta, gamma, delta, epsilon, y0: float):
+    """R and its derivatives at y0, and the invariants, of one curve; typed,
+    so a complex-step curve equal in value to a real one stays complex."""
+    R = QuarticCurve(alpha, beta, gamma, delta, epsilon)
     r = eval_with_derivatives(R, y0)
     if np.real(r[0]) < 0.0:
         raise NegativeRadicand(f"R(y0) = {r[0]:g} < 0: no real slope at y0")
+    return r, invariants_from_coefficients(R)
+
+
+def _closed_form_parts(R: QuarticCurve, y0: float, xi):
+    """Set-up shared by the closed form and its denominator: the memoised
+    set-up of R at y0, xi as a checked 1-d array, the mask of its elements
+    beyond the elliptic pole guard, and there wp - b, wp' and the
+    denominator 2 (wp - b)^2 - R(y0) R''''(y0)/48 (None where none is)."""
+    r, inv = _curve_setup(R.alpha, R.beta, R.gamma, R.delta, R.epsilon, y0)
     xi_arr = np.asarray(xi)
     xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, r[0], float))
-    if not np.all(np.isfinite(xf)):
+    if not np.isfinite(xf).all():
         raise NonFiniteSamples("xi must be finite")
     away = np.abs(xf) >= POLE_EPSILON
-    if not np.any(away):
+    if not away.any():
         return r, xf, away, None, None, None
-    W, W1 = wp_pair(xf[away], invariants_from_coefficients(R))
+    W, W1 = wp_pair(xf[away], inv)
     Wb = W - r[2] / 24.0
     return r, xf, away, Wb, W1, 2.0 * Wb * Wb - r[0] * r[4] / 48.0
 

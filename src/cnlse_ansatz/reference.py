@@ -26,7 +26,8 @@ import numpy as np
 
 from .ansatz import AnsatzParams, field_A, q_curve
 from .errors import AliasingWarning, NonFiniteSamples, WindowContainsPole
-from .quartic import solution_denominator
+from .quartic import solution_denominator, weierstrass_solution
+from .verify import POLE_ADJACENT_Q
 
 TAPER_FRACTION = 0.10  # share of the window at each end that the taper rolls off
 INNER_FRACTION = 0.60  # central share of the window where deviations are measured
@@ -247,16 +248,20 @@ def ansatz_divergence(params: AnsatzParams, grid: SpectralGrid,
     the equation the construction solves: dispersion p = 1, nonlinearity
     params.q.
 
-    The window is screened first: on a 4x refined grid at every sample
-    time, a sign change (or zero) of the closed-form solution denominator
-    means a profile pole lies inside the window and the comparison is
-    rejected with WindowContainsPole.
+    The window is screened first, on a 4x refined grid at every sample
+    time: a sign change (or zero) of the closed-form denominator across
+    which Q changes sign and exceeds POLE_ADJACENT_Q, or is not finite, is
+    a profile pole, and the comparison is rejected with WindowContainsPole.
+    At a pole's mirror point the numerator vanishes too and Q stays small.
     """
     targets = _sample_targets(t_end, sample_times)
     xs = np.linspace(grid.x_min, grid.x_max, 4 * grid.n + 1)
     for t in [0.0] + targets:
-        den = solution_denominator(q_curve(params, t), params.Q0, xs)
-        if np.any(den == 0.0) or np.any(np.sign(den[:-1]) != np.sign(den[1:])):
+        curve = q_curve(params, t)
+        den = solution_denominator(curve, params.Q0, xs)
+        i = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
+        q = weierstrass_solution(curve, params.Q0, params.sigma_Q, np.stack((xs[i], xs[i + 1])))
+        if ((np.sign(q[0]) != np.sign(q[1])) & ~(np.abs(q) <= POLE_ADJACENT_Q).all(axis=0)).any():
             raise WindowContainsPole(
                 f"profile pole inside [{grid.x_min:g}, {grid.x_max:g}] at t = {t:g}"
             )

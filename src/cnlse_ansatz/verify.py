@@ -174,13 +174,17 @@ def residual_R1(params: AnsatzParams, t: float) -> float:
     fixed step R1_TIME_STEP around a large t would read the spacing of
     floats near t.  |t| < 2w, and a lattice without a real period, are
     not reduced."""
-    t = _split_periods(params, float(t))[1]
+    t = _split_periods(z_curve(params), float(t))[1]
     return _ode_defect(z_curve(params), params.z0, params.sigma_z, t, R1_TIME_STEP)
 
 
 def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
-    """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at fixed t."""
-    return _ode_defect(q_curve(params, float(t)), params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
+    """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at fixed t, with
+    x reduced by whole real periods of the profile lattice as ``residual_R1``
+    reduces t."""
+    curve = q_curve(params, float(t))
+    x = _split_periods(curve, float(x))[1]
+    return _ode_defect(curve, params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
 
 
 def closed_form_invariants_z(params: AnsatzParams) -> EllipticInvariants:

@@ -63,6 +63,14 @@ PHI = {
     (-1, 10.0): -6.6878059383189580279,
     (-1, 1000.0): -669.81703752758719456,
     (-1, 10000.0): -6694.428891820982944,
+    # at the seams of the phase's table of whole panels: a panel edge
+    # inside the first period, fl(2w), and a panel edge past five periods
+    (1, 2.25): -1.5451935846114428667,
+    (1, 2.497566536058844): -1.6718896901641097591,
+    (1, 12.5): -8.3590550592926991098,
+    (-1, 2.25): -1.8432298204280158286,
+    (-1, 2.497566536058844): -1.6718896901641097591,
+    (-1, 12.5): -8.3598338510746740774,
 }
 
 # profile values Q(x=1, t) keyed by branch name

@@ -19,11 +19,22 @@ from cnlse_ansatz import (
     phi_of_t,
     q_curve,
     real_period,
+    weierstrass_solution,
     with_branch,
     z_curve,
     z_with_rate,
 )
-from cnlse_ansatz.ansatz import _period_integral, _q_curve_from_state, _require_real_z, time_state
+from cnlse_ansatz import ansatz
+from cnlse_ansatz.ansatz import (
+    PHASE_PANEL,
+    _GL_W as GL_W,
+    _GL_X as GL_X,
+    _panel_chunk,
+    _period_integral,
+    _q_curve_from_state,
+    _require_real_z,
+    time_state,
+)
 
 from _pins import (
     A_AT_1_05_MM,
@@ -272,6 +283,62 @@ class TestPhase:
                 rate = p.c1 - 2.0 * p.q * z_with_rate(p, t)[0]
                 jump = phi_of_t(p, t) - phi_of_t(p, below) - rate * (t - below)
                 assert abs(jump) <= 4.0 * np.spacing(abs(phi_of_t(p, t))), (sigma, t)
+
+    @pytest.mark.parametrize("t", [
+        0.25, 0.5, 2.25, 2.5, 4.0, 4.25, 12.5,
+        PERIOD, 3 * PERIOD, 3 * PERIOD + 0.5, 3 * PERIOD + 2.25,
+    ])
+    def test_continuous_at_panel_edges(self, t):
+        # at a multiple of PHASE_PANEL the whole panels gain one and the
+        # partial panel starts again; at fl(2w) the period count gains one
+        # (the first four edges lie inside the table's first chunk, 4.0 and
+        # 4.25 start its second, which only a time below 2w can need)
+        for sigma in (1, -1):
+            p = with_branch(REFERENCE_PARAMS, sigma, 1)
+            for edge in (t, -t):
+                below = np.nextafter(edge, 0.0)
+                rate = p.c1 - 2.0 * p.q * z_with_rate(p, edge)[0]
+                jump = phi_of_t(p, edge) - phi_of_t(p, below) - rate * (edge - below)
+                assert abs(jump) <= 4.0 * np.spacing(abs(phi_of_t(p, edge))), (sigma, edge)
+
+    def test_matches_the_plain_composite_rule(self):
+        # one batch over every panel of [0, t], as the phase was summed
+        # before the period reduction and the table of whole panels
+        rng = np.random.default_rng(2024)
+        for t in rng.uniform(-20.0, 20.0, 200):
+            p = with_branch(REFERENCE_PARAMS, int(rng.choice([1, -1])), 1)
+            edges = math.copysign(1.0, t) * np.append(np.arange(0.0, abs(t), PHASE_PANEL), abs(t))
+            half = 0.5 * np.diff(edges)[:, None]
+            nodes = edges[:-1, None] + half * (1.0 + GL_X)
+            z = weierstrass_solution(z_curve(p), p.z0, p.sigma_z, nodes.ravel())
+            want = p.phi0 + p.c1 * t - 2.0 * p.q * np.sum(half * GL_W * z.reshape(nodes.shape))
+            got = phi_of_t(p, t)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (p.sigma_z, t)
+
+    def test_table_bits_do_not_depend_on_the_order_of_times(self):
+        # the table is made of whole chunks of panels, each one batch, so a
+        # time asked for after far ones reads the bits it reads first
+        p = with_branch(REFERENCE_PARAMS, -1, 1)
+        ts = (0.3, 1.7, 2.4, -0.9, -2.2)
+        _panel_chunk.cache_clear()
+        _period_integral.cache_clear()
+        first = [phi_of_t(p, t) for t in ts]
+        _panel_chunk.cache_clear()
+        _period_integral.cache_clear()
+        phi_of_t(p, 40.0), phi_of_t(p, -40.0)
+        assert [phi_of_t(p, t) for t in reversed(ts)] == first[::-1]
+
+    def test_without_a_real_period_the_table_spans_t(self, monkeypatch):
+        # a lattice without a real period reads the plain integral over
+        # [0, t] from the same table, grown past its first chunk
+        p = with_branch(REFERENCE_PARAMS, 1, 1)
+        ts = (9.3, -9.3, 17.1, -17.1)
+        reduced = [phi_of_t(p, t) for t in ts]
+        monkeypatch.setattr(ansatz, "real_period", lambda inv: None)
+        for t, want in zip(ts, reduced):
+            got = phi_of_t(p, t)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), t
+        assert _panel_chunk.cache_info().currsize >= 2 * 5
 
     def test_equilibrium_closed_form(self):
         # constant z: phi = phi0 + (c1 - 2 q z0) t, here phi0 + t

@@ -173,6 +173,16 @@ class TestPaperCheck:
         assert "|P| >= 0.05 on every branch: NO" in lines
 
 
+    def test_far_x_solves_both_odes(self, capsys):
+        # r2 reduces x by whole periods of the profile lattice, so at
+        # x = 1e5 it no longer reads the spacing of floats near x (2.2e-8
+        # before); no branch matches 0.113 there, hence exit 2
+        assert main(["paper-check", "--x", "1e5"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "constructed pair solves both quartic ODEs (r1, r2 <= 1e-08): yes" in lines
+        assert "|P| >= 0.05 on every branch: yes" in lines
+
+
 class TestOutFile:
     # --out applies to every mode: the file gets exactly what stdout would
     @pytest.mark.parametrize("args", [
@@ -405,6 +415,15 @@ class TestEvolve:
     def test_window_with_pole_exits_nonzero(self, capsys):
         assert main(["evolve", "--branch", "pp"]) == 1
         assert "pole" in capsys.readouterr().err
+
+    def test_window_with_a_mirror_point_runs(self, capsys):
+        # the pp denominator changes sign at x = -0.942 too, the mirror of
+        # the pole at +0.940, but Q stays near -0.31 there: no pole inside
+        assert main(["evolve", "--branch", "pp", "--grid=-1.25:0.6:256",
+                     "--t-end", "0.1", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(json.loads(captured.out)["points"]) == 6
 
     def test_bad_window(self, capsys):
         assert main(["evolve", "--branch", "mm", "--grid", "0:1"]) == 1

@@ -228,6 +228,59 @@ class TestValidation:
         assert w.shape == u.shape and w1.shape == u.shape
 
 
+def _horner_sum(u, inv):
+    """Reference for the series sum of ``elliptic._evaluate``: both series
+    by Horner's rule over the same extended-precision coefficients, as the
+    sum was written before the matrix product."""
+    c = dict(enumerate(elliptic._laurent_matrix(inv.g2, inv.g3)[0][::-1], 2))
+    v = u.astype(np.clongdouble)
+    w = v * v
+    s_even = np.zeros_like(v)
+    s_odd = np.zeros_like(v)
+    for k in range(elliptic.SERIES_ORDER, 1, -1):
+        s_even = s_even * w + c[k]
+        s_odd = s_odd * w + (2 * k - 2) * c[k]
+    return (1.0 / w + s_even * w).astype(complex), (-2.0 / (w * v) + s_odd * v).astype(complex)
+
+
+def _series_only(u, inv):
+    """(wp, wp') of ``_evaluate`` at arguments it sums without halving."""
+    return elliptic._evaluate(u, np.abs(u), inv)
+
+
+def _inside_radius(inv, size, seed):
+    """``size`` arguments spread over the disk where ``_evaluate`` sums the
+    series for ``inv`` without halving."""
+    rng = np.random.default_rng(seed)
+    radius = elliptic.HALVING_THRESHOLD / elliptic._halving_scale(inv.g2, inv.g3)
+    r = radius * np.sqrt(rng.uniform(1e-6, 1.0, size))
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+
+
+class TestLaurentSum:
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 4097])
+    @pytest.mark.parametrize("inv", [
+        INV,
+        EllipticInvariants(30.0, -7.0),
+        EllipticInvariants(3.52 + 1e-30j, 1.0384 - 2e-31j),
+        EllipticInvariants(1.5 - 2.0j, -0.7 + 0.4j),
+    ])
+    def test_matches_horner(self, size, inv):
+        u = _inside_radius(inv, size, size)
+        for got, want in zip(_series_only(u, inv), _horner_sum(u, inv)):
+            assert got.shape == (size,)
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+    def test_blocks_leave_each_element_as_alone(self):
+        # the block edges split a wide batch, but each element's sum is its
+        # own column of the product: the bits of a batch of one
+        u = _inside_radius(INV, 2 * elliptic.LAURENT_BLOCK + 1, 7)
+        W, W1 = _series_only(u, INV)
+        for i in (0, elliptic.LAURENT_BLOCK - 1, elliptic.LAURENT_BLOCK, u.size - 1):
+            w, w1 = _series_only(u[i:i + 1], INV)
+            assert (w[0], w1[0]) == (W[i], W1[i]), i
+
+
 def _bits(pair):
     return tuple(np.asarray(part).tobytes() for part in pair)
 
@@ -292,10 +345,17 @@ class TestMemo:
 
     def test_laurent_coefficients_follow_the_invariant_type(self):
         # float and complex coefficient sums differ in the last bits, so an
-        # equal-valued entry of the other type must not serve
-        real = elliptic._laurent_coefficients(3.52, 1.0384)
-        cplx = elliptic._laurent_coefficients(3.52 + 0j, 1.0384 + 0j)
-        assert real.dtype == float and cplx.dtype == complex
+        # equal-valued entry of the other type must not serve; the matrix
+        # holds c[k] from c[SERIES_ORDER] down to c[2] = g2 / 20
+        elliptic._laurent_matrix.cache_clear()
+        real = elliptic._laurent_matrix(3.52, 1.0384)
+        cplx = elliptic._laurent_matrix(3.52 + 0j, 1.0384 + 0j)
+        assert cplx is not real and elliptic._laurent_matrix.cache_info().currsize == 2
+        for mat in (real, cplx):
+            assert mat.shape == (2, elliptic.SERIES_ORDER - 1)
+            assert mat[0, -1] == np.clongdouble(3.52 / 20.0)
+            assert mat[0, -2] == np.clongdouble(1.0384 / 28.0)
+            assert mat[1, -1] == 2 * mat[0, -1]
 
     def test_returned_arrays_are_copies(self):
         u = np.linspace(0.3, 1.1, 5)

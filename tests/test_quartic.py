@@ -17,6 +17,7 @@ from cnlse_ansatz import (
     z_curve,
     z_with_rate,
 )
+from cnlse_ansatz import elliptic, quartic
 
 from _pins import (
     R1_AT_1,
@@ -294,3 +295,50 @@ class TestComplexStep:
                 dy = self.rate(sigma, xi)
                 assert abs(dy - (sigma * np.sqrt(r0) + r1 * xi / 2.0)) <= 1e-15
             assert weierstrass_solution(self.CURVE, self.Y0, sigma, 0.0) == self.Y0
+
+
+class TestSetupMemo:
+    """R and its derivatives at y0 and the invariants are memoised per
+    curve and y0 (``quartic._curve_setup``)."""
+
+    REAL = Z_CURVE
+    # equal in value to REAL, and so equal as a dataclass, but complex-typed
+    COMPLEX = QuarticCurve(*(complex(c) for c in (-16.0, 8.0, -1.6, 0.13, 0.0)))
+    XI = np.array([0.3, 0.9, 1.7])
+
+    @pytest.fixture(autouse=True)
+    def empty(self):
+        quartic._curve_setup.cache_clear()
+        elliptic._PAIR_MEMO.clear()
+        yield
+        quartic._curve_setup.cache_clear()
+        elliptic._PAIR_MEMO.clear()
+
+    def test_equal_curves_of_other_type_keep_apart(self):
+        assert self.COMPLEX == self.REAL
+        for order in ((self.REAL, self.COMPLEX), (self.COMPLEX, self.REAL)):
+            quartic._curve_setup.cache_clear()
+            for curve in order:
+                y = weierstrass_solution(curve, 1.0, 1, self.XI)
+                scalar = weierstrass_solution(curve, 1.0, -1, 0.4)
+                want = complex if curve is self.COMPLEX else float
+                assert y.dtype == want and type(scalar) is want
+                assert np.real(solution_denominator(curve, 1.0, 0.4)) != 0.0
+        assert quartic._curve_setup.cache_info().currsize == 2
+
+    def test_hit_is_bit_equal_to_fresh(self):
+        for curve in (self.REAL, self.COMPLEX, z_curve(with_branch(REFERENCE_PARAMS, -1, 1))):
+            quartic._curve_setup.cache_clear()
+            elliptic._PAIR_MEMO.clear()
+            fresh = weierstrass_solution(curve, 1.0, 1, self.XI)
+            elliptic._PAIR_MEMO.clear()
+            hits = quartic._curve_setup.cache_info().hits
+            again = weierstrass_solution(curve, 1.0, 1, self.XI)
+            assert quartic._curve_setup.cache_info().hits == hits + 1
+            assert again.tobytes() == fresh.tobytes()
+
+    def test_errors_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(NegativeRadicand):
+                weierstrass_solution(self.REAL, -3.0, 1, 0.5)
+        assert quartic._curve_setup.cache_info().currsize == 0

@@ -12,7 +12,9 @@ from cnlse_ansatz import (
     ansatz_divergence,
     divergence_from,
     mass,
+    q_curve,
     raised_cosine_taper,
+    solution_denominator,
     soliton_field,
     split_step_evolve,
     with_branch,
@@ -267,6 +269,16 @@ class TestAnsatzDivergence:
         grid = SpectralGrid(x_min=-1.25, x_max=1.25, n=256, dt=1e-3)
         with pytest.raises(WindowContainsPole):
             ansatz_divergence(p, grid, t_end=0.5)
+
+    def test_mirror_point_is_not_a_pole(self, no_aliasing_warning):
+        # the denominator changes sign at the mirror point x = -0.942 of the
+        # pp pole at +0.940, where the numerator vanishes with it
+        p = with_branch(REFERENCE_PARAMS, 1, 1)
+        grid = SpectralGrid(x_min=-1.25, x_max=0.6, n=256, dt=1e-3)
+        den = solution_denominator(q_curve(p, 0.0), p.Q0, np.linspace(-1.25, 0.6, 1025))
+        assert np.any(np.sign(den[:-1]) != np.sign(den[1:]))
+        series = ansatz_divergence(p, grid, t_end=0.1)
+        assert len(series.points) == 6
 
     def test_infinite_end_time_rejected_before_the_pole_screen(self):
         p = with_branch(REFERENCE_PARAMS, -1, -1)

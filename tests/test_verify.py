@@ -164,6 +164,18 @@ class TestAlgebraicResiduals:
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_R1(p, t) <= 1e-10, name
 
+    @pytest.mark.parametrize("x, tol", [(1e4, 1e-10), (1e5, 1e-10), (1e6, 1e-9)])
+    def test_r2_reduces_whole_periods(self, x, tol):
+        # the profile lattice has the real period 2w_Q = 5.492 at every t;
+        # without the reduction the fixed step reads the spacing of floats
+        # near x: 4e-10 at 1e4, 2.2e-8 at 1e5 and 1.4e-7 to 2.2e-7 at 1e6.
+        # 1e6 reduces to x = 1.886, 0.25 short of the pp pole (Q = 5.6 and
+        # -6.8 on pp and mp), where r2 itself reads 1.2e-10 and 2.6e-10
+        for name, (sz, sq) in BRANCHES.items():
+            p = with_branch(REFERENCE_PARAMS, sz, sq)
+            for at in (x, -x):
+                assert residual_R2(p, at, 1.0) <= tol, (name, at)
+
     @pytest.mark.parametrize("k", [2, 100, 2047])
     def test_r1_across_a_fold_edge(self, k):
         # t = (k + 1/2) 2w reduces by k whole periods to half a period,
