@@ -18,7 +18,7 @@ import sys
 import time
 import types
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -34,12 +34,7 @@ from .ansatz import (
     z_curve,
 )
 from .elliptic import EllipticInvariants, cubic_roots, wp_pair
-from .errors import (
-    AliasingWarning,
-    PoleProximity,
-    RealityViolation,
-    StencilOutOfDomain,
-)
+from .errors import AliasingWarning, StencilOutOfDomain
 from .quartic import (
     QuarticCurve,
     eval_with_derivatives,
@@ -335,10 +330,7 @@ def _timestamp() -> str:
 
 
 def _params_dict(params: AnsatzParams) -> dict:
-    return {
-        "q": params.q, "c1": params.c1, "c2": params.c2, "c3": params.c3,
-        "z0": params.z0, "Q0": params.Q0, "phi0": params.phi0,
-    }
+    return {k: v for k, v in asdict(params).items() if k not in ("sigma_z", "sigma_Q")}
 
 
 def _write_table(rc: RunConfig, meta: dict, columns, key: str, records) -> None:
@@ -412,7 +404,8 @@ def cmd_scan(rc: RunConfig) -> int:
     pars = [with_branch(rc.params, sz, sq) for _, (sz, sq) in rc.branches]
     # t, then x, then the branch: each time's memoised state serves its x
     # row, and the branches evaluated back to back share the z-curve's and
-    # the two profile-curve families' wp arguments through wp_pair's memo.
+    # the two profile-curve families' wp arguments through wp_pair's memo
+    # (which holds every distinct call of an 11x11 scan).
     # The reports are written branch, then x, then t.
     by_t = [[[report_at(par, x, t) for par in pars] for x in xs] for t in ts]
     reports = [by_t[j][i][b] for b in range(len(pars))
@@ -678,8 +671,9 @@ def main(argv=None) -> int:
         if ns.mode == "elliptic":
             return cmd_elliptic(ns)
         return _DISPATCH[ns.mode](_resolve_run(ns))
-    # the package's other failure classes all derive from ValueError
-    except (CliError, PoleProximity, RealityViolation, ValueError, OSError) as exc:
+    # the package's failure classes derive from ValueError or, as a float
+    # overflow does, from ArithmeticError
+    except (CliError, ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,18 +24,16 @@ grows with |u|.  Complex invariants, which carry a complex-step
 derivative, are never folded: a period computed from them would bring the
 derivative of the period into the argument.
 
-``wp_pair`` memoises its results in a least recently used store of at most
-MEMO_ELEMENTS arguments, keyed by the exact bits of the arguments and the
-invariants.  A hit returns the bits a fresh evaluation would, so callers
-that revisit an argument (the four slope branches of a scan share the
-orbit's arguments) pay for it once; errors are raised on every call and
+``wp_pair`` memoises calls of at most MEMO_ARGS arguments in an
+``lru_cache`` of MEMO_CALLS calls, keyed by the exact bits of the arguments
+and the invariants.  A hit returns the bits a fresh evaluation would, so
+callers that revisit an argument (the four slope branches of a scan share
+the orbit's arguments) pay for it once; errors are raised on every call and
 never stored.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,51 +139,23 @@ def _halving_scale(g2: float, g3: float) -> float:
     return max(1.0, (abs(g2) / 5.0) ** 0.25, (abs(g3) / 5.0) ** (1.0 / 6.0))
 
 
-class _PairMemo:
-    """Least recently used store of computed (wp, wp') pairs, each kept as
-    private copies of the two arrays and bounded by the number of arguments
-    held, not by the number of entries.  A lock keeps the entries and their
-    count consistent when threads share the memo."""
-
-    def __init__(self, max_elements: int):
-        self.max_elements = max_elements
-        self.elements = 0
-        self.entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            pair = self.entries.get(key)
-            if pair is not None:
-                self.entries.move_to_end(key)
-            return pair
-
-    def put(self, key, W: np.ndarray, W1: np.ndarray) -> None:
-        size = W.size
-        if not 0 < size <= self.max_elements:
-            return
-        pair = (W.copy(), W1.copy())
-        with self._lock:
-            if key in self.entries:  # another thread stored it meanwhile
-                return
-            self.entries[key] = pair
-            self.elements += size
-            while self.elements > self.max_elements:
-                self.elements -= self.entries.popitem(last=False)[1][0].size
-
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-            self.elements = 0
+# Bounds of the wp_pair memo, from its traffic in the benchmark's
+# four-branch 11x11 scan: 5,276 calls of 1 (3,608 calls), 5 (1,452), 16
+# (212) or 256 (4) arguments cost 1,168 evaluations, and MEMO_CALLS holds
+# every distinct call of up to MEMO_ARGS arguments, so none is evicted.
+# The cap lets the 256-argument phase chunks and the 4,097-point pole
+# screen of the spectral cross-check pass through without being stored.
+MEMO_ARGS = 16
+MEMO_CALLS = 2048
 
 
-# Bound of the wp_pair memo, in stored arguments.  It holds a four-branch
-# scan's rows several times over (a row is a few hundred arguments),
-# so the rare bit-equal profile curves of distant times are shared too,
-# while the 4,097-point pole screen of the spectral cross-check passes
-# through without being stored.
-MEMO_ELEMENTS = 4096
-_PAIR_MEMO = _PairMemo(MEMO_ELEMENTS)
+# typed, with the invariants' bytes in the key: 1.0 and 1+0j, complex and
+# np.complex128 (summed to different last bits by _laurent_matrix), and
+# 0.0 and -0.0 never share an entry
+@lru_cache(maxsize=MEMO_CALLS, typed=True)
+def _evaluate_memoised(u_bytes: bytes, g2: complex, g3: complex, g_bytes: bytes):
+    uf = np.frombuffer(u_bytes, dtype=complex)
+    return _evaluate(uf, np.abs(uf), EllipticInvariants(g2, g3))
 
 
 def wp_pair(u, inv: EllipticInvariants):
@@ -213,12 +183,13 @@ def wp_pair(u, inv: EllipticInvariants):
 
     Results are memoised: the four slope branches share the z-curve's
     arguments, two of them share each profile curve, and a residual
-    revisits arguments its neighbours already evaluated.  The key is the
-    exact bits and dtypes of ``u``, ``g2`` and ``g3``, so 1.0 and 1+0j,
-    or 0.0 and -0.0, never share an entry, and a hit returns the very bits
-    a fresh evaluation would.  The memo keeps the most recently used
-    MEMO_ELEMENTS arguments; a batch larger than that is evaluated and not
-    stored.  Arrays are returned as copies, so a caller cannot change a
+    revisits arguments its neighbours already evaluated.  A call of at most
+    MEMO_ARGS arguments goes through a least recently used cache of
+    MEMO_CALLS calls; a larger batch is evaluated and not stored.  The key
+    is the exact bits of ``u`` as complex, and ``g2`` and ``g3`` with their
+    types and bits, so 1.0 and 1+0j invariants, or 0.0 and -0.0, never
+    share an entry, and a hit returns the very bits a fresh evaluation
+    would.  Arrays are returned as copies, so a caller cannot change a
     stored entry.  The input checks run on every call, and a call that
     raises stores nothing.
 
@@ -235,17 +206,11 @@ def wp_pair(u, inv: EllipticInvariants):
             f"wp argument within {POLE_EPSILON:g} of the double pole at u = 0"
         )
 
-    # the evaluation reads u only as uf; the dtypes keep real and complex
-    # callers apart, and the bytes tell 0.0 from -0.0
-    g2, g3 = np.asarray(inv.g2), np.asarray(inv.g3)
-    key = (u_arr.shape, u_arr.dtype.str + g2.dtype.str + g3.dtype.str,
-           uf.tobytes() + g2.astype(complex).tobytes() + g3.astype(complex).tobytes())
-    pair = _PAIR_MEMO.get(key)
-    if pair is None:
+    if uf.size > MEMO_ARGS:
         W, W1 = _evaluate(uf, au, inv)
-        _PAIR_MEMO.put(key, W, W1)
     else:
-        W, W1 = pair[0].copy(), pair[1].copy()
+        g_bytes = np.array([inv.g2, inv.g3], dtype=complex).tobytes()
+        W, W1 = (a.copy() for a in _evaluate_memoised(uf.tobytes(), inv.g2, inv.g3, g_bytes))
     if u_arr.ndim == 0:
         return complex(W[0]), complex(W1[0])
     return W.reshape(u_arr.shape), W1.reshape(u_arr.shape)

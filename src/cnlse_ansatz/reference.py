@@ -19,7 +19,7 @@ from boundary artifacts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -168,9 +168,7 @@ class DivergenceSeries:
     def to_json_dict(self) -> dict:
         return {
             "metadata": dict(self.metadata, monotone=self.monotone),
-            "points": [
-                {"t": p.t, "l2": p.l2, "linf": p.linf} for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
         }
 
 

@@ -24,7 +24,7 @@ fixed settings: the default ``DiffConfig`` steps and the envelope
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -91,17 +91,7 @@ class ResidualReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "t": self.t,
-            "sigma_z": self.sigma_z,
-            "sigma_q": self.sigma_q,
-            "P": self.P,
-            "r1": self.r1,
-            "r2": self.r2,
-            "pde_abs": self.pde_abs,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _extrapolate(estimates) -> float:

@@ -92,6 +92,23 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {message}, got ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args", [
+        ["elliptic", "--g2", "1e300", "--g3", "1", "--u", "0.5"],
+        ["elliptic", "--g2", "1", "--g3", "1e200", "--u", "0.5"],
+        ["residuals", "--c2", "1e200", "--t", "30"],
+        ["scan", "--c2", "1e200", "--grid", "1:1:1,30:30:1"],
+    ])
+    def test_float_overflow_is_an_error_line(self, args):
+        # a Python-float power in the invariants or the discriminant raises
+        # OverflowError, an ArithmeticError
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnlse_ansatz", *args],
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bare_tolerance_rebinds_all(self, capsys):
         # 1e-6 is loose for r1, r2 but far too tight for the 0.113 match,
         # so the run is valid but matchless
@@ -280,7 +297,7 @@ class TestScan:
         # through the shared wp memo; each branch scanned alone, from an
         # empty memo, must give the same bytes
         def records(branch):
-            elliptic._PAIR_MEMO.clear()
+            elliptic._evaluate_memoised.cache_clear()
             out = tmp_path / f"{branch}.json"
             assert main(["scan", "--branch", branch, "--grid", "0.2:1.2:3,0.2:1.2:3",
                          "--format", "json", "--out", str(out)]) == 0
@@ -306,7 +323,7 @@ class TestScan:
         z_bits = (np.asarray(inv.g2).tobytes(), np.asarray(inv.g3).tobytes())
 
         def z_curve_evaluations(branch):
-            elliptic._PAIR_MEMO.clear()
+            elliptic._evaluate_memoised.cache_clear()
             evaluated.clear()
             assert main(["scan", "--branch", branch, "--grid", "0.2:1.2:3,0.2:1.2:3",
                          "--out", os.devnull]) == 0

@@ -152,12 +152,12 @@ class TestRealPeriod:
         # |u| <= 4 * threshold needs at most two halvings: such a batch never
         # asks for the period and keeps its bits exactly
         u = np.array([0.3, 1.2, 1.99, 1.5 + 0.8j, -1.9])
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
         want = _bits(wp_pair(u, INV))
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
         monkeypatch.setattr(elliptic, "real_period", _no_call)
         assert _bits(wp_pair(u, INV)) == want
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
 
     def test_lattice_point_folds_off_the_pole(self):
         # 2w itself folds onto +-2w, not onto the pole at 0
@@ -300,17 +300,21 @@ class TestMemo:
             seen.append(uf.size)
             return evaluate(uf, *args)
 
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
         monkeypatch.setattr(elliptic, "_evaluate", spy)
         yield seen
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
 
     @staticmethod
     def fresh(u, inv):
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
         pair = wp_pair(u, inv)
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
         return pair
+
+    @staticmethod
+    def stored():
+        return elliptic._evaluate_memoised.cache_info().currsize
 
     @pytest.mark.parametrize("u, inv", [
         (0.7, INV),
@@ -330,7 +334,6 @@ class TestMemo:
         # Python compares each of these pairs equal; the memo must not
         variants = [
             (0.5, INV),
-            (0.5 + 0j, INV),
             (complex(0.5, -0.0), INV),
             (0.5, EllipticInvariants(complex(INV.g2), complex(INV.g3))),
             (0.5, EllipticInvariants(0.0, 1.0)),
@@ -340,8 +343,21 @@ class TestMemo:
         evaluations.clear()
         got = [_bits(wp_pair(u, inv)) for u, inv in variants]
         assert evaluations == [1] * len(variants)
-        assert len(elliptic._PAIR_MEMO.entries) == len(variants)
+        assert self.stored() == len(variants)
         assert got == want
+
+    def test_complex_types_of_equal_invariants_keep_apart(self, evaluations):
+        # a complex-stepped profile curve of pp at t = 0.8: equal in value
+        # and hash, complex and np.complex128 invariants give a Laurent sum
+        # different in the last bits, so each must get its own evaluation
+        g2 = complex(0.7333333333333334, 2.1895288505075267e-47)
+        g3 = complex(-0.11254629629629623, 5.610667679425537e-47)
+        invs = [EllipticInvariants(g2, g3),
+                EllipticInvariants(np.complex128(g2), np.complex128(g3))]
+        u = np.array([1.0, 2.0])
+        want = [_bits(self.fresh(u, inv)) for inv in invs]
+        assert want[0] != want[1]
+        assert [_bits(wp_pair(u, inv)) for inv in invs] == want
 
     def test_laurent_coefficients_follow_the_invariant_type(self):
         # float and complex coefficient sums differ in the last bits, so an
@@ -376,40 +392,47 @@ class TestMemo:
             with pytest.raises(PoleProximity):
                 wp_pair(0.0, INV)
         assert evaluations == [1]
-        assert len(elliptic._PAIR_MEMO.entries) == 1
+        assert self.stored() == 1
 
     def test_oversize_batch_not_retained(self, evaluations):
         wp_pair(0.5, INV)
-        u = np.linspace(0.1, 2.0, elliptic.MEMO_ELEMENTS + 1)
+        u = np.linspace(0.1, 2.0, elliptic.MEMO_ARGS + 1)
         first = wp_pair(u, INV)
         assert _bits(wp_pair(u, INV)) == _bits(first)
         assert evaluations == [1, u.size, u.size]
         # nor does it push out what the memo held
-        assert elliptic._PAIR_MEMO.elements == 1
+        assert self.stored() == 1
         wp_pair(0.5, INV)
         assert evaluations == [1, u.size, u.size]
 
-    def test_bound_evicts_least_recently_used(self, evaluations, monkeypatch):
-        monkeypatch.setattr(elliptic._PAIR_MEMO, "max_elements", 10)
-        a, b, c = (np.linspace(lo, lo + 0.4, 5) for lo in (0.2, 0.7, 1.2))
-        wp_pair(a, INV)
-        wp_pair(b, INV)
-        wp_pair(a, INV)  # a is now the most recently used
-        wp_pair(c, INV)  # evicts b
-        assert elliptic._PAIR_MEMO.elements == 10
-        evaluations.clear()
-        wp_pair(a, INV)
-        wp_pair(c, INV)
-        assert evaluations == []
-        wp_pair(b, INV)
-        assert evaluations == [5]
+    def test_first_call_is_evicted_after_memo_calls_more(self, evaluations):
+        u = 0.2 + np.arange(elliptic.MEMO_CALLS + 1) / elliptic.MEMO_CALLS
+        for arg in u:
+            wp_pair(arg, INV)
+        assert evaluations == [1] * u.size
+        wp_pair(u[-1], INV)
+        wp_pair(u[0], INV)
+        assert evaluations == [1] * (u.size + 1)
 
-    def test_threads_share_the_memo(self, monkeypatch):
-        # a small bound makes the threads evict each other's entries while
-        # they hit and fill the memo; a lost update would leave the count off
-        monkeypatch.setattr(elliptic._PAIR_MEMO, "max_elements", 12)
-        args = [np.linspace(0.2 + 0.1 * k, 0.6 + 0.1 * k, 1 + k % 4) for k in range(10)]
-        want = [_bits(self.fresh(u, INV)) for u in args]
+    def test_bound_evicts_least_recently_used(self, evaluations):
+        # the first call, called again after the second, outlives it
+        u = 0.2 + np.arange(elliptic.MEMO_CALLS + 1) / elliptic.MEMO_CALLS
+        for arg in (u[0], u[1], u[0], *u[2:]):
+            wp_pair(arg, INV)
+        assert self.stored() == elliptic.MEMO_CALLS
+        evaluations.clear()
+        wp_pair(u[0], INV)
+        wp_pair(u[-1], INV)
+        assert evaluations == []
+        wp_pair(u[1], INV)
+        assert evaluations == [1]
+
+    def test_threads_share_the_memo(self):
+        # more distinct calls than the memo holds, so the threads evict each
+        # other's entries while they hit and fill it
+        args = [np.linspace(0.2, 0.6, 1 + k % 4) + 1e-4 * k
+                for k in range(elliptic.MEMO_CALLS + 64)]
+        want = [_bits(wp_pair(u, INV)) for u in args]  # each call a fresh one
         errors = []
 
         def work(seed):
@@ -433,5 +456,4 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        memo = elliptic._PAIR_MEMO
-        assert memo.elements == sum(v[0].size for v in memo.entries.values()) <= 12
+        assert self.stored() == elliptic.MEMO_CALLS

@@ -309,10 +309,10 @@ class TestSetupMemo:
     @pytest.fixture(autouse=True)
     def empty(self):
         quartic._curve_setup.cache_clear()
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
         yield
         quartic._curve_setup.cache_clear()
-        elliptic._PAIR_MEMO.clear()
+        elliptic._evaluate_memoised.cache_clear()
 
     def test_equal_curves_of_other_type_keep_apart(self):
         assert self.COMPLEX == self.REAL
@@ -329,9 +329,9 @@ class TestSetupMemo:
     def test_hit_is_bit_equal_to_fresh(self):
         for curve in (self.REAL, self.COMPLEX, z_curve(with_branch(REFERENCE_PARAMS, -1, 1))):
             quartic._curve_setup.cache_clear()
-            elliptic._PAIR_MEMO.clear()
+            elliptic._evaluate_memoised.cache_clear()
             fresh = weierstrass_solution(curve, 1.0, 1, self.XI)
-            elliptic._PAIR_MEMO.clear()
+            elliptic._evaluate_memoised.cache_clear()
             hits = quartic._curve_setup.cache_info().hits
             again = weierstrass_solution(curve, 1.0, 1, self.XI)
             assert quartic._curve_setup.cache_info().hits == hits + 1
