@@ -15,7 +15,7 @@ the spectral cross-check take, is ``partial(field_A, params)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -150,14 +150,16 @@ def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCur
     )
 
 
-def _panel_values(params: AnsatzParams, edges: np.ndarray) -> np.ndarray:
-    """Weighted Gauss-Legendre node values of z on the panels between the
-    ``edges``, all in one orbit batch: their sum is the integral."""
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()
-    z = weierstrass_solution(z_curve(params), params.z0, params.sigma_z, nodes)
+def _panel_values(params: AnsatzParams, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Weighted Gauss-Legendre node values of z on the panels [lo, hi], for
+    lo and hi of shape (rows, panels), all in one orbit batch whose rows
+    each share one halving depth: their sum is the integral."""
+    half = 0.5 * (hi - lo)[..., None]
+    nodes = lo[..., None] + half * (1.0 + _GL_X)
+    rows = nodes.reshape(len(lo), lo.shape[1] * PHASE_NODES)
+    z = weierstrass_solution(z_curve(params), params.z0, params.sigma_z, rows).reshape(nodes.shape)
     _require_real_z(z, nodes)
-    return (half * _GL_W * z.reshape(half.shape[0], PHASE_NODES)).ravel()
+    return half * _GL_W * z
 
 
 @lru_cache(maxsize=256)
@@ -165,21 +167,29 @@ def _panel_chunk(params: AnsatzParams, sign: float, m: int) -> np.ndarray:
     """Node values of the whole panels m PHASE_CHUNK .. (m + 1) PHASE_CHUNK
     - 1 in the direction sign, in one batch.  The chunks are the table the
     phase reads, so its bits do not depend on which times came first."""
-    panels = np.arange(m * PHASE_CHUNK, (m + 1) * PHASE_CHUNK + 1)
-    return _panel_values(params, sign * PHASE_PANEL * panels)
+    edges = sign * PHASE_PANEL * np.arange(m * PHASE_CHUNK, (m + 1) * PHASE_CHUNK + 1)
+    return _panel_values(params, edges[None, :-1], edges[None, 1:]).ravel()
 
 
-def _z_integral(params: AnsatzParams, t: float) -> float:
-    """Integral of z over [0, t] by a composite Gauss-Legendre rule with panel
-    edges at the multiples of PHASE_PANEL, so its error, at round-off here,
-    is continuous in t: the table's whole panels and the partial one."""
-    sign = math.copysign(1.0, t)
-    j = math.floor(abs(t) / PHASE_PANEL)
-    chunks = [_panel_chunk(params, sign, m) for m in range(-(-j // PHASE_CHUNK))]
-    whole = np.concatenate(chunks + [np.empty(0)])[:j * PHASE_NODES]
-    edge = sign * j * PHASE_PANEL
-    rest = _panel_values(params, np.array([edge, t])) if t != edge else ()
-    return float(np.sum(np.concatenate((whole, rest))))
+def _z_integrals(params: AnsatzParams, ts: np.ndarray) -> np.ndarray:
+    """Integral of z over [0, t] for each t of ts by a composite
+    Gauss-Legendre rule with panel edges at the multiples of PHASE_PANEL, so
+    its error, at round-off here, is continuous in t: the table's whole
+    panels and one partial panel per t.  The partial panels are one batch,
+    a row each, so each keeps the halving depth it has alone."""
+    sign = np.copysign(1.0, ts)
+    whole = np.floor(np.abs(ts) / PHASE_PANEL).astype(int)
+    edge = sign * whole * PHASE_PANEL
+    partial = ts != edge
+    rest = iter(_panel_values(params, edge[partial, None], ts[partial, None]))
+    out = np.empty(ts.shape)
+    for i, (s, j) in enumerate(zip(sign, whole)):
+        chunks = [_panel_chunk(params, s, m) for m in range(-(-j // PHASE_CHUNK))]
+        values = np.concatenate(chunks + [np.empty(0)])[:j * PHASE_NODES]
+        if partial[i]:
+            values = np.concatenate((values, next(rest).ravel()))
+        out[i] = np.sum(values)
+    return out
 
 
 def _split_periods(curve: QuarticCurve, t: float):
@@ -194,56 +204,116 @@ def _split_periods(curve: QuarticCurve, t: float):
 @lru_cache(maxsize=64)
 def _period_integral(params: AnsatzParams, sign: float) -> float:
     """Integral of z over one real period, [0, sign 2w]."""
-    return _z_integral(params, sign * real_period(invariants_from_coefficients(z_curve(params))))
+    period = real_period(invariants_from_coefficients(z_curve(params)))
+    return float(_z_integrals(params, np.array([sign * period]))[0])
 
 
-def phi_of_t(params: AnsatzParams, t: float) -> float:
-    """Phase phi(t) = phi0 + c1 t - 2 q * integral of z over [0, t].
+def phi_of_t(params: AnsatzParams, t):
+    """Phase phi(t) = phi0 + c1 t - 2 q * integral of z over [0, t], for
+    scalar or array t.
 
     z is periodic with the real period 2w of its lattice, so with
     |t| = k 2w + r, 0 <= r < 2w, the integral is k I + (integral over
     [0, +-r]), where I, the integral over one period in the direction of
     t, is computed once per parameter set.  Both integrals read the same
-    table of whole panels (see ``_z_integral``), so phi is continuous as
+    table of whole panels (see ``_z_integrals``), so phi is continuous as
     r reaches 2w, as the FD time stencil of the envelope needs, and a new
-    t costs one partial panel.  Below one period, and for a lattice
-    without a real period, it is the plain integral over [0, t]."""
-    t = float(t)
-    k, rest = _split_periods(z_curve(params), t)
-    integral = _z_integral(params, rest)
-    if k:
-        integral += k * _period_integral(params, math.copysign(1.0, t))
-    return params.phi0 + params.c1 * t - 2.0 * params.q * integral
+    t costs one partial panel.  The partial panels of all the times are one
+    orbit batch, in which each time keeps the halving depth it has alone,
+    so a time's phase has the same bits in any array.  Below one period,
+    and for a lattice without a real period, it is the plain integral over
+    [0, t]."""
+    ta = np.asarray(t, dtype=float)
+    ts = ta.ravel()
+    curve = z_curve(params)
+    splits = [_split_periods(curve, float(s)) for s in ts]
+    integral = _z_integrals(params, np.array([r for _, r in splits]))
+    for i, (k, _) in enumerate(splits):
+        if k:
+            integral[i] += k * _period_integral(params, math.copysign(1.0, ts[i]))
+    phi = params.phi0 + params.c1 * ts - 2.0 * params.q * integral
+    return float(phi[0]) if ta.ndim == 0 else phi.reshape(ta.shape)
+
+
+class _PhaseBatch:
+    """The phase factors of the times of one state batch, from one
+    ``phi_of_t`` call on first use: a state that only P, r1 or r2 read
+    never pays for its phase."""
+
+    def __init__(self, params: AnsatzParams, ts: tuple):
+        self.params = params
+        self.ts = ts
+
+    @cached_property
+    def factors(self) -> list:
+        return [complex(f) for f in np.exp(1j * phi_of_t(self.params, np.array(self.ts)))]
 
 
 @dataclass(frozen=True)
 class TimeState:
     """State of the construction at one time t.  The phase factor is built
-    on first use: only the envelope reads it."""
+    on first use, for every time of the batch that built the state at once:
+    only the envelope reads it."""
 
-    params: AnsatzParams
     t: float
     z: float
     zt: float
     curve: QuarticCurve  # the quartic solved by Q(., t)
     sqrt_z: float
+    phases: _PhaseBatch = field(repr=False, compare=False)
+    index: int = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def phase(self) -> complex:
         """e^{i phi(t)}."""
-        return complex(np.exp(1j * phi_of_t(self.params, self.t)))
+        return self.phases.factors[self.index]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=64)
+def _orbit_params(params: AnsatzParams) -> AnsatzParams:
+    # the orbit, the phase and the profile curve do not read sigma_Q, so the
+    # two sigma_Q branches of a sigma_z share their per-time states
+    return with_branch(params, params.sigma_z, 1)
+
+
+# Per-time states by (params with sigma_Q = +1, t), filled a batch at a time.
+# A scan row holds 5 times per sigma_z (its centre and the 4 times of the
+# envelope's time stencil); when a batch would pass STATES_MAX the memo is
+# emptied, since a scan does not return to a time row it has finished.
+STATES_MAX = 1024
+_STATES: dict = {}
+
+
+def time_states(params: AnsatzParams, ts) -> list:
+    """The per-time states at the times ts (scalar or array), as a list.
+
+    The times without a memoised state are one batch: their orbit states
+    (z, z_t) come from one ``z_with_rate`` call, in which each time keeps
+    the halving depth it has alone, and their phases from one ``phi_of_t``
+    call on first use.  So a state has the same bits whichever batch built
+    it, and ``time_state`` is the batch of one.  params and states are
+    frozen, so sharing them is safe."""
+    params = _orbit_params(params)
+    ts = [float(t) for t in np.ravel(ts)]
+    found = {t: _STATES.get((params, t)) for t in ts}
+    new = tuple(t for t, st in found.items() if st is None)
+    if new:
+        z, zt = z_with_rate(params, np.array(new)[:, None])
+        phases = _PhaseBatch(params, new)
+        if len(_STATES) + len(new) > STATES_MAX:
+            _STATES.clear()
+        for i, t in enumerate(new):
+            zi, zti = float(z[i, 0]), float(zt[i, 0])
+            found[t] = _STATES[params, t] = TimeState(
+                t, zi, zti, _q_curve_from_state(params, zi, zti), math.sqrt(zi), phases, i
+            )
+    return [found[t] for t in ts]
+
+
 def time_state(params: AnsatzParams, t: float) -> TimeState:
-    """The per-time state at scalar t, memoised for the stencils and scans that
-    revisit the same times; params and state are frozen, so sharing is safe.
-    A scan point holds 5 times live per branch (its centre and the 4 times
-    of the envelope's time stencil), so any bound of 20 or more serves a scan,
-    which visits a time's x row once for all four branches."""
-    t = float(t)
-    z, zt = map(float, z_with_rate(params, t))
-    return TimeState(params, t, z, zt, _q_curve_from_state(params, z, zt), math.sqrt(z))
+    """The per-time state at scalar t: the batch of one of ``time_states``,
+    memoised with it for the stencils and scans that revisit the same times."""
+    return time_states(params, t)[0]
 
 
 def q_curve(params: AnsatzParams, t: float) -> QuarticCurve:

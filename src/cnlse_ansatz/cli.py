@@ -27,7 +27,6 @@ from .ansatz import (
     BRANCHES,
     REFERENCE_PARAMS,
     AnsatzParams,
-    Q_of_xt,
     _q_curve_from_state,
     field_A,
     with_branch,
@@ -47,6 +46,7 @@ from .verify import (
     DiffConfig,
     ResidualReport,
     _central_differences,
+    _P_and_Q,
     _pole_note,
     _rel_dev,
     _stencil_offsets,
@@ -55,7 +55,6 @@ from .verify import (
     cnlse_residual,
     convergence_order,
     report_at,
-    residual_P,
     residual_R1,
     residual_R2,
     soliton_field,
@@ -124,37 +123,46 @@ def _fmt12(v) -> str:
     return str(v)
 
 
-def _build_parser() -> _Parser:
+def _add_run_flags(sp) -> None:
+    for flag in _PARAM_FLAGS:
+        sp.add_argument(f"--{flag}", type=float, default=None)
+    sp.add_argument("--x", type=float, default=None)
+    sp.add_argument("--t", type=float, default=None)
+    sp.add_argument("--branch", choices=list(BRANCH_ORDER) + ["all"], default=None)
+    sp.add_argument("--grid", default=None,
+                    help="X0:X1:NX,T0:T1:NT (scan) or window X0:X1:N (evolve)")
+    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--tol", action="append", default=None,
+                    help="NAME=VALUE, or a bare VALUE for all checks")
+    sp.add_argument("--config", default=None, help="JSON file mirroring flag names")
+    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
+    sp.add_argument("--skip", action="append", default=None,
+                    help="selftest: skip a module suite (repeatable)")
+
+
+def _add_elliptic_flags(sp) -> None:
+    sp.add_argument("--g2", type=float, required=True)
+    sp.add_argument("--g3", type=float, required=True)
+    sp.add_argument("--u", type=complex, required=True)
+    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    sp.add_argument("--out", default=None)
+
+
+def _build_parser(argv) -> _Parser:
+    """The parser of ``argv``: every mode is a sub-command, but only the one
+    invoked, the first mode name in ``argv``, gets its flags, since argparse
+    reads no other and building them all costs milliseconds.  The top-level
+    parser has no option that takes a value, so that name is the one
+    argparse dispatches to."""
     parser = _Parser(prog="cnlse-ansatz", description=__doc__)
     sub = parser.add_subparsers(dest="mode")
-
-    def add_common(sp):
-        for flag in _PARAM_FLAGS:
-            sp.add_argument(f"--{flag}", type=float, default=None)
-        sp.add_argument("--x", type=float, default=None)
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--branch", choices=list(BRANCH_ORDER) + ["all"], default=None)
-        sp.add_argument("--grid", default=None,
-                        help="X0:X1:NX,T0:T1:NT (scan) or window X0:X1:N (evolve)")
-        sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--tol", action="append", default=None,
-                        help="NAME=VALUE, or a bare VALUE for all checks")
-        sp.add_argument("--config", default=None, help="JSON file mirroring flag names")
-        sp.add_argument("--dt", type=float, default=None)
-        sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-        sp.add_argument("--skip", action="append", default=None,
-                        help="selftest: skip a module suite (repeatable)")
-
-    for mode in ("paper-check", "scan", "residuals", "pde", "evolve", "selftest"):
-        add_common(sub.add_parser(mode))
-
-    ell = sub.add_parser("elliptic")
-    ell.add_argument("--g2", type=float, required=True)
-    ell.add_argument("--g3", type=float, required=True)
-    ell.add_argument("--u", type=complex, required=True)
-    ell.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    ell.add_argument("--out", default=None)
+    invoked = next((arg for arg in argv if arg in MODES), None)
+    for mode in MODES:
+        sp = sub.add_parser(mode)
+        if mode == invoked:
+            (_add_elliptic_flags if mode == "elliptic" else _add_run_flags)(sp)
     return parser
 
 
@@ -366,12 +374,12 @@ def cmd_paper_check(rc: RunConfig) -> int:
     rows = []
     for name, (sz, sq) in rc.branches:
         par = with_branch(rc.params, sz, sq)
+        p_val, q_val = _P_and_Q(par, rc.x, rc.t)
         rows.append((
-            name, sz, sq,
-            float(residual_P(par, rc.x, rc.t)),
+            name, sz, sq, float(p_val),
             float(residual_R1(par, rc.t)),
             float(residual_R2(par, rc.x, rc.t)),
-            _pole_note(Q_of_xt(par, rc.x, rc.t)),
+            _pole_note(q_val),
         ))
     with _output(rc.out) as stream, contextlib.redirect_stdout(stream):
         print(f"point: x = {_fmt12(rc.x)}, t = {_fmt12(rc.t)}")
@@ -402,8 +410,9 @@ def cmd_paper_check(rc: RunConfig) -> int:
 def cmd_scan(rc: RunConfig) -> int:
     xs, ts = _parse_grid(rc.grid)
     pars = [with_branch(rc.params, sz, sq) for _, (sz, sq) in rc.branches]
-    # t, then x, then the branch: each time's memoised state serves its x
-    # row, and the branches evaluated back to back share the z-curve's and
+    # t, then x, then the branch: a time row's stencil states (one orbit
+    # and one phase batch per sigma_z, shared by both sigma_Q) and its r1
+    # serve the whole x row, and the branches evaluated back to back share
     # the two profile-curve families' wp arguments through wp_pair's memo
     # (which holds every distinct call of an 11x11 scan).
     # The reports are written branch, then x, then t.
@@ -659,20 +668,19 @@ _DISPATCH = {
     "evolve": cmd_evolve,
     "selftest": cmd_selftest,
 }
+MODES = (*_DISPATCH, "elliptic")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser(argv).parse_args(argv)
         if ns.mode is None:
-            raise CliError("a mode is required: paper-check, scan, residuals, "
-                           "pde, evolve, selftest, elliptic")
+            raise CliError(f"a mode is required: {', '.join(MODES)}")
         if ns.mode == "elliptic":
             return cmd_elliptic(ns)
         return _DISPATCH[ns.mode](_resolve_run(ns))
-    # the package's failure classes derive from ValueError or, as a float
-    # overflow does, from ArithmeticError
+    # the package's failure classes derive from ValueError or ArithmeticError
     except (CliError, ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,7 @@ never stored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,8 +65,18 @@ class EllipticInvariants:
 
     @property
     def discriminant(self) -> float:
-        """g2^3 - 27 g3^2, vanishing exactly on degenerate lattices."""
-        return self.g2 ** 3 - 27.0 * self.g3 ** 2
+        """g2^3 - 27 g3^2, vanishing exactly on degenerate lattices.  Raises
+        NonFiniteSamples when it overflows."""
+        try:
+            disc = self.g2 ** 3 - 27.0 * self.g3 ** 2
+        except OverflowError:  # a float power raises where a product reads inf
+            disc = math.inf
+        if not np.isfinite(disc):
+            raise NonFiniteSamples(
+                f"discriminant g2^3 - 27 g3^2 of g2 = {self.g2:g}, g3 = {self.g3:g} "
+                "overflows a float"
+            )
+        return disc
 
 
 # typed: float and complex invariants of equal value give coefficients that
@@ -140,11 +151,12 @@ def _halving_scale(g2: float, g3: float) -> float:
 
 
 # Bounds of the wp_pair memo, from its traffic in the benchmark's
-# four-branch 11x11 scan: 5,276 calls of 1 (3,608 calls), 5 (1,452), 16
-# (212) or 256 (4) arguments cost 1,168 evaluations, and MEMO_CALLS holds
+# four-branch 11x11 scan: 3,940 calls of 1 (2,904 calls), 5 (1,012), 64 (4),
+# 80 (18) or 256 (2) arguments cost 1,091 evaluations, and MEMO_CALLS holds
 # every distinct call of up to MEMO_ARGS arguments, so none is evicted.
-# The cap lets the 256-argument phase chunks and the 4,097-point pole
-# screen of the spectral cross-check pass through without being stored.
+# The cap stores the 16-node phase panel of a lone time but lets a time
+# row's phase batch (a panel per time), the 256-argument phase chunks and
+# the 4,097-point pole screen of the spectral cross-check pass through.
 MEMO_ARGS = 16
 MEMO_CALLS = 2048
 
@@ -153,9 +165,9 @@ MEMO_CALLS = 2048
 # np.complex128 (summed to different last bits by _laurent_matrix), and
 # 0.0 and -0.0 never share an entry
 @lru_cache(maxsize=MEMO_CALLS, typed=True)
-def _evaluate_memoised(u_bytes: bytes, g2: complex, g3: complex, g_bytes: bytes):
+def _evaluate_memoised(u_bytes: bytes, row: int, g2: complex, g3: complex, g_bytes: bytes):
     uf = np.frombuffer(u_bytes, dtype=complex)
-    return _evaluate(uf, np.abs(uf), EllipticInvariants(g2, g3))
+    return _evaluate(uf, np.abs(uf), EllipticInvariants(g2, g3), row)
 
 
 def wp_pair(u, inv: EllipticInvariants):
@@ -175,6 +187,9 @@ def wp_pair(u, inv: EllipticInvariants):
     difference stencil gets one depth and its error does not step where
     the halving count changes (a difference quotient would amplify the
     step), while a wide batch is not over-halved into amplified round-off.
+    A ``u`` of two or more dimensions is a stack of such batches, one per
+    row (its last axis): the depth is shared along each row only, so a
+    column of independent times keeps for each the bits it has alone.
 
     The invariants may be complex as well as real: the series and the
     duplication walk are analytic in (u, g2, g3), so a complex-step
@@ -186,12 +201,12 @@ def wp_pair(u, inv: EllipticInvariants):
     revisits arguments its neighbours already evaluated.  A call of at most
     MEMO_ARGS arguments goes through a least recently used cache of
     MEMO_CALLS calls; a larger batch is evaluated and not stored.  The key
-    is the exact bits of ``u`` as complex, and ``g2`` and ``g3`` with their
-    types and bits, so 1.0 and 1+0j invariants, or 0.0 and -0.0, never
-    share an entry, and a hit returns the very bits a fresh evaluation
-    would.  Arrays are returned as copies, so a caller cannot change a
-    stored entry.  The input checks run on every call, and a call that
-    raises stores nothing.
+    is the exact bits of ``u`` as complex, its row length, and ``g2`` and
+    ``g3`` with their types and bits, so 1.0 and 1+0j invariants, or 0.0
+    and -0.0, never share an entry, and a hit returns the very bits a
+    fresh evaluation would.  Arrays are returned as copies, so a caller
+    cannot change a stored entry.  The input checks run on every call, and
+    a call that raises stores nothing.
 
     Raises PoleProximity when any element sits within POLE_EPSILON of the
     double pole at the origin.
@@ -206,18 +221,22 @@ def wp_pair(u, inv: EllipticInvariants):
             f"wp argument within {POLE_EPSILON:g} of the double pole at u = 0"
         )
 
+    row = u_arr.shape[-1] if u_arr.ndim > 1 else uf.size
     if uf.size > MEMO_ARGS:
-        W, W1 = _evaluate(uf, au, inv)
+        W, W1 = _evaluate(uf, au, inv, row)
     else:
         g_bytes = np.array([inv.g2, inv.g3], dtype=complex).tobytes()
-        W, W1 = (a.copy() for a in _evaluate_memoised(uf.tobytes(), inv.g2, inv.g3, g_bytes))
+        W, W1 = (a.copy() for a in
+                 _evaluate_memoised(uf.tobytes(), row, inv.g2, inv.g3, g_bytes))
     if u_arr.ndim == 0:
         return complex(W[0]), complex(W1[0])
     return W.reshape(u_arr.shape), W1.reshape(u_arr.shape)
 
 
-def _evaluate(uf, au, inv: EllipticInvariants):
-    """(wp, wp') at the checked 1-d complex arguments ``uf`` (moduli ``au``)."""
+def _evaluate(uf, au, inv: EllipticInvariants, row: int = 0):
+    """(wp, wp') at the checked 1-d complex arguments ``uf`` (moduli ``au``),
+    whose consecutive runs of ``row`` arguments (all of them for 0) each
+    share one halving depth."""
     thr = HALVING_THRESHOLD / _halving_scale(inv.g2, inv.g3)
     far = au > 4.0 * thr  # would need three or more halvings
     period = real_period(inv) if far.any() else None
@@ -234,7 +253,8 @@ def _evaluate(uf, au, inv: EllipticInvariants):
     if big.any():
         n[big] = np.ceil(np.log2(au[big] / thr)).astype(int)
     if n.size:
-        n = np.minimum(n.max(), n + 1)
+        n = n.reshape(-1, row or n.size)
+        n = np.minimum(n.max(axis=1, keepdims=True), n + 1).ravel()
     # Round-off noise from each duplication pass is amplified by the next,
     # reaching ~1e-11 after three passes at large invariants.  Extended
     # precision keeps the walk back up exact to well below double round-off

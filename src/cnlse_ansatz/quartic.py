@@ -12,6 +12,7 @@ with the Weierstrass function of those invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,10 +56,17 @@ def eval_with_derivatives(R: QuarticCurve, y):
 
 def invariants_from_coefficients(R: QuarticCurve) -> EllipticInvariants:
     """Classical invariants g2 = ae - 4bd + 3c^2 and
-    g3 = ace + 2bcd - ad^2 - b^2 e - c^3 of the weighted coefficients."""
+    g3 = ace + 2bcd - ad^2 - b^2 e - c^3 of the weighted coefficients.
+    Raises NonFiniteSamples, naming the invariant, when one overflows."""
     a, b, g, d, e = R.alpha, R.beta, R.gamma, R.delta, R.epsilon
     g2 = a * e - 4.0 * b * d + 3.0 * g * g
-    g3 = a * g * e + 2.0 * b * g * d - a * d * d - b * b * e - g ** 3
+    try:
+        g3 = a * g * e + 2.0 * b * g * d - a * d * d - b * b * e - g ** 3
+    except OverflowError:  # a float power raises where a product reads inf
+        g3 = math.inf
+    for name, value in (("g2", g2), ("g3", g3)):
+        if not np.isfinite(value):
+            raise NonFiniteSamples(f"invariant {name} of the quartic {R} overflows a float")
     return EllipticInvariants(g2, g3)
 
 
@@ -75,9 +83,10 @@ def _curve_setup(alpha, beta, gamma, delta, epsilon, y0: float):
 
 def _closed_form_parts(R: QuarticCurve, y0: float, xi):
     """Set-up shared by the closed form and its denominator: the memoised
-    set-up of R at y0, xi as a checked 1-d array, the mask of its elements
-    beyond the elliptic pole guard, and there wp - b, wp' and the
-    denominator 2 (wp - b)^2 - R(y0) R''''(y0)/48 (None where none is)."""
+    set-up of R at y0, xi as a checked array of at least one dimension, the
+    mask of its elements beyond the elliptic pole guard, and wp - b, wp' and
+    the denominator 2 (wp - b)^2 - R(y0) R''''(y0)/48, which mean something
+    only on that mask (None where no element is beyond the guard)."""
     r, inv = _curve_setup(R.alpha, R.beta, R.gamma, R.delta, R.epsilon, y0)
     xi_arr = np.asarray(xi)
     xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, r[0], float))
@@ -86,7 +95,10 @@ def _closed_form_parts(R: QuarticCurve, y0: float, xi):
     away = np.abs(xf) >= POLE_EPSILON
     if not away.any():
         return r, xf, away, None, None, None
-    W, W1 = wp_pair(xf[away], inv)
+    # an element inside the guard is evaluated at POLE_EPSILON instead: it
+    # needs no more halvings than any element beyond the guard, so it cannot
+    # deepen its row of the batch, and the rows keep their shape
+    W, W1 = wp_pair(np.where(away, xf, POLE_EPSILON), inv)
     Wb = W - r[2] / 24.0
     return r, xf, away, Wb, W1, 2.0 * Wb * Wb - r[0] * r[4] / 48.0
 
@@ -108,7 +120,8 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
     one derivative rule is the complex step: at xi + ih, or on a curve
     built from one, Im y / h is the derivative, exact to round-off.  An
     array batch shares one argument-halving depth (see ``wp_pair``), so a
-    finite difference stencil gets a smooth evaluation error.  |xi| below
+    finite difference stencil gets a smooth evaluation error; a batch of
+    two or more dimensions shares it along each row, its last axis.  |xi| below
     the elliptic pole guard returns the analytic pole limit, the Taylor
     polynomial y0 + sigma sqrt(R(y0)) xi + R'(y0) xi^2 / 4 (exactly y0 at
     xi = 0).  Solution poles, where the denominator vanishes, map to
@@ -129,7 +142,7 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
         part = np.real if y.dtype.kind == "f" else np.asarray
         num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            y[away] = y0 + part(num / den)
+            y[away] = y0 + part(num / den)[away]
     return y[0].item() if np.ndim(xi) == 0 else y
 
 
@@ -141,5 +154,5 @@ def solution_denominator(R: QuarticCurve, y0: float, xi):
     _, xf, away, _, _, den = _closed_form_parts(R, float(y0), xi)
     out = np.full(xf.shape, np.inf)
     if den is not None:
-        out[away] = den.real
+        out[away] = den.real[away]
     return float(out[0]) if np.ndim(xi) == 0 else out

@@ -25,19 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .ansatz import (
     P_STEP,
     AnsatzParams,
-    Q_of_xt,
     _q_curve_from_state,
     _split_periods,
     field_A,
     q_curve,
     time_state,
+    time_states,
     z_curve,
 )
 from .elliptic import EllipticInvariants
@@ -123,6 +123,21 @@ def _central_differences(vals, h: float):
     return _extrapolate(first), _extrapolate(second)
 
 
+def _P_and_Q(params: AnsatzParams, x: float, t: float):
+    """(P, Q) at one point: ``residual_P`` and the real profile value it
+    evaluates on the way, from which the pole note is read."""
+    x = float(x)
+    t = float(t)
+    st = time_state(params, t)
+    q_center = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
+    ztt = 0.5 * eval_with_derivatives(z_curve(params), st.z)[1]
+    h = 1j * P_STEP
+    curve = _q_curve_from_state(params, st.z + h * st.zt, st.zt + h * ztt)
+    q = weierstrass_solution(curve, params.Q0, params.sigma_Q, x)
+    p_val = q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + q_center ** 2))
+    return p_val, q_center
+
+
 def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     """Inconsistency functional
 
@@ -135,15 +150,7 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     to round-off at every t and x, next to the orbit's lattice points,
     t = 0 and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly).
     """
-    x = float(x)
-    t = float(t)
-    st = time_state(params, t)
-    q_center = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
-    ztt = 0.5 * eval_with_derivatives(z_curve(params), st.z)[1]
-    h = 1j * P_STEP
-    curve = _q_curve_from_state(params, st.z + h * st.zt, st.zt + h * ztt)
-    q = weierstrass_solution(curve, params.Q0, params.sigma_Q, x)
-    return q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + q_center ** 2))
+    return _P_and_Q(params, x, t)[0]
 
 
 def _ode_defect(curve, y0: float, sigma: int, xi: float, h: float) -> float:
@@ -155,6 +162,15 @@ def _ode_defect(curve, y0: float, sigma: int, xi: float, h: float) -> float:
     return abs(slope * slope - r) / max(1.0, abs(r))
 
 
+# r1 reads only the orbit (its curve, z0 and sigma_z) and t; a scan visits
+# each time row's points for both sigma_z back to back, so two entries
+# serve a whole row, and a larger memo would only hold finished rows
+@lru_cache(maxsize=2)
+def _orbit_defect(curve, z0: float, sigma_z: int, t: float) -> float:
+    t = _split_periods(curve, t)[1]
+    return _ode_defect(curve, z0, sigma_z, t, R1_TIME_STEP)
+
+
 def residual_R1(params: AnsatzParams, t: float) -> float:
     """Relative defect |(dz/dt)^2 - R1(z)| / max(1, |R1(z)|) with a finite
     difference dz/dt.  Zero to discretization error by construction.
@@ -163,9 +179,9 @@ def residual_R1(params: AnsatzParams, t: float) -> float:
     reduced by whole periods, as ``phi_of_t`` reduces it: a stencil of the
     fixed step R1_TIME_STEP around a large t would read the spacing of
     floats near t.  |t| < 2w, and a lattice without a real period, are
-    not reduced."""
-    t = _split_periods(z_curve(params), float(t))[1]
-    return _ode_defect(z_curve(params), params.z0, params.sigma_z, t, R1_TIME_STEP)
+    not reduced.  r1 depends on (params, t) only, so the points of a time
+    row share one evaluation per orbit."""
+    return _orbit_defect(z_curve(params), params.z0, params.sigma_z, float(t))
 
 
 def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
@@ -296,19 +312,32 @@ def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
     """Full residual record at one point, never raising on pole contact:
     failures are recorded in the notes field and the numbers set to nan.
     The PDE residual is the default-step ``cnlse_residual`` of the envelope
-    ``partial(field_A, params)`` with p = 1 and the record's q."""
+    ``partial(field_A, params)`` with p = 1 and the record's q.
+
+    The point's time stencil, t and the envelope's four time nodes, is one
+    ``time_states`` batch: one orbit call and, on first use, one phase
+    call.  The states are memoised, so the rest of the x row, and the other
+    sigma_Q branch of the same sigma_z, reuse them, and r1 is evaluated
+    once per orbit and time.  A stencil whose batch cannot be evaluated
+    leaves its states to be built one at a time, so each failure is noted
+    where it occurs, as StencilOutOfDomain when it is a time node's."""
     x = float(x)
     t = float(t)
+    cfg = DiffConfig()
     notes: list = []
     p_val = r1 = r2 = pde = float("nan")
     try:
-        note = _pole_note(Q_of_xt(params, x, t))
+        time_states(params, t + _stencil_offsets(cfg.h_t, cfg.richardson_levels))
+    except (PoleProximity, RealityViolation, NegativeRadicand):
+        pass
+    try:
+        p_val, q_val = _P_and_Q(params, x, t)
+        note = _pole_note(q_val)
         if note:
             notes.append(note)
-        p_val = residual_P(params, x, t)
         r1 = residual_R1(params, t)
         r2 = residual_R2(params, x, t)
-        pde = abs(cnlse_residual(partial(field_A, params), x, t, q=params.q))
+        pde = abs(cnlse_residual(partial(field_A, params), x, t, cfg, q=params.q))
     except (PoleProximity, RealityViolation, NegativeRadicand, StencilOutOfDomain) as exc:
         notes.append(type(exc).__name__)
     if not all(np.isfinite(v) for v in (p_val, r1, r2, pde)) and not notes:

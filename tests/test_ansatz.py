@@ -34,7 +34,10 @@ from cnlse_ansatz.ansatz import (
     _q_curve_from_state,
     _require_real_z,
     time_state,
+    time_states,
 )
+from cnlse_ansatz import elliptic
+from cnlse_ansatz.verify import DiffConfig, _stencil_offsets
 
 from _pins import (
     A_AT_1_05_MM,
@@ -396,3 +399,56 @@ class TestField:
         p = REFERENCE_PARAMS
         want = (p.Q0 + 1j * math.sqrt(p.z0)) * np.exp(1j * p.phi0)
         assert abs(field_A(p, 0.0, 0.0) - want) < 1e-14
+
+
+def _stencil_times():
+    """Centres of the envelope's time stencil where a batch could go wrong:
+    40 seeded times in [6, 14], times within 1e-5 of a panel edge, times
+    across the orbit's period fl(2w) and its double, and t = 1, where the
+    stencil straddles a change of the halving depth."""
+    period = real_period(invariants_from_coefficients(z_curve(REFERENCE_PARAMS)))
+    seeded = np.random.default_rng(20261018).uniform(6.0, 14.0, 40)
+    edges = [k * PHASE_PANEL + d for k in (25, 40, 53) for d in (-1e-5, -4e-6, 0.0, 7e-6)]
+    periods = [m * period + d for m in (1, 2) for d in (-8e-6, -2e-6, 0.0, 3e-6, 1e-5)]
+    return [*seeded, *edges, *periods, 0.0, 1.0]
+
+
+class TestStateBatch:
+    @staticmethod
+    def fields(st):
+        return st.t, st.z, st.zt, st.curve, st.sqrt_z, st.phase
+
+    @pytest.mark.parametrize("sigma", (1, -1))
+    def test_stencil_batch_equals_one_time_at_a_time(self, sigma):
+        # each time of a batch keeps the halving depth it has alone, in its
+        # orbit state and in its phase's partial panel, so a state has the
+        # same bits whichever batch built it
+        p = with_branch(REFERENCE_PARAMS, sigma, -1)
+        cfg = DiffConfig()
+        offsets = _stencil_offsets(cfg.h_t, cfg.richardson_levels)
+        for centre in _stencil_times():
+            ts = centre + offsets
+            ansatz._STATES.clear()
+            elliptic._evaluate_memoised.cache_clear()
+            batch = [self.fields(st) for st in time_states(p, ts)]
+            alone = []
+            for t in ts:
+                ansatz._STATES.clear()
+                elliptic._evaluate_memoised.cache_clear()
+                alone.append(self.fields(time_state(p, t)))
+            assert batch == alone, centre
+
+    def test_sigma_q_branches_share_states(self):
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        assert time_state(p, 0.8) is time_state(with_branch(p, -1, 1), 0.8)
+        assert time_state(p, 0.8) is not time_state(with_branch(p, 1, -1), 0.8)
+
+    def test_memo_is_emptied_when_full(self, monkeypatch):
+        monkeypatch.setattr(ansatz, "STATES_MAX", 8)
+        monkeypatch.setattr(ansatz, "_STATES", {})
+        first = time_states(REFERENCE_PARAMS, [0.1, 0.2, 0.3, 0.4, 0.5])
+        again = time_states(REFERENCE_PARAMS, [0.5, 0.6, 0.7, 0.8, 0.9])
+        assert again[0] is first[-1]
+        assert len(ansatz._STATES) == 4
+        assert time_state(REFERENCE_PARAMS, 0.5) is not first[-1]
+        assert self.fields(time_state(REFERENCE_PARAMS, 0.5)) == self.fields(first[-1])

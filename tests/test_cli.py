@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnlse_ansatz import REFERENCE_PARAMS, elliptic, invariants_from_coefficients, z_curve
+from cnlse_ansatz import REFERENCE_PARAMS, cli, elliptic, invariants_from_coefficients, z_curve
 from cnlse_ansatz.cli import (
     BRANCH_ORDER,
     CLI_COLUMNS,
@@ -99,8 +99,8 @@ class TestExitCodes:
         ["scan", "--c2", "1e200", "--grid", "1:1:1,30:30:1"],
     ])
     def test_float_overflow_is_an_error_line(self, args):
-        # a Python-float power in the invariants or the discriminant raises
-        # OverflowError, an ArithmeticError
+        # an overflow in the invariants or the discriminant ends in an error
+        # line, not a traceback
         proc = subprocess.run(
             [sys.executable, "-m", "cnlse_ansatz", *args],
             capture_output=True, text=True, timeout=60, env=CHILD_ENV,
@@ -108,6 +108,22 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:"), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, name", [
+        (["elliptic", "--g2", "1e300", "--g3", "1", "--u", "0.5"], "discriminant g2^3 - 27 g3^2"),
+        (["elliptic", "--g2", "1", "--g3", "1e200", "--u", "0.5"], "discriminant g2^3 - 27 g3^2"),
+        (["residuals", "--c2", "1e200", "--t", "30"], "invariant g2"),
+        (["scan", "--c2", "1e200", "--grid", "1:1:1,30:30:1"], "invariant g2"),
+        (["residuals", "--c3", "1e160", "--t", "30"], "invariant g3"),
+    ])
+    def test_float_overflow_names_what_overflowed(self, args, name, capsys):
+        # a float power raises OverflowError where a product reads inf:
+        # either way the one error line names the quantity
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert name in captured.err and "overflows a float" in captured.err
+        assert captured.out == ""
 
     def test_bare_tolerance_rebinds_all(self, capsys):
         # 1e-6 is loose for r1, r2 but far too tight for the 0.113 match,
@@ -245,17 +261,19 @@ class TestScan:
 
     def test_many_times_phase_each_once(self, tmp_path, monkeypatch):
         # 220 times bring 1,100 stencil times, more than the per-time memo
-        # holds; the scan still computes the phase of each time once
+        # holds; the scan still computes the phase of each time once, in
+        # one array call per time row
         from cnlse_ansatz import ansatz
         seen = []
         phi = ansatz.phi_of_t
         monkeypatch.setattr(ansatz, "phi_of_t",
-                            lambda p, t: seen.append(t) or phi(p, t))
+                            lambda p, t: seen.extend(np.ravel(t)) or phi(p, t))
+        ansatz._STATES.clear()
         out = tmp_path / "many.csv"
         assert main(["scan", "--branch", "mm", "--grid", "0.5:1.0:2,0.05:11.0:220",
                      "--out", str(out)]) == 0
         assert len(body_lines(out)) == 1 + 2 * 220
-        assert len(seen) == len(set(seen))
+        assert len(seen) == len(set(seen)) == 5 * 220
 
     def test_pole_adjacent_flagged(self, tmp_path):
         out = tmp_path / "pole.csv"
@@ -334,6 +352,63 @@ class TestScan:
         one = z_curve_evaluations("mm")
         assert one > 0
         assert z_curve_evaluations("all") == one
+
+
+class TestParser:
+    @staticmethod
+    def every_flag_parser():
+        # one parser that builds the flags of every mode, as argparse would
+        # read them if each were invoked
+        parser = cli._Parser(prog="cnlse-ansatz", description=cli.__doc__)
+        sub = parser.add_subparsers(dest="mode")
+        for mode in cli.MODES:
+            flags = cli._add_elliptic_flags if mode == "elliptic" else cli._add_run_flags
+            flags(sub.add_parser(mode))
+        return parser
+
+    @staticmethod
+    def modes(parser):
+        """The sub-command parsers of ``parser`` by mode."""
+        return next(a.choices for a in parser._actions if a.dest == "mode")
+
+    @staticmethod
+    def help_text(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_mode_help_is_that_of_every_flag(self, mode, capsys):
+        want = self.modes(self.every_flag_parser())[mode]
+        assert self.help_text([mode, "--help"], capsys) == want.format_help()
+
+    def test_top_level_help_lists_every_mode(self, capsys):
+        assert self.help_text(["--help"], capsys) == self.every_flag_parser().format_help()
+
+    def test_only_the_invoked_mode_gets_flags(self):
+        modes = self.modes(cli._build_parser(["residuals", "--out", "scan"]))
+        flagged = [m for m, sp in modes.items() if len(sp._actions) > 1]
+        assert list(modes) == list(cli.MODES)
+        assert flagged == ["residuals"]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["scan", "--bogus"],
+        ["-5", "scan"],
+        ["elliptic", "--g2", "1"],
+        ["residuals", "--branch", "xx"],
+    ])
+    def test_errors_are_those_of_every_flag(self, argv, capsys):
+        try:
+            ns = self.every_flag_parser().parse_args(argv)
+            message = "a mode is required" if ns.mode is None else None
+        except CliError as exc:
+            message = str(exc)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 class TestLongTime:

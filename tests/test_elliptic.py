@@ -218,6 +218,25 @@ class TestValidation:
         w, w1 = wp_pair(0.4, degen)
         assert abs(w1 ** 2 - (4 * w ** 3 - 3.0 * w - 1.0)) < 1e-12 * max(1, abs(w) ** 3)
 
+    @pytest.mark.parametrize("g2, g3", [(1e300, 1.0), (1.0, 1e200), (1e150, 1.0)])
+    def test_discriminant_overflow_is_named(self, g2, g3):
+        with pytest.raises(NonFiniteSamples, match="discriminant g2.*overflows"):
+            EllipticInvariants(g2, g3).discriminant
+
+    def test_rows_keep_their_own_depth(self):
+        # 1 +- 1e-5 straddles a change of the halving depth for INV: as rows
+        # of a 2-d batch, each argument gets the bits it gets alone, and a
+        # row of several shares its depth as a 1-d batch does
+        u = np.array([1.0 - 1e-5, 1.0, 1.0 + 1e-5, 0.3])
+        w, w1 = wp_pair(u[:, None], INV)
+        assert w.shape == w1.shape == (4, 1)
+        for i, ui in enumerate(u):
+            assert (w[i, 0], w1[i, 0]) == wp_pair(ui, INV)
+        stacked = wp_pair(np.stack((u, u[::-1])), INV)
+        for part, flat in zip(stacked, wp_pair(u, INV)):
+            assert np.array_equal(part[0], flat)
+            assert np.array_equal(part[1], flat[::-1])
+
     def test_scalar_types(self):
         w, w1 = wp_pair(0.3, INV)
         assert isinstance(w, complex) and isinstance(w1, complex)

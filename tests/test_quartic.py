@@ -95,6 +95,15 @@ class TestInvariants:
         assert abs(scaled.g2 - s ** 2 * base.g2) <= 1e-9 * max(1.0, abs(base.g2))
         assert abs(scaled.g3 - s ** 3 * base.g3) <= 1e-9 * max(1.0, abs(base.g3))
 
+    @pytest.mark.parametrize("curve, name", [
+        (QuarticCurve(0.0, 0.0, 1e200, 0.0, 0.0), "invariant g2"),  # 3 c^2 reads inf
+        (QuarticCurve(0.0, 0.0, 1e110, 0.0, 1e-300), "invariant g3"),  # c^3 raises
+        (QuarticCurve(1.0, 0.0, 0.0, 1e160, 0.0), "invariant g3"),  # a d^2 reads inf
+    ])
+    def test_overflow_names_the_invariant(self, curve, name):
+        with pytest.raises(NonFiniteSamples, match=f"{name} of the quartic .* overflows"):
+            invariants_from_coefficients(curve)
+
 
 class TestSolution:
     def test_pole_limit_exact(self):

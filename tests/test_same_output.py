@@ -1,0 +1,27 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "same_output.py"
+SMALL_SCAN = ["scan", "--branch", "mm", "--grid", "1:1:1,1:1:1", "--format", "json"]
+
+
+def run(*args):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_same_tree_twice_is_the_same():
+    # the two runs differ only in the timestamp, which the tool leaves out
+    proc = run(ROOT / "src", ROOT / "src", *SMALL_SCAN)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 invocations, 0 differ"
+
+
+def test_a_difference_exits_1(tmp_path):
+    # a tree without the package fails to run: its output differs
+    proc = run(ROOT / "src", tmp_path, *SMALL_SCAN)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("DIFFERS: scan --branch mm")
+    assert proc.stdout.splitlines()[-1] == "1 invocations, 1 differ"

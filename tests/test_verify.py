@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import types
 import warnings
 from functools import partial
@@ -348,6 +349,59 @@ class TestReportAt:
         p = with_branch(REFERENCE_PARAMS, 1, 1)
         rep = report_at(p, 0.978, 0.311)
         assert "pole_adjacent" in rep.notes
+
+    def test_late_window_evaluates_each_time_row_once(self, monkeypatch):
+        # a late-shaped window, 4 x 4 points on mm: one orbit batch and one
+        # phase batch per time row (its centre and 4 stencil times), and one
+        # r1 stencil per time
+        from cnlse_ansatz import ansatz, verify
+        from cnlse_ansatz.cli import main
+
+        counts = {"orbit": [], "phase": [], "r1": 0}
+        z_with_rate, phi_of_t, ode_defect = ansatz.z_with_rate, ansatz.phi_of_t, verify._ode_defect
+
+        def orbit(params, t):
+            counts["orbit"].append(np.size(t))
+            return z_with_rate(params, t)
+
+        def phase(params, t):
+            counts["phase"].append(np.size(t))
+            return phi_of_t(params, t)
+
+        def defect(curve, y0, sigma, xi, h):
+            counts["r1"] += h == verify.R1_TIME_STEP
+            return ode_defect(curve, y0, sigma, xi, h)
+
+        monkeypatch.setattr(ansatz, "z_with_rate", orbit)
+        monkeypatch.setattr(ansatz, "phi_of_t", phase)
+        monkeypatch.setattr(verify, "_ode_defect", defect)
+        monkeypatch.setattr(ansatz, "_STATES", {}, raising=False)
+        assert main(["scan", "--branch", "mm", "--grid", "0.4:1.0:4,8.0:12.0:4",
+                     "--out", os.devnull]) == 0
+        assert counts == {"orbit": [5] * 4, "phase": [5] * 4, "r1": 4}
+
+    def test_time_node_failure_keeps_the_point(self, monkeypatch):
+        # a time node the orbit cannot evaluate fails the stencil's batch;
+        # the point still gets P, r1 and r2 and a StencilOutOfDomain note
+        from cnlse_ansatz import RealityViolation, ansatz
+
+        node = 0.4 + DiffConfig().h_t
+        z_with_rate = ansatz.z_with_rate
+
+        def orbit(params, t):
+            if node in np.ravel(t):
+                raise RealityViolation("node out of the domain")
+            return z_with_rate(params, t)
+
+        monkeypatch.setattr(ansatz, "z_with_rate", orbit)
+        monkeypatch.setattr(ansatz, "_STATES", {}, raising=False)
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        rep = report_at(p, 0.5, 0.4)
+        assert rep.notes == "StencilOutOfDomain"
+        assert np.isnan(rep.pde_abs)
+        assert (rep.P, rep.r1, rep.r2) == (
+            residual_P(p, 0.5, 0.4), residual_R1(p, 0.4), residual_R2(p, 0.5, 0.4))
+        assert rep.r1 < 1e-8 and rep.r2 < 1e-8
 
     def test_failure_is_noted_not_raised(self, monkeypatch):
         from cnlse_ansatz import verify

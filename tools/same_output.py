@@ -1,0 +1,89 @@
+"""Compare the command line's outputs of two source trees.
+
+Usage:
+
+    python3 tools/same_output.py OLD_SRC NEW_SRC [MODE FLAG ...]
+
+OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Each
+invocation runs as ``python -m cnlse_ansatz`` once with each tree on
+PYTHONPATH, and its exit code, standard output and standard error are
+compared, with every line that holds ``generated_at`` (the run's timestamp)
+left out.  With a MODE and flags, that one invocation is compared; without,
+the list below: the default and the benchmark ``scan``, every ``late``
+window of the benchmark, ``residuals`` at four times, ``paper-check`` at
+three points, ``pde`` far out, ``evolve`` on two windows and every mode's
+``--help``.  Each output that differs is printed as a diff.  The exit code
+is 1 if any output differs, else 0.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+MODES = ("paper-check", "scan", "residuals", "pde", "evolve", "selftest", "elliptic")
+WORKERS = 4  # CLI processes in flight at once
+DIFF_LINES = 40  # lines of each diff printed
+
+
+def invocations() -> list:
+    # every start of the late benchmark's 40 seeds (6.0 .. 9.9) and of its
+    # partner window (16 - start)
+    starts = sorted({round(6.0 + 0.1 * i, 1) for i in range(40)}
+                    | {round(10.0 - 0.1 * i, 1) for i in range(40)})
+    return [
+        ("scan",),
+        workloads.SCAN_ARGS,
+        *(workloads.late_args(t0) for t0 in starts),
+        *(("residuals", f"--t={t}") for t in ("0", "1", "-1000", "5115.1")),
+        ("paper-check",),
+        ("paper-check", "--t", "20000"),
+        ("paper-check", "--x", "1e5"),
+        ("pde", "--t", "5115.1"),
+        workloads.EVOLVE_ARGS,
+        ("evolve", "--branch", "mm"),
+        ("--help",),
+        *((mode, "--help") for mode in MODES),
+    ]
+
+
+def run(src: Path, args) -> list:
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "cnlse_ansatz", *args],
+                          capture_output=True, text=True, env=env, timeout=600)
+    lines = [f"exit {proc.returncode}"]
+    for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+        lines.append(f"--- {name}")
+        lines += [ln for ln in text.splitlines() if "generated_at" not in ln]
+    return lines
+
+
+def main(argv) -> int:
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in argv[:2])
+    todo = [tuple(argv[2:])] if argv[2:] else invocations()
+    with ThreadPoolExecutor(WORKERS) as pool:
+        pairs = list(pool.map(lambda args: (run(old, args), run(new, args)), todo))
+    differ = 0
+    for args, (a, b) in zip(todo, pairs):
+        if a != b:
+            differ += 1
+            print(f"DIFFERS: {' '.join(args)}")
+            diff = list(difflib.unified_diff(a, b, "old", "new", lineterm=""))
+            print("\n".join(diff[:DIFF_LINES]))
+    print(f"{len(todo)} invocations, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
