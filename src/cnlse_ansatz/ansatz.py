@@ -8,15 +8,14 @@ the profile Q(x, t), the phase phi(t), and the complex envelope
 z solves a fixed quartic ODE in t; for each time the profile Q solves a
 second quartic ODE in x whose coefficients depend on z(t) and its rate.
 The dispersion coefficient is fixed to 1 throughout this construction.
-The envelope as a sampler (x, t) -> A, the form the residual stencils and
-the spectral cross-check take, is ``partial(field_A, params)``.
+The envelope as a sampler (x, t) -> A is ``partial(field_A, params)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,8 +127,7 @@ def z_with_rate(params: AnsatzParams, t):
     One complex-step evaluation of the closed form at t + ih, h = P_STEP:
     z is its real part and the rate Im z(t + ih) / h, exact to round-off.
     The rate carries the sign of sigma_z sqrt(R1(z)) continued through
-    turning points without any crossing bookkeeping.
-    """
+    turning points without any crossing bookkeeping."""
     y = weierstrass_solution(
         z_curve(params), params.z0, params.sigma_z, np.asarray(t, dtype=float) + 1j * P_STEP
     )
@@ -150,46 +148,73 @@ def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCur
     )
 
 
-def _panel_values(params: AnsatzParams, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Weighted Gauss-Legendre node values of z on the panels [lo, hi], for
-    lo and hi of shape (rows, panels), all in one orbit batch whose rows
-    each share one halving depth: their sum is the integral."""
+def _or_error(fn, *args):
+    """fn(*args), or the error it raises where z is not real, kept in place
+    of the value: a failure on one orbit, or at one time, is its own."""
+    try:
+        return fn(*args)
+    except (PoleProximity, RealityViolation) as exc:
+        return exc.with_traceback(None)  # keeps no frames alive in a cache
+
+
+def _checked(value):
+    """value, raised if it is an error that ``_or_error`` kept."""
+    if isinstance(value, Exception):
+        raise value.with_traceback(None)
+    return value
+
+
+def _panel_values(curve: QuarticCurve, z0: float, lo: np.ndarray, hi: np.ndarray) -> dict:
+    """Weighted Gauss-Legendre node values of z on the panels [lo, hi] (of
+    shape (rows, panels)) per orbit, sigma_z = +1 and -1, of the curve
+    through z0, or its error, from one closed-form call of one halving
+    depth per row."""
     half = 0.5 * (hi - lo)[..., None]
     nodes = lo[..., None] + half * (1.0 + _GL_X)
     rows = nodes.reshape(len(lo), lo.shape[1] * PHASE_NODES)
-    z = weierstrass_solution(z_curve(params), params.z0, params.sigma_z, rows).reshape(nodes.shape)
-    _require_real_z(z, nodes)
-    return half * _GL_W * z
+    zs = weierstrass_solution(curve, z0, (1, -1), rows)
+
+    def weighted(z):
+        z = z.reshape(nodes.shape)
+        _require_real_z(z, nodes)
+        return half * _GL_W * z
+
+    return {sigma: _or_error(weighted, z) for sigma, z in zip((1, -1), zs)}
 
 
 @lru_cache(maxsize=256)
-def _panel_chunk(params: AnsatzParams, sign: float, m: int) -> np.ndarray:
+def _panel_chunk(curve: QuarticCurve, z0: float, sign: float, m: int) -> dict:
     """Node values of the whole panels m PHASE_CHUNK .. (m + 1) PHASE_CHUNK
-    - 1 in the direction sign, in one batch.  The chunks are the table the
-    phase reads, so its bits do not depend on which times came first."""
+    - 1 in the direction sign: the phase's table, whose bits do not depend
+    on which times came first."""
     edges = sign * PHASE_PANEL * np.arange(m * PHASE_CHUNK, (m + 1) * PHASE_CHUNK + 1)
-    return _panel_values(params, edges[None, :-1], edges[None, 1:]).ravel()
+    return _panel_values(curve, z0, edges[None, :-1], edges[None, 1:])
 
 
-def _z_integrals(params: AnsatzParams, ts: np.ndarray) -> np.ndarray:
-    """Integral of z over [0, t] for each t of ts by a composite
-    Gauss-Legendre rule with panel edges at the multiples of PHASE_PANEL, so
-    its error, at round-off here, is continuous in t: the table's whole
-    panels and one partial panel per t.  The partial panels are one batch,
-    a row each, so each keeps the halving depth it has alone."""
+def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
+    """Integral of z over [0, t] for each t of ts per orbit of the curve
+    through z0, or its error: the table's whole panels and one partial
+    panel per t, the partial panels one batch, a row each (see
+    ``phi_of_t``)."""
     sign = np.copysign(1.0, ts)
     whole = np.floor(np.abs(ts) / PHASE_PANEL).astype(int)
     edge = sign * whole * PHASE_PANEL
     partial = ts != edge
-    rest = iter(_panel_values(params, edge[partial, None], ts[partial, None]))
-    out = np.empty(ts.shape)
-    for i, (s, j) in enumerate(zip(sign, whole)):
-        chunks = [_panel_chunk(params, s, m) for m in range(-(-j // PHASE_CHUNK))]
-        values = np.concatenate(chunks + [np.empty(0)])[:j * PHASE_NODES]
-        if partial[i]:
-            values = np.concatenate((values, next(rest).ravel()))
-        out[i] = np.sum(values)
-    return out
+    rests = _panel_values(curve, z0, edge[partial, None], ts[partial, None])
+
+    def integrals(sigma):
+        rest = iter(_checked(rests[sigma]))
+        out = np.empty(ts.shape)
+        for i, (s, j) in enumerate(zip(sign, whole)):
+            chunks = [_checked(_panel_chunk(curve, z0, s, m)[sigma]).ravel()
+                      for m in range(-(-j // PHASE_CHUNK))]
+            values = np.concatenate(chunks + [np.empty(0)])[:j * PHASE_NODES]
+            if partial[i]:
+                values = np.concatenate((values, next(rest).ravel()))
+            out[i] = np.sum(values)
+        return out
+
+    return {sigma: _or_error(integrals, sigma) for sigma in (1, -1)}
 
 
 def _split_periods(curve: QuarticCurve, t: float):
@@ -202,118 +227,78 @@ def _split_periods(curve: QuarticCurve, t: float):
 
 
 @lru_cache(maxsize=64)
-def _period_integral(params: AnsatzParams, sign: float) -> float:
-    """Integral of z over one real period, [0, sign 2w]."""
-    period = real_period(invariants_from_coefficients(z_curve(params)))
-    return float(_z_integrals(params, np.array([sign * period]))[0])
+def _period_integral(curve: QuarticCurve, z0: float, sign: float) -> dict:
+    """Integral of z over one real period, [0, sign 2w], on both orbits of
+    the curve through z0: per orbit a one-element array, or the error."""
+    period = real_period(invariants_from_coefficients(curve))
+    return _z_integrals(curve, z0, np.array([sign * period]))
+
+
+def _phases(params: AnsatzParams, ts: np.ndarray) -> dict:
+    """phi at the 1-d times ts (see ``phi_of_t``) per orbit, sigma_z = +1
+    and -1, or its error, from one evaluation of the z values they read."""
+    curve = z_curve(params)
+    splits = [_split_periods(curve, float(s)) for s in ts]
+    integrals = _z_integrals(curve, params.z0, np.array([r for _, r in splits]))
+
+    def phases(sigma):
+        integral = _checked(integrals[sigma])
+        for i, (k, _) in enumerate(splits):
+            if k:
+                period = _period_integral(curve, params.z0, math.copysign(1.0, ts[i]))
+                integral[i] += k * _checked(period[sigma])[0]
+        return params.phi0 + params.c1 * ts - 2.0 * params.q * integral
+
+    return {sigma: _or_error(phases, sigma) for sigma in (1, -1)}
 
 
 def phi_of_t(params: AnsatzParams, t):
     """Phase phi(t) = phi0 + c1 t - 2 q * integral of z over [0, t], for
     scalar or array t.
 
-    z is periodic with the real period 2w of its lattice, so with
-    |t| = k 2w + r, 0 <= r < 2w, the integral is k I + (integral over
-    [0, +-r]), where I, the integral over one period in the direction of
-    t, is computed once per parameter set.  Both integrals read the same
-    table of whole panels (see ``_z_integrals``), so phi is continuous as
-    r reaches 2w, as the FD time stencil of the envelope needs, and a new
-    t costs one partial panel.  The partial panels of all the times are one
-    orbit batch, in which each time keeps the halving depth it has alone,
-    so a time's phase has the same bits in any array.  Below one period,
-    and for a lattice without a real period, it is the plain integral over
-    [0, t]."""
+    The integral is a composite Gauss-Legendre rule with panel edges at the
+    multiples of PHASE_PANEL, so its error, at round-off, is continuous in
+    t.  z has the real period 2w of its lattice (none: k = 0), so with
+    |t| = k 2w + r, 0 <= r < 2w, it is k I + (integral over [0, +-r]), I
+    the integral over one period.  Both read one table of whole panels, so
+    phi is continuous as r reaches 2w, as the envelope's FD time stencil
+    needs, and a new t costs one partial panel, in whose batch it keeps the
+    halving depth it has alone: its phase has the same bits in any array."""
     ta = np.asarray(t, dtype=float)
-    ts = ta.ravel()
-    curve = z_curve(params)
-    splits = [_split_periods(curve, float(s)) for s in ts]
-    integral = _z_integrals(params, np.array([r for _, r in splits]))
-    for i, (k, _) in enumerate(splits):
-        if k:
-            integral[i] += k * _period_integral(params, math.copysign(1.0, ts[i]))
-    phi = params.phi0 + params.c1 * ts - 2.0 * params.q * integral
+    phi = _checked(_phases(params, ta.ravel())[params.sigma_z])
     return float(phi[0]) if ta.ndim == 0 else phi.reshape(ta.shape)
-
-
-class _PhaseBatch:
-    """The phase factors of the times of one state batch, from one
-    ``phi_of_t`` call on first use: a state that only P, r1 or r2 read
-    never pays for its phase."""
-
-    def __init__(self, params: AnsatzParams, ts: tuple):
-        self.params = params
-        self.ts = ts
-
-    @cached_property
-    def factors(self) -> list:
-        return [complex(f) for f in np.exp(1j * phi_of_t(self.params, np.array(self.ts)))]
 
 
 @dataclass(frozen=True)
 class TimeState:
-    """State of the construction at one time t.  The phase factor is built
-    on first use, for every time of the batch that built the state at once:
-    only the envelope reads it."""
+    """State of the construction at one time t, but for its phase."""
 
     t: float
     z: float
     zt: float
     curve: QuarticCurve  # the quartic solved by Q(., t)
     sqrt_z: float
-    phases: _PhaseBatch = field(repr=False, compare=False)
-    index: int = field(repr=False, compare=False)
-
-    @property
-    def phase(self) -> complex:
-        """e^{i phi(t)}."""
-        return self.phases.factors[self.index]
 
 
-@lru_cache(maxsize=64)
-def _orbit_params(params: AnsatzParams) -> AnsatzParams:
-    # the orbit, the phase and the profile curve do not read sigma_Q, so the
-    # two sigma_Q branches of a sigma_z share their per-time states
-    return with_branch(params, params.sigma_z, 1)
+def _orbit_states(params: AnsatzParams, ts: np.ndarray) -> dict:
+    """The states at the 1-d times ts on both orbits, sigma_z = +1 and -1,
+    from one complex-step closed-form call in which each time keeps the
+    halving depth it has alone: per orbit, per time, its state or error."""
+    ys = weierstrass_solution(z_curve(params), params.z0, (1, -1), ts[:, None] + 1j * P_STEP)
 
+    def state(y, t):
+        z, zt = float(y.real), float(y.imag / P_STEP)
+        if not 0.0 <= z < math.inf:  # the check's array set-up, only where it fails
+            _require_real_z(z, t)
+        return TimeState(float(t), z, zt, _q_curve_from_state(params, z, zt), math.sqrt(z))
 
-# Per-time states by (params with sigma_Q = +1, t), filled a batch at a time.
-# A scan row holds 5 times per sigma_z (its centre and the 4 times of the
-# envelope's time stencil); when a batch would pass STATES_MAX the memo is
-# emptied, since a scan does not return to a time row it has finished.
-STATES_MAX = 1024
-_STATES: dict = {}
-
-
-def time_states(params: AnsatzParams, ts) -> list:
-    """The per-time states at the times ts (scalar or array), as a list.
-
-    The times without a memoised state are one batch: their orbit states
-    (z, z_t) come from one ``z_with_rate`` call, in which each time keeps
-    the halving depth it has alone, and their phases from one ``phi_of_t``
-    call on first use.  So a state has the same bits whichever batch built
-    it, and ``time_state`` is the batch of one.  params and states are
-    frozen, so sharing them is safe."""
-    params = _orbit_params(params)
-    ts = [float(t) for t in np.ravel(ts)]
-    found = {t: _STATES.get((params, t)) for t in ts}
-    new = tuple(t for t, st in found.items() if st is None)
-    if new:
-        z, zt = z_with_rate(params, np.array(new)[:, None])
-        phases = _PhaseBatch(params, new)
-        if len(_STATES) + len(new) > STATES_MAX:
-            _STATES.clear()
-        for i, t in enumerate(new):
-            zi, zti = float(z[i, 0]), float(zt[i, 0])
-            found[t] = _STATES[params, t] = TimeState(
-                t, zi, zti, _q_curve_from_state(params, zi, zti), math.sqrt(zi), phases, i
-            )
-    return [found[t] for t in ts]
+    return {sigma: [_or_error(state, y[i, 0], t) for i, t in enumerate(ts)]
+            for sigma, y in zip((1, -1), ys)}
 
 
 def time_state(params: AnsatzParams, t: float) -> TimeState:
-    """The per-time state at scalar t: the batch of one of ``time_states``,
-    memoised with it for the stencils and scans that revisit the same times."""
-    return time_states(params, t)[0]
+    """The per-time state at scalar t: the batch of one of ``_orbit_states``."""
+    return _checked(_orbit_states(params, np.array([float(t)]))[params.sigma_z][0])
 
 
 def q_curve(params: AnsatzParams, t: float) -> QuarticCurve:
@@ -327,8 +312,13 @@ def Q_of_xt(params: AnsatzParams, x, t: float):
     return weierstrass_solution(q_curve(params, t), params.Q0, params.sigma_Q, x)
 
 
+def _envelope(params: AnsatzParams, st: TimeState, phase: complex, x):
+    """A(x, t) = (Q + i sqrt(z)) e^{i phi} from the state and phase at t."""
+    Q = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
+    return (Q + 1j * st.sqrt_z) * phase
+
+
 def field_A(params: AnsatzParams, x, t: float):
     """Complex envelope A(x, t) = (Q + i sqrt(z)) e^{i phi} at scalar t."""
-    st = time_state(params, t)
-    Q = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
-    return (Q + 1j * st.sqrt_z) * st.phase
+    phase = complex(np.exp(1j * phi_of_t(params, t)))
+    return _envelope(params, time_state(params, t), phase, x)

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import math
+import re
 import sys
 import time
 import types
@@ -93,6 +94,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value, as -1000 and -.5 are, not a flag: -1e3, -2.5E-1
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # argparse exits with code 2 on bad flags; the exit-code contract
     # reserves 2 for a different meaning, so route errors through CliError.
     def error(self, message):
@@ -410,11 +416,9 @@ def cmd_paper_check(rc: RunConfig) -> int:
 def cmd_scan(rc: RunConfig) -> int:
     xs, ts = _parse_grid(rc.grid)
     pars = [with_branch(rc.params, sz, sq) for _, (sz, sq) in rc.branches]
-    # t, then x, then the branch: a time row's stencil states (one orbit
-    # and one phase batch per sigma_z, shared by both sigma_Q) and its r1
-    # serve the whole x row, and the branches evaluated back to back share
-    # the two profile-curve families' wp arguments through wp_pair's memo
-    # (which holds every distinct call of an 11x11 scan).
+    # t, then x, then the branch: one time row (see verify) serves every
+    # point and branch at t, and a point's two sigma_Q branches, back to
+    # back, share the profile curves' wp arguments through wp_pair's memo.
     # The reports are written branch, then x, then t.
     by_t = [[[report_at(par, x, t) for par in pars] for x in xs] for t in ts]
     reports = [by_t[j][i][b] for b in range(len(pars))

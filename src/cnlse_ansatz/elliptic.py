@@ -16,20 +16,9 @@ disk, so the threshold is tightened by the homogeneity scale
 which keeps the summed series inside the same effective radius as the
 moderate-invariant case instead of silently losing digits.
 
-For real invariants wp is periodic along the real axis with the lattice's
-real period 2w (``real_period``).  An argument that would need three or
-more halvings is first folded by whole real periods into the cell
-|Re u| <= w, so the halving depth stays bounded and the round-off no longer
-grows with |u|.  Complex invariants, which carry a complex-step
-derivative, are never folded: a period computed from them would bring the
-derivative of the period into the argument.
-
-``wp_pair`` memoises calls of at most MEMO_ARGS arguments in an
-``lru_cache`` of MEMO_CALLS calls, keyed by the exact bits of the arguments
-and the invariants.  A hit returns the bits a fresh evaluation would, so
-callers that revisit an argument (the four slope branches of a scan share
-the orbit's arguments) pay for it once; errors are raised on every call and
-never stored.
+For real invariants an argument far from the origin is first folded by
+whole real periods 2w (``real_period``) into |Re u| <= w, so the halving
+depth, and the round-off with it, stays bounded in |u| (see ``wp_pair``).
 """
 
 from __future__ import annotations
@@ -151,19 +140,17 @@ def _halving_scale(g2: float, g3: float) -> float:
 
 
 # Bounds of the wp_pair memo, from its traffic in the benchmark's
-# four-branch 11x11 scan: 3,940 calls of 1 (2,904 calls), 5 (1,012), 64 (4),
-# 80 (18) or 256 (2) arguments cost 1,091 evaluations, and MEMO_CALLS holds
-# every distinct call of up to MEMO_ARGS arguments, so none is evicted.
-# The cap stores the 16-node phase panel of a lone time but lets a time
-# row's phase batch (a panel per time), the 256-argument phase chunks and
-# the 4,097-point pole screen of the spectral cross-check pass through.
+# four-branch 11x11 scan: 3,906 calls of 1 (2,904 calls), 5 (990), 64 (2),
+# 80 (9) or 256 (1) arguments cost 1,079 evaluations, one per distinct
+# argument, and MEMO_CALLS holds every distinct call of up to MEMO_ARGS
+# arguments, so none is evicted.  The cap stores the 16-node phase panel of
+# a lone time but lets a time row's phase batch, the 256-argument phase
+# chunks and the 4,097-point pole screen of the spectral cross-check pass.
 MEMO_ARGS = 16
 MEMO_CALLS = 2048
 
 
-# typed, with the invariants' bytes in the key: 1.0 and 1+0j, complex and
-# np.complex128 (summed to different last bits by _laurent_matrix), and
-# 0.0 and -0.0 never share an entry
+# typed, with the invariants' bytes in the key (see wp_pair)
 @lru_cache(maxsize=MEMO_CALLS, typed=True)
 def _evaluate_memoised(u_bytes: bytes, row: int, g2: complex, g3: complex, g_bytes: bytes):
     uf = np.frombuffer(u_bytes, dtype=complex)
@@ -175,38 +162,35 @@ def wp_pair(u, inv: EllipticInvariants):
 
     An element that would need three or more halvings (|u| > 4 times the
     scaled threshold) first has Re u replaced by Re u - k 2w with
-    k = round(Re u / 2w), where 2w is the real period of real invariants
-    (``real_period``); Im u is kept, so a complex step in u survives the
-    fold.  An argument on a lattice point other than 0 folds one period
-    short, onto +-2w, rather than onto the pole.  Elements below the
-    trigger, complex invariants and degenerate lattices are not folded.
-    Each element is then halved until it fits inside the summation radius,
-    the series for wp and wp' is summed there, and the duplication rule
-    walks the value back up.  Each element of a batch is halved up to the
-    batch maximum but at most once more than it needs, so a finite
-    difference stencil gets one depth and its error does not step where
-    the halving count changes (a difference quotient would amplify the
-    step), while a wide batch is not over-halved into amplified round-off.
-    A ``u`` of two or more dimensions is a stack of such batches, one per
-    row (its last axis): the depth is shared along each row only, so a
-    column of independent times keeps for each the bits it has alone.
+    k = round(Re u / 2w), 2w the real period of real invariants; Im u is
+    kept, so a complex step in u survives the fold.  An argument on a
+    lattice point other than 0 folds onto +-2w rather than onto the pole.
+    Degenerate lattices are not folded, nor complex invariants, which carry
+    a complex-step derivative: their period would bring its own derivative
+    into the argument.  Each
+    element is then halved into the summation radius, the series for wp and
+    wp' is summed there, and the duplication rule walks back up.  Each
+    element of a batch is halved up to the batch maximum but at most once
+    more than it needs, so a finite difference stencil gets one depth (a
+    difference quotient would amplify a step in the error) while a wide
+    batch is not over-halved into amplified round-off.  A ``u`` of two or
+    more dimensions is a stack of such batches, one per row (its last
+    axis), so a column of independent times keeps the bits each has alone.
 
     The invariants may be complex as well as real: the series and the
     duplication walk are analytic in (u, g2, g3), so a complex-step
     perturbation of any of them carries its derivative to the output.  The
     halving depth reads only magnitudes, which such a step leaves unchanged.
 
-    Results are memoised: the four slope branches share the z-curve's
-    arguments, two of them share each profile curve, and a residual
-    revisits arguments its neighbours already evaluated.  A call of at most
+    Results are memoised: the two sigma_Q branches of a point share each
+    profile curve's arguments, and the profile lattice, which does not move
+    with t, repeats to the last bit across times.  A call of at most
     MEMO_ARGS arguments goes through a least recently used cache of
-    MEMO_CALLS calls; a larger batch is evaluated and not stored.  The key
-    is the exact bits of ``u`` as complex, its row length, and ``g2`` and
-    ``g3`` with their types and bits, so 1.0 and 1+0j invariants, or 0.0
-    and -0.0, never share an entry, and a hit returns the very bits a
-    fresh evaluation would.  Arrays are returned as copies, so a caller
-    cannot change a stored entry.  The input checks run on every call, and
-    a call that raises stores nothing.
+    MEMO_CALLS calls.  The key is the bits of ``u`` as complex, its row
+    length, and ``g2`` and ``g3`` with their types and bits (1.0 and 1+0j,
+    summed to different last bits by ``_laurent_matrix``, or 0.0 and -0.0,
+    never share an entry), so a hit returns the bits a fresh evaluation
+    would, as a copy.  A call that raises stores nothing.
 
     Raises PoleProximity when any element sits within POLE_EPSILON of the
     double pole at the origin.

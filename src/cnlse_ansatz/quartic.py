@@ -111,39 +111,42 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
         y = y0 + [R'(y0)/2 (wp - b) - sigma sqrt(R(y0)) wp' + R(y0) R'''(y0)/24]
                  / [2 (wp - b)^2 - R(y0) R''''(y0)/48],      b = R''(y0)/24,
 
-    with wp = wp(xi) for the invariants of R.  The sign convention: +sigma
-    multiplies the initial slope, which pins the numerator sign of wp'
-    (wp' ~ -2 xi^-3 near zero) to -sigma.
+    with wp = wp(xi) for the invariants of R.  +sigma multiplies the initial
+    slope, which pins the numerator sign of wp' (wp' ~ -2 xi^-3 near zero)
+    to -sigma.  For a tuple of signs, such as (1, -1), a tuple of one
+    solution per sign comes from one wp evaluation, each bit-equal to its
+    single-sign call.
 
-    Accepts scalar or array xi, real or complex, and a curve with real or
-    complex coefficients; the output is real exactly when both are.  Its
-    one derivative rule is the complex step: at xi + ih, or on a curve
-    built from one, Im y / h is the derivative, exact to round-off.  An
-    array batch shares one argument-halving depth (see ``wp_pair``), so a
-    finite difference stencil gets a smooth evaluation error; a batch of
-    two or more dimensions shares it along each row, its last axis.  |xi| below
-    the elliptic pole guard returns the analytic pole limit, the Taylor
-    polynomial y0 + sigma sqrt(R(y0)) xi + R'(y0) xi^2 / 4 (exactly y0 at
-    xi = 0).  Solution poles, where the denominator vanishes, map to
-    non-finite outputs rather than exceptions; callers that must reject
-    them check finiteness.
+    xi is scalar or array, real or complex, and R's coefficients real or
+    complex; the output is real exactly when both are.  The one derivative
+    rule is the complex step: at xi + ih, or on a curve built from one,
+    Im y / h is the derivative, exact to round-off.  An array shares one
+    argument-halving depth along its last axis (see ``wp_pair``), so a
+    finite difference stencil gets a smooth evaluation error.  |xi| below
+    the elliptic pole guard returns the pole limit, the Taylor polynomial
+    y0 + sigma sqrt(R(y0)) xi + R'(y0) xi^2 / 4 (exactly y0 at xi = 0).
+    Solution poles, where the denominator vanishes, map to non-finite
+    outputs rather than exceptions.
     """
-    s, y0 = float(sigma), float(y0)
-    if s not in (1.0, -1.0):
+    signs, y0 = sigma if isinstance(sigma, tuple) else (sigma,), float(y0)
+    if not {1.0, -1.0}.issuperset(signs):
         raise ValueError("sigma must be +1 or -1")
     (r0, r1, _, r3, _), xf, away, Wb, W1, den = _closed_form_parts(R, y0, xi)
     sq = np.sqrt(r0)
     xn = np.where(away, 0.0, xf)
-    y = y0 + s * sq * xn + 0.25 * r1 * xn * xn
-    # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
-    # closed form would produce 0/0 wherever wp crosses b
-    if den is not None and not (r0 == 0.0 and r1 == 0.0):
-        # real in, real out: the wp arithmetic is complex throughout
-        part = np.real if y.dtype.kind == "f" else np.asarray
-        num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y[away] = y0 + part(num / den)[away]
-    return y[0].item() if np.ndim(xi) == 0 else y
+    scalar, out = np.ndim(xi) == 0, []
+    for s in map(float, signs):
+        y = y0 + s * sq * xn + 0.25 * r1 * xn * xn
+        # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
+        # closed form would produce 0/0 wherever wp crosses b
+        if den is not None and not (r0 == 0.0 and r1 == 0.0):
+            # real in, real out: the wp arithmetic is complex throughout
+            part = np.real if y.dtype.kind == "f" else np.asarray
+            num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y[away] = y0 + part(num / den)[away]
+        out.append(y[0].item() if scalar else y)
+    return tuple(out) if isinstance(sigma, tuple) else out[0]
 
 
 def solution_denominator(R: QuarticCurve, y0: float, xi):

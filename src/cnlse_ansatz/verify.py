@@ -9,35 +9,35 @@ Three layers of checking live here:
 * a full finite-difference residual of the dispersive equation itself,
   validated against an exact soliton before it is trusted on the ansatz.
 
-The Q_t of P is a complex-step derivative, exact to round-off, taken from
-the memoised per-time state (z, z_t) along the orbit ODE.  Every other
-derivative comes from one central Richardson stencil, used at the origin
-too, so that r1, r2 and the PDE residual stay checks independent of the
-closed forms; stencil values are evaluated in single batches so the
-elliptic argument reduction uses one depth across each stencil.
+The Q_t of P is a complex-step derivative, exact to round-off, along the
+orbit ODE.  Every other derivative comes from one central Richardson
+stencil, at the origin too, so r1, r2 and the PDE residual stay checks
+independent of the closed forms; a stencil is one batch, so the elliptic
+argument reduction uses one depth across it.
 
 ``report_at`` gathers P, r1, r2 and the PDE residual at one point with
-fixed settings: the default ``DiffConfig`` steps and the envelope
-``partial(field_A, params)``.
+fixed settings: the default ``DiffConfig`` steps and the envelope of
+``field_A``.  All four read the point's time row (``_TimeRow``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .ansatz import (
     P_STEP,
     AnsatzParams,
+    _checked,
+    _envelope,
+    _orbit_states,
+    _phases,
     _q_curve_from_state,
     _split_periods,
-    field_A,
-    q_curve,
     time_state,
-    time_states,
     z_curve,
 )
 from .elliptic import EllipticInvariants
@@ -123,12 +123,52 @@ def _central_differences(vals, h: float):
     return _extrapolate(first), _extrapolate(second)
 
 
+class _TimeRow:
+    """The time row at t that the four slope branches of a parameter set,
+    given without its signs, share: both orbits' states at t and the
+    envelope's four time nodes, from one orbit call, and on first use their
+    phase factors and r1, each from one evaluation of both orbits."""
+
+    def __init__(self, unsigned: tuple, t: float):
+        cfg = DiffConfig()
+        self.params, self.t = AnsatzParams(*unsigned), t
+        self.ts = t + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
+        self.index = {s: i for i, s in enumerate(self.ts)}
+        self.states = _orbit_states(self.params, self.ts)
+
+    @cached_property
+    def factors(self) -> dict:
+        return {sigma: phi if isinstance(phi, Exception) else [complex(f) for f in np.exp(1j * phi)]
+                for sigma, phi in _phases(self.params, self.ts).items()}
+
+    @cached_property
+    def r1(self) -> dict:
+        curve = z_curve(self.params)
+        t = _split_periods(curve, self.t)[1]
+        return dict(zip((1, -1), _ode_defect(curve, self.params.z0, (1, -1), t, R1_TIME_STEP)))
+
+    def sample(self, params: AnsatzParams, x, t: float):
+        """field_A(params, x, t) at one of the row's times."""
+        i = self.index[t]
+        phase = _checked(self.factors[params.sigma_z])[i]
+        return _envelope(params, _checked(self.states[params.sigma_z][i]), phase, x)
+
+
+# one row is held: a scan finishes a time row before it starts the next
+_time_row = lru_cache(maxsize=1)(_TimeRow)
+
+
+def _row(p: AnsatzParams, t: float) -> _TimeRow:
+    return _time_row((p.q, p.c1, p.c2, p.c3, p.z0, p.Q0, p.phi0), t)
+
+
 def _P_and_Q(params: AnsatzParams, x: float, t: float):
     """(P, Q) at one point: ``residual_P`` and the real profile value it
-    evaluates on the way, from which the pole note is read."""
-    x = float(x)
-    t = float(t)
-    st = time_state(params, t)
+    evaluates on the way, from which the pole note is read.  The profile
+    lattice does not move with t, so x is first reduced by its whole real
+    periods, as ``residual_R2`` reduces it."""
+    st = _checked(_row(params, float(t)).states[params.sigma_z][0])
+    x = _split_periods(st.curve, float(x))[1]
     q_center = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
     ztt = 0.5 * eval_with_derivatives(z_curve(params), st.z)[1]
     h = 1j * P_STEP
@@ -144,51 +184,42 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
         P(x, t) = Q_t(x, t) - sqrt(z) (c1 - q (3 z + Q^2)).
 
     Q_t is the complex-step derivative Im Q(x, t + ih) / h, h = P_STEP.  Q
-    reads t only through the memoised orbit state, so the step is taken
-    there, z + ih z_t and z_t + ih R1'(z)/2 (z_tt from (z_t)^2 = R1(z)),
-    and flows through the profile curve and its closed form.  Q_t is exact
-    to round-off at every t and x, next to the orbit's lattice points,
-    t = 0 and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly).
-    """
+    reads t only through the orbit state, so the step is taken there,
+    z + ih z_t and z_t + ih R1'(z)/2 (z_tt from (z_t)^2 = R1(z)), and flows
+    through the profile curve and its closed form.  Q_t is exact to
+    round-off at every t and x, next to the orbit's lattice points, t = 0
+    and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly)."""
     return _P_and_Q(params, x, t)[0]
 
 
-def _ode_defect(curve, y0: float, sigma: int, xi: float, h: float) -> float:
+def _ode_defect(curve, y0: float, sigma, xi: float, h: float):
     """Relative defect |(dy/dxi)^2 - R(y)| / max(1, |R(y)|) of the closed form
-    at xi, with dy/dxi and y from one batch on the central stencil."""
-    y = weierstrass_solution(curve, y0, sigma, float(xi) + _stencil_offsets(h))
-    slope, _ = _central_differences(y, h)
-    r = float(eval_with_derivatives(curve, y[0])[0])
-    return abs(slope * slope - r) / max(1.0, abs(r))
+    at xi, with dy/dxi and y from one batch on the central stencil; a tuple
+    of them for a tuple of signs."""
+    ys = weierstrass_solution(curve, y0, sigma, float(xi) + _stencil_offsets(h))
 
+    def defect(y):
+        slope, _ = _central_differences(y, h)
+        r = float(eval_with_derivatives(curve, y[0])[0])
+        return abs(slope * slope - r) / max(1.0, abs(r))
 
-# r1 reads only the orbit (its curve, z0 and sigma_z) and t; a scan visits
-# each time row's points for both sigma_z back to back, so two entries
-# serve a whole row, and a larger memo would only hold finished rows
-@lru_cache(maxsize=2)
-def _orbit_defect(curve, z0: float, sigma_z: int, t: float) -> float:
-    t = _split_periods(curve, t)[1]
-    return _ode_defect(curve, z0, sigma_z, t, R1_TIME_STEP)
+    return tuple(map(defect, ys)) if isinstance(sigma, tuple) else defect(ys)
 
 
 def residual_R1(params: AnsatzParams, t: float) -> float:
     """Relative defect |(dz/dt)^2 - R1(z)| / max(1, |R1(z)|) with a finite
-    difference dz/dt.  Zero to discretization error by construction.
-
-    z is periodic with the real period 2w of its lattice, so t is first
-    reduced by whole periods, as ``phi_of_t`` reduces it: a stencil of the
-    fixed step R1_TIME_STEP around a large t would read the spacing of
-    floats near t.  |t| < 2w, and a lattice without a real period, are
-    not reduced.  r1 depends on (params, t) only, so the points of a time
-    row share one evaluation per orbit."""
-    return _orbit_defect(z_curve(params), params.z0, params.sigma_z, float(t))
+    difference dz/dt.  Zero to discretization error by construction.  t is
+    first reduced by whole real periods 2w of z, as ``phi_of_t`` reduces
+    it (|t| < 2w is not): a stencil of the fixed step R1_TIME_STEP around a
+    large t would read the spacing of floats near t."""
+    return _row(params, float(t)).r1[params.sigma_z]
 
 
 def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at fixed t, with
     x reduced by whole real periods of the profile lattice as ``residual_R1``
     reduces t."""
-    curve = q_curve(params, float(t))
+    curve = _checked(_row(params, float(t)).states[params.sigma_z][0]).curve
     x = _split_periods(curve, float(x))[1]
     return _ode_defect(curve, params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
 
@@ -312,24 +343,11 @@ def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
     """Full residual record at one point, never raising on pole contact:
     failures are recorded in the notes field and the numbers set to nan.
     The PDE residual is the default-step ``cnlse_residual`` of the envelope
-    ``partial(field_A, params)`` with p = 1 and the record's q.
-
-    The point's time stencil, t and the envelope's four time nodes, is one
-    ``time_states`` batch: one orbit call and, on first use, one phase
-    call.  The states are memoised, so the rest of the x row, and the other
-    sigma_Q branch of the same sigma_z, reuse them, and r1 is evaluated
-    once per orbit and time.  A stencil whose batch cannot be evaluated
-    leaves its states to be built one at a time, so each failure is noted
-    where it occurs, as StencilOutOfDomain when it is a time node's."""
-    x = float(x)
-    t = float(t)
-    cfg = DiffConfig()
+    ``partial(field_A, params)`` with p = 1 and the record's q.  A failure
+    at one of its time nodes is noted as StencilOutOfDomain."""
+    x, t = float(x), float(t)
     notes: list = []
     p_val = r1 = r2 = pde = float("nan")
-    try:
-        time_states(params, t + _stencil_offsets(cfg.h_t, cfg.richardson_levels))
-    except (PoleProximity, RealityViolation, NegativeRadicand):
-        pass
     try:
         p_val, q_val = _P_and_Q(params, x, t)
         note = _pole_note(q_val)
@@ -337,7 +355,7 @@ def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
             notes.append(note)
         r1 = residual_R1(params, t)
         r2 = residual_R2(params, x, t)
-        pde = abs(cnlse_residual(partial(field_A, params), x, t, cfg, q=params.q))
+        pde = abs(cnlse_residual(partial(_row(params, t).sample, params), x, t, q=params.q))
     except (PoleProximity, RealityViolation, NegativeRadicand, StencilOutOfDomain) as exc:
         notes.append(type(exc).__name__)
     if not all(np.isfinite(v) for v in (p_val, r1, r2, pde)) and not notes:

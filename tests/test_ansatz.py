@@ -29,12 +29,13 @@ from cnlse_ansatz.ansatz import (
     PHASE_PANEL,
     _GL_W as GL_W,
     _GL_X as GL_X,
+    _orbit_states,
     _panel_chunk,
     _period_integral,
+    _phases,
     _q_curve_from_state,
     _require_real_z,
     time_state,
-    time_states,
 )
 from cnlse_ansatz import elliptic
 from cnlse_ansatz.verify import DiffConfig, _stencil_offsets
@@ -272,7 +273,7 @@ class TestPhase:
         for sigma in (1, -1):
             p = with_branch(REFERENCE_PARAMS, sigma, 1)
             for sign in (1.0, -1.0):
-                whole = _period_integral(p, sign)
+                whole = _period_integral(z_curve(p), p.z0, sign)[sigma][0]
                 assert sign * whole == pytest.approx(Z_PERIOD_INTEGRAL, rel=1e-14)
 
     @pytest.mark.parametrize("k", [1, 3, 400])
@@ -386,13 +387,13 @@ class TestField:
         assert a == b
         assert isinstance(a, complex)
 
-    def test_state_is_memoised(self):
+    def test_state_matches_its_parts(self):
         p = with_branch(REFERENCE_PARAMS, -1, -1)
         st = time_state(p, 0.8)
-        assert time_state(p, 0.8) is st
-        assert q_curve(p, 0.8) is st.curve
+        assert q_curve(p, 0.8) == st.curve
         assert st.sqrt_z == math.sqrt(z_with_rate(p, 0.8)[0])
-        assert st.phase == np.exp(1j * phi_of_t(p, 0.8))
+        phase = np.exp(1j * phi_of_t(p, 0.8))
+        assert field_A(p, 0.5, 0.8) == (Q_of_xt(p, 0.5, 0.8) + 1j * st.sqrt_z) * phase
 
     def test_field_at_origin(self):
         # A(0, 0) = (Q0 + i sqrt(z0)) e^{i phi0}
@@ -416,39 +417,44 @@ def _stencil_times():
 class TestStateBatch:
     @staticmethod
     def fields(st):
-        return st.t, st.z, st.zt, st.curve, st.sqrt_z, st.phase
+        return st.t, st.z, st.zt, st.curve, st.sqrt_z
 
     @pytest.mark.parametrize("sigma", (1, -1))
     def test_stencil_batch_equals_one_time_at_a_time(self, sigma):
         # each time of a batch keeps the halving depth it has alone, in its
-        # orbit state and in its phase's partial panel, so a state has the
-        # same bits whichever batch built it
+        # orbit state and in its phase's partial panel, so a state and a
+        # phase factor have the same bits whichever batch built them, and
+        # the batch of both orbits gives each the bits of its own
         p = with_branch(REFERENCE_PARAMS, sigma, -1)
         cfg = DiffConfig()
         offsets = _stencil_offsets(cfg.h_t, cfg.richardson_levels)
         for centre in _stencil_times():
             ts = centre + offsets
-            ansatz._STATES.clear()
             elliptic._evaluate_memoised.cache_clear()
-            batch = [self.fields(st) for st in time_states(p, ts)]
-            alone = []
+            batch = [self.fields(st) for st in _orbit_states(p, ts)[sigma]]
+            batch += [complex(f) for f in np.exp(1j * _phases(p, ts)[sigma])]
+            alone, factors = [], []
             for t in ts:
-                ansatz._STATES.clear()
                 elliptic._evaluate_memoised.cache_clear()
                 alone.append(self.fields(time_state(p, t)))
-            assert batch == alone, centre
+                factors.append(complex(np.exp(1j * phi_of_t(p, t))))
+            assert batch == alone + factors, centre
 
-    def test_sigma_q_branches_share_states(self):
-        p = with_branch(REFERENCE_PARAMS, -1, -1)
-        assert time_state(p, 0.8) is time_state(with_branch(p, -1, 1), 0.8)
-        assert time_state(p, 0.8) is not time_state(with_branch(p, 1, -1), 0.8)
+    def test_a_failure_is_its_own_orbit_and_time(self, monkeypatch):
+        # z < 0 at one time of one orbit fails that state alone
+        real = ansatz.weierstrass_solution
 
-    def test_memo_is_emptied_when_full(self, monkeypatch):
-        monkeypatch.setattr(ansatz, "STATES_MAX", 8)
-        monkeypatch.setattr(ansatz, "_STATES", {})
-        first = time_states(REFERENCE_PARAMS, [0.1, 0.2, 0.3, 0.4, 0.5])
-        again = time_states(REFERENCE_PARAMS, [0.5, 0.6, 0.7, 0.8, 0.9])
-        assert again[0] is first[-1]
-        assert len(ansatz._STATES) == 4
-        assert time_state(REFERENCE_PARAMS, 0.5) is not first[-1]
-        assert self.fields(time_state(REFERENCE_PARAMS, 0.5)) == self.fields(first[-1])
+        def orbit(curve, y0, sigma, xi):
+            ys = real(curve, y0, sigma, xi)
+            if isinstance(sigma, tuple):
+                ys[1][2] = -1.0
+            return ys
+
+        monkeypatch.setattr(ansatz, "weierstrass_solution", orbit)
+        ts = 0.4 + _stencil_offsets(1e-5, 2)
+        states = _orbit_states(REFERENCE_PARAMS, ts)
+        assert isinstance(states[-1][2], RealityViolation)
+        monkeypatch.undo()
+        for sigma, i in [(1, 0), (1, 2), (-1, 0), (-1, 4)]:
+            want = time_state(with_branch(REFERENCE_PARAMS, sigma, 1), ts[i])
+            assert self.fields(states[sigma][i]) == self.fields(want)

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnlse_ansatz import REFERENCE_PARAMS, cli, elliptic, invariants_from_coefficients, z_curve
+from cnlse_ansatz import (
+    REFERENCE_PARAMS,
+    ansatz,
+    cli,
+    elliptic,
+    invariants_from_coefficients,
+    verify,
+    z_curve,
+)
 from cnlse_ansatz.cli import (
     BRANCH_ORDER,
     CLI_COLUMNS,
@@ -260,15 +268,14 @@ class TestScan:
         assert body_lines(a) == body_lines(b)
 
     def test_many_times_phase_each_once(self, tmp_path, monkeypatch):
-        # 220 times bring 1,100 stencil times, more than the per-time memo
-        # holds; the scan still computes the phase of each time once, in
-        # one array call per time row
-        from cnlse_ansatz import ansatz
+        # 220 times bring 1,100 stencil times, far more than one time row;
+        # the scan still computes the phase of each time once, in one array
+        # call per time row
         seen = []
-        phi = ansatz.phi_of_t
-        monkeypatch.setattr(ansatz, "phi_of_t",
-                            lambda p, t: seen.extend(np.ravel(t)) or phi(p, t))
-        ansatz._STATES.clear()
+        phases = verify._phases
+        monkeypatch.setattr(verify, "_phases",
+                            lambda p, t: seen.extend(np.ravel(t)) or phases(p, t))
+        verify._time_row.cache_clear()
         out = tmp_path / "many.csv"
         assert main(["scan", "--branch", "mm", "--grid", "0.5:1.0:2,0.05:11.0:220",
                      "--out", str(out)]) == 0
@@ -341,7 +348,11 @@ class TestScan:
         z_bits = (np.asarray(inv.g2).tobytes(), np.asarray(inv.g3).tobytes())
 
         def z_curve_evaluations(branch):
+            # every memo that could hide an evaluation starts empty
             elliptic._evaluate_memoised.cache_clear()
+            verify._time_row.cache_clear()
+            ansatz._panel_chunk.cache_clear()
+            ansatz._period_integral.cache_clear()
             evaluated.clear()
             assert main(["scan", "--branch", branch, "--grid", "0.2:1.2:3,0.2:1.2:3",
                          "--out", os.devnull]) == 0
@@ -409,6 +420,21 @@ class TestParser:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("mode, flag, value, rest", [
+        ("residuals", "--t", "-1e3", []),
+        ("residuals", "--t", "-1E3", []),
+        ("residuals", "--x", "-2.5e-1", []),
+        ("elliptic", "--g2", "-1e-3", ["--g3", "1", "--u", "0.5"]),
+    ])
+    def test_negative_exponent_form_is_a_value(self, mode, flag, value, rest, capsys):
+        # -1e3 is read as the flag's value, as in --t=-1e3
+        def output(argv):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return [ln for ln in out.splitlines() if "generated_at" not in ln]
+
+        assert output([mode, flag, value, *rest]) == output([mode, f"{flag}={value}", *rest])
 
 
 class TestLongTime:

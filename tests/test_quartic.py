@@ -225,6 +225,47 @@ class TestOdeProperty:
         assert worst < 1e-8
 
 
+class TestSignPair:
+    # R(y) = y^4: through y0 = 1 the +1 slope is 1 / (1 - xi), with a pole
+    # at xi = 1, where the denominator 2 (wp - 1/2)^2 - 1/2, wp = 1/xi^2 on
+    # this degenerate lattice, vanishes exactly for both signs (the -1
+    # slope, 1 / (1 + xi), reads 0/0 there)
+    POLE_CURVE = QuarticCurve(1.0, 0.0, 0.0, 0.0, 0.0)
+    EQUILIBRIUM = QuarticCurve(-1.0, 0.5, -1.0 / 3.0, 0.5, -1.0)
+    STEP_CURVE = QuarticCurve(-16.0, 8.0, -1.6, 0.13 + 1e-30j, 1e-30j)
+
+    @staticmethod
+    def bits(y):
+        return type(y), np.asarray(y).dtype, np.asarray(y).tobytes()
+
+    @pytest.mark.parametrize("curve, y0, xi", [
+        (Z_CURVE, 1.0, 0.7),
+        (Z_CURVE, 1.0, np.linspace(-1.3, 2.1, 17)),
+        (Z_CURVE, 1.0, np.linspace(0.2, 9.0, 15).reshape(3, 5)),
+        (Z_CURVE, 1.0, 0.7 + 1e-30j),
+        (Z_CURVE, 1.0, np.linspace(-1.0, 1.2, 12)[:, None] + 1e-30j),
+        (STEP_CURVE, 1.0, np.array([0.4, 1.1])),
+        (Z_CURVE, 1.0, 3e-11),
+        (Z_CURVE, 1.0, np.array([0.0, -7e-11, 0.5])),
+        (EQUILIBRIUM, 1.0, np.linspace(0.0, 1.5, 31)),
+        (POLE_CURVE, 1.0, 1.0),
+    ])
+    def test_pair_equals_each_sign_alone(self, curve, y0, xi):
+        pair = weierstrass_solution(curve, y0, (1, -1), xi)
+        alone = [weierstrass_solution(curve, y0, s, xi) for s in (1, -1)]
+        assert type(pair) is tuple
+        assert [self.bits(y) for y in pair] == [self.bits(y) for y in alone]
+
+    def test_both_slopes_non_finite_at_a_pole(self):
+        plus, minus = weierstrass_solution(self.POLE_CURVE, 1.0, (1, -1), 1.0)
+        assert not (np.isfinite(plus) or np.isfinite(minus))
+
+    @pytest.mark.parametrize("sigma", [(1, 2), (0, -1), (1, -1, 3)])
+    def test_bad_sign_in_a_pair(self, sigma):
+        with pytest.raises(ValueError):
+            weierstrass_solution(Z_CURVE, 1.0, sigma, 0.5)
+
+
 class TestDenominator:
     def test_matches_direct_formula(self):
         from cnlse_ansatz import wp_pair

@@ -1,3 +1,4 @@
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,14 @@ def test_a_difference_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.startswith("DIFFERS: scan --branch mm")
     assert proc.stdout.splitlines()[-1] == "1 invocations, 1 differ"
+
+
+def test_warning_locations_are_cut_to_the_file_name(tmp_path):
+    # a copy elsewhere, its lines shifted, warns from another path and line
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "cnlse_ansatz", copy / "cnlse_ansatz")
+    elliptic = copy / "cnlse_ansatz" / "elliptic.py"
+    elliptic.write_text("\n" + elliptic.read_text())
+    proc = run(ROOT / "src", copy, "residuals", "--x", "1e300")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 invocations, 0 differ"

@@ -125,6 +125,17 @@ class TestInconsistency:
         got = residual_P(p, 1.0, 1.0 + 2048 * PERIOD)
         assert abs(got - P_AT_1_1["mm"]) <= 1e-10
 
+    @pytest.mark.parametrize("k", [10, 1000, 18208])
+    def test_periodic_in_space(self, k):
+        # the profile lattice does not move with t, so x is reduced by its
+        # whole real periods before P is evaluated: k periods out, up to
+        # x = 1e5, P reads what it reads at x = 1
+        for name, signs in BRANCHES.items():
+            p = with_branch(REFERENCE_PARAMS, *signs)
+            period = real_period(invariants_from_coefficients(q_curve(p, 1.0)))
+            want = residual_P(p, 1.0, 1.0)
+            assert abs(residual_P(p, 1.0 + k * period, 1.0) - want) <= 1e-12, name
+
     def test_sign_pattern_at_reference_point(self):
         signs = {}
         for name, (sz, sq) in BRANCHES.items():
@@ -192,7 +203,7 @@ class TestAlgebraicResiduals:
         from cnlse_ansatz import quartic
 
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        q_curve(p, 0.3)  # the per-time state is memoised outside the count
+        residual_R1(p, 0.3)  # the time row is built outside the count
         calls = []
         real_wp_pair = quartic.wp_pair
 
@@ -354,47 +365,48 @@ class TestReportAt:
         # a late-shaped window, 4 x 4 points on mm: one orbit batch and one
         # phase batch per time row (its centre and 4 stencil times), and one
         # r1 stencil per time
-        from cnlse_ansatz import ansatz, verify
+        from cnlse_ansatz import verify
         from cnlse_ansatz.cli import main
 
         counts = {"orbit": [], "phase": [], "r1": 0}
-        z_with_rate, phi_of_t, ode_defect = ansatz.z_with_rate, ansatz.phi_of_t, verify._ode_defect
+        orbit_states, phases, ode_defect = verify._orbit_states, verify._phases, verify._ode_defect
 
-        def orbit(params, t):
-            counts["orbit"].append(np.size(t))
-            return z_with_rate(params, t)
+        def orbit(params, ts):
+            counts["orbit"].append(np.size(ts))
+            return orbit_states(params, ts)
 
-        def phase(params, t):
-            counts["phase"].append(np.size(t))
-            return phi_of_t(params, t)
+        def phase(params, ts):
+            counts["phase"].append(np.size(ts))
+            return phases(params, ts)
 
         def defect(curve, y0, sigma, xi, h):
             counts["r1"] += h == verify.R1_TIME_STEP
             return ode_defect(curve, y0, sigma, xi, h)
 
-        monkeypatch.setattr(ansatz, "z_with_rate", orbit)
-        monkeypatch.setattr(ansatz, "phi_of_t", phase)
+        monkeypatch.setattr(verify, "_orbit_states", orbit)
+        monkeypatch.setattr(verify, "_phases", phase)
         monkeypatch.setattr(verify, "_ode_defect", defect)
-        monkeypatch.setattr(ansatz, "_STATES", {}, raising=False)
+        verify._time_row.cache_clear()
         assert main(["scan", "--branch", "mm", "--grid", "0.4:1.0:4,8.0:12.0:4",
                      "--out", os.devnull]) == 0
         assert counts == {"orbit": [5] * 4, "phase": [5] * 4, "r1": 4}
 
     def test_time_node_failure_keeps_the_point(self, monkeypatch):
-        # a time node the orbit cannot evaluate fails the stencil's batch;
+        # a time node the orbit cannot evaluate fails that node's state;
         # the point still gets P, r1 and r2 and a StencilOutOfDomain note
-        from cnlse_ansatz import RealityViolation, ansatz
+        from cnlse_ansatz import RealityViolation, verify
 
         node = 0.4 + DiffConfig().h_t
-        z_with_rate = ansatz.z_with_rate
+        orbit_states = verify._orbit_states
 
-        def orbit(params, t):
-            if node in np.ravel(t):
-                raise RealityViolation("node out of the domain")
-            return z_with_rate(params, t)
+        def orbit(params, ts):
+            states = orbit_states(params, ts)
+            for sigma in states:
+                states[sigma][list(ts).index(node)] = RealityViolation("node out of the domain")
+            return states
 
-        monkeypatch.setattr(ansatz, "z_with_rate", orbit)
-        monkeypatch.setattr(ansatz, "_STATES", {}, raising=False)
+        monkeypatch.setattr(verify, "_orbit_states", orbit)
+        verify._time_row.cache_clear()
         p = with_branch(REFERENCE_PARAMS, -1, -1)
         rep = report_at(p, 0.5, 0.4)
         assert rep.notes == "StencilOutOfDomain"
@@ -403,14 +415,47 @@ class TestReportAt:
             residual_P(p, 0.5, 0.4), residual_R1(p, 0.4), residual_R2(p, 0.5, 0.4))
         assert rep.r1 < 1e-8 and rep.r2 < 1e-8
 
+    @pytest.mark.parametrize("where, note", [
+        ("_orbit_states", "RealityViolation"),
+        ("_phases", "StencilOutOfDomain"),
+    ])
+    def test_an_orbit_failure_is_that_orbits_alone(self, monkeypatch, where, note):
+        # the sigma_z = +1 orbit fails at t, or in its phase: its branches
+        # note it, while the sigma_z = -1 branches, which share the row,
+        # report what they report without the failure
+        from cnlse_ansatz import RealityViolation, verify
+
+        real = getattr(verify, where)
+
+        def failing(params, ts):
+            values = real(params, ts)
+            error = RealityViolation("orbit out of the domain")
+            if where == "_phases":
+                values[1] = error
+            else:
+                values[1][0] = error
+            return values
+
+        def reports():
+            verify._time_row.cache_clear()
+            return {b: report_at(with_branch(REFERENCE_PARAMS, *BRANCHES[b]), 0.5, 0.4)
+                    for b in ("pp", "pm", "mp", "mm")}
+
+        want = reports()
+        monkeypatch.setattr(verify, where, failing)
+        got = reports()
+        assert got["pp"].notes == got["pm"].notes == note
+        assert (got["mp"], got["mm"]) == (want["mp"], want["mm"])
+        assert want["mm"].notes == ""
+
     def test_failure_is_noted_not_raised(self, monkeypatch):
         from cnlse_ansatz import verify
 
-        def bad(params, x, t):
+        def bad(params, st, phase, x):
             xa = np.asarray(x, dtype=float)
             return np.full(xa.shape, np.nan, dtype=complex)
 
-        monkeypatch.setattr(verify, "field_A", bad)
+        monkeypatch.setattr(verify, "_envelope", bad)
         p = with_branch(REFERENCE_PARAMS, -1, -1)
         rep = report_at(p, 0.5, 0.4)
         assert "StencilOutOfDomain" in rep.notes

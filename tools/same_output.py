@@ -8,18 +8,25 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Each
 invocation runs as ``python -m cnlse_ansatz`` once with each tree on
 PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
-left out.  With a MODE and flags, that one invocation is compared; without,
-the list below: the default and the benchmark ``scan``, every ``late``
-window of the benchmark, ``residuals`` at four times, ``paper-check`` at
-three points, ``pde`` far out, ``evolve`` on two windows and every mode's
-``--help``.  Each output that differs is printed as a diff.  The exit code
-is 1 if any output differs, else 0.
+left out and a warning's location cut to its file name, since the tree's
+path and the line numbers differ between any two trees.  With a MODE and
+flags, that one invocation is compared; without, the list below: the
+default and the benchmark ``scan``, the default grid on each single branch
+but ``mm`` (a time row serving a subset of its branches), a grid through
+x = 0 and t = 0, the pole-adjacent point, every ``late`` window of the
+benchmark, ``residuals`` at four times and at two points that fail (a
+profile pole with a stencil out of the domain, and a negative radicand),
+``paper-check`` at three points, ``pde`` at the default point and far out,
+``evolve`` on two windows and every mode's ``--help``.  Each output that
+differs is printed as a diff.  The exit code is 1 if any output differs,
+else 0.
 """
 
 from __future__ import annotations
 
 import difflib
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -42,11 +49,17 @@ def invocations() -> list:
     return [
         ("scan",),
         workloads.SCAN_ARGS,
+        *(("scan", "--branch", branch) for branch in ("pp", "pm", "mp")),
+        ("scan", "--grid=-0.5:0.5:5,-0.5:0.5:5"),
+        ("scan", "--branch", "pp", "--grid", "0.978:0.978:1,0.311:0.311:1"),
         *(workloads.late_args(t0) for t0 in starts),
         *(("residuals", f"--t={t}") for t in ("0", "1", "-1000", "5115.1")),
+        ("residuals", "--x", "1e300"),
+        ("residuals", "--z0", "1e-300"),
         ("paper-check",),
         ("paper-check", "--t", "20000"),
         ("paper-check", "--x", "1e5"),
+        ("pde",),
         ("pde", "--t", "5115.1"),
         workloads.EVOLVE_ARGS,
         ("evolve", "--branch", "mm"),
@@ -62,7 +75,8 @@ def run(src: Path, args) -> list:
     lines = [f"exit {proc.returncode}"]
     for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
         lines.append(f"--- {name}")
-        lines += [ln for ln in text.splitlines() if "generated_at" not in ln]
+        lines += [re.sub(r"^\S*?(\w+\.py):\d+:", r"\1:", ln)
+                  for ln in text.splitlines() if "generated_at" not in ln]
     return lines
 
 
