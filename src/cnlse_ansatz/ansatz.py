@@ -312,13 +312,17 @@ def Q_of_xt(params: AnsatzParams, x, t: float):
     return weierstrass_solution(q_curve(params, t), params.Q0, params.sigma_Q, x)
 
 
-def _envelope(params: AnsatzParams, st: TimeState, phase: complex, x):
-    """A(x, t) = (Q + i sqrt(z)) e^{i phi} from the state and phase at t."""
-    Q = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
+def _envelope(params: AnsatzParams, st: TimeState, phase: complex, sigma, x):
+    """A(x, t) = (Q + i sqrt(z)) e^{i phi} from the state and phase at t, Q
+    of the profile slope sign sigma; for a tuple of signs a tuple of one
+    envelope per sign, from one closed-form call."""
+    Q = weierstrass_solution(st.curve, params.Q0, sigma, x)
+    if isinstance(sigma, tuple):
+        return tuple((q + 1j * st.sqrt_z) * phase for q in Q)
     return (Q + 1j * st.sqrt_z) * phase
 
 
 def field_A(params: AnsatzParams, x, t: float):
     """Complex envelope A(x, t) = (Q + i sqrt(z)) e^{i phi} at scalar t."""
     phase = complex(np.exp(1j * phi_of_t(params, t)))
-    return _envelope(params, time_state(params, t), phase, x)
+    return _envelope(params, time_state(params, t), phase, params.sigma_Q, x)

@@ -48,6 +48,7 @@ from .verify import (
     ResidualReport,
     _central_differences,
     _P_and_Q,
+    _point,
     _pole_note,
     _rel_dev,
     _stencil_offsets,
@@ -55,7 +56,7 @@ from .verify import (
     closed_form_invariants_z,
     cnlse_residual,
     convergence_order,
-    report_at,
+    reports_at,
     residual_R1,
     residual_R2,
     soliton_field,
@@ -375,12 +376,32 @@ def _write_reports(rc: RunConfig, reports, meta: dict) -> None:
                  [rep.to_json_dict() for rep in reports])
 
 
+def _orbits(rc: RunConfig) -> list:
+    """The requested branches by orbit: per sigma_z, in order of first
+    appearance, the parameters on that orbit and its sigma_Q tuple."""
+    signs: dict = {}
+    for _, (sz, sq) in rc.branches:
+        signs.setdefault(sz, []).append(sq)
+    return [(with_branch(rc.params, sz, sqs[0]), tuple(sqs)) for sz, sqs in signs.items()]
+
+
+def _point_reports(orbits: list, x: float, t: float) -> dict:
+    """The reports at (x, t) of the branches of ``_orbits``, one
+    ``reports_at`` call per orbit, by (sigma_z, sigma_q)."""
+    return {(rep.sigma_z, rep.sigma_q): rep
+            for par, sqs in orbits for rep in reports_at(par, x, t, sqs)}
+
+
 def cmd_paper_check(rc: RunConfig) -> int:
     tol = rc.tolerances
+    p_and_q = {}
+    for par, sqs in _orbits(rc):
+        _, st, x = _point(par, rc.x, rc.t)
+        p_and_q.update(((par.sigma_z, sq), pq) for sq, pq in zip(sqs, _P_and_Q(par, st, x, sqs)))
     rows = []
     for name, (sz, sq) in rc.branches:
         par = with_branch(rc.params, sz, sq)
-        p_val, q_val = _P_and_Q(par, rc.x, rc.t)
+        p_val, q_val = p_and_q[sz, sq]
         rows.append((
             name, sz, sq, float(p_val),
             float(residual_R1(par, rc.t)),
@@ -415,13 +436,12 @@ def cmd_paper_check(rc: RunConfig) -> int:
 
 def cmd_scan(rc: RunConfig) -> int:
     xs, ts = _parse_grid(rc.grid)
-    pars = [with_branch(rc.params, sz, sq) for _, (sz, sq) in rc.branches]
-    # t, then x, then the branch: one time row (see verify) serves every
-    # point and branch at t, and a point's two sigma_Q branches, back to
-    # back, share the profile curves' wp arguments through wp_pair's memo.
-    # The reports are written branch, then x, then t.
-    by_t = [[[report_at(par, x, t) for par in pars] for x in xs] for t in ts]
-    reports = [by_t[j][i][b] for b in range(len(pars))
+    # t, then x, then the orbit: one time row (see verify) serves every
+    # point and branch at t, and one reports_at call a point's sigma_Q
+    # branches of an orbit.  The reports are written branch, then x, then t.
+    orbits = _orbits(rc)
+    by_t = [[_point_reports(orbits, x, t) for x in xs] for t in ts]
+    reports = [by_t[j][i][signs] for _, signs in rc.branches
                for i in range(len(xs)) for j in range(len(ts))]
     _write_reports(rc, reports, {
         "grid": rc.grid, "branch": ",".join(name for name, _ in rc.branches),
@@ -430,10 +450,8 @@ def cmd_scan(rc: RunConfig) -> int:
 
 
 def cmd_residuals(rc: RunConfig) -> int:
-    reports = [
-        report_at(with_branch(rc.params, sz, sq), rc.x, rc.t)
-        for _, (sz, sq) in rc.branches
-    ]
+    by_branch = _point_reports(_orbits(rc), rc.x, rc.t)
+    reports = [by_branch[signs] for _, signs in rc.branches]
     _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
     return 0
 

@@ -140,7 +140,7 @@ def _halving_scale(g2: float, g3: float) -> float:
 
 
 # Bounds of the wp_pair memo, from its traffic in the benchmark's
-# four-branch 11x11 scan: 3,906 calls of 1 (2,904 calls), 5 (990), 64 (2),
+# four-branch 11x11 scan: 1,970 calls of 1 (1,452 calls), 5 (506), 64 (2),
 # 80 (9) or 256 (1) arguments cost 1,079 evaluations, one per distinct
 # argument, and MEMO_CALLS holds every distinct call of up to MEMO_ARGS
 # arguments, so none is evicted.  The cap stores the 16-node phase panel of

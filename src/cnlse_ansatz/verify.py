@@ -15,15 +15,17 @@ stencil, at the origin too, so r1, r2 and the PDE residual stay checks
 independent of the closed forms; a stencil is one batch, so the elliptic
 argument reduction uses one depth across it.
 
-``report_at`` gathers P, r1, r2 and the PDE residual at one point with
-fixed settings: the default ``DiffConfig`` steps and the envelope of
-``field_A``.  All four read the point's time row (``_TimeRow``).
+``reports_at`` gathers P, r1, r2 and the PDE residual at one point of one
+orbit for a tuple of profile slope signs, each from one closed-form call per
+stencil for all the signs, with fixed settings: the default ``DiffConfig``
+steps and the envelope of ``field_A``.  All four read the point's time row
+(``_TimeRow``); ``report_at`` is its one-sign case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -91,7 +93,7 @@ class ResidualReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _extrapolate(estimates) -> float:
@@ -147,11 +149,13 @@ class _TimeRow:
         t = _split_periods(curve, self.t)[1]
         return dict(zip((1, -1), _ode_defect(curve, self.params.z0, (1, -1), t, R1_TIME_STEP)))
 
-    def sample(self, params: AnsatzParams, x, t: float):
-        """field_A(params, x, t) at one of the row's times."""
+    def sample(self, params: AnsatzParams, sigma, x, t: float):
+        """field_A(params, x, t) at one of the row's times on the orbit
+        params.sigma_z, for the profile slope sign sigma, or a tuple of one
+        value per sign of a tuple of them."""
         i = self.index[t]
         phase = _checked(self.factors[params.sigma_z])[i]
-        return _envelope(params, _checked(self.states[params.sigma_z][i]), phase, x)
+        return _envelope(params, _checked(self.states[params.sigma_z][i]), phase, sigma, x)
 
 
 # one row is held: a scan finishes a time row before it starts the next
@@ -162,20 +166,27 @@ def _row(p: AnsatzParams, t: float) -> _TimeRow:
     return _time_row((p.q, p.c1, p.c2, p.c3, p.z0, p.Q0, p.phi0), t)
 
 
-def _P_and_Q(params: AnsatzParams, x: float, t: float):
-    """(P, Q) at one point: ``residual_P`` and the real profile value it
-    evaluates on the way, from which the pole note is read.  The profile
-    lattice does not move with t, so x is first reduced by its whole real
-    periods, as ``residual_R2`` reduces it."""
-    st = _checked(_row(params, float(t)).states[params.sigma_z][0])
-    x = _split_periods(st.curve, float(x))[1]
-    q_center = weierstrass_solution(st.curve, params.Q0, params.sigma_Q, x)
+def _point(params: AnsatzParams, x: float, t: float):
+    """The time row at t, the state of the orbit params.sigma_z at t, and x
+    reduced by whole real periods of the profile lattice, which does not
+    move with t: what every residual at (x, t) reads."""
+    row = _row(params, t)
+    st = _checked(row.states[params.sigma_z][0])
+    return row, st, _split_periods(st.curve, x)[1]
+
+
+def _P_and_Q(params: AnsatzParams, st, x: float, sigmas: tuple) -> list:
+    """(P, Q) per profile slope sign of sigmas at the reduced x (see
+    ``_point``) and the orbit state st: ``residual_P`` and the real profile
+    value it evaluates on the way, from which the pole note is read.  One
+    real and one complex-step closed-form call serve every sign."""
+    q_center = weierstrass_solution(st.curve, params.Q0, sigmas, x)
     ztt = 0.5 * eval_with_derivatives(z_curve(params), st.z)[1]
     h = 1j * P_STEP
     curve = _q_curve_from_state(params, st.z + h * st.zt, st.zt + h * ztt)
-    q = weierstrass_solution(curve, params.Q0, params.sigma_Q, x)
-    p_val = q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + q_center ** 2))
-    return p_val, q_center
+    qs = weierstrass_solution(curve, params.Q0, sigmas, x)
+    return [(q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + qc ** 2)), qc)
+            for q, qc in zip(qs, q_center)]
 
 
 def residual_P(params: AnsatzParams, x: float, t: float) -> float:
@@ -188,8 +199,11 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     z + ih z_t and z_t + ih R1'(z)/2 (z_tt from (z_t)^2 = R1(z)), and flows
     through the profile curve and its closed form.  Q_t is exact to
     round-off at every t and x, next to the orbit's lattice points, t = 0
-    and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly)."""
-    return _P_and_Q(params, x, t)[0]
+    and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly).  The profile
+    lattice does not move with t, so x is first reduced by its whole real
+    periods, as ``residual_R2`` reduces it."""
+    _, st, x = _point(params, float(x), float(t))
+    return _P_and_Q(params, st, x, (params.sigma_Q,))[0][0]
 
 
 def _ode_defect(curve, y0: float, sigma, xi: float, h: float):
@@ -219,9 +233,8 @@ def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at fixed t, with
     x reduced by whole real periods of the profile lattice as ``residual_R1``
     reduces t."""
-    curve = _checked(_row(params, float(t)).states[params.sigma_z][0]).curve
-    x = _split_periods(curve, float(x))[1]
-    return _ode_defect(curve, params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
+    _, st, x = _point(params, float(x), float(t))
+    return _ode_defect(st.curve, params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
 
 
 def closed_form_invariants_z(params: AnsatzParams) -> EllipticInvariants:
@@ -284,6 +297,37 @@ def soliton_field(a: float) -> SolitonSampler:
     return SolitonSampler(a)
 
 
+def _stencil_residuals(fields, x: float, t: float, cfg: DiffConfig, p: float, q: float) -> list:
+    """Finite-difference residuals i A_t + p A_xx + q A |A|^2 of the
+    samplers that ``fields(x, t)`` evaluates together, a tuple of one value
+    per sampler: per sampler its residual, or the StencilOutOfDomain of a
+    non-finite stencil in its place.  A domain error of ``fields`` is every
+    sampler's, and is raised as StencilOutOfDomain."""
+    lv = int(cfg.richardson_levels)
+    try:
+        xvs = [np.asarray(v, dtype=complex) for v in fields(x + _stencil_offsets(cfg.h_x, lv), t)]
+        tvs = [fields(x, t + dt) for dt in _stencil_offsets(cfg.h_t, lv)[1:]]
+    except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
+        raise StencilOutOfDomain(
+            f"field not evaluable on the stencil at ({x:g}, {t:g})"
+        ) from exc
+    out = []
+    for i, xv in enumerate(xvs):
+        # Python complex, as the sampler returns them: numpy would divide the
+        # differences through a reciprocal and move the last bit
+        tv = [complex(xv[0])] + [complex(v[i]) for v in tvs]
+        if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(tv))):
+            out.append(StencilOutOfDomain(
+                f"non-finite field values on the stencil at ({x:g}, {t:g})"
+            ))
+            continue
+        _, axx = _central_differences(xv, cfg.h_x)
+        at, _ = _central_differences(tv, cfg.h_t)
+        a0 = tv[0]
+        out.append(1j * at + p * axx + q * a0 * (abs(a0) ** 2))
+    return out
+
+
 def cnlse_residual(field, x: float, t: float, cfg: DiffConfig | None = None,
                    p: float = 1.0, q: float = 1.0) -> complex:
     """Finite-difference residual i A_t + p A_xx + q A |A|^2 of a sampler.
@@ -292,29 +336,11 @@ def cnlse_residual(field, x: float, t: float, cfg: DiffConfig | None = None,
     call; the t stencil needs one sampler call per node.  Raises
     StencilOutOfDomain when any stencil value is missing or non-finite.
     """
+    def fields(xs, s):
+        return (field(xs, s),)
+
     cfg = cfg if cfg is not None else DiffConfig()
-    x = float(x)
-    t = float(t)
-    lv = int(cfg.richardson_levels)
-    try:
-        xv = np.asarray(field(x + _stencil_offsets(cfg.h_x, lv), t), dtype=complex)
-        # Python complex, as the sampler returns them: numpy would divide the
-        # differences through a reciprocal and move the last bit
-        tv = [complex(xv[0])] + [
-            complex(field(x, t + dt)) for dt in _stencil_offsets(cfg.h_t, lv)[1:]
-        ]
-    except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
-        raise StencilOutOfDomain(
-            f"field not evaluable on the stencil at ({x:g}, {t:g})"
-        ) from exc
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(tv))):
-        raise StencilOutOfDomain(
-            f"non-finite field values on the stencil at ({x:g}, {t:g})"
-        )
-    _, axx = _central_differences(xv, cfg.h_x)
-    at, _ = _central_differences(tv, cfg.h_t)
-    a0 = tv[0]
-    return 1j * at + p * axx + q * a0 * (abs(a0) ** 2)
+    return _checked(_stencil_residuals(fields, float(x), float(t), cfg, p, q)[0])
 
 
 def convergence_order(residuals) -> float:
@@ -339,28 +365,50 @@ def _pole_note(q_val) -> str:
     return "pole_adjacent" if abs(q_val) > POLE_ADJACENT_Q else ""
 
 
-def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
-    """Full residual record at one point, never raising on pole contact:
-    failures are recorded in the notes field and the numbers set to nan.
-    The PDE residual is the default-step ``cnlse_residual`` of the envelope
-    ``partial(field_A, params)`` with p = 1 and the record's q.  A failure
-    at one of its time nodes is noted as StencilOutOfDomain."""
+def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
+    """Full residual records at one point of the orbit params.sigma_z, one
+    per profile slope sign of sigmas (params.sigma_Q is not read), never
+    raising on pole contact: failures are recorded in the notes field and
+    the numbers set to nan.  The PDE residual is the default-step
+    ``cnlse_residual`` of the envelope ``partial(field_A, params)`` with p =
+    1 and the record's q, its stencil at x reduced by whole profile periods
+    as P and r2 are.  The signs share every closed-form call, so an error
+    of that shared work, a failed time node (StencilOutOfDomain) among
+    them, is every sign's; a pole and a non-finite stencil are each sign's
+    own."""
     x, t = float(x), float(t)
-    notes: list = []
-    p_val = r1 = r2 = pde = float("nan")
+    nan, n = float("nan"), len(sigmas)
+    notes = [[] for _ in sigmas]
+    P, r1, r2, pde = [nan] * n, nan, [nan] * n, [nan] * n
     try:
-        p_val, q_val = _P_and_Q(params, x, t)
-        note = _pole_note(q_val)
-        if note:
-            notes.append(note)
-        r1 = residual_R1(params, t)
-        r2 = residual_R2(params, x, t)
-        pde = abs(cnlse_residual(partial(_row(params, t).sample, params), x, t, q=params.q))
+        row, st, xr = _point(params, x, t)
+        for i, (p_val, q_val) in enumerate(_P_and_Q(params, st, xr, sigmas)):
+            P[i], note = p_val, _pole_note(q_val)
+            if note:
+                notes[i].append(note)
+        r1 = row.r1[params.sigma_z]
+        r2 = _ode_defect(st.curve, params.Q0, sigmas, xr, R2_SPACE_STEP)
+        fields = partial(row.sample, params, sigmas)
+        for i, res in enumerate(_stencil_residuals(fields, xr, t, DiffConfig(), 1.0, params.q)):
+            if isinstance(res, Exception):
+                notes[i].append(type(res).__name__)
+            else:
+                pde[i] = abs(res)
     except (PoleProximity, RealityViolation, NegativeRadicand, StencilOutOfDomain) as exc:
-        notes.append(type(exc).__name__)
-    if not all(np.isfinite(v) for v in (p_val, r1, r2, pde)) and not notes:
-        notes.append("nonfinite")
-    return ResidualReport(
-        x=x, t=t, sigma_z=params.sigma_z, sigma_q=params.sigma_Q,
-        P=p_val, r1=r1, r2=r2, pde_abs=pde, notes=";".join(notes),
-    )
+        for note in notes:
+            note.append(type(exc).__name__)
+    reports = []
+    for i, sigma in enumerate(sigmas):
+        if not all(np.isfinite(v) for v in (P[i], r1, r2[i], pde[i])) and not notes[i]:
+            notes[i].append("nonfinite")
+        reports.append(ResidualReport(
+            x=x, t=t, sigma_z=params.sigma_z, sigma_q=sigma,
+            P=P[i], r1=r1, r2=r2[i], pde_abs=pde[i], notes=";".join(notes[i]),
+        ))
+    return reports
+
+
+def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
+    """Full residual record at one point: the one-sign case of
+    ``reports_at``, for the branch of params."""
+    return reports_at(params, x, t, (params.sigma_Q,))[0]

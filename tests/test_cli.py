@@ -365,6 +365,31 @@ class TestScan:
         assert z_curve_evaluations("all") == one
 
 
+    def test_four_branch_scan_pairs_the_profile_slopes(self, monkeypatch):
+        # a point's two sigma_Q branches share each closed-form call on its
+        # orbit: per point and orbit 8 profile calls (P's real and
+        # complex-step call, r2's stencil, the PDE's x stencil and its 4
+        # time nodes), not 8 per branch
+        zc = z_curve(REFERENCE_PARAMS)
+        calls = {"z": 0, "profile": 0}
+        for module in (ansatz, verify):
+            real = module.weierstrass_solution
+
+            def spy(curve, *args, _real=real):
+                calls["z" if curve == zc else "profile"] += 1
+                return _real(curve, *args)
+
+            monkeypatch.setattr(module, "weierstrass_solution", spy)
+        elliptic._evaluate_memoised.cache_clear()
+        verify._time_row.cache_clear()
+        ansatz._panel_chunk.cache_clear()
+        ansatz._period_integral.cache_clear()
+        assert main(["scan", "--branch", "all", "--grid", "0.2:1.2:3,0.2:1.2:3",
+                     "--out", os.devnull]) == 0
+        assert calls["profile"] == 8 * 9 * 2
+        assert 0 < calls["z"] <= 4 * 3
+
+
 class TestParser:
     @staticmethod
     def every_flag_parser():
@@ -489,6 +514,16 @@ class TestPointModes:
         mm = reports[-1]
         assert abs(mm["P"] - 0.113) < 2e-3
         assert mm["r1"] < 1e-8 and mm["r2"] < 1e-8
+
+    def test_residuals_far_out_write_no_warning(self):
+        # at x = 1e300 the PDE stencil reads the reduced point, so no
+        # elliptic argument folds onto a pole and nothing reaches stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnlse_ansatz", "residuals", "--x", "1e300"],
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_pde_mode_reports_only_pde(self, tmp_path):
         out = tmp_path / "pde.json"

@@ -391,9 +391,12 @@ class TestReportAt:
                      "--out", os.devnull]) == 0
         assert counts == {"orbit": [5] * 4, "phase": [5] * 4, "r1": 4}
 
-    def test_time_node_failure_keeps_the_point(self, monkeypatch):
-        # a time node the orbit cannot evaluate fails that node's state;
-        # the point still gets P, r1 and r2 and a StencilOutOfDomain note
+    @staticmethod
+    def _time_node_failure(monkeypatch, paired):
+        # a time node the sigma_z = -1 orbit cannot evaluate fails that
+        # node's state; the point still gets P, r1 and r2 and a
+        # StencilOutOfDomain note, on both of that orbit's slopes when they
+        # are evaluated together, and the other orbit's pair is clean
         from cnlse_ansatz import RealityViolation, verify
 
         node = 0.4 + DiffConfig().h_t
@@ -401,28 +404,40 @@ class TestReportAt:
 
         def orbit(params, ts):
             states = orbit_states(params, ts)
-            for sigma in states:
-                states[sigma][list(ts).index(node)] = RealityViolation("node out of the domain")
+            states[-1][list(ts).index(node)] = RealityViolation("node out of the domain")
             return states
 
         monkeypatch.setattr(verify, "_orbit_states", orbit)
         verify._time_row.cache_clear()
-        p = with_branch(REFERENCE_PARAMS, -1, -1)
-        rep = report_at(p, 0.5, 0.4)
-        assert rep.notes == "StencilOutOfDomain"
-        assert np.isnan(rep.pde_abs)
-        assert (rep.P, rep.r1, rep.r2) == (
-            residual_P(p, 0.5, 0.4), residual_R1(p, 0.4), residual_R2(p, 0.5, 0.4))
-        assert rep.r1 < 1e-8 and rep.r2 < 1e-8
+        pars = [with_branch(REFERENCE_PARAMS, -1, s) for s in ((1, -1) if paired else (-1,))]
+        reps = (verify.reports_at(pars[0], 0.5, 0.4, (1, -1)) if paired
+                else [report_at(pars[0], 0.5, 0.4)])
+        for p, rep in zip(pars, reps):
+            assert rep.notes == "StencilOutOfDomain"
+            assert np.isnan(rep.pde_abs)
+            assert (rep.P, rep.r1, rep.r2) == (
+                residual_P(p, 0.5, 0.4), residual_R1(p, 0.4), residual_R2(p, 0.5, 0.4))
+            assert rep.r1 < 1e-8 and rep.r2 < 1e-8
+        if paired:
+            other = verify.reports_at(with_branch(REFERENCE_PARAMS, 1, 1), 0.5, 0.4, (1, -1))
+            assert [rep.notes for rep in other] == ["", ""]
 
+    def test_time_node_failure_keeps_the_point(self, monkeypatch):
+        self._time_node_failure(monkeypatch, paired=False)
+
+    def test_time_node_failure_keeps_the_pair(self, monkeypatch):
+        self._time_node_failure(monkeypatch, paired=True)
+
+    @pytest.mark.parametrize("paired", [False, True])
     @pytest.mark.parametrize("where, note", [
         ("_orbit_states", "RealityViolation"),
         ("_phases", "StencilOutOfDomain"),
     ])
-    def test_an_orbit_failure_is_that_orbits_alone(self, monkeypatch, where, note):
+    def test_an_orbit_failure_is_that_orbits_alone(self, monkeypatch, where, note, paired):
         # the sigma_z = +1 orbit fails at t, or in its phase: its branches
         # note it, while the sigma_z = -1 branches, which share the row,
-        # report what they report without the failure
+        # report what they report without the failure; the same when each
+        # orbit's two slopes are evaluated together
         from cnlse_ansatz import RealityViolation, verify
 
         real = getattr(verify, where)
@@ -438,6 +453,10 @@ class TestReportAt:
 
         def reports():
             verify._time_row.cache_clear()
+            if paired:
+                return {b: rep for sz, names in ((1, ("pp", "pm")), (-1, ("mp", "mm")))
+                        for b, rep in zip(names, verify.reports_at(
+                            with_branch(REFERENCE_PARAMS, sz, 1), 0.5, 0.4, (1, -1)))}
             return {b: report_at(with_branch(REFERENCE_PARAMS, *BRANCHES[b]), 0.5, 0.4)
                     for b in ("pp", "pm", "mp", "mm")}
 
@@ -451,9 +470,9 @@ class TestReportAt:
     def test_failure_is_noted_not_raised(self, monkeypatch):
         from cnlse_ansatz import verify
 
-        def bad(params, st, phase, x):
+        def bad(params, st, phase, sigma, x):
             xa = np.asarray(x, dtype=float)
-            return np.full(xa.shape, np.nan, dtype=complex)
+            return tuple(np.full(xa.shape, np.nan, dtype=complex) for _ in sigma)
 
         monkeypatch.setattr(verify, "_envelope", bad)
         p = with_branch(REFERENCE_PARAMS, -1, -1)
@@ -488,6 +507,15 @@ class TestReportAt:
         assert np.isfinite(residual_P(p, 1.0, 1e4))
         assert residual_R2(p, 1.0, 1e4) <= 1e-8
 
+    @pytest.mark.parametrize("x", [1e5, 1e7, 1e300])
+    def test_far_out_pde_reads_the_reduced_point(self, x):
+        # the PDE stencil reduces x by whole profile periods, as P and r2
+        # do, so far out it still reads |P|, not the spacing of floats at x
+        for branch in ("pp", "pm", "mp", "mm"):
+            rep = report_at(with_branch(REFERENCE_PARAMS, *BRANCHES[branch]), x, 1.0)
+            assert rep.notes == ""
+            assert abs(rep.pde_abs - abs(rep.P)) / max(1.0, abs(rep.P)) <= 2e-7
+
     def test_serialization_order(self):
         rep = ResidualReport(
             x=1.0, t=2.0, sigma_z=1, sigma_q=-1,
@@ -496,3 +524,39 @@ class TestReportAt:
         d = rep.to_json_dict()
         assert tuple(d) == ("x", "t", "sigma_z", "sigma_q",
                             "P", "r1", "r2", "pde_abs", "notes")
+
+
+def _fields(rep):
+    # repr is exact for floats and reads nan as nan, so nan equals nan
+    return [repr(v) for v in dataclasses.astuple(rep)]
+
+
+class TestReportsAt:
+    @pytest.mark.parametrize("grid", [
+        "0.2:1.2:10,0.2:1.2:10",
+        "2.13:2.15:5,0.9:1.1:3",
+        "-0.5:0.5:5,-0.5:0.5:5",
+        "0.978:0.978:1,0.311:0.311:1",
+    ])
+    def test_pair_equals_one_sign_reports(self, grid):
+        # both profile slopes from one call per stencil are the one-sign
+        # reports, field for field, notes included
+        from cnlse_ansatz.cli import _parse_grid
+        from cnlse_ansatz.verify import reports_at
+
+        xs, ts = _parse_grid(grid)
+        for t in ts:
+            for x in xs:
+                for sz in (1, -1):
+                    pars = [with_branch(REFERENCE_PARAMS, sz, s) for s in (1, -1)]
+                    pair = reports_at(pars[0], x, t, (1, -1))
+                    alone = [report_at(p, x, t) for p in pars]
+                    assert list(map(_fields, pair)) == list(map(_fields, alone))
+
+    def test_a_pole_note_is_each_slopes_own(self):
+        # at (2.14, 1) pp is next to a profile pole and its partner pm is not
+        from cnlse_ansatz.verify import reports_at
+
+        pp, pm = reports_at(with_branch(REFERENCE_PARAMS, 1, 1), 2.14, 1.0, (1, -1))
+        assert (pp.notes, pm.notes) == ("pole_adjacent", "")
+        assert np.isfinite(pm.pde_abs) and abs(pm.P) < 1.0

@@ -13,9 +13,10 @@ path and the line numbers differ between any two trees.  With a MODE and
 flags, that one invocation is compared; without, the list below: the
 default and the benchmark ``scan``, the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), a grid through
-x = 0 and t = 0, the pole-adjacent point, every ``late`` window of the
-benchmark, ``residuals`` at four times and at two points that fail (a
-profile pole with a stencil out of the domain, and a negative radicand),
+x = 0 and t = 0, the pole-adjacent point, a grid on which one profile
+slope of a point is pole-adjacent and the other is not, every ``late``
+window of the benchmark, ``residuals`` at four times, at three points far
+out in x and at a point that fails (a negative radicand),
 ``paper-check`` at three points, ``pde`` at the default point and far out,
 ``evolve`` on two windows and every mode's ``--help``.  Each output that
 differs is printed as a diff.  The exit code is 1 if any output differs,
@@ -52,9 +53,10 @@ def invocations() -> list:
         *(("scan", "--branch", branch) for branch in ("pp", "pm", "mp")),
         ("scan", "--grid=-0.5:0.5:5,-0.5:0.5:5"),
         ("scan", "--branch", "pp", "--grid", "0.978:0.978:1,0.311:0.311:1"),
+        ("scan", "--grid", "2.13:2.15:5,0.9:1.1:3"),
         *(workloads.late_args(t0) for t0 in starts),
         *(("residuals", f"--t={t}") for t in ("0", "1", "-1000", "5115.1")),
-        ("residuals", "--x", "1e300"),
+        *(("residuals", "--x", x) for x in ("1e5", "1e7", "1e300")),
         ("residuals", "--z0", "1e-300"),
         ("paper-check",),
         ("paper-check", "--t", "20000"),
