@@ -3,9 +3,14 @@
 A Strang split-step integrator advances i A_t + p A_xx + q A |A|^2 = 0 on a
 periodic grid: exact linear flows applied as Fourier multipliers between
 exact nonlinear kicks, with the half-steps of adjacent steps fused, so n
-steps are L/2 (N L)^(n-1) N L/2 and every call ends on a full Strang state.
-The step loop allocates nothing: both FFTs write into the call's state and
-spectrum arrays, and the kick is built in reused buffers.
+steps are L/2 (N L)^(n-1) N L/2 and every segment of a run ends on a full
+Strang state.  One step loop advances a stack of runs of equal n as the
+rows of one array, each row on its own grid, with its own p, q and segment
+schedule, and with the bits it would have alone.  The FFTs work along the
+last axis, and numpy's fixed cost per call dominates at n = 1024, so two
+rows cost little more than one.  The step loop allocates nothing: both
+FFTs write into the stack's state and spectrum arrays, and the kick is
+built in reused buffers.
 It knows nothing about elliptic functions, which is the point: initial data
 taken from the constructed envelope is propagated as a true solution of the
 dispersive equation and compared against the construction at later times.
@@ -21,6 +26,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -70,6 +77,109 @@ def mass(samples, dx: float) -> float:
     return float(np.sum(np.abs(np.asarray(samples)) ** 2) * dx)
 
 
+@dataclass(frozen=True)
+class _Run:
+    """One row of the step loop: finite samples on the grid, the
+    equation's p and q, the step counts of its segments (each at least 1),
+    and ``finish``, which turns the states at the segment ends into the
+    run's result."""
+
+    samples: np.ndarray
+    p: float
+    q: float
+    grid: SpectralGrid
+    segments: tuple
+    finish: Callable
+
+
+def _warn_if_aliasing(p: float, grid: SpectralGrid) -> None:
+    """AliasingWarning, attributed to the caller's caller, when the step
+    exceeds the resolution guideline dt <= 0.5 / (|p| k_max^2)."""
+    k_max = float(np.max(np.abs(grid.wavenumbers)))
+    if p != 0.0 and grid.dt > 0.5 / (abs(p) * k_max ** 2):
+        warnings.warn(
+            AliasingWarning(
+                f"dt = {grid.dt:g} exceeds 0.5/(|p| k_max^2) = "
+                f"{0.5 / (abs(p) * k_max ** 2):g}; high modes underresolved"
+            ),
+            stacklevel=3,
+        )
+
+
+def _multipliers(run: _Run) -> tuple:
+    """The linear half-step and full-step multipliers of a run."""
+    k, p, dt = run.grid.wavenumbers, run.p, run.grid.dt
+    return np.exp(-0.5j * p * k * k * dt), np.exp(-1j * p * k * k * dt)
+
+
+def _strang_stack(runs) -> list:
+    """The states at the segment ends of each run: the runs, all of one n,
+    advance as the rows of one stack, each row by a step of its own dt per
+    pass, with its own multipliers and its own kick angle q dt |a|^2.
+
+    At the end of a segment that row alone closes with the half-step and is
+    inverse-transformed; if another segment follows, the state is checked
+    finite and transformed again with a half-step.  So each row repeats a
+    chain of separate ``split_step_evolve`` calls bit for bit.  A row leaves
+    the stack after its last segment.
+    """
+    states = [[] for _ in runs]
+    ends = [list(accumulate(run.segments)) for run in runs]
+    live = [i for i, run in enumerate(runs) if run.segments]
+    if not live:
+        return states
+    a = np.array([runs[i].samples for i in live], dtype=complex)
+    half, full = (np.array(m) for m in zip(*(_multipliers(runs[i]) for i in live)))
+    qdt = np.array([[runs[i].q * runs[i].grid.dt] for i in live])
+    squares = np.empty((len(live), 2 * a.shape[1]))  # re^2, im^2 interleaved, as in a.view(float)
+    theta = np.empty(a.shape)                         # kick angle q dt |a|^2
+    kick = np.empty(a.shape, dtype=complex)
+    spec = np.fft.fft(a)
+    spec *= half
+    done = 0  # steps every live row has taken
+    while live:
+        stop = min(ends[i][len(states[i])] for i in live)
+        closing = [ends[i][len(states[i])] == stop for i in live]
+        # a segment closes with the half-step, ending on a Strang state
+        last = np.where(np.array(closing)[:, None], half, full)
+        for step in range(done + 1, stop + 1):
+            np.fft.ifft(spec, out=a)
+            np.square(a.view(float), out=squares)
+            np.add(squares[:, 0::2], squares[:, 1::2], out=theta)
+            theta *= qdt
+            np.cos(theta, out=kick.real)
+            np.sin(theta, out=kick.imag)
+            a *= kick
+            np.fft.fft(a, out=spec)
+            spec *= full if step < stop else last
+        done = stop
+        for j, i in enumerate(live):
+            if not closing[j]:
+                continue
+            states[i].append(np.fft.ifft(spec[j]))
+            if len(states[i]) < len(ends[i]):
+                if not np.all(np.isfinite(states[i][-1])):
+                    raise NonFiniteSamples("initial samples contain non-finite values")
+                np.fft.fft(states[i][-1], out=spec[j])
+                spec[j] *= half[j]
+        keep = [j for j, i in enumerate(live) if len(states[i]) < len(ends[i])]
+        if len(keep) < len(live):
+            live = [live[j] for j in keep]
+            a, spec, half, full, qdt = (v[keep] for v in (a, spec, half, full, qdt))
+            squares, theta, kick = (v[:len(keep)] for v in (squares, theta, kick))
+    return states
+
+
+def _evolve_runs(runs) -> list:
+    """The result of each run, the runs of equal n advanced as one stack."""
+    states = [None] * len(runs)
+    for n in dict.fromkeys(run.grid.n for run in runs):
+        group = [i for i, run in enumerate(runs) if run.grid.n == n]
+        for i, run_states in zip(group, _strang_stack([runs[i] for i in group])):
+            states[i] = run_states
+    return [run.finish(s) for run, s in zip(runs, states)]
+
+
 def split_step_evolve(samples, p: float, q: float, grid: SpectralGrid,
                       steps: int) -> np.ndarray:
     """Advance the samples by ``steps`` time steps of size grid.dt.
@@ -87,10 +197,10 @@ def split_step_evolve(samples, p: float, q: float, grid: SpectralGrid,
     conj(split_step_evolve(conj(b), p, q, grid, n)) undoes the n steps that
     led to b.
 
-    Each step reuses buffers allocated once per call.  The kick is built
-    as cos(theta) + i sin(theta) with theta = q dt |a|^2, which is bit for
-    bit exp(1j q dt |a|^2): the exponent is purely imaginary, and its
-    imaginary part is exactly theta.
+    This is the one-row, one-segment case of the stacked step loop.  The
+    kick is built as cos(theta) + i sin(theta) with theta = q dt |a|^2,
+    which is bit for bit exp(1j q dt |a|^2): the exponent is purely
+    imaginary, and its imaginary part is exactly theta.
 
     Warns with AliasingWarning when the step exceeds the resolution
     guideline dt <= 0.5 / (|p| k_max^2); the warning is non-fatal.
@@ -100,40 +210,11 @@ def split_step_evolve(samples, p: float, q: float, grid: SpectralGrid,
         raise ValueError(f"expected {grid.n} samples, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteSamples("initial samples contain non-finite values")
-    dt = grid.dt
-    k = grid.wavenumbers
-    k_max = float(np.max(np.abs(k)))
-    if p != 0.0 and dt > 0.5 / (abs(p) * k_max ** 2):
-        warnings.warn(
-            AliasingWarning(
-                f"dt = {dt:g} exceeds 0.5/(|p| k_max^2) = "
-                f"{0.5 / (abs(p) * k_max ** 2):g}; high modes underresolved"
-            ),
-            stacklevel=2,
-        )
+    _warn_if_aliasing(p, grid)
     steps = int(steps)
     if steps < 1:
         return a
-    half = np.exp(-0.5j * p * k * k * dt)
-    full = np.exp(-1j * p * k * k * dt)
-    qdt = q * dt
-    spec = np.fft.fft(a)
-    spec *= half
-    squares = np.empty(2 * grid.n)   # re^2, im^2 interleaved, as in a.view(float)
-    theta = np.empty(grid.n)         # kick angle q dt |a|^2
-    kick = np.empty(grid.n, dtype=complex)
-    for i in range(steps):
-        np.fft.ifft(spec, out=a)
-        np.square(a.view(float), out=squares)
-        np.add(squares[0::2], squares[1::2], out=theta)
-        theta *= qdt
-        np.cos(theta, out=kick.real)
-        np.sin(theta, out=kick.imag)
-        a *= kick
-        np.fft.fft(a, out=spec)
-        # the last step closes with the half-step, ending on a Strang state
-        spec *= full if i + 1 < steps else half
-    return np.fft.ifft(spec, out=a)
+    return _evolve_runs([_Run(a, p, q, grid, (steps,), lambda states: states[0])])[0]
 
 
 def raised_cosine_taper(n: int, fraction: float = 0.10) -> np.ndarray:
@@ -187,18 +268,12 @@ def _sample_targets(t_end: float, sample_times) -> list:
     return sorted(s for s in times if s > 0.0)
 
 
-def divergence_from(field, grid: SpectralGrid, p: float, q: float,
-                    t_end: float, sample_times=None) -> DivergenceSeries:
-    """Evolve initial data field(x, 0), tapered over TAPER_FRACTION, and
-    measure (L2, Linf) deviation from field(x, t) at the sample times,
-    restricted to the central INNER_FRACTION of the window.
-
-    Sample times are realized as whole numbers of steps; the recorded t is
-    the realized one.  A sample time that rounds to no step past the time
-    realized before it (t = 0 for the first) would repeat a row, so it
-    raises ValueError.  The t = 0 entry is exact zero by construction since
-    the taper is identically 1 on the inner region.
-    """
+def _divergence_run(field, grid: SpectralGrid, p: float, q: float,
+                    t_end: float, sample_times) -> _Run:
+    """The run of ``divergence_from``, its result the series, after every
+    check that needs no step: the sample times, the initial data and the
+    rounding of each sample time.  Warns, attributed to the caller, with
+    AliasingWarning if the run takes a step above the guideline."""
     targets = _sample_targets(t_end, sample_times)
     x = grid.x
     w = raised_cosine_taper(grid.n, TAPER_FRACTION)
@@ -206,6 +281,19 @@ def divergence_from(field, grid: SpectralGrid, p: float, q: float,
     if not np.all(np.isfinite(a0)):
         raise NonFiniteSamples("field has non-finite values on the grid at t = 0")
     a = a0 * w
+
+    segments, times = [], [0.0]
+    for target in targets:
+        steps = int(round((target - times[-1]) / grid.dt))
+        if steps < 1:
+            raise ValueError(
+                f"sample time {target:g} rounds to no step of dt = "
+                f"{grid.dt:g} past t = {times[-1]:g}"
+            )
+        segments.append(steps)
+        times.append(times[-1] + steps * grid.dt)
+    if segments:
+        _warn_if_aliasing(p, grid)
 
     lo = int(round(grid.n * (1.0 - INNER_FRACTION) / 2.0))
     sel = slice(lo, grid.n - lo)
@@ -217,27 +305,51 @@ def divergence_from(field, grid: SpectralGrid, p: float, q: float,
         linf = float(np.max(np.abs(d)))
         return DivergencePoint(t=t, l2=l2, linf=linf)
 
-    points = [deviation(a, 0.0)]
-    t_now = 0.0
-    for target in targets:
-        steps = int(round((target - t_now) / grid.dt))
-        if steps < 1:
-            raise ValueError(
-                f"sample time {target:g} rounds to no step of dt = "
-                f"{grid.dt:g} past t = {t_now:g}"
-            )
-        a = split_step_evolve(a, p, q, grid, steps)
-        t_now += steps * grid.dt
-        points.append(deviation(a, t_now))
+    def series(states: list) -> DivergenceSeries:
+        points = [deviation(s, t) for s, t in zip([a, *states], times)]
+        linfs = [pt.linf for pt in points]
+        monotone = all(linfs[i + 1] >= linfs[i] for i in range(len(linfs) - 1))
+        meta = {
+            "x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n, "dt": grid.dt,
+            "p": p, "q": q,
+            "taper_fraction": TAPER_FRACTION, "inner_fraction": INNER_FRACTION,
+        }
+        return DivergenceSeries(points=tuple(points), monotone=monotone, metadata=meta)
 
-    linfs = [pt.linf for pt in points]
-    monotone = all(linfs[i + 1] >= linfs[i] for i in range(len(linfs) - 1))
-    meta = {
-        "x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n, "dt": grid.dt,
-        "p": p, "q": q,
-        "taper_fraction": TAPER_FRACTION, "inner_fraction": INNER_FRACTION,
-    }
-    return DivergenceSeries(points=tuple(points), monotone=monotone, metadata=meta)
+    return _Run(a, p, q, grid, tuple(segments), series)
+
+
+def divergence_from(field, grid: SpectralGrid, p: float, q: float,
+                    t_end: float, sample_times=None) -> DivergenceSeries:
+    """Evolve initial data field(x, 0), tapered over TAPER_FRACTION, and
+    measure (L2, Linf) deviation from field(x, t) at the sample times,
+    restricted to the central INNER_FRACTION of the window.
+
+    Sample times are realized as whole numbers of steps; the recorded t is
+    the realized one.  A sample time that rounds to no step past the time
+    realized before it (t = 0 for the first) would repeat a row, so it
+    raises ValueError before any step is taken.  The t = 0 entry is exact
+    zero by construction since the taper is identically 1 on the inner
+    region.
+    """
+    return _evolve_runs([_divergence_run(field, grid, p, q, t_end, sample_times)])[0]
+
+
+def _ansatz_run(params: AnsatzParams, grid: SpectralGrid, t_end: float,
+                sample_times) -> _Run:
+    """The run of ``ansatz_divergence``, after its pole screen."""
+    targets = _sample_targets(t_end, sample_times)
+    xs = np.linspace(grid.x_min, grid.x_max, 4 * grid.n + 1)
+    for t in [0.0] + targets:
+        curve = q_curve(params, t)
+        den = solution_denominator(curve, params.Q0, xs)
+        i = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
+        q = weierstrass_solution(curve, params.Q0, params.sigma_Q, np.stack((xs[i], xs[i + 1])))
+        if ((np.sign(q[0]) != np.sign(q[1])) & ~(np.abs(q) <= POLE_ADJACENT_Q).all(axis=0)).any():
+            raise WindowContainsPole(
+                f"profile pole inside [{grid.x_min:g}, {grid.x_max:g}] at t = {t:g}"
+            )
+    return _divergence_run(partial(field_A, params), grid, 1.0, params.q, t_end, targets)
 
 
 def ansatz_divergence(params: AnsatzParams, grid: SpectralGrid,
@@ -252,15 +364,4 @@ def ansatz_divergence(params: AnsatzParams, grid: SpectralGrid,
     a profile pole, and the comparison is rejected with WindowContainsPole.
     At a pole's mirror point the numerator vanishes too and Q stays small.
     """
-    targets = _sample_targets(t_end, sample_times)
-    xs = np.linspace(grid.x_min, grid.x_max, 4 * grid.n + 1)
-    for t in [0.0] + targets:
-        curve = q_curve(params, t)
-        den = solution_denominator(curve, params.Q0, xs)
-        i = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
-        q = weierstrass_solution(curve, params.Q0, params.sigma_Q, np.stack((xs[i], xs[i + 1])))
-        if ((np.sign(q[0]) != np.sign(q[1])) & ~(np.abs(q) <= POLE_ADJACENT_Q).all(axis=0)).any():
-            raise WindowContainsPole(
-                f"profile pole inside [{grid.x_min:g}, {grid.x_max:g}] at t = {t:g}"
-            )
-    return divergence_from(partial(field_A, params), grid, 1.0, params.q, t_end, targets)
+    return _evolve_runs([_ansatz_run(params, grid, t_end, sample_times)])[0]

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -533,6 +534,23 @@ class TestPointModes:
         assert np.isfinite(rep["pde_abs"]) and rep["pde_abs"] > 1e-3
         assert np.isnan(rep["P"]) and np.isnan(rep["r1"]) and np.isnan(rep["r2"])
 
+    @pytest.mark.parametrize("x", ["1e5", "1e7", "1e300"])
+    def test_pde_far_out_reads_the_reduced_point(self, x):
+        # pde samples its stencil at x reduced by whole profile periods, as
+        # residuals does: the same pde_abs on every branch, and at 1e300 no
+        # stencil folds onto a pole and nothing reaches stderr
+        def reports(mode):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cnlse_ansatz", mode, "--x", x, "--format", "json"],
+                capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            return json.loads(proc.stdout)["reports"]
+
+        pde, residuals = reports("pde"), reports("residuals")
+        assert [r["notes"] for r in pde] == [""] * 4
+        assert [r["pde_abs"] for r in pde] == [r["pde_abs"] for r in residuals]
+
 
 class TestEvolve:
     def test_csv_series(self, tmp_path):
@@ -616,6 +634,26 @@ class TestEvolve:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: sample time 0.1"), proc.stderr
         assert proc.stdout == ""
+
+    def test_benchmark_run_shares_its_transforms(self, monkeypatch, capsys):
+        # the window's n is the control's 1024, so the control and the ansatz
+        # run advance as one stack for the first 5,000 steps: 20,011 FFT
+        # calls in place of 30,012 when each runs alone
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        calls = []
+        for name in ("fft", "ifft"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+        assert main(list(workloads.EVOLVE_ARGS)) == 0
+        assert len(calls) <= 20_100
+        md = json.loads(capsys.readouterr().out)["metadata"]
+        # the ansatz run's step aliases: its warning is still recorded
+        assert md["aliasing_warned"] is True
+        assert md["soliton_control_linf"] < 1e-5
 
     def test_soliton_control_takes_a_step(self):
         # round(1 / dt) is 0 for dt > 2; the control still evolves one step

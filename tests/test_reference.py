@@ -19,6 +19,7 @@ from cnlse_ansatz import (
     split_step_evolve,
     with_branch,
 )
+from cnlse_ansatz.reference import _divergence_run, _evolve_runs, _Run, _strang_stack
 
 # wide window, step below the resolution guideline: no aliasing warnings
 WIDE = SpectralGrid(x_min=-20.0, x_max=20.0, n=256, dt=1e-3)
@@ -179,6 +180,112 @@ class TestEvolution:
             warnings.simplefilter("always")
             split_step_evolve(a0, 1.0, 0.0, WIDE, 1)
         assert not [w for w in rec if issubclass(w.category, AliasingWarning)]
+
+
+def _chained(samples, p, q, grid, segments):
+    """The states of separate split_step_evolve calls, one per segment."""
+    states, a = [], samples
+    for steps in segments:
+        a = split_step_evolve(a, p, q, grid, steps)
+        states.append(a)
+    return states
+
+
+class TestStack:
+    # rows of one n on different grids (dx and dt), with different p, q and
+    # schedules; "short" ends before the others, "late" after them
+    ROWS = {
+        "wide": (SpectralGrid(-20.0, 20.0, 256, 1e-3), 1.0, 2.0, (3, 5, 1, 9)),
+        "short": (SpectralGrid(-8.0, 8.0, 256, 7e-4), -0.5, 1.0, (4,)),
+        "late": (SpectralGrid(-30.0, 30.0, 256, 2e-3), 1.5, -1.0, (7, 2, 11, 1, 4)),
+    }
+
+    @staticmethod
+    def _samples(grid, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+        return a * raised_cosine_taper(grid.n, 0.2)
+
+    def _runs(self, names):
+        return [_Run(self._samples(g, seed), p, q, g, segs, list)
+                for seed, (g, p, q, segs) in enumerate(self.ROWS[n] for n in names)]
+
+    @pytest.mark.parametrize("names", [
+        ("wide", "short", "late"), ("short", "late"), ("late", "wide"), ("wide",),
+    ])
+    def test_rows_are_bit_equal_to_separate_runs(self, names, no_aliasing_warning):
+        runs = self._runs(names)
+        for run, states in zip(runs, _strang_stack(runs)):
+            want = _chained(run.samples, run.p, run.q, run.grid, run.segments)
+            assert len(states) == len(want)
+            for got, expected in zip(states, want):
+                assert np.array_equal(got, expected)
+
+    def test_a_run_without_segments_has_no_states(self):
+        runs = self._runs(("wide", "short"))
+        empty = _Run(runs[0].samples, 1.0, 2.0, runs[0].grid, (), list)
+        states = _strang_stack([empty, *runs])
+        assert states[0] == []
+        assert [len(s) for s in states[1:]] == [4, 1]
+
+    def test_two_transforms_per_step_of_the_longest_row(self, monkeypatch):
+        # the rows share each step's pair; a segment end costs its own row an
+        # inverse transform, and a forward one if another segment follows
+        calls = []
+        for name in ("fft", "ifft"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+        runs = self._runs(("wide", "short", "late"))
+        _strang_stack(runs)
+        longest = max(sum(run.segments) for run in runs)
+        ends = sum(len(run.segments) for run in runs)
+        assert len(calls) == 1 + 2 * longest + 2 * ends - len(runs)
+
+    def test_rows_of_unequal_n_run_apart(self):
+        wide, _ = self._runs(("wide", "short"))
+        coarse = SpectralGrid(-20.0, 20.0, 128, 1e-3)
+        small = _Run(self._samples(coarse, 9), 1.0, 2.0, coarse, (6, 2), list)
+        got = _evolve_runs([wide, small])
+        assert np.array_equal(got[0][-1], _chained(wide.samples, 1.0, 2.0, wide.grid, wide.segments)[-1])
+        assert np.array_equal(got[1][-1], _chained(small.samples, 1.0, 2.0, coarse, (6, 2))[-1])
+
+    def test_a_non_finite_segment_input_raises(self):
+        # q = inf blows the "short" grid's row up in its first segment, so its
+        # second segment starts from non-finite samples, as a second
+        # split_step_evolve call would
+        wide, short = self._runs(("wide", "short"))
+        bad = _Run(short.samples, 1.0, np.inf, short.grid, (2, 2), list)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert not np.all(np.isfinite(split_step_evolve(bad.samples, 1.0, np.inf, bad.grid, 2)))
+            with pytest.raises(NonFiniteSamples, match="initial samples"):
+                _strang_stack([wide, bad])
+
+    def test_only_making_a_run_warns_of_aliasing(self):
+        # the stack never warns: a divergence run warns when it is made,
+        # and a row made without the check (the soliton control) never does
+        s = soliton_field(1.0)
+        coarse = SpectralGrid(-20.0, 20.0, 256, 5e-3)
+        with pytest.warns(AliasingWarning):
+            aliasing = _divergence_run(s, coarse, 1.0, 2.0, 0.05, None)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            quiet = _divergence_run(s, WIDE, 1.0, 2.0, 0.05, None)
+            control = _Run(np.asarray(s(coarse.x, 0.0)), 1.0, 2.0, coarse, (10,), list)
+            series = _evolve_runs([control, aliasing, quiet])
+        assert rec == []
+        with pytest.warns(AliasingWarning):
+            alone = divergence_from(s, coarse, 1.0, 2.0, 0.05)
+        assert series[1] == alone
+        assert series[2] == divergence_from(s, WIDE, 1.0, 2.0, 0.05)
+
+    def test_no_sample_time_no_warning(self):
+        # t_end = 0 takes no step, so no step can alias
+        coarse = SpectralGrid(-20.0, 20.0, 256, 5e-3)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            series = divergence_from(soliton_field(1.0), coarse, 1.0, 2.0, 0.0)
+        assert rec == [] and len(series.points) == 1
 
 
 class TestTaper:

@@ -17,10 +17,13 @@ x = 0 and t = 0, the pole-adjacent point, a grid on which one profile
 slope of a point is pole-adjacent and the other is not, every ``late``
 window of the benchmark, ``residuals`` at four times, at three points far
 out in x and at a point that fails (a negative radicand),
-``paper-check`` at three points, ``pde`` at the default point and far out,
-``evolve`` on two windows and every mode's ``--help``.  Each output that
-differs is printed as a diff.  The exit code is 1 if any output differs,
-else 0.
+``paper-check`` at three points, ``pde`` at the default point, at a late
+time and at two points far out in x, ``evolve`` on the benchmark window and
+the default one, with an uneven sample schedule on the benchmark's n (the
+control and the ansatz run share one stack), with the control finishing
+before the ansatz run, and on a window with a pole at that n, and every
+mode's ``--help``.  Each output that differs is printed as a diff.  The
+exit code is 1 if any output differs, else 0.
 """
 
 from __future__ import annotations
@@ -63,8 +66,12 @@ def invocations() -> list:
         ("paper-check", "--x", "1e5"),
         ("pde",),
         ("pde", "--t", "5115.1"),
+        *(("pde", "--x", x) for x in ("1e7", "1e300")),
         workloads.EVOLVE_ARGS,
         ("evolve", "--branch", "mm"),
+        ("evolve", "--branch", "mm", "--grid=-1.25:1.25:1024,0.05:0.3:4", "--dt", "1e-4"),
+        ("evolve", "--branch", "mm", "--grid=-1.25:1.25:1024", "--t-end", "1.5", "--dt", "1e-3"),
+        ("evolve", "--branch", "pp", "--grid=-1.25:1.25:1024"),
         ("--help",),
         *((mode, "--help") for mode in MODES),
     ]
