@@ -234,24 +234,6 @@ def _period_integral(curve: QuarticCurve, z0: float, sign: float) -> dict:
     return _z_integrals(curve, z0, np.array([sign * period]))
 
 
-def _phases(params: AnsatzParams, ts: np.ndarray) -> dict:
-    """phi at the 1-d times ts (see ``phi_of_t``) per orbit, sigma_z = +1
-    and -1, or its error, from one evaluation of the z values they read."""
-    curve = z_curve(params)
-    splits = [_split_periods(curve, float(s)) for s in ts]
-    integrals = _z_integrals(curve, params.z0, np.array([r for _, r in splits]))
-
-    def phases(sigma):
-        integral = _checked(integrals[sigma])
-        for i, (k, _) in enumerate(splits):
-            if k:
-                period = _period_integral(curve, params.z0, math.copysign(1.0, ts[i]))
-                integral[i] += k * _checked(period[sigma])[0]
-        return params.phi0 + params.c1 * ts - 2.0 * params.q * integral
-
-    return {sigma: _or_error(phases, sigma) for sigma in (1, -1)}
-
-
 def phi_of_t(params: AnsatzParams, t):
     """Phase phi(t) = phi0 + c1 t - 2 q * integral of z over [0, t], for
     scalar or array t.
@@ -265,7 +247,14 @@ def phi_of_t(params: AnsatzParams, t):
     needs, and a new t costs one partial panel, in whose batch it keeps the
     halving depth it has alone: its phase has the same bits in any array."""
     ta = np.asarray(t, dtype=float)
-    phi = _checked(_phases(params, ta.ravel())[params.sigma_z])
+    ts, curve, sigma = ta.ravel(), z_curve(params), params.sigma_z
+    splits = [_split_periods(curve, float(s)) for s in ts]
+    integral = _checked(_z_integrals(curve, params.z0, np.array([r for _, r in splits]))[sigma])
+    for i, (k, _) in enumerate(splits):
+        if k:
+            period = _period_integral(curve, params.z0, math.copysign(1.0, ts[i]))
+            integral[i] += k * _checked(period[sigma])[0]
+    phi = params.phi0 + params.c1 * ts - 2.0 * params.q * integral
     return float(phi[0]) if ta.ndim == 0 else phi.reshape(ta.shape)
 
 

@@ -20,7 +20,6 @@ import time
 import types
 import warnings
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .ansatz import (
     BRANCHES,
     REFERENCE_PARAMS,
     AnsatzParams,
+    _checked,
     _q_curve_from_state,
-    field_A,
     with_branch,
     z_curve,
 )
@@ -47,6 +46,7 @@ from .reference import (
     _ansatz_run,
     _evolve_runs,
     _Run,
+    _sample_targets,
     mass,
     split_step_evolve,
 )
@@ -91,6 +91,8 @@ _CSV_FIELD = {"flags": "notes"}  # CSV column -> record key, where they differ
 SCAN_DEFAULT_GRID = "0.2:1.2:10,0.2:1.2:10"
 EVOLVE_DEFAULT_WINDOW = "-1.25:1.25:256"
 _DEFAULT_GRID = {"scan": SCAN_DEFAULT_GRID, "evolve": EVOLVE_DEFAULT_WINDOW}
+# Steps an evolve run may take: at n = 1024 a step costs about 56 us, so 10 minutes
+EVOLVE_MAX_STEPS = 10 ** 7
 
 _PARAM_FLAGS = ("q", "c1", "c2", "c3", "z0", "q0", "phi0")
 _FIELD_OF_FLAG = {"q": "q", "c1": "c1", "c2": "c2", "c3": "c3",
@@ -467,13 +469,11 @@ def cmd_pde(rc: RunConfig) -> int:
     reports = []
     for _, (sz, sq) in rc.branches:
         par = with_branch(rc.params, sz, sq)
-        notes = ""
-        value = float("nan")
+        notes, value = "", float("nan")
         try:
-            # the stencil at x reduced by whole profile periods, as in
-            # residuals; an orbit state that fails at t fails the stencil
-            _, _, x = _point(par, rc.x, rc.t)
-            value = abs(cnlse_residual(partial(field_A, par), x, rc.t, q=par.q))
+            # the stencil of residuals; an orbit state that fails at t fails it
+            row, _, x = _point(par, rc.x, rc.t)
+            value = abs(_checked(row.pde(par, (sq,), x)[0]))
         except (PoleProximity, RealityViolation, StencilOutOfDomain):
             notes = StencilOutOfDomain.__name__
         reports.append(ResidualReport(
@@ -513,6 +513,11 @@ def cmd_evolve(rc: RunConfig) -> int:
     xs = _parse_axis(window, "window")
     grid = SpectralGrid(float(xs[0]), float(xs[-1]), xs.size, rc.dt)
     sample_times = _parse_axis(t_axis, "time") if t_axis else None
+    # the control takes 1 / dt steps, the ansatz run one per dt to its last sample
+    steps = max([1.0, *_sample_targets(rc.t_end, sample_times)]) / rc.dt
+    if steps > EVOLVE_MAX_STEPS:
+        raise CliError(f"--dt {_fmt12(rc.dt)} asks for {steps:.3g} steps; "
+                       f"an evolve run takes at most {EVOLVE_MAX_STEPS:.0e}")
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingWarning)

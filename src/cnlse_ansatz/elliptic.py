@@ -140,12 +140,12 @@ def _halving_scale(g2: float, g3: float) -> float:
 
 
 # Bounds of the wp_pair memo, from its traffic in the benchmark's
-# four-branch 11x11 scan: 1,970 calls of 1 (1,452 calls), 5 (506), 64 (2),
-# 80 (9) or 256 (1) arguments cost 1,079 evaluations, one per distinct
-# argument, and MEMO_CALLS holds every distinct call of up to MEMO_ARGS
-# arguments, so none is evicted.  The cap stores the 16-node phase panel of
-# a lone time but lets a time row's phase batch, the 256-argument phase
-# chunks and the 4,097-point pole screen of the spectral cross-check pass.
+# four-branch 11x11 scan: 1,969 calls of 1 (1,452 calls), 5 (506) or 64
+# (11) arguments cost 1,078 evaluations, one per distinct argument, and
+# MEMO_CALLS holds every distinct call of up to MEMO_ARGS arguments, so
+# none is evicted.  The cap stores the 16-node phase panel of a lone time
+# but lets a time row's gauge batch, the 256-argument phase chunks and the
+# 4,097-point pole screen of the spectral cross-check pass.
 MEMO_ARGS = 16
 MEMO_CALLS = 2048
 

@@ -17,16 +17,16 @@ argument reduction uses one depth across it.
 
 ``reports_at`` gathers P, r1, r2 and the PDE residual at one point of one
 orbit for a tuple of profile slope signs, each from one closed-form call per
-stencil for all the signs, with fixed settings: the default ``DiffConfig``
-steps and the envelope of ``field_A``.  All four read the point's time row
-(``_TimeRow``); ``report_at`` is its one-sign case.
+stencil for all the signs.  All four read the point's time row
+(``_TimeRow``), whose PDE stencil samples the envelope up to a constant
+phase, so reads no phase; ``report_at`` is its one-sign case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .ansatz import (
     _checked,
     _envelope,
     _orbit_states,
-    _phases,
+    _panel_values,
     _q_curve_from_state,
     _split_periods,
     time_state,
@@ -127,35 +127,51 @@ def _central_differences(vals, h: float):
 
 class _TimeRow:
     """The time row at t that the four slope branches of a parameter set,
-    given without its signs, share: both orbits' states at t and the
-    envelope's four time nodes, from one orbit call, and on first use their
-    phase factors and r1, each from one evaluation of both orbits."""
+    given without its signs, share: both orbits' states at t and at the
+    PDE's time nodes r + offsets, r = t reduced by whole periods 2w of z,
+    from one orbit call, and on first use r1 at r and the nodes' gauges."""
 
     def __init__(self, unsigned: tuple, t: float):
         cfg = DiffConfig()
-        self.params, self.t = AnsatzParams(*unsigned), t
-        self.ts = t + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
+        self.params = AnsatzParams(*unsigned)
+        self.curve = z_curve(self.params)
+        self.r = _split_periods(self.curve, t)[1]
+        self.ts = self.r + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
         self.index = {s: i for i, s in enumerate(self.ts)}
-        self.states = _orbit_states(self.params, self.ts)
+        times = self.ts if self.r == t else np.concatenate(([t], self.ts))
+        self.states = _orbit_states(self.params, times)
 
     @cached_property
-    def factors(self) -> dict:
-        return {sigma: phi if isinstance(phi, Exception) else [complex(f) for f in np.exp(1j * phi)]
-                for sigma, phi in _phases(self.params, self.ts).items()}
+    def gauges(self) -> dict:
+        """e^{i(phi(s) - phi(r))} per orbit at the nodes s (1 at r), or its
+        error; phi(s) - phi(r) = c1 (s - r) - 2 q * (z over one panel [r, s])."""
+        p, s = self.params, self.ts[1:]
+        panels = _panel_values(self.curve, p.z0, np.full((s.size, 1), self.r), s[:, None])
+
+        def factors(v):
+            phase = p.c1 * (s - self.r) - 2.0 * p.q * np.sum(v, axis=(1, 2))
+            return [1.0] + [complex(f) for f in np.exp(1j * phase)]
+
+        return {sigma: v if isinstance(v, Exception) else factors(v)
+                for sigma, v in panels.items()}
 
     @cached_property
     def r1(self) -> dict:
-        curve = z_curve(self.params)
-        t = _split_periods(curve, self.t)[1]
-        return dict(zip((1, -1), _ode_defect(curve, self.params.z0, (1, -1), t, R1_TIME_STEP)))
+        defects = _ode_defect(self.curve, self.params.z0, (1, -1), self.r, R1_TIME_STEP)
+        return dict(zip((1, -1), defects))
 
-    def sample(self, params: AnsatzParams, sigma, x, t: float):
-        """field_A(params, x, t) at one of the row's times on the orbit
-        params.sigma_z, for the profile slope sign sigma, or a tuple of one
-        value per sign of a tuple of them."""
-        i = self.index[t]
-        phase = _checked(self.factors[params.sigma_z])[i]
-        return _envelope(params, _checked(self.states[params.sigma_z][i]), phase, sigma, x)
+    def pde(self, params: AnsatzParams, sigmas: tuple, x: float) -> list:
+        """The default-step PDE residuals (p = 1) at (x, r) per slope sign of
+        sigmas of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
+        orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}."""
+        states = self.states[params.sigma_z][-self.ts.size:]
+
+        def fields(xs, s):
+            i = self.index[s]
+            gauge = _checked(self.gauges[params.sigma_z])[i]
+            return _envelope(params, _checked(states[i]), gauge, sigmas, xs)
+
+        return _stencil_residuals(fields, x, self.r, DiffConfig(), 1.0, params.q)
 
 
 # one row is held: a scan finishes a time row before it starts the next
@@ -163,7 +179,7 @@ _time_row = lru_cache(maxsize=1)(_TimeRow)
 
 
 def _row(p: AnsatzParams, t: float) -> _TimeRow:
-    return _time_row((p.q, p.c1, p.c2, p.c3, p.z0, p.Q0, p.phi0), t)
+    return _time_row((p.q, p.c1, p.c2, p.c3, p.z0, p.Q0), t)
 
 
 def _point(params: AnsatzParams, x: float, t: float):
@@ -223,9 +239,9 @@ def _ode_defect(curve, y0: float, sigma, xi: float, h: float):
 def residual_R1(params: AnsatzParams, t: float) -> float:
     """Relative defect |(dz/dt)^2 - R1(z)| / max(1, |R1(z)|) with a finite
     difference dz/dt.  Zero to discretization error by construction.  t is
-    first reduced by whole real periods 2w of z, as ``phi_of_t`` reduces
-    it (|t| < 2w is not): a stencil of the fixed step R1_TIME_STEP around a
-    large t would read the spacing of floats near t."""
+    first reduced by whole real periods 2w of z (|t| < 2w is not), to the
+    time row's r: a stencil of the fixed step R1_TIME_STEP around a large t
+    would read the spacing of floats near t."""
     return _row(params, float(t)).r1[params.sigma_z]
 
 
@@ -369,10 +385,9 @@ def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
     """Full residual records at one point of the orbit params.sigma_z, one
     per profile slope sign of sigmas (params.sigma_Q is not read), never
     raising on pole contact: failures are recorded in the notes field and
-    the numbers set to nan.  The PDE residual is the default-step
-    ``cnlse_residual`` of the envelope ``partial(field_A, params)`` with p =
-    1 and the record's q, its stencil at x reduced by whole profile periods
-    as P and r2 are.  The signs share every closed-form call, so an error
+    the numbers set to nan.  The PDE residual is ``_TimeRow.pde``, at x
+    reduced by whole profile periods as P and r2 are, and at the row's r.
+    The signs share every closed-form call, so an error
     of that shared work, a failed time node (StencilOutOfDomain) among
     them, is every sign's; a pole and a non-finite stencil are each sign's
     own."""
@@ -388,8 +403,7 @@ def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
                 notes[i].append(note)
         r1 = row.r1[params.sigma_z]
         r2 = _ode_defect(st.curve, params.Q0, sigmas, xr, R2_SPACE_STEP)
-        fields = partial(row.sample, params, sigmas)
-        for i, res in enumerate(_stencil_residuals(fields, xr, t, DiffConfig(), 1.0, params.q)):
+        for i, res in enumerate(row.pde(params, sigmas, xr)):
             if isinstance(res, Exception):
                 notes[i].append(type(res).__name__)
             else:

@@ -3,6 +3,16 @@ import warnings
 import pytest
 
 from cnlse_ansatz import AliasingWarning, BRANCHES, REFERENCE_PARAMS, with_branch
+from cnlse_ansatz import ansatz, elliptic, quartic, verify
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    # every test starts from empty memos, so the counts and bits it reads do
+    # not depend on the tests that ran before it
+    for memo in (elliptic._evaluate_memoised, quartic._curve_setup, verify._time_row,
+                 ansatz._panel_chunk, ansatz._period_integral):
+        memo.cache_clear()
 
 
 @pytest.fixture

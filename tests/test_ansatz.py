@@ -32,7 +32,6 @@ from cnlse_ansatz.ansatz import (
     _orbit_states,
     _panel_chunk,
     _period_integral,
-    _phases,
     _q_curve_from_state,
     _require_real_z,
     time_state,
@@ -324,8 +323,6 @@ class TestPhase:
         # time asked for after far ones reads the bits it reads first
         p = with_branch(REFERENCE_PARAMS, -1, 1)
         ts = (0.3, 1.7, 2.4, -0.9, -2.2)
-        _panel_chunk.cache_clear()
-        _period_integral.cache_clear()
         first = [phi_of_t(p, t) for t in ts]
         _panel_chunk.cache_clear()
         _period_integral.cache_clear()
@@ -432,7 +429,7 @@ class TestStateBatch:
             ts = centre + offsets
             elliptic._evaluate_memoised.cache_clear()
             batch = [self.fields(st) for st in _orbit_states(p, ts)[sigma]]
-            batch += [complex(f) for f in np.exp(1j * _phases(p, ts)[sigma])]
+            batch += [complex(f) for f in np.exp(1j * phi_of_t(p, ts))]
             alone, factors = [], []
             for t in ts:
                 elliptic._evaluate_memoised.cache_clear()

@@ -268,20 +268,38 @@ class TestScan:
         assert main(args + ["--out", str(b)]) == 0
         assert body_lines(a) == body_lines(b)
 
-    def test_many_times_phase_each_once(self, tmp_path, monkeypatch):
-        # 220 times bring 1,100 stencil times, far more than one time row;
-        # the scan still computes the phase of each time once, in one array
-        # call per time row
-        seen = []
-        phases = verify._phases
-        monkeypatch.setattr(verify, "_phases",
-                            lambda p, t: seen.extend(np.ravel(t)) or phases(p, t))
-        verify._time_row.cache_clear()
+    def test_many_times_gauge_each_row_once(self, tmp_path, monkeypatch):
+        # 220 times, most of them beyond one period 2w: the PDE stencil
+        # samples the gauge B, so no time reads the phase, and each time row
+        # integrates z once, over one panel per time node
+        phases, gauges = [], []
+        panel_values = verify._panel_values
+        for name in ("phi_of_t", "_z_integrals"):
+            monkeypatch.setattr(ansatz, name, lambda *args: phases.append(args))
+        monkeypatch.setattr(verify, "_panel_values",
+                            lambda *args: gauges.append(args[3].shape) or panel_values(*args))
         out = tmp_path / "many.csv"
         assert main(["scan", "--branch", "mm", "--grid", "0.5:1.0:2,0.05:11.0:220",
                      "--out", str(out)]) == 0
         assert len(body_lines(out)) == 1 + 2 * 220
-        assert len(seen) == len(set(seen)) == 5 * 220
+        assert phases == [] and gauges == [(4, 1)] * 220
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["residuals", "--t", "5115.1"], id="residuals-5115.1"),
+        pytest.param(["residuals", "--t", "1e17"], id="residuals-1e17"),
+        pytest.param(["pde"], id="pde"),
+        pytest.param(["pde", "--t", "1e17"], id="pde-1e17"),
+    ])
+    def test_the_residual_checks_evaluate_no_phase(self, monkeypatch, args):
+        # verify does not import the phase, and no run of the point modes
+        # integrates z from 0, which phi_of_t and its tables do (the scan:
+        # see above)
+        assert not hasattr(verify, "phi_of_t")
+        phases = []
+        for name in ("phi_of_t", "_z_integrals"):
+            monkeypatch.setattr(ansatz, name, lambda *args: phases.append(args))
+        assert main([*args, "--out", os.devnull]) == 0
+        assert phases == []
 
     def test_pole_adjacent_flagged(self, tmp_path):
         out = tmp_path / "pole.csv"
@@ -381,10 +399,6 @@ class TestScan:
                 return _real(curve, *args)
 
             monkeypatch.setattr(module, "weierstrass_solution", spy)
-        elliptic._evaluate_memoised.cache_clear()
-        verify._time_row.cache_clear()
-        ansatz._panel_chunk.cache_clear()
-        ansatz._period_integral.cache_clear()
         assert main(["scan", "--branch", "all", "--grid", "0.2:1.2:3,0.2:1.2:3",
                      "--out", os.devnull]) == 0
         assert calls["profile"] == 8 * 9 * 2
@@ -534,14 +548,17 @@ class TestPointModes:
         assert np.isfinite(rep["pde_abs"]) and rep["pde_abs"] > 1e-3
         assert np.isnan(rep["P"]) and np.isnan(rep["r1"]) and np.isnan(rep["r2"])
 
-    @pytest.mark.parametrize("x", ["1e5", "1e7", "1e300"])
-    def test_pde_far_out_reads_the_reduced_point(self, x):
-        # pde samples its stencil at x reduced by whole profile periods, as
-        # residuals does: the same pde_abs on every branch, and at 1e300 no
-        # stencil folds onto a pole and nothing reaches stderr
+    @pytest.mark.parametrize("point", [
+        pytest.param(["--x", x], id=x) for x in ("1e5", "1e7", "1e300")
+    ] + [pytest.param(["--t", t], id=f"t{t}") for t in ("1e6", "1e17")])
+    def test_pde_far_out_reads_the_reduced_point(self, point):
+        # pde samples its stencil through the time row of residuals, at x
+        # reduced by whole profile periods and t by whole orbit periods: the
+        # same pde_abs on every branch, and at x = 1e300 no stencil folds
+        # onto a pole and nothing reaches stderr
         def reports(mode):
             proc = subprocess.run(
-                [sys.executable, "-m", "cnlse_ansatz", mode, "--x", x, "--format", "json"],
+                [sys.executable, "-m", "cnlse_ansatz", mode, *point, "--format", "json"],
                 capture_output=True, text=True, timeout=60, env=CHILD_ENV,
             )
             assert proc.returncode == 0 and proc.stderr == "", proc.stderr
@@ -553,6 +570,16 @@ class TestPointModes:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-9"])
+    def test_a_tiny_step_is_refused(self, dt):
+        # 1 / dt control steps would not finish: refused before any step
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnlse_ansatz", "evolve", "--branch", "mm", "--dt", dt],
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: --dt {float(dt):.12g} asks for "), proc.stderr
+
     def test_csv_series(self, tmp_path):
         out = tmp_path / "ev.csv"
         assert main(["evolve", "--branch", "mm", "--out", str(out)]) == 0

@@ -152,12 +152,10 @@ class TestRealPeriod:
         # |u| <= 4 * threshold needs at most two halvings: such a batch never
         # asks for the period and keeps its bits exactly
         u = np.array([0.3, 1.2, 1.99, 1.5 + 0.8j, -1.9])
-        elliptic._evaluate_memoised.cache_clear()
         want = _bits(wp_pair(u, INV))
         elliptic._evaluate_memoised.cache_clear()
         monkeypatch.setattr(elliptic, "real_period", _no_call)
         assert _bits(wp_pair(u, INV)) == want
-        elliptic._evaluate_memoised.cache_clear()
 
     def test_lattice_point_folds_off_the_pole(self):
         # 2w itself folds onto +-2w, not onto the pole at 0
@@ -319,10 +317,8 @@ class TestMemo:
             seen.append(uf.size)
             return evaluate(uf, *args)
 
-        elliptic._evaluate_memoised.cache_clear()
         monkeypatch.setattr(elliptic, "_evaluate", spy)
         yield seen
-        elliptic._evaluate_memoised.cache_clear()
 
     @staticmethod
     def fresh(u, inv):

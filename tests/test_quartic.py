@@ -356,14 +356,6 @@ class TestSetupMemo:
     COMPLEX = QuarticCurve(*(complex(c) for c in (-16.0, 8.0, -1.6, 0.13, 0.0)))
     XI = np.array([0.3, 0.9, 1.7])
 
-    @pytest.fixture(autouse=True)
-    def empty(self):
-        quartic._curve_setup.cache_clear()
-        elliptic._evaluate_memoised.cache_clear()
-        yield
-        quartic._curve_setup.cache_clear()
-        elliptic._evaluate_memoised.cache_clear()
-
     def test_equal_curves_of_other_type_keep_apart(self):
         assert self.COMPLEX == self.REAL
         for order in ((self.REAL, self.COMPLEX), (self.COMPLEX, self.REAL)):

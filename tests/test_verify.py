@@ -34,6 +34,7 @@ from cnlse_ansatz import (
     with_branch,
     z_curve,
 )
+from cnlse_ansatz import verify
 from cnlse_ansatz.ansatz import _q_curve_from_state
 
 from _pins import (
@@ -362,34 +363,35 @@ class TestReportAt:
         assert "pole_adjacent" in rep.notes
 
     def test_late_window_evaluates_each_time_row_once(self, monkeypatch):
-        # a late-shaped window, 4 x 4 points on mm: one orbit batch and one
-        # phase batch per time row (its centre and 4 stencil times), and one
-        # r1 stencil per time
+        # a late-shaped window, 4 x 4 points on mm, beyond one period 2w:
+        # per time row one orbit batch (t and the 5 stencil times at t
+        # reduced by whole periods), one gauge batch (a panel per time
+        # node), and one r1 stencil
         from cnlse_ansatz import verify
         from cnlse_ansatz.cli import main
 
-        counts = {"orbit": [], "phase": [], "r1": 0}
-        orbit_states, phases, ode_defect = verify._orbit_states, verify._phases, verify._ode_defect
+        counts = {"orbit": [], "gauge": [], "r1": 0}
+        orbit_states, panel_values, ode_defect = (
+            verify._orbit_states, verify._panel_values, verify._ode_defect)
 
         def orbit(params, ts):
             counts["orbit"].append(np.size(ts))
             return orbit_states(params, ts)
 
-        def phase(params, ts):
-            counts["phase"].append(np.size(ts))
-            return phases(params, ts)
+        def gauge(curve, z0, lo, hi):
+            counts["gauge"].append(np.size(hi))
+            return panel_values(curve, z0, lo, hi)
 
         def defect(curve, y0, sigma, xi, h):
             counts["r1"] += h == verify.R1_TIME_STEP
             return ode_defect(curve, y0, sigma, xi, h)
 
         monkeypatch.setattr(verify, "_orbit_states", orbit)
-        monkeypatch.setattr(verify, "_phases", phase)
+        monkeypatch.setattr(verify, "_panel_values", gauge)
         monkeypatch.setattr(verify, "_ode_defect", defect)
-        verify._time_row.cache_clear()
         assert main(["scan", "--branch", "mm", "--grid", "0.4:1.0:4,8.0:12.0:4",
                      "--out", os.devnull]) == 0
-        assert counts == {"orbit": [5] * 4, "phase": [5] * 4, "r1": 4}
+        assert counts == {"orbit": [6] * 4, "gauge": [4] * 4, "r1": 4}
 
     @staticmethod
     def _time_node_failure(monkeypatch, paired):
@@ -408,7 +410,6 @@ class TestReportAt:
             return states
 
         monkeypatch.setattr(verify, "_orbit_states", orbit)
-        verify._time_row.cache_clear()
         pars = [with_branch(REFERENCE_PARAMS, -1, s) for s in ((1, -1) if paired else (-1,))]
         reps = (verify.reports_at(pars[0], 0.5, 0.4, (1, -1)) if paired
                 else [report_at(pars[0], 0.5, 0.4)])
@@ -431,21 +432,22 @@ class TestReportAt:
     @pytest.mark.parametrize("paired", [False, True])
     @pytest.mark.parametrize("where, note", [
         ("_orbit_states", "RealityViolation"),
-        ("_phases", "StencilOutOfDomain"),
+        ("_panel_values", "StencilOutOfDomain"),
     ])
     def test_an_orbit_failure_is_that_orbits_alone(self, monkeypatch, where, note, paired):
-        # the sigma_z = +1 orbit fails at t, or in its phase: its branches
-        # note it, while the sigma_z = -1 branches, which share the row,
-        # report what they report without the failure; the same when each
-        # orbit's two slopes are evaluated together
+        # the sigma_z = +1 orbit fails at t, or in the gauge batch of its
+        # time nodes: its branches note it, while the sigma_z = -1 branches,
+        # which share the row, report what they report without the
+        # failure; the same when each orbit's two slopes are evaluated
+        # together
         from cnlse_ansatz import RealityViolation, verify
 
         real = getattr(verify, where)
 
-        def failing(params, ts):
-            values = real(params, ts)
+        def failing(*args):
+            values = real(*args)
             error = RealityViolation("orbit out of the domain")
-            if where == "_phases":
+            if where == "_panel_values":
                 values[1] = error
             else:
                 values[1][0] = error
@@ -482,15 +484,42 @@ class TestReportAt:
 
     def test_long_time_identity(self):
         # Re e^{-i phi} (i A_t + A_xx + q A |A|^2) cancels through the
-        # profile ODE, so pde_abs = |P|; the FD time stencil sees the phase
-        # quadrature, whose error must stay continuous in t even at t = 1000,
-        # a panel edge
+        # profile ODE, so pde_abs = |P|; at t = 1000 the FD time stencil
+        # samples the gauge B at t reduced by whole periods (measured 5.1e-11)
         p = with_branch(REFERENCE_PARAMS, -1, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = report_at(p, 1.0, 1000.0)
         assert rep.notes == ""
-        assert abs(rep.pde_abs - abs(rep.P)) <= 1e-6 * max(1.0, abs(rep.P))
+        assert abs(rep.pde_abs - abs(rep.P)) <= 1e-9 * max(1.0, abs(rep.P))
+
+    @staticmethod
+    def _gaps(x, t):
+        # |pde_abs - |P|| / max(1, |P|) at (x, t) on every branch without a note
+        reps = [rep for sz in (1, -1)
+                for rep in verify.reports_at(with_branch(REFERENCE_PARAMS, sz, 1), x, t, (1, -1))]
+        return [abs(rep.pde_abs - abs(rep.P)) / max(1.0, abs(rep.P))
+                for rep in reps if not rep.notes]
+
+    def test_default_scan_reads_the_identity(self):
+        # the gauge B differs from A by a constant phase, and no node of its
+        # stencil carries a rounded e^{i phi(s)}: on the default scan's 395
+        # clean points the gap is at most 1.3e-9 (1.9e-7 sampling A)
+        xs, ts = np.linspace(0.2, 1.2, 10), np.linspace(0.2, 1.2, 10)
+        gaps = [g for t in ts for x in xs for g in self._gaps(x, t)]
+        assert len(gaps) == 395
+        assert max(gaps) <= 2e-9
+
+    @pytest.mark.parametrize("t, tol", [
+        (1e3, 3e-9), (5115.1, 3e-9), (1e4, 3e-9), (1e17, 3e-9), (-1e17, 3e-9), (1e6, 3e-8),
+    ])
+    def test_long_times_read_the_identity(self, t, tol):
+        # the stencil reads t reduced by whole periods, where the spacing of
+        # floats is that of t < 2w: measured at most 7.3e-10, and 7.5e-9 at
+        # t = 1e6, where P reads t and the stencil r, whose ulps differ
+        gaps = self._gaps(1.0, t)
+        assert len(gaps) >= 3
+        assert max(gaps) <= tol
 
     def test_long_time_needs_no_phase(self, monkeypatch):
         # P, r1, r2 and the profile curve never read the phase, so at
