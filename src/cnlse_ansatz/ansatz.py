@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -182,33 +181,29 @@ def _panel_values(curve: QuarticCurve, z0: float, lo: np.ndarray, hi: np.ndarray
     return {sigma: _or_error(weighted, z) for sigma, z in zip((1, -1), zs)}
 
 
-@lru_cache(maxsize=256)
-def _panel_chunk(curve: QuarticCurve, z0: float, sign: float, m: int) -> dict:
-    """Node values of the whole panels m PHASE_CHUNK .. (m + 1) PHASE_CHUNK
-    - 1 in the direction sign: the phase's table, whose bits do not depend
-    on which times came first."""
-    edges = sign * PHASE_PANEL * np.arange(m * PHASE_CHUNK, (m + 1) * PHASE_CHUNK + 1)
-    return _panel_values(curve, z0, edges[None, :-1], edges[None, 1:])
-
-
 def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
     """Integral of z over [0, t] for each t of ts per orbit of the curve
-    through z0, or its error: the table's whole panels and one partial
-    panel per t, the partial panels one batch, a row each (see
-    ``phi_of_t``)."""
+    through z0, or its error: whole panels and one partial panel per t (see
+    ``phi_of_t``).  The whole panels form chunks of PHASE_CHUNK panels from
+    0 in each direction, each chunk the call needs one row of one batch, so
+    a panel's bits do not depend on which times came with it; the partial
+    panels are a second batch, a row each."""
     sign = np.copysign(1.0, ts)
     whole = np.floor(np.abs(ts) / PHASE_PANEL).astype(int)
     edge = sign * whole * PHASE_PANEL
     partial = ts != edge
     rests = _panel_values(curve, z0, edge[partial, None], ts[partial, None])
+    chunks = {s: -(-whole[sign == s].max(initial=0) // PHASE_CHUNK) for s in (1.0, -1.0)}
+    edges = np.array([s * PHASE_PANEL * np.arange(m * PHASE_CHUNK, (m + 1) * PHASE_CHUNK + 1)
+                      for s, n in chunks.items() for m in range(n)]).reshape(-1, PHASE_CHUNK + 1)
+    table = _panel_values(curve, z0, edges[:, :-1], edges[:, 1:])
 
     def integrals(sigma):
         rest = iter(_checked(rests[sigma]))
+        rows = dict(zip(chunks, np.split(_checked(table[sigma]), [chunks[1.0]])))
         out = np.empty(ts.shape)
         for i, (s, j) in enumerate(zip(sign, whole)):
-            chunks = [_checked(_panel_chunk(curve, z0, s, m)[sigma]).ravel()
-                      for m in range(-(-j // PHASE_CHUNK))]
-            values = np.concatenate(chunks + [np.empty(0)])[:j * PHASE_NODES]
+            values = rows[s].ravel()[:j * PHASE_NODES]
             if partial[i]:
                 values = np.concatenate((values, next(rest).ravel()))
             out[i] = np.sum(values)
@@ -226,14 +221,6 @@ def _split_periods(curve: QuarticCurve, t: float):
     return k, (math.copysign(abs(t) - k * period, t) if k else t)
 
 
-@lru_cache(maxsize=64)
-def _period_integral(curve: QuarticCurve, z0: float, sign: float) -> dict:
-    """Integral of z over one real period, [0, sign 2w], on both orbits of
-    the curve through z0: per orbit a one-element array, or the error."""
-    period = real_period(invariants_from_coefficients(curve))
-    return _z_integrals(curve, z0, np.array([sign * period]))
-
-
 def phi_of_t(params: AnsatzParams, t):
     """Phase phi(t) = phi0 + c1 t - 2 q * integral of z over [0, t], for
     scalar or array t.
@@ -242,18 +229,23 @@ def phi_of_t(params: AnsatzParams, t):
     multiples of PHASE_PANEL, so its error, at round-off, is continuous in
     t.  z has the real period 2w of its lattice (none: k = 0), so with
     |t| = k 2w + r, 0 <= r < 2w, it is k I + (integral over [0, +-r]), I
-    the integral over one period.  Both read one table of whole panels, so
-    phi is continuous as r reaches 2w, as the envelope's FD time stencil
-    needs, and a new t costs one partial panel, in whose batch it keeps the
+    the integral over one period, read by the same ``_z_integrals`` call
+    as the remainders, +-2w appended to them.  Both sum the same whole
+    panels, so phi is continuous as r reaches 2w, as the envelope's FD time
+    stencil needs, and each t keeps, in its partial panel's batch, the
     halving depth it has alone: its phase has the same bits in any array."""
     ta = np.asarray(t, dtype=float)
     ts, curve, sigma = ta.ravel(), z_curve(params), params.sigma_z
     splits = [_split_periods(curve, float(s)) for s in ts]
-    integral = _checked(_z_integrals(curve, params.z0, np.array([r for _, r in splits]))[sigma])
+    period = real_period(invariants_from_coefficients(curve))
+    signs = sorted({math.copysign(1.0, s) for s, (k, _) in zip(ts, splits) if k})
+    rests = [r for _, r in splits] + [s * period for s in signs]
+    integral = _checked(_z_integrals(curve, params.z0, np.array(rests))[sigma])
+    periods = dict(zip(signs, integral[ts.size:]))
+    integral = integral[:ts.size]
     for i, (k, _) in enumerate(splits):
         if k:
-            period = _period_integral(curve, params.z0, math.copysign(1.0, ts[i]))
-            integral[i] += k * _checked(period[sigma])[0]
+            integral[i] += k * periods[math.copysign(1.0, ts[i])]
     phi = params.phi0 + params.c1 * ts - 2.0 * params.q * integral
     return float(phi[0]) if ta.ndim == 0 else phi.reshape(ta.shape)
 

@@ -51,9 +51,11 @@ from .reference import (
     split_step_evolve,
 )
 from .verify import (
+    R2_SPACE_STEP,
     DiffConfig,
     ResidualReport,
     _central_differences,
+    _ode_defect,
     _P_and_Q,
     _point,
     _pole_note,
@@ -64,8 +66,6 @@ from .verify import (
     cnlse_residual,
     convergence_order,
     reports_at,
-    residual_R1,
-    residual_R2,
     soliton_field,
 )
 
@@ -403,20 +403,16 @@ def _point_reports(orbits: list, x: float, t: float) -> dict:
 
 def cmd_paper_check(rc: RunConfig) -> int:
     tol = rc.tolerances
-    p_and_q = {}
+    # per orbit one point, as reports_at reads it: P, Q and r2 for its
+    # sigma_Q tuple, each from one closed-form call, and the row's r1
+    by_branch = {}
     for par, sqs in _orbits(rc):
-        _, st, x = _point(par, rc.x, rc.t)
-        p_and_q.update(((par.sigma_z, sq), pq) for sq, pq in zip(sqs, _P_and_Q(par, st, x, sqs)))
-    rows = []
-    for name, (sz, sq) in rc.branches:
-        par = with_branch(rc.params, sz, sq)
-        p_val, q_val = p_and_q[sz, sq]
-        rows.append((
-            name, sz, sq, float(p_val),
-            float(residual_R1(par, rc.t)),
-            float(residual_R2(par, rc.x, rc.t)),
-            _pole_note(q_val),
-        ))
+        row, st, x = _point(par, rc.x, rc.t)
+        r2s = _ode_defect(st.curve, par.Q0, sqs, x, R2_SPACE_STEP)
+        for sq, (p_val, q_val), r2 in zip(sqs, _P_and_Q(par, st, x, sqs), r2s):
+            by_branch[par.sigma_z, sq] = (float(p_val), float(row.r1[par.sigma_z]),
+                                          float(r2), _pole_note(q_val))
+    rows = [(name, sz, sq, *by_branch[sz, sq]) for name, (sz, sq) in rc.branches]
     with _output(rc.out) as stream, contextlib.redirect_stdout(stream):
         print(f"point: x = {_fmt12(rc.x)}, t = {_fmt12(rc.t)}")
         print("branch  sigma_z  sigma_q  P                 r1            r2")
@@ -496,11 +492,6 @@ def _control_run(dt: float) -> _Run:
     exact = np.asarray(sol(grid.x, steps * dt))
     return _Run(np.asarray(sol(grid.x, 0.0)), 1.0, 2.0, grid, (steps,),
                 lambda states: float(np.max(np.abs(states[0] - exact))))
-
-
-def _soliton_control(dt: float) -> float:
-    """The soliton control's Linf error at step dt, run alone."""
-    return _evolve_runs([_control_run(dt)])[0]
 
 
 def cmd_evolve(rc: RunConfig) -> int:

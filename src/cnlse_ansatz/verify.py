@@ -127,9 +127,10 @@ def _central_differences(vals, h: float):
 
 class _TimeRow:
     """The time row at t that the four slope branches of a parameter set,
-    given without its signs, share: both orbits' states at t and at the
-    PDE's time nodes r + offsets, r = t reduced by whole periods 2w of z,
-    from one orbit call, and on first use r1 at r and the nodes' gauges."""
+    given without its signs, share: both orbits' states at the PDE's time
+    nodes r + offsets, r = t reduced by whole periods 2w of z (r = t below
+    2w), from one orbit call, and on first use r1 at r and the nodes'
+    gauges.  z is periodic, so every residual at t reads the state at r."""
 
     def __init__(self, unsigned: tuple, t: float):
         cfg = DiffConfig()
@@ -138,8 +139,7 @@ class _TimeRow:
         self.r = _split_periods(self.curve, t)[1]
         self.ts = self.r + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
         self.index = {s: i for i, s in enumerate(self.ts)}
-        times = self.ts if self.r == t else np.concatenate(([t], self.ts))
-        self.states = _orbit_states(self.params, times)
+        self.states = _orbit_states(self.params, self.ts)
 
     @cached_property
     def gauges(self) -> dict:
@@ -164,7 +164,7 @@ class _TimeRow:
         """The default-step PDE residuals (p = 1) at (x, r) per slope sign of
         sigmas of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
         orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}."""
-        states = self.states[params.sigma_z][-self.ts.size:]
+        states = self.states[params.sigma_z]
 
         def fields(xs, s):
             i = self.index[s]
@@ -183,9 +183,10 @@ def _row(p: AnsatzParams, t: float) -> _TimeRow:
 
 
 def _point(params: AnsatzParams, x: float, t: float):
-    """The time row at t, the state of the orbit params.sigma_z at t, and x
-    reduced by whole real periods of the profile lattice, which does not
-    move with t: what every residual at (x, t) reads."""
+    """The time row at t, the state of the orbit params.sigma_z at its r,
+    the state r1 and the PDE stencil read, and x reduced by whole real
+    periods of the profile lattice, which does not move with t: what every
+    residual at (x, t) reads."""
     row = _row(params, t)
     st = _checked(row.states[params.sigma_z][0])
     return row, st, _split_periods(st.curve, x)[1]
@@ -215,9 +216,11 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     z + ih z_t and z_t + ih R1'(z)/2 (z_tt from (z_t)^2 = R1(z)), and flows
     through the profile curve and its closed form.  Q_t is exact to
     round-off at every t and x, next to the orbit's lattice points, t = 0
-    and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly).  The profile
-    lattice does not move with t, so x is first reduced by its whole real
-    periods, as ``residual_R2`` reduces it."""
+    and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly).  z has the
+    real period 2w, so the state is read at the time row's r, t reduced by
+    whole periods, as r1 and the PDE stencil read it; the profile lattice
+    does not move with t, so x is first reduced by its whole real periods,
+    as ``residual_R2`` reduces it."""
     _, st, x = _point(params, float(x), float(t))
     return _P_and_Q(params, st, x, (params.sigma_Q,))[0][0]
 
@@ -246,9 +249,9 @@ def residual_R1(params: AnsatzParams, t: float) -> float:
 
 
 def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
-    """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at fixed t, with
-    x reduced by whole real periods of the profile lattice as ``residual_R1``
-    reduces t."""
+    """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at the time
+    row's r, with x reduced by whole real periods of the profile lattice as
+    ``residual_R1`` reduces t."""
     _, st, x = _point(params, float(x), float(t))
     return _ode_defect(st.curve, params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
 
@@ -385,12 +388,12 @@ def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
     """Full residual records at one point of the orbit params.sigma_z, one
     per profile slope sign of sigmas (params.sigma_Q is not read), never
     raising on pole contact: failures are recorded in the notes field and
-    the numbers set to nan.  The PDE residual is ``_TimeRow.pde``, at x
-    reduced by whole profile periods as P and r2 are, and at the row's r.
-    The signs share every closed-form call, so an error
-    of that shared work, a failed time node (StencilOutOfDomain) among
-    them, is every sign's; a pole and a non-finite stencil are each sign's
-    own."""
+    the numbers set to nan.  P, r1, r2, the pole note and the PDE residual
+    (``_TimeRow.pde``) all read the orbit state at the row's r and x reduced
+    by whole profile periods.  The signs share every closed-form call, so
+    an error of that shared work, a failed time node (StencilOutOfDomain)
+    among them, is every sign's; a pole and a non-finite stencil are each
+    sign's own."""
     x, t = float(x), float(t)
     nan, n = float("nan"), len(sigmas)
     notes = [[] for _ in sigmas]

@@ -9,10 +9,12 @@ from cnlse_ansatz import ansatz, elliptic, quartic, verify
 @pytest.fixture(autouse=True)
 def empty_memos():
     # every test starts from empty memos, so the counts and bits it reads do
-    # not depend on the tests that ran before it
-    for memo in (elliptic._evaluate_memoised, quartic._curve_setup, verify._time_row,
-                 ansatz._panel_chunk, ansatz._period_integral):
-        memo.cache_clear()
+    # not depend on the tests that ran before it: every memo of the modules
+    # that keep one, found by its cache_clear
+    for module in (ansatz, elliptic, quartic, verify):
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
 
 
 @pytest.fixture

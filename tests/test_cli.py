@@ -22,10 +22,11 @@ from cnlse_ansatz.cli import (
     BRANCH_ORDER,
     CLI_COLUMNS,
     CliError,
+    _control_run,
     _parse_grid,
-    _soliton_control,
     main,
 )
+from cnlse_ansatz.reference import _evolve_runs
 
 from _pins import P_AT_1_1, WP_03
 
@@ -370,8 +371,6 @@ class TestScan:
             # every memo that could hide an evaluation starts empty
             elliptic._evaluate_memoised.cache_clear()
             verify._time_row.cache_clear()
-            ansatz._panel_chunk.cache_clear()
-            ansatz._period_integral.cache_clear()
             evaluated.clear()
             assert main(["scan", "--branch", branch, "--grid", "0.2:1.2:3,0.2:1.2:3",
                          "--out", os.devnull]) == 0
@@ -684,7 +683,7 @@ class TestEvolve:
 
     def test_soliton_control_takes_a_step(self):
         # round(1 / dt) is 0 for dt > 2; the control still evolves one step
-        assert _soliton_control(3.0) > 0.0
+        assert _evolve_runs([_control_run(3.0)])[0] > 0.0
 
 
 class TestMetadata:

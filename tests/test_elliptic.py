@@ -378,7 +378,6 @@ class TestMemo:
         # float and complex coefficient sums differ in the last bits, so an
         # equal-valued entry of the other type must not serve; the matrix
         # holds c[k] from c[SERIES_ORDER] down to c[2] = g2 / 20
-        elliptic._laurent_matrix.cache_clear()
         real = elliptic._laurent_matrix(3.52, 1.0384)
         cplx = elliptic._laurent_matrix(3.52 + 0j, 1.0384 + 0j)
         assert cplx is not real and elliptic._laurent_matrix.cache_info().currsize == 2

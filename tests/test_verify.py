@@ -364,9 +364,9 @@ class TestReportAt:
 
     def test_late_window_evaluates_each_time_row_once(self, monkeypatch):
         # a late-shaped window, 4 x 4 points on mm, beyond one period 2w:
-        # per time row one orbit batch (t and the 5 stencil times at t
-        # reduced by whole periods), one gauge batch (a panel per time
-        # node), and one r1 stencil
+        # per time row one orbit batch (the 5 stencil times at t reduced by
+        # whole periods, which P, r2 and the pole note read too), one gauge
+        # batch (a panel per time node), and one r1 stencil
         from cnlse_ansatz import verify
         from cnlse_ansatz.cli import main
 
@@ -391,7 +391,7 @@ class TestReportAt:
         monkeypatch.setattr(verify, "_ode_defect", defect)
         assert main(["scan", "--branch", "mm", "--grid", "0.4:1.0:4,8.0:12.0:4",
                      "--out", os.devnull]) == 0
-        assert counts == {"orbit": [6] * 4, "gauge": [4] * 4, "r1": 4}
+        assert counts == {"orbit": [5] * 4, "gauge": [4] * 4, "r1": 4}
 
     @staticmethod
     def _time_node_failure(monkeypatch, paired):
@@ -512,11 +512,12 @@ class TestReportAt:
 
     @pytest.mark.parametrize("t, tol", [
         (1e3, 3e-9), (5115.1, 3e-9), (1e4, 3e-9), (1e17, 3e-9), (-1e17, 3e-9), (1e6, 3e-8),
+        (1e9, 3e-9), (1e12, 3e-9),
     ])
     def test_long_times_read_the_identity(self, t, tol):
-        # the stencil reads t reduced by whole periods, where the spacing of
-        # floats is that of t < 2w: measured at most 7.3e-10, and 7.5e-9 at
-        # t = 1e6, where P reads t and the stencil r, whose ulps differ
+        # P and the stencil both read t reduced by whole periods, where the
+        # spacing of floats is that of t < 2w: measured at most 7.3e-10, and
+        # 7.5e-9 on mm at t = 1e6, a gap whose cause is not isolated
         gaps = self._gaps(1.0, t)
         assert len(gaps) >= 3
         assert max(gaps) <= tol

@@ -15,16 +15,18 @@ default and the benchmark ``scan``, the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), a grid through
 x = 0 and t = 0, the pole-adjacent point, a grid on which one profile
 slope of a point is pole-adjacent and the other is not, every ``late``
-window of the benchmark, ``residuals`` at six times, two of them many
-orbit periods out (1e6 and 1e17), at three points far out in x and at a
-point that fails (a negative radicand), ``paper-check`` at three points,
-``pde`` at the default point, at three late times (one of them 1e17) and
-at two points far out in x, ``evolve`` on the benchmark window and
-the default one, with an uneven sample schedule on the benchmark's n (the
-control and the ansatz run share one stack), with the control finishing
-before the ansatz run, and on a window with a pole at that n, and every
-mode's ``--help``.  Each output that differs is printed as a diff.  The
-exit code is 1 if any output differs, else 0.
+window of the benchmark, ``residuals`` at eight times, four of them many
+orbit periods out (1e6, 1e10, 1e12 and 1e17), at three points far out in
+x and at a point that fails (a negative radicand), ``paper-check`` at
+three points, ``pde`` at the default point, at three late times (one of
+them 1e17) and at two points far out in x, ``evolve`` on the benchmark
+window and the default one, with an uneven sample schedule on the
+benchmark's n (the control and the ansatz run share one stack), with the
+control finishing before the ansatz run, on a window with a pole at that
+n, and with samples past one orbit period (the phase reads the integral
+over a whole period), and every mode's ``--help``.  Each output that
+differs is printed as a diff.  The exit code is 1 if any output differs,
+else 0.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def invocations() -> list:
         ("scan", "--branch", "pp", "--grid", "0.978:0.978:1,0.311:0.311:1"),
         ("scan", "--grid", "2.13:2.15:5,0.9:1.1:3"),
         *(workloads.late_args(t0) for t0 in starts),
-        *(("residuals", f"--t={t}") for t in ("0", "1", "-1000", "5115.1", "1e6", "1e17")),
+        *(("residuals", f"--t={t}")
+          for t in ("0", "1", "-1000", "5115.1", "1e6", "1e10", "1e12", "1e17")),
         *(("residuals", "--x", x) for x in ("1e5", "1e7", "1e300")),
         ("residuals", "--z0", "1e-300"),
         ("paper-check",),
@@ -73,6 +76,8 @@ def invocations() -> list:
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:1024,0.05:0.3:4", "--dt", "1e-4"),
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:1024", "--t-end", "1.5", "--dt", "1e-3"),
         ("evolve", "--branch", "pp", "--grid=-1.25:1.25:1024"),
+        ("evolve", "--branch", "mm", "--grid=-0.6:0.6:256,2.6:3.4:3", "--t-end", "3.4",
+         "--format", "json"),
         ("--help",),
         *((mode, "--help") for mode in MODES),
     ]
