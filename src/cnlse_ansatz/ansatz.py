@@ -97,7 +97,18 @@ REFERENCE_PARAMS = AnsatzParams(q=-1.0, c1=-2.0, c2=0.4, c3=0.13, z0=1.0, Q0=1.0
 PHASE_NODES = 16
 PHASE_PANEL = 0.25
 PHASE_CHUNK = 16
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(PHASE_NODES)
+# np.polynomial.legendre.leggauss(PHASE_NODES) bit for bit, mirrored from its x > 0 pairs
+_GL_HALF = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+])
+_GL_X, _GL_W = np.concatenate((_GL_HALF[::-1] * (-1.0, 1.0), _GL_HALF)).T.copy()
 
 # Complex step h of every derivative of a closed form, Im y(xi + ih) / h: with
 # no difference to cancel, h sits far below round-off and O(h^2) vanishes.

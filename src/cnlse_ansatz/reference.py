@@ -6,11 +6,12 @@ exact nonlinear kicks, with the half-steps of adjacent steps fused, so n
 steps are L/2 (N L)^(n-1) N L/2 and every segment of a run ends on a full
 Strang state.  One step loop advances a stack of runs of equal n as the
 rows of one array, each row on its own grid, with its own p, q and segment
-schedule, and with the bits it would have alone.  The FFTs work along the
-last axis, and numpy's fixed cost per call dominates at n = 1024, so two
-rows cost little more than one.  The step loop allocates nothing: both
-FFTs write into the stack's state and spectrum arrays, and the kick is
-built in reused buffers.
+schedule, and with the bits it would have alone.  The transforms are
+numpy's pocketfft gufuncs along the last axis, called without np.fft's
+argument handling (the inverse's scale 1 / n is the one np.fft.ifft
+passes), so the fixed cost per call is small and paid once for all rows.
+The step loop allocates nothing: both transforms write into the stack's
+state and spectrum arrays, and the kick is built in reused buffers.
 It knows nothing about elliptic functions, which is the point: initial data
 taken from the constructed envelope is propagated as a true solution of the
 dispersive equation and compared against the construction at later times.
@@ -30,6 +31,7 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
+from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft  # (n),(scale)->(n)
 
 from .ansatz import AnsatzParams, field_A, q_curve
 from .errors import AliasingWarning, NonFiniteSamples, WindowContainsPole
@@ -134,7 +136,7 @@ def _strang_stack(runs) -> list:
     squares = np.empty((len(live), 2 * a.shape[1]))  # re^2, im^2 interleaved, as in a.view(float)
     theta = np.empty(a.shape)                         # kick angle q dt |a|^2
     kick = np.empty(a.shape, dtype=complex)
-    spec = np.fft.fft(a)
+    spec = _fft(a, 1.0, out=np.empty_like(a))
     spec *= half
     done = 0  # steps every live row has taken
     while live:
@@ -142,25 +144,27 @@ def _strang_stack(runs) -> list:
         closing = [ends[i][len(states[i])] == stop for i in live]
         # a segment closes with the half-step, ending on a Strang state
         last = np.where(np.array(closing)[:, None], half, full)
+        flat, re2, im2 = a.view(float), squares[:, 0::2], squares[:, 1::2]
+        cos, sin, scale = kick.real, kick.imag, 1.0 / a.shape[1]
         for step in range(done + 1, stop + 1):
-            np.fft.ifft(spec, out=a)
-            np.square(a.view(float), out=squares)
-            np.add(squares[:, 0::2], squares[:, 1::2], out=theta)
+            _ifft(spec, scale, out=a)
+            np.square(flat, out=squares)
+            np.add(re2, im2, out=theta)
             theta *= qdt
-            np.cos(theta, out=kick.real)
-            np.sin(theta, out=kick.imag)
+            np.cos(theta, out=cos)
+            np.sin(theta, out=sin)
             a *= kick
-            np.fft.fft(a, out=spec)
+            _fft(a, 1.0, out=spec)
             spec *= full if step < stop else last
         done = stop
         for j, i in enumerate(live):
             if not closing[j]:
                 continue
-            states[i].append(np.fft.ifft(spec[j]))
+            states[i].append(_ifft(spec[j], scale, out=np.empty_like(spec[j])))
             if len(states[i]) < len(ends[i]):
                 if not np.all(np.isfinite(states[i][-1])):
                     raise NonFiniteSamples("initial samples contain non-finite values")
-                np.fft.fft(states[i][-1], out=spec[j])
+                _fft(states[i][-1], 1.0, out=spec[j])
                 spec[j] *= half[j]
         keep = [j for j, i in enumerate(live) if len(states[i]) < len(ends[i])]
         if len(keep) < len(live):

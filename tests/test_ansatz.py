@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import types
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from cnlse_ansatz import (
 )
 from cnlse_ansatz import ansatz
 from cnlse_ansatz.ansatz import (
+    PHASE_NODES,
     PHASE_PANEL,
     _GL_W as GL_W,
     _GL_X as GL_X,
@@ -317,15 +322,35 @@ class TestPhase:
             got = phi_of_t(p, t)
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (p.sigma_z, t)
 
-    def test_table_bits_do_not_depend_on_the_order_of_times(self):
+    def test_table_bits_do_not_depend_on_the_order_of_times(self, monkeypatch):
         # the whole panels come in chunks, each one row of a batch, so a time
-        # asked for after far ones, or with them, reads the bits it reads first
+        # asked for after far ones, or with them, reads the bits it reads
+        # first; t = +-40 reduces into the first chunk, so the check runs
+        # again without a real period, where it builds 20 chunk rows
         p = with_branch(REFERENCE_PARAMS, -1, 1)
-        ts = (0.3, 1.7, 2.4, -0.9, -2.2)
-        first = [phi_of_t(p, t) for t in ts]
-        phi_of_t(p, 40.0), phi_of_t(p, -40.0)
-        assert [phi_of_t(p, t) for t in reversed(ts)] == first[::-1]
-        assert phi_of_t(p, np.array(ts + (40.0, -40.0)))[:len(ts)].tolist() == first
+
+        def check(ts):
+            first = [phi_of_t(p, t) for t in ts]
+            phi_of_t(p, 40.0), phi_of_t(p, -40.0)
+            assert [phi_of_t(p, t) for t in reversed(ts)] == first[::-1]
+            assert phi_of_t(p, np.array(ts + (40.0, -40.0)))[:len(ts)].tolist() == first
+
+        check((0.3, 1.7, 2.4, -0.9, -2.2))
+        monkeypatch.setattr(ansatz, "real_period", lambda inv: None)
+        check((0.3, 1.7, 2.4, -0.9, -2.2, 5.3, -7.9))
+
+    def test_gauss_legendre_table_is_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(PHASE_NODES)
+        assert np.array_equal(GL_X, nodes)
+        assert np.array_equal(GL_W, weights)
+
+    def test_cli_import_leaves_numpy_polynomial_out(self):
+        # the table is literal, so the command line never loads numpy.polynomial
+        src = str(Path(ansatz.__file__).resolve().parents[1])
+        code = "import sys, cnlse_ansatz.cli; print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_without_a_real_period_the_table_spans_t(self, monkeypatch):
         # a lattice without a real period reads the plain integral over

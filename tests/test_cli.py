@@ -26,6 +26,7 @@ from cnlse_ansatz.cli import (
     _parse_grid,
     main,
 )
+from cnlse_ansatz import reference
 from cnlse_ansatz.reference import _evolve_runs
 
 from _pins import P_AT_1_1, WP_03
@@ -671,9 +672,9 @@ class TestEvolve:
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
         spec.loader.exec_module(workloads)
         calls = []
-        for name in ("fft", "ifft"):
-            fn = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+        for name in ("_fft", "_ifft"):
+            fn = getattr(reference, name)
+            monkeypatch.setattr(reference, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
         assert main(list(workloads.EVOLVE_ARGS)) == 0
         assert len(calls) <= 20_100
         md = json.loads(capsys.readouterr().out)["metadata"]

@@ -19,10 +19,38 @@ from cnlse_ansatz import (
     split_step_evolve,
     with_branch,
 )
+from cnlse_ansatz import reference
 from cnlse_ansatz.reference import _divergence_run, _evolve_runs, _Run, _strang_stack
 
 # wide window, step below the resolution guideline: no aliasing warnings
 WIDE = SpectralGrid(x_min=-20.0, x_max=20.0, n=256, dt=1e-3)
+
+
+def _count_transforms(monkeypatch) -> list:
+    """A list that gains one entry per transform the step loop makes; a
+    call of np.fft.fft or np.fft.ifft, which the loop goes around, fails."""
+    calls = []
+    for name in ("_fft", "_ifft"):
+        fn = getattr(reference, name)
+        monkeypatch.setattr(reference, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+        monkeypatch.setattr(np.fft, name[1:], lambda *a, **kw: pytest.fail("np.fft called"))
+    return calls
+
+
+class TestTransforms:
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_gufuncs_are_numpy_fft_bit_for_bit(self, n, rows):
+        # the step loop calls numpy's private pocketfft gufuncs: a numpy that
+        # changes them must fail here, not shift the loop's bits
+        rng = np.random.default_rng(n + rows)
+        a = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+        for gufunc, scale, want in ((reference._fft, 1.0, np.fft.fft(a)),
+                                    (reference._ifft, 1.0 / n, np.fft.ifft(a))):
+            out = np.empty_like(a)
+            assert gufunc(a, scale, out=out) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(gufunc(a[0], scale, out=np.empty(n, dtype=complex)), want[0])
 
 
 class TestSpectralGrid:
@@ -147,16 +175,7 @@ class TestEvolution:
     @pytest.mark.parametrize("steps", [0, 1, 2, 7])
     def test_one_fft_pair_per_step(self, steps, monkeypatch):
         # fused half-steps: n steps take n + 1 forward/inverse pairs
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kw):
-                calls.append(fn)
-                return fn(*args, **kw)
-            return wrapper
-
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        calls = _count_transforms(monkeypatch)
         a0 = np.asarray(soliton_field(1.0)(WIDE.x, 0.0), dtype=complex)
         split_step_evolve(a0, 1.0, 2.0, WIDE, steps)
         assert len(calls) == (2 * steps + 2 if steps else 0)
@@ -231,10 +250,7 @@ class TestStack:
     def test_two_transforms_per_step_of_the_longest_row(self, monkeypatch):
         # the rows share each step's pair; a segment end costs its own row an
         # inverse transform, and a forward one if another segment follows
-        calls = []
-        for name in ("fft", "ifft"):
-            fn = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+        calls = _count_transforms(monkeypatch)
         runs = self._runs(("wide", "short", "late"))
         _strang_stack(runs)
         longest = max(sum(run.segments) for run in runs)

@@ -23,10 +23,10 @@ them 1e17) and at two points far out in x, ``evolve`` on the benchmark
 window and the default one, with an uneven sample schedule on the
 benchmark's n (the control and the ansatz run share one stack), with the
 control finishing before the ansatz run, on a window with a pole at that
-n, and with samples past one orbit period (the phase reads the integral
-over a whole period), and every mode's ``--help``.  Each output that
-differs is printed as a diff.  The exit code is 1 if any output differs,
-else 0.
+n, with samples past one orbit period (the phase reads the integral over
+a whole period), and at n = 64 (the benchmark's warm-up) and n = 2048,
+and every mode's ``--help``.  Each output that differs is printed as a
+diff.  The exit code is 1 if any output differs, else 0.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ def invocations() -> list:
         ("evolve", "--branch", "pp", "--grid=-1.25:1.25:1024"),
         ("evolve", "--branch", "mm", "--grid=-0.6:0.6:256,2.6:3.4:3", "--t-end", "3.4",
          "--format", "json"),
+        ("evolve", "--branch", "mm", "--grid=-1.25:1.25:64", "--dt", "1e-3", "--t-end", "0.01",
+         "--format", "json"),
+        ("evolve", "--branch", "mm", "--grid=-1.25:1.25:2048", "--dt", "1e-3", "--t-end", "0.2"),
         ("--help",),
         *((mode, "--help") for mode in MODES),
     ]
