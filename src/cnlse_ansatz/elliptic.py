@@ -3,8 +3,8 @@
 The pair (wp, wp') is evaluated everywhere in the complex plane from the
 Laurent expansion about the origin combined with repeated argument halving
 and the algebraic duplication rule.  No lattice or theta machinery is used;
-everything is driven by the invariant pair (g2, g3), which is what the
-quartic reduction naturally produces.
+everything is driven by the real invariant pair (g2, g3), which is what
+the quartic reduction naturally produces.
 
 Accuracy model: the expansion, kept to index SERIES_ORDER, is summed for
 |v| <= HALVING_THRESHOLD, where its truncation error is far below double
@@ -16,9 +16,9 @@ disk, so the threshold is tightened by the homogeneity scale
 which keeps the summed series inside the same effective radius as the
 moderate-invariant case instead of silently losing digits.
 
-For real invariants an argument far from the origin is first folded by
-whole real periods 2w (``real_period``) into |Re u| <= w, so the halving
-depth, and the round-off with it, stays bounded in |u| (see ``wp_pair``).
+An argument far from the origin is first folded by whole real periods 2w
+(``real_period``) into |Re u| <= w, so the halving depth, and the
+round-off with it, stays bounded in |u| (see ``wp_pair``).
 """
 
 from __future__ import annotations
@@ -42,14 +42,18 @@ _LONG_PI = 4.0 * np.arctan(np.longdouble(1.0))
 
 @dataclass(frozen=True)
 class EllipticInvariants:
-    """Invariant pair (g2, g3) that fixes a Weierstrass function; real, or
-    complex when a complex-step derivative flows through them."""
+    """Real invariant pair (g2, g3), held as Python floats, that fixes a
+    Weierstrass function; a complex-typed value raises ValueError."""
 
-    g2: complex
-    g3: complex
+    g2: float
+    g3: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.g2) and np.isfinite(self.g3)):
+        if np.iscomplexobj(self.g2) or np.iscomplexobj(self.g3):
+            raise ValueError("invariants must be real")
+        object.__setattr__(self, "g2", float(self.g2))
+        object.__setattr__(self, "g3", float(self.g3))
+        if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
             raise NonFiniteSamples("invariants must be finite")
 
     @property
@@ -68,15 +72,13 @@ class EllipticInvariants:
         return disc
 
 
-# typed: float and complex invariants of equal value give coefficients that
-# differ in the last bits, so they must not share an entry
-@lru_cache(maxsize=512, typed=True)
-def _laurent_matrix(g2: complex, g3: complex) -> np.ndarray:
+@lru_cache(maxsize=512)
+def _laurent_matrix(g2: float, g3: float) -> np.ndarray:
     """Rows c[k] and (2k - 2) c[k], k = SERIES_ORDER .. 2, in extended
     precision, of wp(u) = u^-2 + sum c[k] u^(2k-2), by the recursion that
     the differential equation gives: times w^(k-2), w = v^2, they sum
     (wp - v^-2) / w and (wp' + 2 v^-3) / v, smallest term first."""
-    c = np.zeros(SERIES_ORDER + 1, dtype=np.result_type(g2, g3, float))
+    c = np.zeros(SERIES_ORDER + 1)
     c[2] = g2 / 20.0
     c[3] = g3 / 28.0
     for k in range(4, SERIES_ORDER + 1):
@@ -87,12 +89,8 @@ def _laurent_matrix(g2: complex, g3: complex) -> np.ndarray:
     return np.stack((c, (2 * np.arange(SERIES_ORDER, 1, -1) - 2) * c))
 
 
-# typed, as for the Laurent coefficients: a complex-typed pair is a
-# complex-step lattice, whose period must not enter the argument
-@lru_cache(maxsize=512, typed=True)
-def _real_period(g2: complex, g3: complex) -> float | None:
-    if np.iscomplexobj(g2) or np.iscomplexobj(g3):
-        return None
+@lru_cache(maxsize=512)
+def _real_period(g2: float, g3: float) -> float | None:
     inv = EllipticInvariants(g2, g3)
     disc = inv.discriminant
     if disc == 0.0:
@@ -129,7 +127,7 @@ def real_period(inv: EllipticInvariants) -> float | None:
     P > 0 with wp(u + P) = wp(u): pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2))
     for a discriminant above zero, and the A&S 18.9 form through the
     real root for one below.  None for a degenerate lattice (discriminant
-    zero, one period infinite) and for complex invariants."""
+    zero, one period infinite)."""
     return _real_period(inv.g2, inv.g3)
 
 
@@ -140,8 +138,8 @@ def _halving_scale(g2: float, g3: float) -> float:
 
 
 # Bounds of the wp_pair memo, from its traffic in the benchmark's
-# four-branch 11x11 scan: 1,969 calls of 1 (1,452 calls), 5 (506) or 64
-# (11) arguments cost 1,078 evaluations, one per distinct argument, and
+# four-branch 11x11 scan: 1,727 calls of 1 (1,210 calls), 5 (506) or 64
+# (11) arguments cost 836 evaluations, one per distinct argument, and
 # MEMO_CALLS holds every distinct call of up to MEMO_ARGS arguments, so
 # none is evicted.  The cap stores the 16-node phase panel of a lone time
 # but lets a time row's gauge batch, the 256-argument phase chunks and the
@@ -150,9 +148,8 @@ MEMO_ARGS = 16
 MEMO_CALLS = 2048
 
 
-# typed, with the invariants' bytes in the key (see wp_pair)
-@lru_cache(maxsize=MEMO_CALLS, typed=True)
-def _evaluate_memoised(u_bytes: bytes, row: int, g2: complex, g3: complex, g_bytes: bytes):
+@lru_cache(maxsize=MEMO_CALLS)
+def _evaluate_memoised(u_bytes: bytes, row: int, g2: float, g3: float, g_bytes: bytes):
     uf = np.frombuffer(u_bytes, dtype=complex)
     return _evaluate(uf, np.abs(uf), EllipticInvariants(g2, g3), row)
 
@@ -162,35 +159,27 @@ def wp_pair(u, inv: EllipticInvariants):
 
     An element that would need three or more halvings (|u| > 4 times the
     scaled threshold) first has Re u replaced by Re u - k 2w with
-    k = round(Re u / 2w), 2w the real period of real invariants; Im u is
-    kept, so a complex step in u survives the fold.  An argument on a
-    lattice point other than 0 folds onto +-2w rather than onto the pole.
-    Degenerate lattices are not folded, nor complex invariants, which carry
-    a complex-step derivative: their period would bring its own derivative
-    into the argument.  Each
-    element is then halved into the summation radius, the series for wp and
-    wp' is summed there, and the duplication rule walks back up.  Each
-    element of a batch is halved up to the batch maximum but at most once
-    more than it needs, so a finite difference stencil gets one depth (a
-    difference quotient would amplify a step in the error) while a wide
-    batch is not over-halved into amplified round-off.  A ``u`` of two or
-    more dimensions is a stack of such batches, one per row (its last
-    axis), so a column of independent times keeps the bits each has alone.
-
-    The invariants may be complex as well as real: the series and the
-    duplication walk are analytic in (u, g2, g3), so a complex-step
-    perturbation of any of them carries its derivative to the output.  The
-    halving depth reads only magnitudes, which such a step leaves unchanged.
+    k = round(Re u / 2w), 2w the real period of the lattice (a degenerate
+    one is not folded); Im u is kept, so a complex step in u survives the
+    fold.  An argument on a lattice point other than 0 folds onto +-2w
+    rather than onto the pole.  Each element is then halved into the
+    summation radius, the series for wp and wp' is summed there, and the
+    duplication rule walks back up.  Each element of a batch is halved up
+    to the batch maximum but at most once more than it needs, so a finite
+    difference stencil gets one depth (a difference quotient would amplify
+    a step in the error) while a wide batch is not over-halved into
+    amplified round-off.  A ``u`` of two or more dimensions is a stack of
+    such batches, one per row (its last axis), so a column of independent
+    times keeps the bits each has alone.
 
     Results are memoised: the two sigma_Q branches of a point share each
     profile curve's arguments, and the profile lattice, which does not move
     with t, repeats to the last bit across times.  A call of at most
     MEMO_ARGS arguments goes through a least recently used cache of
     MEMO_CALLS calls.  The key is the bits of ``u`` as complex, its row
-    length, and ``g2`` and ``g3`` with their types and bits (1.0 and 1+0j,
-    summed to different last bits by ``_laurent_matrix``, or 0.0 and -0.0,
-    never share an entry), so a hit returns the bits a fresh evaluation
-    would, as a copy.  A call that raises stores nothing.
+    length, and the bits of ``g2`` and ``g3`` (0.0 and -0.0 never share an
+    entry), so a hit returns the bits a fresh evaluation would, as a copy.
+    A call that raises stores nothing.
 
     Raises PoleProximity when any element sits within POLE_EPSILON of the
     double pole at the origin.
@@ -209,7 +198,7 @@ def wp_pair(u, inv: EllipticInvariants):
     if uf.size > MEMO_ARGS:
         W, W1 = _evaluate(uf, au, inv, row)
     else:
-        g_bytes = np.array([inv.g2, inv.g3], dtype=complex).tobytes()
+        g_bytes = np.array([inv.g2, inv.g3]).tobytes()
         W, W1 = (a.copy() for a in
                  _evaluate_memoised(uf.tobytes(), row, inv.g2, inv.g3, g_bytes))
     if u_arr.ndim == 0:

@@ -73,7 +73,7 @@ def invariants_from_coefficients(R: QuarticCurve) -> EllipticInvariants:
 @lru_cache(maxsize=1024, typed=True)
 def _curve_setup(alpha, beta, gamma, delta, epsilon, y0: float):
     """R and its derivatives at y0, and the invariants, of one curve; typed,
-    so a complex-step curve equal in value to a real one stays complex."""
+    so a complex curve equal in value to a real one is not served its set-up."""
     R = QuarticCurve(alpha, beta, gamma, delta, epsilon)
     r = eval_with_derivatives(R, y0)
     if np.real(r[0]) < 0.0:
@@ -82,25 +82,45 @@ def _curve_setup(alpha, beta, gamma, delta, epsilon, y0: float):
 
 
 def _closed_form_parts(R: QuarticCurve, y0: float, xi):
-    """Set-up shared by the closed form and its denominator: the memoised
-    set-up of R at y0, xi as a checked array of at least one dimension, the
-    mask of its elements beyond the elliptic pole guard, and wp - b, wp' and
-    the denominator 2 (wp - b)^2 - R(y0) R''''(y0)/48, which mean something
-    only on that mask (None where no element is beyond the guard)."""
+    """The wp part of the closed form: the memoised R^(k)(y0), k = 0..4, xi
+    as a checked array of at least one dimension, the mask of its elements
+    beyond the elliptic pole guard, and wp and wp' of R's lattice on it
+    (None where no element is beyond the guard)."""
     r, inv = _curve_setup(R.alpha, R.beta, R.gamma, R.delta, R.epsilon, y0)
     xi_arr = np.asarray(xi)
-    xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, r[0], float))
+    xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, float))
     if not np.isfinite(xf).all():
         raise NonFiniteSamples("xi must be finite")
     away = np.abs(xf) >= POLE_EPSILON
     if not away.any():
-        return r, xf, away, None, None, None
+        return r, xf, away, None, None
     # an element inside the guard is evaluated at POLE_EPSILON instead: it
     # needs no more halvings than any element beyond the guard, so it cannot
     # deepen its row of the batch, and the rows keep their shape
     W, W1 = wp_pair(np.where(away, xf, POLE_EPSILON), inv)
+    return r, xf, away, W, W1
+
+
+def _rational_part(r, y0: float, signs: tuple, xf, away, W, W1) -> list:
+    """The rational part of the closed form: y at xf per sign of signs from
+    the five scalars r = R^(k)(y0) and the rest of ``_closed_form_parts``.
+    Complex scalars, of a curve built from a complex step, carry it to y."""
+    r0, r1, _, r3, _ = r
+    sq, xn = np.sqrt(r0), np.where(away, 0.0, xf)
+    ys = [y0 + s * sq * xn + 0.25 * r1 * xn * xn for s in map(float, signs)]
+    # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
+    # closed form would produce 0/0 wherever wp crosses b
+    if W is None or (r0 == 0.0 and r1 == 0.0):
+        return ys
     Wb = W - r[2] / 24.0
-    return r, xf, away, Wb, W1, 2.0 * Wb * Wb - r[0] * r[4] / 48.0
+    den = 2.0 * Wb * Wb - r0 * r[4] / 48.0
+    for s, y in zip(map(float, signs), ys):
+        # real in, real out: the wp arithmetic is complex throughout
+        part = np.real if y.dtype.kind == "f" else np.asarray
+        num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y[away] = y0 + part(num / den)[away]
+    return ys
 
 
 def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
@@ -111,16 +131,16 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
         y = y0 + [R'(y0)/2 (wp - b) - sigma sqrt(R(y0)) wp' + R(y0) R'''(y0)/24]
                  / [2 (wp - b)^2 - R(y0) R''''(y0)/48],      b = R''(y0)/24,
 
-    with wp = wp(xi) for the invariants of R.  +sigma multiplies the initial
-    slope, which pins the numerator sign of wp' (wp' ~ -2 xi^-3 near zero)
-    to -sigma.  For a tuple of signs, such as (1, -1), a tuple of one
-    solution per sign comes from one wp evaluation, each bit-equal to its
-    single-sign call.
+    with wp = wp(xi) for the invariants of R (the wp part) and the rest
+    rational in the scalars R^(k)(y0).  +sigma multiplies the initial slope, which pins the
+    numerator sign of wp' (wp' ~ -2 xi^-3 near zero) to -sigma.  For a tuple
+    of signs, such as (1, -1), a tuple of one solution per sign comes from
+    one wp evaluation, each bit-equal to its single-sign call.
 
-    xi is scalar or array, real or complex, and R's coefficients real or
-    complex; the output is real exactly when both are.  The one derivative
-    rule is the complex step: at xi + ih, or on a curve built from one,
-    Im y / h is the derivative, exact to round-off.  An array shares one
+    xi is scalar or array, real or complex, and R's coefficients real (a
+    complex curve raises ValueError); the output is real exactly when xi
+    is.  The one derivative rule is the complex step: at xi + ih, Im y / h
+    is the derivative, exact to round-off.  An array shares one
     argument-halving depth along its last axis (see ``wp_pair``), so a
     finite difference stencil gets a smooth evaluation error.  |xi| below
     the elliptic pole guard returns the pole limit, the Taylor polynomial
@@ -131,21 +151,8 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
     signs, y0 = sigma if isinstance(sigma, tuple) else (sigma,), float(y0)
     if not {1.0, -1.0}.issuperset(signs):
         raise ValueError("sigma must be +1 or -1")
-    (r0, r1, _, r3, _), xf, away, Wb, W1, den = _closed_form_parts(R, y0, xi)
-    sq = np.sqrt(r0)
-    xn = np.where(away, 0.0, xf)
-    scalar, out = np.ndim(xi) == 0, []
-    for s in map(float, signs):
-        y = y0 + s * sq * xn + 0.25 * r1 * xn * xn
-        # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
-        # closed form would produce 0/0 wherever wp crosses b
-        if den is not None and not (r0 == 0.0 and r1 == 0.0):
-            # real in, real out: the wp arithmetic is complex throughout
-            part = np.real if y.dtype.kind == "f" else np.asarray
-            num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y[away] = y0 + part(num / den)[away]
-        out.append(y[0].item() if scalar else y)
+    r, *wp = _closed_form_parts(R, y0, xi)
+    out = [y[0].item() if np.ndim(xi) == 0 else y for y in _rational_part(r, y0, signs, *wp)]
     return tuple(out) if isinstance(sigma, tuple) else out[0]
 
 
@@ -154,8 +161,9 @@ def solution_denominator(R: QuarticCurve, y0: float, xi):
     guard.  Real zeros of this function in xi are the solution poles of
     weierstrass_solution; scans use sign changes of it to detect a pole
     crossing between grid nodes."""
-    _, xf, away, _, _, den = _closed_form_parts(R, float(y0), xi)
+    r, xf, away, W, _ = _closed_form_parts(R, float(y0), xi)
     out = np.full(xf.shape, np.inf)
-    if den is not None:
-        out[away] = den.real[away]
+    if W is not None:
+        Wb = W - r[2] / 24.0
+        out[away] = (2.0 * Wb * Wb - r[0] * r[4] / 48.0).real[away]
     return float(out[0]) if np.ndim(xi) == 0 else out

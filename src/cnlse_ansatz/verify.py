@@ -50,7 +50,8 @@ from .errors import (
     RealityViolation,
     StencilOutOfDomain,
 )
-from .quartic import eval_with_derivatives, invariants_from_coefficients, weierstrass_solution
+from .quartic import _closed_form_parts, _rational_part, eval_with_derivatives
+from .quartic import invariants_from_coefficients, weierstrass_solution
 
 # Internal steps for the by-construction residuals r1 and r2.  These are
 # larger than DiffConfig defaults on purpose: the quantity differentiated is
@@ -196,12 +197,14 @@ def _P_and_Q(params: AnsatzParams, st, x: float, sigmas: tuple) -> list:
     """(P, Q) per profile slope sign of sigmas at the reduced x (see
     ``_point``) and the orbit state st: ``residual_P`` and the real profile
     value it evaluates on the way, from which the pole note is read.  One
-    real and one complex-step closed-form call serve every sign."""
-    q_center = weierstrass_solution(st.curve, params.Q0, sigmas, x)
+    wp evaluation on the real profile lattice serves Q, from the state's
+    scalars R^(k)(Q0), and Q_t, from the stepped curve's, for every sign."""
+    r, *wp = _closed_form_parts(st.curve, params.Q0, x)
     ztt = 0.5 * eval_with_derivatives(z_curve(params), st.z)[1]
     h = 1j * P_STEP
     curve = _q_curve_from_state(params, st.z + h * st.zt, st.zt + h * ztt)
-    qs = weierstrass_solution(curve, params.Q0, sigmas, x)
+    q_center, qs = ([y.item() for y in _rational_part(s, params.Q0, sigmas, *wp)]
+                    for s in (r, eval_with_derivatives(curve, params.Q0)))
     return [(q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + qc ** 2)), qc)
             for q, qc in zip(qs, q_center)]
 
@@ -214,13 +217,13 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     Q_t is the complex-step derivative Im Q(x, t + ih) / h, h = P_STEP.  Q
     reads t only through the orbit state, so the step is taken there,
     z + ih z_t and z_t + ih R1'(z)/2 (z_tt from (z_t)^2 = R1(z)), and flows
-    through the profile curve and its closed form.  Q_t is exact to
+    through the profile curve's scalars R^(k)(Q0).  Q_t is exact to
     round-off at every t and x, next to the orbit's lattice points, t = 0
-    and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly).  z has the
-    real period 2w, so the state is read at the time row's r, t reduced by
-    whole periods, as r1 and the PDE stencil read it; the profile lattice
-    does not move with t, so x is first reduced by its whole real periods,
-    as ``residual_R2`` reduces it."""
+    and x = 0 included (Q(0, .) = Q0 gives Q_t = 0 exactly).  z has the real
+    period 2w, so the state is read at the time row's r, t reduced by whole
+    periods, as r1 and the PDE stencil read it; the profile lattice does not
+    move with t, so x is first reduced by its whole real periods, as
+    ``residual_R2`` reduces it."""
     _, st, x = _point(params, float(x), float(t))
     return _P_and_Q(params, st, x, (params.sigma_Q,))[0][0]
 

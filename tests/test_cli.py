@@ -15,6 +15,7 @@ from cnlse_ansatz import (
     cli,
     elliptic,
     invariants_from_coefficients,
+    quartic,
     verify,
     z_curve,
 )
@@ -385,23 +386,23 @@ class TestScan:
 
 
     def test_four_branch_scan_pairs_the_profile_slopes(self, monkeypatch):
-        # a point's two sigma_Q branches share each closed-form call on its
-        # orbit: per point and orbit 8 profile calls (P's real and
-        # complex-step call, r2's stencil, the PDE's x stencil and its 4
-        # time nodes), not 8 per branch
+        # a point's two sigma_Q branches share each closed-form wp part on
+        # its orbit: per point and orbit 7 on the profile lattice (P's one,
+        # which serves Q and Q_t, r2's stencil, the PDE's x stencil and its
+        # 4 time nodes), not 7 per branch
         zc = z_curve(REFERENCE_PARAMS)
         calls = {"z": 0, "profile": 0}
-        for module in (ansatz, verify):
-            real = module.weierstrass_solution
+        real = quartic._closed_form_parts
 
-            def spy(curve, *args, _real=real):
-                calls["z" if curve == zc else "profile"] += 1
-                return _real(curve, *args)
+        def spy(curve, *args):
+            calls["z" if curve == zc else "profile"] += 1
+            return real(curve, *args)
 
-            monkeypatch.setattr(module, "weierstrass_solution", spy)
+        for module in (quartic, verify):
+            monkeypatch.setattr(module, "_closed_form_parts", spy)
         assert main(["scan", "--branch", "all", "--grid", "0.2:1.2:3,0.2:1.2:3",
                      "--out", os.devnull]) == 0
-        assert calls["profile"] == 8 * 9 * 2
+        assert calls["profile"] == 7 * 9 * 2
         assert 0 < calls["z"] <= 4 * 3
 
 

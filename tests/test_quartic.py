@@ -232,7 +232,8 @@ class TestSignPair:
     # slope, 1 / (1 + xi), reads 0/0 there)
     POLE_CURVE = QuarticCurve(1.0, 0.0, 0.0, 0.0, 0.0)
     EQUILIBRIUM = QuarticCurve(-1.0, 0.5, -1.0 / 3.0, 0.5, -1.0)
-    STEP_CURVE = QuarticCurve(-16.0, 8.0, -1.6, 0.13 + 1e-30j, 1e-30j)
+    # the reference profile curve at z = 1, with delta = 0.2 in place of z_t / 4
+    PROFILE_CURVE = QuarticCurve(0.5, 0.0, 1.0 / 6.0, 0.2, 1.3)
 
     @staticmethod
     def bits(y):
@@ -244,7 +245,7 @@ class TestSignPair:
         (Z_CURVE, 1.0, np.linspace(0.2, 9.0, 15).reshape(3, 5)),
         (Z_CURVE, 1.0, 0.7 + 1e-30j),
         (Z_CURVE, 1.0, np.linspace(-1.0, 1.2, 12)[:, None] + 1e-30j),
-        (STEP_CURVE, 1.0, np.array([0.4, 1.1])),
+        (PROFILE_CURVE, 1.0, np.array([0.4, 1.1])),
         (Z_CURVE, 1.0, 3e-11),
         (Z_CURVE, 1.0, np.array([0.0, -7e-11, 0.5])),
         (EQUILIBRIUM, 1.0, np.linspace(0.0, 1.5, 31)),
@@ -356,20 +357,26 @@ class TestSetupMemo:
     COMPLEX = QuarticCurve(*(complex(c) for c in (-16.0, 8.0, -1.6, 0.13, 0.0)))
     XI = np.array([0.3, 0.9, 1.7])
 
-    def test_equal_curves_of_other_type_keep_apart(self):
+    def test_complex_curve_raises_on_every_call(self):
+        # its invariants are complex, which the elliptic core refuses; the
+        # typed set-up memo must not serve it the real twin's entry
         assert self.COMPLEX == self.REAL
+        calls = (lambda curve: weierstrass_solution(curve, 1.0, 1, self.XI),
+                 lambda curve: weierstrass_solution(curve, 1.0, -1, 0.4),
+                 lambda curve: solution_denominator(curve, 1.0, 0.4))
         for order in ((self.REAL, self.COMPLEX), (self.COMPLEX, self.REAL)):
             quartic._curve_setup.cache_clear()
-            for curve in order:
-                y = weierstrass_solution(curve, 1.0, 1, self.XI)
-                scalar = weierstrass_solution(curve, 1.0, -1, 0.4)
-                want = complex if curve is self.COMPLEX else float
-                assert y.dtype == want and type(scalar) is want
-                assert np.real(solution_denominator(curve, 1.0, 0.4)) != 0.0
-        assert quartic._curve_setup.cache_info().currsize == 2
+            for curve in order * 2:
+                for call in calls:
+                    if curve is self.REAL:
+                        assert np.isrealobj(call(curve))
+                    else:
+                        with pytest.raises(ValueError, match="real"):
+                            call(curve)
+        assert quartic._curve_setup.cache_info().currsize == 1
 
     def test_hit_is_bit_equal_to_fresh(self):
-        for curve in (self.REAL, self.COMPLEX, z_curve(with_branch(REFERENCE_PARAMS, -1, 1))):
+        for curve in (self.REAL, z_curve(with_branch(REFERENCE_PARAMS, -1, 1))):
             quartic._curve_setup.cache_clear()
             elliptic._evaluate_memoised.cache_clear()
             fresh = weierstrass_solution(curve, 1.0, 1, self.XI)

@@ -1,9 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cnlse_ansatz import REFERENCE_PARAMS, residual_P, with_branch
+from cnlse_ansatz import BRANCHES, REFERENCE_PARAMS, report_at, residual_P, with_branch
 
 mp = pytest.importorskip("mpmath")
 
@@ -37,3 +38,21 @@ def test_reduced_phase_matches_one_quadrature(regenerate_pins):
     t = mp.mpf(10)
     reduced = regenerate_pins.phase(-1, t)
     assert abs(reduced - regenerate_pins.quad_phase(-1, t)) < mp.mpf("1e-25")
+
+
+def test_inconsistency_matches_the_oracle_on_a_seeded_sample(regenerate_pins):
+    # P against the 50-digit oracle on every branch, at the seeded points of
+    # [0.2, 1.2]^2 that carry no note (a pole-adjacent point has no
+    # guarded bound), each within 5e-12 guarded
+    points = np.random.default_rng(2026).uniform(0.2, 1.2, size=(48, 2))
+    worst = 0.0
+    for name, (sz, sq) in sorted(BRANCHES.items()):
+        p = with_branch(REFERENCE_PARAMS, sz, sq)
+        for x, t in points:
+            if report_at(p, x, t).notes:
+                continue
+            want = float(regenerate_pins.inconsistency(mp.mpf(x), mp.mpf(t), sz, sq))
+            err = abs(residual_P(p, x, t) - want) / max(1.0, abs(want))
+            worst = max(worst, err)
+            assert err <= 5e-12, (name, x, t, err)
+    assert worst > 0.0  # the sample reached the oracle

@@ -34,7 +34,7 @@ from cnlse_ansatz import (
     with_branch,
     z_curve,
 )
-from cnlse_ansatz import verify
+from cnlse_ansatz import EllipticInvariants, quartic, verify
 from cnlse_ansatz.ansatz import _q_curve_from_state
 
 from _pins import (
@@ -76,10 +76,40 @@ class TestDiffConfig:
 class TestInconsistency:
     def test_origin_is_exactly_minus_two(self):
         # Q(0, .) = Q0 is constant, so the complex step returns Q_t = 0
-        # exactly; the rest is a short exact-float chain
+        # exactly and P(0, t) = -sqrt(z) (c1 - q (3 z + Q0^2)) to the bit, at
+        # every t: past one period 2w and before 0 too.  At t = 0, z = z0 = 1
+        # makes it a short exact-float chain, -2
+        ts = [0.0, 5115.1, -1000.3, *np.random.default_rng(77).uniform(-30.0, 30.0, 44)]
         for name, (sz, sq) in BRANCHES.items():
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_P(p, 0.0, 0.0) == -2.0, name
+            for t in ts:
+                st = verify._point(p, 0.0, t)[1]
+                want = -st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + p.Q0 ** 2))
+                assert residual_P(p, 0.0, t) == want, (name, t)
+
+    def test_one_wp_evaluation_on_the_profile_lattice(self, monkeypatch):
+        # Q and Q_t read one wp evaluation on the real profile lattice: the
+        # step goes through the five scalars R^(k)(Q0) only, so every
+        # invariant pair built on the way holds floats
+        p = with_branch(REFERENCE_PARAMS, 1, -1)
+        seen, built = [], []
+        wp_pair, init = quartic.wp_pair, EllipticInvariants.__post_init__
+
+        def spy(u, inv):
+            seen.append(inv)
+            return wp_pair(u, inv)
+
+        def post_init(inv):
+            init(inv)
+            built.append(inv)
+
+        monkeypatch.setattr(quartic, "wp_pair", spy)
+        monkeypatch.setattr(EllipticInvariants, "__post_init__", post_init)
+        residual_P(p, 1.3, 0.7)
+        profile = invariants_from_coefficients(verify._point(p, 1.3, 0.7)[1].curve)
+        assert sum(inv == profile for inv in seen) == 1
+        assert built and all(type(inv.g2) is float and type(inv.g3) is float for inv in built)
 
     def test_reference_point_pins(self):
         for name, (sz, sq) in BRANCHES.items():

@@ -10,15 +10,17 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the list below: the
-default and the benchmark ``scan``, the default grid on each single branch
+flags, that one invocation is compared; without, the 88 of the list
+below: the default and the benchmark ``scan``, the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), a grid through
 x = 0 and t = 0, the pole-adjacent point, a grid on which one profile
 slope of a point is pole-adjacent and the other is not, every ``late``
 window of the benchmark, ``residuals`` at eight times, four of them many
 orbit periods out (1e6, 1e10, 1e12 and 1e17), at three points far out in
-x and at a point that fails (a negative radicand), ``paper-check`` at
-three points, ``pde`` at the default point, at three late times (one of
+x, at a point that fails (a negative radicand) and at x = 0 past one
+period (t = 7.3, where P is exactly -sqrt(z) (c1 - q (3 z + Q0^2))),
+``paper-check`` at four points (x = 2.14 the mirror point of a pole),
+``pde`` at the default point, at three late times (one of
 them 1e17) and at two points far out in x, ``evolve`` on the benchmark
 window and the default one, with an uneven sample schedule on the
 benchmark's n (the control and the ansatz run share one stack), with the
@@ -65,9 +67,11 @@ def invocations() -> list:
           for t in ("0", "1", "-1000", "5115.1", "1e6", "1e10", "1e12", "1e17")),
         *(("residuals", "--x", x) for x in ("1e5", "1e7", "1e300")),
         ("residuals", "--z0", "1e-300"),
+        ("residuals", "--x", "0", "--t", "7.3"),
         ("paper-check",),
         ("paper-check", "--t", "20000"),
         ("paper-check", "--x", "1e5"),
+        ("paper-check", "--x", "2.14"),
         ("pde",),
         *(("pde", "--t", t) for t in ("1000", "5115.1", "1e17")),
         *(("pde", "--x", x) for x in ("1e7", "1e300")),
