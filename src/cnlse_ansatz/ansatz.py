@@ -131,18 +131,27 @@ def _require_real_z(z, t) -> None:
         )
 
 
+def _z_stepped(params: AnsatzParams, t, signs: tuple) -> list:
+    """z(t + ih), h = P_STEP, at scalar or array t per orbit sign of signs,
+    from one closed-form call in which each time is a batch row of its own,
+    so keeps the halving depth it has alone."""
+    u = np.asarray(t, dtype=float)[..., None] + 1j * P_STEP
+    return [y[..., 0] for y in weierstrass_solution(z_curve(params), params.z0, signs, u)]
+
+
 def z_with_rate(params: AnsatzParams, t):
     """(z(t), z_t(t)) for scalar or array t.
 
-    One complex-step evaluation of the closed form at t + ih, h = P_STEP:
-    z is its real part and the rate Im z(t + ih) / h, exact to round-off.
-    The rate carries the sign of sigma_z sqrt(R1(z)) continued through
-    turning points without any crossing bookkeeping."""
-    y = weierstrass_solution(
-        z_curve(params), params.z0, params.sigma_z, np.asarray(t, dtype=float) + 1j * P_STEP
-    )
+    One complex-step evaluation of the closed form at t + ih, h = P_STEP,
+    the call ``_orbit_states`` makes: z is its real part and the rate
+    Im z(t + ih) / h, exact to round-off.  Each time keeps the halving depth
+    it has alone, so an array reads the bits of scalar calls.  The rate
+    carries the sign of sigma_z sqrt(R1(z)) continued through turning points
+    without any crossing bookkeeping."""
+    y, = _z_stepped(params, t, (params.sigma_z,))
     _require_real_z(y.real, t)
-    return y.real, y.imag / P_STEP
+    z, zt = y.real, y.imag / P_STEP
+    return (z, zt) if np.ndim(t) else (float(z), float(zt))
 
 
 def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
@@ -274,9 +283,9 @@ class TimeState:
 
 def _orbit_states(params: AnsatzParams, ts: np.ndarray) -> dict:
     """The states at the 1-d times ts on both orbits, sigma_z = +1 and -1,
-    from one complex-step closed-form call in which each time keeps the
-    halving depth it has alone: per orbit, per time, its state or error."""
-    ys = weierstrass_solution(z_curve(params), params.z0, (1, -1), ts[:, None] + 1j * P_STEP)
+    from one complex-step closed-form call (``_z_stepped``): per orbit, per
+    time, its state or error."""
+    ys = _z_stepped(params, ts, (1, -1))
 
     def state(y, t):
         z, zt = float(y.real), float(y.imag / P_STEP)
@@ -284,7 +293,7 @@ def _orbit_states(params: AnsatzParams, ts: np.ndarray) -> dict:
             _require_real_z(z, t)
         return TimeState(float(t), z, zt, _q_curve_from_state(params, z, zt), math.sqrt(z))
 
-    return {sigma: [_or_error(state, y[i, 0], t) for i, t in enumerate(ts)]
+    return {sigma: [_or_error(state, y[i], t) for i, t in enumerate(ts)]
             for sigma, y in zip((1, -1), ys)}
 
 

@@ -33,7 +33,8 @@ from .ansatz import (
     z_curve,
 )
 from .elliptic import EllipticInvariants, cubic_roots, wp_pair
-from .errors import AliasingWarning, PoleProximity, RealityViolation, StencilOutOfDomain
+from .errors import AliasingWarning, NegativeRadicand, PoleProximity, RealityViolation
+from .errors import StencilOutOfDomain
 from .quartic import (
     QuarticCurve,
     eval_with_derivatives,
@@ -407,9 +408,9 @@ def cmd_paper_check(rc: RunConfig) -> int:
     # sigma_Q tuple, each from one closed-form call, and the row's r1
     by_branch = {}
     for par, sqs in _orbits(rc):
-        row, st, x = _point(par, rc.x, rc.t)
+        row, st, x, part = _point(par, rc.x, rc.t)
         r2s = _ode_defect(st.curve, par.Q0, sqs, x, R2_SPACE_STEP)
-        for sq, (p_val, q_val), r2 in zip(sqs, _P_and_Q(par, st, x, sqs), r2s):
+        for sq, (p_val, q_val), r2 in zip(sqs, _P_and_Q(par, st, part, sqs), r2s):
             by_branch[par.sigma_z, sq] = (float(p_val), float(row.r1[par.sigma_z]),
                                           float(r2), _pole_note(q_val))
     rows = [(name, sz, sq, *by_branch[sz, sq]) for name, (sz, sq) in rc.branches]
@@ -467,10 +468,11 @@ def cmd_pde(rc: RunConfig) -> int:
         par = with_branch(rc.params, sz, sq)
         notes, value = "", float("nan")
         try:
-            # the stencil of residuals; an orbit state that fails at t fails it
-            row, _, x = _point(par, rc.x, rc.t)
-            value = abs(_checked(row.pde(par, (sq,), x)[0]))
-        except (PoleProximity, RealityViolation, StencilOutOfDomain):
+            # the stencil of residuals; an orbit state that fails at t, or a
+            # profile curve with no real slope at Q0, fails it
+            row, _, x, part = _point(par, rc.x, rc.t)
+            value = abs(_checked(row.pde(par, (sq,), x, part)[0]))
+        except (NegativeRadicand, PoleProximity, RealityViolation, StencilOutOfDomain):
             notes = StencilOutOfDomain.__name__
         reports.append(ResidualReport(
             x=rc.x, t=rc.t, sigma_z=sz, sigma_q=sq,

@@ -137,23 +137,6 @@ def _halving_scale(g2: float, g3: float) -> float:
     return max(1.0, (abs(g2) / 5.0) ** 0.25, (abs(g3) / 5.0) ** (1.0 / 6.0))
 
 
-# Bounds of the wp_pair memo, from its traffic in the benchmark's
-# four-branch 11x11 scan: 1,727 calls of 1 (1,210 calls), 5 (506) or 64
-# (11) arguments cost 836 evaluations, one per distinct argument, and
-# MEMO_CALLS holds every distinct call of up to MEMO_ARGS arguments, so
-# none is evicted.  The cap stores the 16-node phase panel of a lone time
-# but lets a time row's gauge batch, the 256-argument phase chunks and the
-# 4,097-point pole screen of the spectral cross-check pass.
-MEMO_ARGS = 16
-MEMO_CALLS = 2048
-
-
-@lru_cache(maxsize=MEMO_CALLS)
-def _evaluate_memoised(u_bytes: bytes, row: int, g2: float, g3: float, g_bytes: bytes):
-    uf = np.frombuffer(u_bytes, dtype=complex)
-    return _evaluate(uf, np.abs(uf), EllipticInvariants(g2, g3), row)
-
-
 def wp_pair(u, inv: EllipticInvariants):
     """Evaluate (wp(u), wp'(u)) for scalar or array ``u``.
 
@@ -172,15 +155,6 @@ def wp_pair(u, inv: EllipticInvariants):
     such batches, one per row (its last axis), so a column of independent
     times keeps the bits each has alone.
 
-    Results are memoised: the two sigma_Q branches of a point share each
-    profile curve's arguments, and the profile lattice, which does not move
-    with t, repeats to the last bit across times.  A call of at most
-    MEMO_ARGS arguments goes through a least recently used cache of
-    MEMO_CALLS calls.  The key is the bits of ``u`` as complex, its row
-    length, and the bits of ``g2`` and ``g3`` (0.0 and -0.0 never share an
-    entry), so a hit returns the bits a fresh evaluation would, as a copy.
-    A call that raises stores nothing.
-
     Raises PoleProximity when any element sits within POLE_EPSILON of the
     double pole at the origin.
     """
@@ -195,12 +169,7 @@ def wp_pair(u, inv: EllipticInvariants):
         )
 
     row = u_arr.shape[-1] if u_arr.ndim > 1 else uf.size
-    if uf.size > MEMO_ARGS:
-        W, W1 = _evaluate(uf, au, inv, row)
-    else:
-        g_bytes = np.array([inv.g2, inv.g3]).tobytes()
-        W, W1 = (a.copy() for a in
-                 _evaluate_memoised(uf.tobytes(), row, inv.g2, inv.g3, g_bytes))
+    W, W1 = _evaluate(uf, au, inv, row)
     if u_arr.ndim == 0:
         return complex(W[0]), complex(W1[0])
     return W.reshape(u_arr.shape), W1.reshape(u_arr.shape)

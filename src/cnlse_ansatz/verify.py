@@ -19,7 +19,9 @@ argument reduction uses one depth across it.
 orbit for a tuple of profile slope signs, each from one closed-form call per
 stencil for all the signs.  All four read the point's time row
 (``_TimeRow``), whose PDE stencil samples the envelope up to a constant
-phase, so reads no phase; ``report_at`` is its one-sign case.
+phase, so reads no phase; ``report_at`` is its one-sign case.  The profile
+lattice does not move with t, so P and the PDE's time nodes share one wp
+evaluation.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
     RealityViolation,
     StencilOutOfDomain,
 )
-from .quartic import _closed_form_parts, _rational_part, eval_with_derivatives
+from .quartic import _closed_form_parts, _curve_setup, _rational_part, eval_with_derivatives
 from .quartic import invariants_from_coefficients, weierstrass_solution
 
 # Internal steps for the by-construction residuals r1 and r2.  These are
@@ -161,16 +163,25 @@ class _TimeRow:
         defects = _ode_defect(self.curve, self.params.z0, (1, -1), self.r, R1_TIME_STEP)
         return dict(zip((1, -1), defects))
 
-    def pde(self, params: AnsatzParams, sigmas: tuple, x: float) -> list:
+    def pde(self, params: AnsatzParams, sigmas: tuple, x: float, part: tuple) -> list:
         """The default-step PDE residuals (p = 1) at (x, r) per slope sign of
         sigmas of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
-        orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}."""
+        orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}.  The x
+        stencil is one closed-form call at r.  A time node s reads Q at x
+        from ``part``, the wp part of ``_point``, with the scalars R^(k)(Q0)
+        of its own profile curve: that curve's lattice is the one at r."""
         states = self.states[params.sigma_z]
 
         def fields(xs, s):
             i = self.index[s]
             gauge = _checked(self.gauges[params.sigma_z])[i]
-            return _envelope(params, _checked(states[i]), gauge, sigmas, xs)
+            st = _checked(states[i])
+            if i == 0:
+                return _envelope(params, st, gauge, sigmas, xs)
+            c = st.curve
+            r = _curve_setup(c.alpha, c.beta, c.gamma, c.delta, c.epsilon, params.Q0)[0]
+            return [(q.item() + 1j * st.sqrt_z) * gauge
+                    for q in _rational_part(r, params.Q0, sigmas, *part[1:])]
 
         return _stencil_residuals(fields, x, self.r, DiffConfig(), 1.0, params.q)
 
@@ -185,21 +196,22 @@ def _row(p: AnsatzParams, t: float) -> _TimeRow:
 
 def _point(params: AnsatzParams, x: float, t: float):
     """The time row at t, the state of the orbit params.sigma_z at its r,
-    the state r1 and the PDE stencil read, and x reduced by whole real
-    periods of the profile lattice, which does not move with t: what every
-    residual at (x, t) reads."""
+    the state r1 and the PDE stencil read, x reduced by whole real periods
+    of the profile lattice, which does not move with t, and the state's wp
+    part (``_closed_form_parts``) at that x: what every residual reads."""
     row = _row(params, t)
     st = _checked(row.states[params.sigma_z][0])
-    return row, st, _split_periods(st.curve, x)[1]
+    x = _split_periods(st.curve, x)[1]
+    return row, st, x, _closed_form_parts(st.curve, params.Q0, x)
 
 
-def _P_and_Q(params: AnsatzParams, st, x: float, sigmas: tuple) -> list:
-    """(P, Q) per profile slope sign of sigmas at the reduced x (see
-    ``_point``) and the orbit state st: ``residual_P`` and the real profile
-    value it evaluates on the way, from which the pole note is read.  One
-    wp evaluation on the real profile lattice serves Q, from the state's
-    scalars R^(k)(Q0), and Q_t, from the stepped curve's, for every sign."""
-    r, *wp = _closed_form_parts(st.curve, params.Q0, x)
+def _P_and_Q(params: AnsatzParams, st, part: tuple, sigmas: tuple) -> list:
+    """(P, Q) per profile slope sign of sigmas at the point of ``_point``,
+    of orbit state st and wp part ``part``: ``residual_P`` and the real
+    profile value it evaluates on the way, from which the pole note is read.
+    The wp part serves Q, from the state's scalars R^(k)(Q0), and Q_t, from
+    the stepped curve's, for every sign."""
+    r, *wp = part
     ztt = 0.5 * eval_with_derivatives(z_curve(params), st.z)[1]
     h = 1j * P_STEP
     curve = _q_curve_from_state(params, st.z + h * st.zt, st.zt + h * ztt)
@@ -224,8 +236,8 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     periods, as r1 and the PDE stencil read it; the profile lattice does not
     move with t, so x is first reduced by its whole real periods, as
     ``residual_R2`` reduces it."""
-    _, st, x = _point(params, float(x), float(t))
-    return _P_and_Q(params, st, x, (params.sigma_Q,))[0][0]
+    _, st, _, part = _point(params, float(x), float(t))
+    return _P_and_Q(params, st, part, (params.sigma_Q,))[0][0]
 
 
 def _ode_defect(curve, y0: float, sigma, xi: float, h: float):
@@ -255,7 +267,8 @@ def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at the time
     row's r, with x reduced by whole real periods of the profile lattice as
     ``residual_R1`` reduces t."""
-    _, st, x = _point(params, float(x), float(t))
+    st = _checked(_row(params, float(t)).states[params.sigma_z][0])
+    x = _split_periods(st.curve, float(x))[1]
     return _ode_defect(st.curve, params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
 
 
@@ -393,7 +406,8 @@ def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
     raising on pole contact: failures are recorded in the notes field and
     the numbers set to nan.  P, r1, r2, the pole note and the PDE residual
     (``_TimeRow.pde``) all read the orbit state at the row's r and x reduced
-    by whole profile periods.  The signs share every closed-form call, so
+    by whole profile periods, and P, its pole note and the PDE's time nodes
+    one wp evaluation there.  The signs share every closed-form call, so
     an error of that shared work, a failed time node (StencilOutOfDomain)
     among them, is every sign's; a pole and a non-finite stencil are each
     sign's own."""
@@ -402,14 +416,14 @@ def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
     notes = [[] for _ in sigmas]
     P, r1, r2, pde = [nan] * n, nan, [nan] * n, [nan] * n
     try:
-        row, st, xr = _point(params, x, t)
-        for i, (p_val, q_val) in enumerate(_P_and_Q(params, st, xr, sigmas)):
+        row, st, xr, part = _point(params, x, t)
+        for i, (p_val, q_val) in enumerate(_P_and_Q(params, st, part, sigmas)):
             P[i], note = p_val, _pole_note(q_val)
             if note:
                 notes[i].append(note)
         r1 = row.r1[params.sigma_z]
         r2 = _ode_defect(st.curve, params.Q0, sigmas, xr, R2_SPACE_STEP)
-        for i, res in enumerate(row.pde(params, sigmas, xr)):
+        for i, res in enumerate(row.pde(params, sigmas, xr, part)):
             if isinstance(res, Exception):
                 notes[i].append(type(res).__name__)
             else:

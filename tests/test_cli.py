@@ -341,10 +341,9 @@ class TestScan:
 
     def test_branch_order_does_not_change_records(self, tmp_path):
         # the four-branch scan evaluates every point's branches back to back
-        # through the shared wp memo; each branch scanned alone, from an
-        # empty memo, must give the same bytes
+        # from one time row; each branch scanned alone must give the same
+        # bytes
         def records(branch):
-            elliptic._evaluate_memoised.cache_clear()
             out = tmp_path / f"{branch}.json"
             assert main(["scan", "--branch", branch, "--grid", "0.2:1.2:3,0.2:1.2:3",
                          "--format", "json", "--out", str(out)]) == 0
@@ -356,7 +355,8 @@ class TestScan:
         assert json.dumps(together) == json.dumps(alone)
 
     def test_four_branch_scan_evaluates_each_argument_once(self, monkeypatch):
-        # count evaluations behind the memo, not wp_pair calls
+        # the z-curve arguments are evaluated once per time row, whichever
+        # branches read it
         evaluated = []
         evaluate = elliptic._evaluate
 
@@ -370,13 +370,11 @@ class TestScan:
         z_bits = (np.asarray(inv.g2).tobytes(), np.asarray(inv.g3).tobytes())
 
         def z_curve_evaluations(branch):
-            # every memo that could hide an evaluation starts empty
-            elliptic._evaluate_memoised.cache_clear()
+            # the time row memo, which could hide an evaluation, starts empty
             verify._time_row.cache_clear()
             evaluated.clear()
             assert main(["scan", "--branch", branch, "--grid", "0.2:1.2:3,0.2:1.2:3",
                          "--out", os.devnull]) == 0
-            assert len(evaluated) == len(set(evaluated))
             return sum(key[1:] == z_bits for key in evaluated)
 
         # the z-curve does not depend on the branch: four branches cost what one does
@@ -387,9 +385,9 @@ class TestScan:
 
     def test_four_branch_scan_pairs_the_profile_slopes(self, monkeypatch):
         # a point's two sigma_Q branches share each closed-form wp part on
-        # its orbit: per point and orbit 7 on the profile lattice (P's one,
-        # which serves Q and Q_t, r2's stencil, the PDE's x stencil and its
-        # 4 time nodes), not 7 per branch
+        # its orbit: per point and orbit 3 on the profile lattice (P's one,
+        # which serves Q, Q_t and the PDE's 4 time nodes, r2's stencil and
+        # the PDE's x stencil), not 3 per branch
         zc = z_curve(REFERENCE_PARAMS)
         calls = {"z": 0, "profile": 0}
         real = quartic._closed_form_parts
@@ -402,7 +400,7 @@ class TestScan:
             monkeypatch.setattr(module, "_closed_form_parts", spy)
         assert main(["scan", "--branch", "all", "--grid", "0.2:1.2:3,0.2:1.2:3",
                      "--out", os.devnull]) == 0
-        assert calls["profile"] == 7 * 9 * 2
+        assert calls["profile"] == 3 * 9 * 2
         assert 0 < calls["z"] <= 4 * 3
 
 
@@ -548,6 +546,15 @@ class TestPointModes:
         rep = json.loads(out.read_text())["reports"][0]
         assert np.isfinite(rep["pde_abs"]) and rep["pde_abs"] > 1e-3
         assert np.isnan(rep["P"]) and np.isnan(rep["r1"]) and np.isnan(rep["r2"])
+
+    def test_pde_notes_a_profile_curve_without_a_real_slope(self, tmp_path):
+        # at z0 = 1e-300 the profile curve has R(Q0) < 0 (residuals notes
+        # NegativeRadicand): pde notes its stencil as failed and exits 0
+        out = tmp_path / "pde.json"
+        assert main(["pde", "--z0", "1e-300", "--format", "json", "--out", str(out)]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [r["notes"] for r in reports] == ["StencilOutOfDomain"] * 4
+        assert all(np.isnan(r["pde_abs"]) for r in reports)
 
     @pytest.mark.parametrize("point", [
         pytest.param(["--x", x], id=x) for x in ("1e5", "1e7", "1e300")

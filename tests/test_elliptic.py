@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,7 +148,6 @@ class TestRealPeriod:
         # asks for the period and keeps its bits exactly
         u = np.array([0.3, 1.2, 1.99, 1.5 + 0.8j, -1.9])
         want = _bits(wp_pair(u, INV))
-        elliptic._evaluate_memoised.cache_clear()
         monkeypatch.setattr(elliptic, "real_period", _no_call)
         assert _bits(wp_pair(u, INV)) == want
 
@@ -312,6 +308,15 @@ class TestLaurentSum:
             w, w1 = _series_only(u[i:i + 1], INV)
             assert (w[0], w1[0]) == (W[i], W1[i]), i
 
+    def test_laurent_matrix_layout(self):
+        # the matrix holds c[k] from c[SERIES_ORDER] down to c[2] = g2 / 20,
+        # and below them (2k - 2) c[k]
+        mat = elliptic._laurent_matrix(3.52, 1.0384)
+        assert mat.shape == (2, elliptic.SERIES_ORDER - 1)
+        assert mat[0, -1] == np.clongdouble(3.52 / 20.0)
+        assert mat[0, -2] == np.clongdouble(1.0384 / 28.0)
+        assert mat[1, -1] == 2 * mat[0, -1]
+
 
 def _bits(pair):
     return tuple(np.asarray(part).tobytes() for part in pair)
@@ -319,151 +324,3 @@ def _bits(pair):
 
 def _no_call(*args):
     raise AssertionError("the period was consulted")
-
-
-class TestMemo:
-    @pytest.fixture(autouse=True)
-    def evaluations(self, monkeypatch):
-        """Empty memo; the list of arguments evaluated behind it."""
-        seen = []
-        evaluate = elliptic._evaluate
-
-        def spy(uf, *args):
-            seen.append(uf.size)
-            return evaluate(uf, *args)
-
-        monkeypatch.setattr(elliptic, "_evaluate", spy)
-        yield seen
-
-    @staticmethod
-    def fresh(u, inv):
-        elliptic._evaluate_memoised.cache_clear()
-        pair = wp_pair(u, inv)
-        elliptic._evaluate_memoised.cache_clear()
-        return pair
-
-    @staticmethod
-    def stored():
-        return elliptic._evaluate_memoised.cache_info().currsize
-
-    @pytest.mark.parametrize("u, inv", [
-        (0.7, INV),
-        (0.9 + 1e-4 * np.array([0.0, -1.0, 1.0, -0.5, 0.5]), INV),
-        (0.6, EllipticInvariants(-1.5, 0.7)),
-        (np.array([0.4 + 1e-30j, 1.3 + 1e-30j]), EllipticInvariants(0.7, -0.1)),
-    ])
-    def test_hit_is_bit_equal_to_fresh(self, evaluations, u, inv):
-        want = _bits(self.fresh(u, inv))
-        first = wp_pair(u, inv)
-        second = wp_pair(u, inv)
-        assert evaluations == [np.size(u)] * 2  # the fresh one, then one stored
-        assert _bits(first) == want and _bits(second) == want
-        assert type(second[0]) is type(first[0])
-
-    def test_equal_values_keep_apart(self, evaluations):
-        # Python compares each of these pairs equal; the memo must not
-        variants = [
-            (0.5, INV),
-            (complex(0.5, -0.0), INV),
-            (0.5, EllipticInvariants(0.0, 1.0)),
-            (0.5, EllipticInvariants(-0.0, 1.0)),
-        ]
-        want = [_bits(self.fresh(u, inv)) for u, inv in variants]
-        evaluations.clear()
-        got = [_bits(wp_pair(u, inv)) for u, inv in variants]
-        assert evaluations == [1] * len(variants)
-        assert self.stored() == len(variants)
-        assert got == want
-
-    def test_laurent_coefficients_follow_the_invariant_type(self):
-        # the matrix holds c[k] from c[SERIES_ORDER] down to c[2] = g2 / 20
-        mat = elliptic._laurent_matrix(3.52, 1.0384)
-        assert mat.shape == (2, elliptic.SERIES_ORDER - 1)
-        assert mat[0, -1] == np.clongdouble(3.52 / 20.0)
-        assert mat[0, -2] == np.clongdouble(1.0384 / 28.0)
-        assert mat[1, -1] == 2 * mat[0, -1]
-
-    def test_returned_arrays_are_copies(self):
-        u = np.linspace(0.3, 1.1, 5)
-        want = _bits(self.fresh(u, INV))
-        for _ in range(3):
-            w, w1 = wp_pair(u, INV)
-            assert _bits((w, w1)) == want
-            w[:] = 0.0
-            w1[:] = np.nan
-
-    def test_errors_raise_on_every_call(self, evaluations):
-        wp_pair(0.5, INV)
-        for _ in range(3):
-            with pytest.raises(PoleProximity):
-                wp_pair(np.array([0.5, 1e-12]), INV)
-            with pytest.raises(NonFiniteSamples):
-                wp_pair(np.array([0.5, np.nan]), INV)
-            with pytest.raises(PoleProximity):
-                wp_pair(0.0, INV)
-        assert evaluations == [1]
-        assert self.stored() == 1
-
-    def test_oversize_batch_not_retained(self, evaluations):
-        wp_pair(0.5, INV)
-        u = np.linspace(0.1, 2.0, elliptic.MEMO_ARGS + 1)
-        first = wp_pair(u, INV)
-        assert _bits(wp_pair(u, INV)) == _bits(first)
-        assert evaluations == [1, u.size, u.size]
-        # nor does it push out what the memo held
-        assert self.stored() == 1
-        wp_pair(0.5, INV)
-        assert evaluations == [1, u.size, u.size]
-
-    def test_first_call_is_evicted_after_memo_calls_more(self, evaluations):
-        u = 0.2 + np.arange(elliptic.MEMO_CALLS + 1) / elliptic.MEMO_CALLS
-        for arg in u:
-            wp_pair(arg, INV)
-        assert evaluations == [1] * u.size
-        wp_pair(u[-1], INV)
-        wp_pair(u[0], INV)
-        assert evaluations == [1] * (u.size + 1)
-
-    def test_bound_evicts_least_recently_used(self, evaluations):
-        # the first call, called again after the second, outlives it
-        u = 0.2 + np.arange(elliptic.MEMO_CALLS + 1) / elliptic.MEMO_CALLS
-        for arg in (u[0], u[1], u[0], *u[2:]):
-            wp_pair(arg, INV)
-        assert self.stored() == elliptic.MEMO_CALLS
-        evaluations.clear()
-        wp_pair(u[0], INV)
-        wp_pair(u[-1], INV)
-        assert evaluations == []
-        wp_pair(u[1], INV)
-        assert evaluations == [1]
-
-    def test_threads_share_the_memo(self):
-        # more distinct calls than the memo holds, so the threads evict each
-        # other's entries while they hit and fill it
-        args = [np.linspace(0.2, 0.6, 1 + k % 4) + 1e-4 * k
-                for k in range(elliptic.MEMO_CALLS + 64)]
-        want = [_bits(wp_pair(u, INV)) for u in args]  # each call a fresh one
-        errors = []
-
-        def work(seed):
-            rng = np.random.default_rng(seed)
-            try:
-                for k in rng.integers(len(args), size=1000):
-                    if _bits(wp_pair(args[k], INV)) != want[k]:
-                        errors.append(k)
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert self.stored() == elliptic.MEMO_CALLS

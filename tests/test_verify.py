@@ -107,6 +107,7 @@ class TestInconsistency:
         monkeypatch.setattr(quartic, "wp_pair", spy)
         monkeypatch.setattr(EllipticInvariants, "__post_init__", post_init)
         residual_P(p, 1.3, 0.7)
+        monkeypatch.undo()  # _point's own wp evaluation stays out of the count
         profile = invariants_from_coefficients(verify._point(p, 1.3, 0.7)[1].curve)
         assert sum(inv == profile for inv in seen) == 1
         assert built and all(type(inv.g2) is float and type(inv.g3) is float for inv in built)
@@ -534,11 +535,11 @@ class TestReportAt:
     def test_default_scan_reads_the_identity(self):
         # the gauge B differs from A by a constant phase, and no node of its
         # stencil carries a rounded e^{i phi(s)}: on the default scan's 395
-        # clean points the gap is at most 1.3e-9 (1.9e-7 sampling A)
+        # clean points the gap is at most 1.1e-9 (1.9e-7 sampling A)
         xs, ts = np.linspace(0.2, 1.2, 10), np.linspace(0.2, 1.2, 10)
         gaps = [g for t in ts for x in xs for g in self._gaps(x, t)]
         assert len(gaps) == 395
-        assert max(gaps) <= 2e-9
+        assert max(gaps) <= 1.5e-9
 
     @pytest.mark.parametrize("t, tol", [
         (1e3, 3e-9), (5115.1, 3e-9), (1e4, 3e-9), (1e17, 3e-9), (-1e17, 3e-9), (1e6, 3e-8),
@@ -547,7 +548,9 @@ class TestReportAt:
     def test_long_times_read_the_identity(self, t, tol):
         # P and the stencil both read t reduced by whole periods, where the
         # spacing of floats is that of t < 2w: measured at most 7.3e-10, and
-        # 7.5e-9 on mm at t = 1e6, a gap whose cause is not isolated
+        # 7.5e-9 on mm at t = 1e6, where r = 1.832 lies next to a band at
+        # x = 1 in which the closed form loses digits that the FD stencil
+        # amplifies (P is 3.8e-12 off the oracle there, pde_abs 7.5e-9)
         gaps = self._gaps(1.0, t)
         assert len(gaps) >= 3
         assert max(gaps) <= tol
@@ -620,3 +623,30 @@ class TestReportsAt:
         pp, pm = reports_at(with_branch(REFERENCE_PARAMS, 1, 1), 2.14, 1.0, (1, -1))
         assert (pp.notes, pm.notes) == ("pole_adjacent", "")
         assert np.isfinite(pm.pde_abs) and abs(pm.P) < 1.0
+
+    def test_time_nodes_read_the_profile_lattice_at_r(self, monkeypatch):
+        # the PDE's time nodes read Q at x from the wp part of P, on the
+        # profile lattice at r, with their own scalars R^(k)(Q0): that
+        # lattice does not move with t, so each node's Q is its own closed
+        # form's to 1e-13 guarded
+        from cnlse_ansatz.verify import reports_at
+
+        seen, real = [], verify._stencil_residuals
+        monkeypatch.setattr(verify, "_stencil_residuals",
+                            lambda fields, *args: seen.append(fields) or real(fields, *args))
+        worst, clean = 0.0, 0
+        for x, t in np.random.default_rng(22).uniform(0.05, 3.0, (15, 2)):
+            for sz in (1, -1):
+                p = with_branch(REFERENCE_PARAMS, sz, 1)
+                if any(rep.notes for rep in reports_at(p, x, t, (1, -1))):
+                    continue
+                row, _, xr, _ = verify._point(p, x, t)
+                for i, s in enumerate(row.ts[1:], 1):
+                    st, gauge = row.states[sz][i], row.gauges[sz][i]
+                    for sq, a in zip((1, -1), seen[-1](xr, s)):
+                        want = quartic.weierstrass_solution(st.curve, p.Q0, sq, xr)
+                        q = (a / gauge - 1j * st.sqrt_z).real
+                        worst = max(worst, abs(q - want) / max(1.0, abs(want)))
+                clean += 1
+        assert clean >= 20
+        assert worst <= 1e-13
