@@ -18,14 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NegativeRadicand, PoleProximity, RealityViolation
+from .errors import NegativeRadicand, NonFiniteSamples, PoleProximity, RealityViolation
 from .elliptic import real_period
-from .quartic import (
-    QuarticCurve,
-    eval_with_derivatives,
-    invariants_from_coefficients,
-    weierstrass_solution,
-)
+from .quartic import QuarticCurve, eval_with_derivatives, weierstrass_solution
 
 # Branch label -> (sigma_z, sigma_Q).  The slope sign pair is part of the
 # parameter record; these labels are the short names used by reports.
@@ -235,8 +230,11 @@ def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
 def _split_periods(curve: QuarticCurve, t: float):
     """(k, r) with |t| = k 2w + |r|, r of the sign of t and 2w the real period
     of the curve's lattice: k = floor(|t| / 2w) and the remainder.  Below
-    one period, and for a lattice without a real period, (0, t)."""
-    period = real_period(invariants_from_coefficients(curve))
+    one period, and for a lattice without a real period, (0, t).  A
+    non-finite t raises NonFiniteSamples."""
+    if not math.isfinite(t):
+        raise NonFiniteSamples(f"{t} is not finite: no whole periods to split off")
+    period = real_period(curve.invariants)
     k = 0 if period is None else math.floor(abs(t) / period)
     return k, (math.copysign(abs(t) - k * period, t) if k else t)
 
@@ -257,7 +255,7 @@ def phi_of_t(params: AnsatzParams, t):
     ta = np.asarray(t, dtype=float)
     ts, curve, sigma = ta.ravel(), z_curve(params), params.sigma_z
     splits = [_split_periods(curve, float(s)) for s in ts]
-    period = real_period(invariants_from_coefficients(curve))
+    period = real_period(curve.invariants)
     signs = sorted({math.copysign(1.0, s) for s, (k, _) in zip(ts, splits) if k})
     rests = [r for _, r in splits] + [s * period for s in signs]
     integral = _checked(_z_integrals(curve, params.z0, np.array(rests))[sigma])

@@ -56,6 +56,7 @@ from .verify import (
     DiffConfig,
     ResidualReport,
     _central_differences,
+    _TimeRow,
     _ode_defect,
     _P_and_Q,
     _point,
@@ -395,20 +396,20 @@ def _orbits(rc: RunConfig) -> list:
     return [(with_branch(rc.params, sz, sqs[0]), tuple(sqs)) for sz, sqs in signs.items()]
 
 
-def _point_reports(orbits: list, x: float, t: float) -> dict:
-    """The reports at (x, t) of the branches of ``_orbits``, one
-    ``reports_at`` call per orbit, by (sigma_z, sigma_q)."""
+def _point_reports(row: _TimeRow, orbits: list, x: float) -> dict:
+    """The reports at x and the time of the row of the branches of
+    ``_orbits``, one ``reports_at`` call per orbit, by (sigma_z, sigma_q)."""
     return {(rep.sigma_z, rep.sigma_q): rep
-            for par, sqs in orbits for rep in reports_at(par, x, t, sqs)}
+            for par, sqs in orbits for rep in reports_at(row, par, x, sqs)}
 
 
 def cmd_paper_check(rc: RunConfig) -> int:
     tol = rc.tolerances
     # per orbit one point, as reports_at reads it: P, Q and r2 for its
     # sigma_Q tuple, each from one closed-form call, and the row's r1
-    by_branch = {}
+    by_branch, row = {}, _TimeRow(rc.params, rc.t)
     for par, sqs in _orbits(rc):
-        row, st, x, part = _point(par, rc.x, rc.t)
+        st, x, part = _point(row, par, rc.x)
         r2s = _ode_defect(st.curve, par.Q0, sqs, x, R2_SPACE_STEP)
         for sq, (p_val, q_val), r2 in zip(sqs, _P_and_Q(par, st, part, sqs), r2s):
             by_branch[par.sigma_z, sq] = (float(p_val), float(row.r1[par.sigma_z]),
@@ -442,11 +443,11 @@ def cmd_paper_check(rc: RunConfig) -> int:
 
 def cmd_scan(rc: RunConfig) -> int:
     xs, ts = _parse_grid(rc.grid)
-    # t, then x, then the orbit: one time row (see verify) serves every
+    # t, then x, then the orbit: one time row per t (see verify) serves every
     # point and branch at t, and one reports_at call a point's sigma_Q
     # branches of an orbit.  The reports are written branch, then x, then t.
-    orbits = _orbits(rc)
-    by_t = [[_point_reports(orbits, x, t) for x in xs] for t in ts]
+    orbits, rows = _orbits(rc), (_TimeRow(rc.params, t) for t in ts)
+    by_t = [[_point_reports(row, orbits, x) for x in xs] for row in rows]
     reports = [by_t[j][i][signs] for _, signs in rc.branches
                for i in range(len(xs)) for j in range(len(ts))]
     _write_reports(rc, reports, {
@@ -456,21 +457,21 @@ def cmd_scan(rc: RunConfig) -> int:
 
 
 def cmd_residuals(rc: RunConfig) -> int:
-    by_branch = _point_reports(_orbits(rc), rc.x, rc.t)
+    by_branch = _point_reports(_TimeRow(rc.params, rc.t), _orbits(rc), rc.x)
     reports = [by_branch[signs] for _, signs in rc.branches]
     _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
     return 0
 
 
 def cmd_pde(rc: RunConfig) -> int:
-    reports = []
+    reports, row = [], _TimeRow(rc.params, rc.t)
     for _, (sz, sq) in rc.branches:
         par = with_branch(rc.params, sz, sq)
         notes, value = "", float("nan")
         try:
             # the stencil of residuals; an orbit state that fails at t, or a
             # profile curve with no real slope at Q0, fails it
-            row, _, x, part = _point(par, rc.x, rc.t)
+            _, x, part = _point(row, par, rc.x)
             value = abs(_checked(row.pde(par, (sq,), x, part)[0]))
         except (NegativeRadicand, PoleProximity, RealityViolation, StencilOutOfDomain):
             notes = StencilOutOfDomain.__name__

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +36,13 @@ class QuarticCurve:
         vals = (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
         if not all(np.isfinite(v) for v in vals):
             raise NonFiniteSamples("curve coefficients must be finite")
+
+    @cached_property
+    def invariants(self) -> EllipticInvariants:
+        """The curve's invariants (``invariants_from_coefficients``),
+        computed on first use and held by this curve object; an error is
+        raised again on every use."""
+        return invariants_from_coefficients(self)
 
 
 def eval_with_derivatives(R: QuarticCurve, y):
@@ -70,23 +77,20 @@ def invariants_from_coefficients(R: QuarticCurve) -> EllipticInvariants:
     return EllipticInvariants(g2, g3)
 
 
-@lru_cache(maxsize=1024, typed=True)
-def _curve_setup(alpha, beta, gamma, delta, epsilon, y0: float):
-    """R and its derivatives at y0, and the invariants, of one curve; typed,
-    so a complex curve equal in value to a real one is not served its set-up."""
-    R = QuarticCurve(alpha, beta, gamma, delta, epsilon)
+def _scalars(R: QuarticCurve, y0: float):
+    """R^(k)(y0), k = 0..4; raises NegativeRadicand where R(y0) < 0."""
     r = eval_with_derivatives(R, y0)
     if np.real(r[0]) < 0.0:
         raise NegativeRadicand(f"R(y0) = {r[0]:g} < 0: no real slope at y0")
-    return r, invariants_from_coefficients(R)
+    return r
 
 
 def _closed_form_parts(R: QuarticCurve, y0: float, xi):
-    """The wp part of the closed form: the memoised R^(k)(y0), k = 0..4, xi
-    as a checked array of at least one dimension, the mask of its elements
-    beyond the elliptic pole guard, and wp and wp' of R's lattice on it
-    (None where no element is beyond the guard)."""
-    r, inv = _curve_setup(R.alpha, R.beta, R.gamma, R.delta, R.epsilon, y0)
+    """The wp part of the closed form: R^(k)(y0), k = 0..4, xi as a checked
+    array of at least one dimension, the mask of its elements beyond the
+    elliptic pole guard, and wp and wp' of R's lattice on it (None where no
+    element is beyond the guard)."""
+    r, inv = _scalars(R, y0), R.invariants
     xi_arr = np.asarray(xi)
     xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, float))
     if not np.isfinite(xf).all():

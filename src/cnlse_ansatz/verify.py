@@ -17,18 +17,20 @@ argument reduction uses one depth across it.
 
 ``reports_at`` gathers P, r1, r2 and the PDE residual at one point of one
 orbit for a tuple of profile slope signs, each from one closed-form call per
-stencil for all the signs.  All four read the point's time row
-(``_TimeRow``), whose PDE stencil samples the envelope up to a constant
-phase, so reads no phase; ``report_at`` is its one-sign case.  The profile
-lattice does not move with t, so P and the PDE's time nodes share one wp
-evaluation.
+stencil for all the signs.  All four read the time row (``_TimeRow``)
+that the caller builds once per t and passes to every point and branch at
+t; its PDE stencil samples the envelope up to a constant phase, so reads no
+phase.  ``report_at`` is the one-sign case on a row of its own, as each of
+``residual_P``, ``residual_R1`` and ``residual_R2`` builds its own.  The
+profile lattice does not move with t, so P and the PDE's time nodes share
+one wp evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .errors import (
     RealityViolation,
     StencilOutOfDomain,
 )
-from .quartic import _closed_form_parts, _curve_setup, _rational_part, eval_with_derivatives
+from .quartic import _closed_form_parts, _rational_part, _scalars, eval_with_derivatives
 from .quartic import invariants_from_coefficients, weierstrass_solution
 
 # Internal steps for the by-construction residuals r1 and r2.  These are
@@ -129,17 +131,18 @@ def _central_differences(vals, h: float):
 
 
 class _TimeRow:
-    """The time row at t that the four slope branches of a parameter set,
-    given without its signs, share: both orbits' states at the PDE's time
-    nodes r + offsets, r = t reduced by whole periods 2w of z (r = t below
-    2w), from one orbit call, and on first use r1 at r and the nodes'
-    gauges.  z is periodic, so every residual at t reads the state at r."""
+    """The time row at t that the four slope branches of a parameter set
+    share, whichever signs params carries: both orbits' states at the PDE's
+    time nodes r + offsets, r = t reduced by whole periods 2w of z (r = t
+    below 2w), from one orbit call, and on first use r1 at r and the nodes'
+    gauges.  z is periodic, so every residual at t reads the state at r.
+    A caller builds one row per t and passes it to every point at t."""
 
-    def __init__(self, unsigned: tuple, t: float):
+    def __init__(self, params: AnsatzParams, t: float):
         cfg = DiffConfig()
-        self.params = AnsatzParams(*unsigned)
-        self.curve = z_curve(self.params)
-        self.r = _split_periods(self.curve, t)[1]
+        self.params, self.t = params, float(t)
+        self.curve = z_curve(params)
+        self.r = _split_periods(self.curve, self.t)[1]
         self.ts = self.r + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
         self.index = {s: i for i, s in enumerate(self.ts)}
         self.states = _orbit_states(self.params, self.ts)
@@ -178,31 +181,21 @@ class _TimeRow:
             st = _checked(states[i])
             if i == 0:
                 return _envelope(params, st, gauge, sigmas, xs)
-            c = st.curve
-            r = _curve_setup(c.alpha, c.beta, c.gamma, c.delta, c.epsilon, params.Q0)[0]
+            r = _scalars(st.curve, params.Q0)
             return [(q.item() + 1j * st.sqrt_z) * gauge
                     for q in _rational_part(r, params.Q0, sigmas, *part[1:])]
 
         return _stencil_residuals(fields, x, self.r, DiffConfig(), 1.0, params.q)
 
 
-# one row is held: a scan finishes a time row before it starts the next
-_time_row = lru_cache(maxsize=1)(_TimeRow)
-
-
-def _row(p: AnsatzParams, t: float) -> _TimeRow:
-    return _time_row((p.q, p.c1, p.c2, p.c3, p.z0, p.Q0), t)
-
-
-def _point(params: AnsatzParams, x: float, t: float):
-    """The time row at t, the state of the orbit params.sigma_z at its r,
-    the state r1 and the PDE stencil read, x reduced by whole real periods
-    of the profile lattice, which does not move with t, and the state's wp
-    part (``_closed_form_parts``) at that x: what every residual reads."""
-    row = _row(params, t)
+def _point(row: _TimeRow, params: AnsatzParams, x: float):
+    """The state of the orbit params.sigma_z at the time row's r, the state
+    r1 and the PDE stencil read, x reduced by whole real periods of the
+    profile lattice, which does not move with t, and the state's wp part
+    (``_closed_form_parts``) at that x: what every residual reads."""
     st = _checked(row.states[params.sigma_z][0])
     x = _split_periods(st.curve, x)[1]
-    return row, st, x, _closed_form_parts(st.curve, params.Q0, x)
+    return st, x, _closed_form_parts(st.curve, params.Q0, x)
 
 
 def _P_and_Q(params: AnsatzParams, st, part: tuple, sigmas: tuple) -> list:
@@ -236,7 +229,7 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     periods, as r1 and the PDE stencil read it; the profile lattice does not
     move with t, so x is first reduced by its whole real periods, as
     ``residual_R2`` reduces it."""
-    _, st, _, part = _point(params, float(x), float(t))
+    st, _, part = _point(_TimeRow(params, t), params, float(x))
     return _P_and_Q(params, st, part, (params.sigma_Q,))[0][0]
 
 
@@ -260,14 +253,14 @@ def residual_R1(params: AnsatzParams, t: float) -> float:
     first reduced by whole real periods 2w of z (|t| < 2w is not), to the
     time row's r: a stencil of the fixed step R1_TIME_STEP around a large t
     would read the spacing of floats near t."""
-    return _row(params, float(t)).r1[params.sigma_z]
+    return _TimeRow(params, t).r1[params.sigma_z]
 
 
 def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at the time
     row's r, with x reduced by whole real periods of the profile lattice as
     ``residual_R1`` reduces t."""
-    st = _checked(_row(params, float(t)).states[params.sigma_z][0])
+    st = _checked(_TimeRow(params, t).states[params.sigma_z][0])
     x = _split_periods(st.curve, float(x))[1]
     return _ode_defect(st.curve, params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
 
@@ -400,8 +393,9 @@ def _pole_note(q_val) -> str:
     return "pole_adjacent" if abs(q_val) > POLE_ADJACENT_Q else ""
 
 
-def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
-    """Full residual records at one point of the orbit params.sigma_z, one
+def reports_at(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple) -> list:
+    """Full residual records at x and the time of the row, which the
+    caller builds for params at that time, on the orbit params.sigma_z, one
     per profile slope sign of sigmas (params.sigma_Q is not read), never
     raising on pole contact: failures are recorded in the notes field and
     the numbers set to nan.  P, r1, r2, the pole note and the PDE residual
@@ -411,12 +405,12 @@ def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
     an error of that shared work, a failed time node (StencilOutOfDomain)
     among them, is every sign's; a pole and a non-finite stencil are each
     sign's own."""
-    x, t = float(x), float(t)
+    x, t = float(x), row.t
     nan, n = float("nan"), len(sigmas)
     notes = [[] for _ in sigmas]
     P, r1, r2, pde = [nan] * n, nan, [nan] * n, [nan] * n
     try:
-        row, st, xr, part = _point(params, x, t)
+        st, xr, part = _point(row, params, x)
         for i, (p_val, q_val) in enumerate(_P_and_Q(params, st, part, sigmas)):
             P[i], note = p_val, _pole_note(q_val)
             if note:
@@ -444,5 +438,5 @@ def reports_at(params: AnsatzParams, x: float, t: float, sigmas: tuple) -> list:
 
 def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
     """Full residual record at one point: the one-sign case of
-    ``reports_at``, for the branch of params."""
-    return reports_at(params, x, t, (params.sigma_Q,))[0]
+    ``reports_at``, for the branch of params, on a row of its own."""
+    return reports_at(_TimeRow(params, t), params, x, (params.sigma_Q,))[0]

@@ -10,7 +10,9 @@ from cnlse_ansatz import ansatz, elliptic, quartic, verify
 def empty_memos():
     # every test starts from empty memos, so the counts and bits it reads do
     # not depend on the tests that ran before it: every memo of the modules
-    # that keep one, found by its cache_clear
+    # that keep one, found by its cache_clear.  A curve's invariants live on
+    # the curve object and a time row's state on the row, so a fresh curve
+    # or row starts without them
     for module in (ansatz, elliptic, quartic, verify):
         for memo in vars(module).values():
             if hasattr(memo, "cache_clear"):

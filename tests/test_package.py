@@ -1,4 +1,7 @@
-"""The public surface of the package."""
+"""The public surface of the package, and the state its modules hold."""
+
+import importlib
+import pkgutil
 
 import cnlse_ansatz
 
@@ -20,3 +23,16 @@ def test_removed_names_stay_removed():
     for name in REMOVED:
         assert name not in cnlse_ansatz.__all__, name
         assert not hasattr(cnlse_ansatz, name), name
+
+
+def test_the_only_memos_are_the_lattice_ones():
+    # per-time and per-curve state lives on the values that own it (a time
+    # row, a curve object): module-level memos are keyed on a lattice alone
+    memos = set()
+    for info in pkgutil.iter_modules(cnlse_ansatz.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"cnlse_ansatz.{info.name}")
+        memos |= {f"{memo.__module__}.{memo.__qualname__}" for memo in vars(module).values()
+                  if hasattr(memo, "cache_clear")}
+    assert memos == {"cnlse_ansatz.elliptic._laurent_matrix", "cnlse_ansatz.elliptic._real_period"}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,8 +351,8 @@ class TestComplexStep:
 
 
 class TestSetupMemo:
-    """R and its derivatives at y0 and the invariants are memoised per
-    curve and y0 (``quartic._curve_setup``)."""
+    """R and its derivatives at y0 are computed on every closed-form call,
+    and the invariants once per curve object (``QuarticCurve.invariants``)."""
 
     REAL = Z_CURVE
     # equal in value to REAL, and so equal as a dataclass, but complex-typed
@@ -359,13 +361,12 @@ class TestSetupMemo:
 
     def test_complex_curve_raises_on_every_call(self):
         # its invariants are complex, which the elliptic core refuses; the
-        # typed set-up memo must not serve it the real twin's entry
+        # real twin, equal as a dataclass, must not lend it its invariants
         assert self.COMPLEX == self.REAL
         calls = (lambda curve: weierstrass_solution(curve, 1.0, 1, self.XI),
                  lambda curve: weierstrass_solution(curve, 1.0, -1, 0.4),
                  lambda curve: solution_denominator(curve, 1.0, 0.4))
         for order in ((self.REAL, self.COMPLEX), (self.COMPLEX, self.REAL)):
-            quartic._curve_setup.cache_clear()
             for curve in order * 2:
                 for call in calls:
                     if curve is self.REAL:
@@ -373,19 +374,30 @@ class TestSetupMemo:
                     else:
                         with pytest.raises(ValueError, match="real"):
                             call(curve)
-        assert quartic._curve_setup.cache_info().currsize == 1
 
-    def test_hit_is_bit_equal_to_fresh(self):
-        for curve in (self.REAL, z_curve(with_branch(REFERENCE_PARAMS, -1, 1))):
-            quartic._curve_setup.cache_clear()
-            fresh = weierstrass_solution(curve, 1.0, 1, self.XI)
-            hits = quartic._curve_setup.cache_info().hits
+    def test_invariants_computed_once_per_curve(self, monkeypatch):
+        # a fresh curve computes its invariants on its first closed-form
+        # call and reads them from the curve object on every later one,
+        # bit for bit those of a fresh computation
+        counted, real = [], quartic.invariants_from_coefficients
+
+        def spy(curve):
+            counted.append(curve)
+            return real(curve)
+
+        monkeypatch.setattr(quartic, "invariants_from_coefficients", spy)
+        for template in (self.REAL, z_curve(with_branch(REFERENCE_PARAMS, -1, 1))):
+            curve, counted[:] = dataclasses.replace(template), []
+            first = weierstrass_solution(curve, 1.0, 1, self.XI)
             again = weierstrass_solution(curve, 1.0, 1, self.XI)
-            assert quartic._curve_setup.cache_info().hits == hits + 1
-            assert again.tobytes() == fresh.tobytes()
+            solution_denominator(curve, 1.0, 0.4)
+            weierstrass_solution(curve, 1.0, (1, -1), 0.7)
+            assert [c is curve for c in counted] == [True]
+            assert again.tobytes() == first.tobytes()
+            inv, fresh = curve.invariants, real(template)
+            assert (inv.g2.hex(), inv.g3.hex()) == (fresh.g2.hex(), fresh.g3.hex())
 
     def test_errors_raise_on_every_call(self):
         for _ in range(2):
             with pytest.raises(NegativeRadicand):
                 weierstrass_solution(self.REAL, -3.0, 1, 0.5)
-        assert quartic._curve_setup.cache_info().currsize == 0

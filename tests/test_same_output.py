@@ -1,3 +1,5 @@
+import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -37,3 +39,12 @@ def test_warning_locations_are_cut_to_the_file_name(tmp_path):
     proc = run(ROOT / "src", copy, "residuals", "--x", "1e300")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "1 invocations, 0 differ"
+
+
+def test_docstring_counts_the_list():
+    # the module docstring names how many invocations the default list holds
+    spec = importlib.util.spec_from_file_location("same_output", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    count = re.search(r"without, the (\d+) of the list", " ".join(tool.__doc__.split()))
+    assert int(count.group(1)) == len(tool.invocations())

@@ -13,6 +13,7 @@ from cnlse_ansatz import (
     BRANCHES,
     DegenerateResiduals,
     DiffConfig,
+    NonFiniteSamples,
     PoleProximity,
     REFERENCE_PARAMS,
     ResidualReport,
@@ -24,6 +25,7 @@ from cnlse_ansatz import (
     field_A,
     invariant_crosscheck,
     invariants_from_coefficients,
+    phi_of_t,
     q_curve,
     real_period,
     report_at,
@@ -84,7 +86,7 @@ class TestInconsistency:
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_P(p, 0.0, 0.0) == -2.0, name
             for t in ts:
-                st = verify._point(p, 0.0, t)[1]
+                st = verify._point(verify._TimeRow(p, t), p, 0.0)[0]
                 want = -st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + p.Q0 ** 2))
                 assert residual_P(p, 0.0, t) == want, (name, t)
 
@@ -108,7 +110,7 @@ class TestInconsistency:
         monkeypatch.setattr(EllipticInvariants, "__post_init__", post_init)
         residual_P(p, 1.3, 0.7)
         monkeypatch.undo()  # _point's own wp evaluation stays out of the count
-        profile = invariants_from_coefficients(verify._point(p, 1.3, 0.7)[1].curve)
+        profile = invariants_from_coefficients(verify._point(verify._TimeRow(p, 0.7), p, 1.3)[0].curve)
         assert sum(inv == profile for inv in seen) == 1
         assert built and all(type(inv.g2) is float and type(inv.g3) is float for inv in built)
 
@@ -234,18 +236,20 @@ class TestAlgebraicResiduals:
         # the centre value comes from the stencil batch, not a second call
         from cnlse_ansatz import quartic
 
+        # on the profile lattice; residual_R2 builds its own time row, whose
+        # orbit batch is a second call, on the z lattice
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        residual_R1(p, 0.3)  # the time row is built outside the count
+        profile = verify._TimeRow(p, 0.3).states[-1][0].curve.invariants
         calls = []
         real_wp_pair = quartic.wp_pair
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            calls.append(args[1])
             return real_wp_pair(*args, **kwargs)
 
         monkeypatch.setattr(quartic, "wp_pair", counted)
         assert residual_R2(p, 0.7, 0.3) < 1e-10
-        assert len(calls) == 1
+        assert sum(inv == profile for inv in calls) == 1
 
     def test_small_grid(self):
         p = with_branch(REFERENCE_PARAMS, -1, -1)
@@ -442,7 +446,7 @@ class TestReportAt:
 
         monkeypatch.setattr(verify, "_orbit_states", orbit)
         pars = [with_branch(REFERENCE_PARAMS, -1, s) for s in ((1, -1) if paired else (-1,))]
-        reps = (verify.reports_at(pars[0], 0.5, 0.4, (1, -1)) if paired
+        reps = (verify.reports_at(verify._TimeRow(pars[0], 0.4), pars[0], 0.5, (1, -1)) if paired
                 else [report_at(pars[0], 0.5, 0.4)])
         for p, rep in zip(pars, reps):
             assert rep.notes == "StencilOutOfDomain"
@@ -451,7 +455,8 @@ class TestReportAt:
                 residual_P(p, 0.5, 0.4), residual_R1(p, 0.4), residual_R2(p, 0.5, 0.4))
             assert rep.r1 < 1e-8 and rep.r2 < 1e-8
         if paired:
-            other = verify.reports_at(with_branch(REFERENCE_PARAMS, 1, 1), 0.5, 0.4, (1, -1))
+            p = with_branch(REFERENCE_PARAMS, 1, 1)
+            other = verify.reports_at(verify._TimeRow(p, 0.4), p, 0.5, (1, -1))
             assert [rep.notes for rep in other] == ["", ""]
 
     def test_time_node_failure_keeps_the_point(self, monkeypatch):
@@ -485,11 +490,11 @@ class TestReportAt:
             return values
 
         def reports():
-            verify._time_row.cache_clear()
             if paired:
+                row = verify._TimeRow(REFERENCE_PARAMS, 0.4)
                 return {b: rep for sz, names in ((1, ("pp", "pm")), (-1, ("mp", "mm")))
                         for b, rep in zip(names, verify.reports_at(
-                            with_branch(REFERENCE_PARAMS, sz, 1), 0.5, 0.4, (1, -1)))}
+                            row, with_branch(REFERENCE_PARAMS, sz, 1), 0.5, (1, -1)))}
             return {b: report_at(with_branch(REFERENCE_PARAMS, *BRANCHES[b]), 0.5, 0.4)
                     for b in ("pp", "pm", "mp", "mm")}
 
@@ -527,8 +532,9 @@ class TestReportAt:
     @staticmethod
     def _gaps(x, t):
         # |pde_abs - |P|| / max(1, |P|) at (x, t) on every branch without a note
+        row = verify._TimeRow(REFERENCE_PARAMS, t)
         reps = [rep for sz in (1, -1)
-                for rep in verify.reports_at(with_branch(REFERENCE_PARAMS, sz, 1), x, t, (1, -1))]
+                for rep in verify.reports_at(row, with_branch(REFERENCE_PARAMS, sz, 1), x, (1, -1))]
         return [abs(rep.pde_abs - abs(rep.P)) / max(1.0, abs(rep.P))
                 for rep in reps if not rep.notes]
 
@@ -588,6 +594,20 @@ class TestReportAt:
         assert tuple(d) == ("x", "t", "sigma_z", "sigma_q",
                             "P", "r1", "r2", "pde_abs", "notes")
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_time_or_x_raises_nonfinite_samples(self, bad):
+        # no whole periods split off a non-finite t or x: the package's
+        # own error, as z_with_rate and Q_of_xt raise it, at t and at x
+        p = with_branch(REFERENCE_PARAMS, -1, -1)
+        calls = [lambda: report_at(p, 1.0, bad), lambda: residual_P(p, 1.0, bad),
+                 lambda: residual_R1(p, bad), lambda: residual_R2(p, 1.0, bad),
+                 lambda: phi_of_t(p, bad), lambda: phi_of_t(p, np.array([0.5, bad])),
+                 lambda: report_at(p, bad, 0.4), lambda: residual_P(p, bad, 0.4),
+                 lambda: residual_R2(p, bad, 0.4)]
+        for call in calls:
+            with pytest.raises(NonFiniteSamples):
+                call()
+
 
 def _fields(rep):
     # repr is exact for floats and reads nan as nan, so nan equals nan
@@ -612,7 +632,7 @@ class TestReportsAt:
             for x in xs:
                 for sz in (1, -1):
                     pars = [with_branch(REFERENCE_PARAMS, sz, s) for s in (1, -1)]
-                    pair = reports_at(pars[0], x, t, (1, -1))
+                    pair = reports_at(verify._TimeRow(pars[0], t), pars[0], x, (1, -1))
                     alone = [report_at(p, x, t) for p in pars]
                     assert list(map(_fields, pair)) == list(map(_fields, alone))
 
@@ -620,7 +640,8 @@ class TestReportsAt:
         # at (2.14, 1) pp is next to a profile pole and its partner pm is not
         from cnlse_ansatz.verify import reports_at
 
-        pp, pm = reports_at(with_branch(REFERENCE_PARAMS, 1, 1), 2.14, 1.0, (1, -1))
+        p = with_branch(REFERENCE_PARAMS, 1, 1)
+        pp, pm = reports_at(verify._TimeRow(p, 1.0), p, 2.14, (1, -1))
         assert (pp.notes, pm.notes) == ("pole_adjacent", "")
         assert np.isfinite(pm.pde_abs) and abs(pm.P) < 1.0
 
@@ -638,9 +659,10 @@ class TestReportsAt:
         for x, t in np.random.default_rng(22).uniform(0.05, 3.0, (15, 2)):
             for sz in (1, -1):
                 p = with_branch(REFERENCE_PARAMS, sz, 1)
-                if any(rep.notes for rep in reports_at(p, x, t, (1, -1))):
+                row = verify._TimeRow(p, t)
+                if any(rep.notes for rep in reports_at(row, p, x, (1, -1))):
                     continue
-                row, _, xr, _ = verify._point(p, x, t)
+                _, xr, _ = verify._point(row, p, x)
                 for i, s in enumerate(row.ts[1:], 1):
                     st, gauge = row.states[sz][i], row.gauges[sz][i]
                     for sq, a in zip((1, -1), seen[-1](xr, s)):
