@@ -19,7 +19,7 @@ import sys
 import time
 import types
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,14 +27,12 @@ from .ansatz import (
     BRANCHES,
     REFERENCE_PARAMS,
     AnsatzParams,
-    _checked,
     _q_curve_from_state,
     with_branch,
     z_curve,
 )
 from .elliptic import EllipticInvariants, cubic_roots, wp_pair
-from .errors import AliasingWarning, NegativeRadicand, PoleProximity, RealityViolation
-from .errors import StencilOutOfDomain
+from .errors import AliasingWarning
 from .quartic import (
     QuarticCurve,
     eval_with_derivatives,
@@ -52,15 +50,9 @@ from .reference import (
     split_step_evolve,
 )
 from .verify import (
-    R2_SPACE_STEP,
     DiffConfig,
-    ResidualReport,
     _central_differences,
     _TimeRow,
-    _ode_defect,
-    _P_and_Q,
-    _point,
-    _pole_note,
     _rel_dev,
     _stencil_offsets,
     closed_form_invariants_q,
@@ -68,6 +60,7 @@ from .verify import (
     cnlse_residual,
     convergence_order,
     reports_at,
+    residual_P,
     soliton_field,
 )
 
@@ -307,7 +300,7 @@ def _resolve_run(ns) -> RunConfig:
 
 def _parse_axis(chunk: str, name: str) -> np.ndarray:
     """The points of one ``LO:HI:N`` axis: LO finite, and when N > 1, HI
-    finite and above LO."""
+    finite and above LO, and HI - LO finite."""
     bits = chunk.split(":")
     if len(bits) != 3:
         raise CliError(f"{name} axis must be LO:HI:N, got {chunk!r}")
@@ -324,6 +317,8 @@ def _parse_axis(chunk: str, name: str) -> np.ndarray:
         return np.array([lo])
     if not math.isfinite(hi):
         raise CliError(f"{name} axis HI must be finite, got {chunk!r}")
+    if not math.isfinite(hi - lo):
+        raise CliError(f"{name} axis HI - LO overflows a float, got {chunk!r}")
     if hi <= lo:
         raise CliError(f"{name} axis needs HI > LO")
     return np.linspace(lo, hi, n)
@@ -403,31 +398,36 @@ def _point_reports(row: _TimeRow, orbits: list, x: float) -> dict:
             for par, sqs in orbits for rep in reports_at(row, par, x, sqs)}
 
 
+def _branch_reports(rc: RunConfig) -> list:
+    """The reports at rc's point (x, t), one per branch of rc.branches in
+    their order, from one time row: what residuals, pde and paper-check read."""
+    by_branch = _point_reports(_TimeRow(rc.params, rc.t), _orbits(rc), rc.x)
+    return [by_branch[signs] for _, signs in rc.branches]
+
+
 def cmd_paper_check(rc: RunConfig) -> int:
     tol = rc.tolerances
-    # per orbit one point, as reports_at reads it: P, Q and r2 for its
-    # sigma_Q tuple, each from one closed-form call, and the row's r1
-    by_branch, row = {}, _TimeRow(rc.params, rc.t)
-    for par, sqs in _orbits(rc):
-        st, x, part = _point(row, par, rc.x)
-        r2s = _ode_defect(st.curve, par.Q0, sqs, x, R2_SPACE_STEP)
-        for sq, (p_val, q_val), r2 in zip(sqs, _P_and_Q(par, st, part, sqs), r2s):
-            by_branch[par.sigma_z, sq] = (float(p_val), float(row.r1[par.sigma_z]),
-                                          float(r2), _pole_note(q_val))
-    rows = [(name, sz, sq, *by_branch[sz, sq]) for name, (sz, sq) in rc.branches]
+    rows = []
+    for (name, _), rep in zip(rc.branches, _branch_reports(rc)):
+        notes = rep.notes.split(";")
+        if {"NegativeRadicand", "PoleProximity", "RealityViolation"}.intersection(notes):
+            # the point fails on this orbit: residual_P evaluates the same
+            # state, so it raises the same error
+            residual_P(with_branch(rc.params, rep.sigma_z, rep.sigma_q), rc.x, rc.t)
+        rows.append((name, rep, notes[0] if notes[0] in ("pole", "pole_adjacent") else ""))
     with _output(rc.out) as stream, contextlib.redirect_stdout(stream):
         print(f"point: x = {_fmt12(rc.x)}, t = {_fmt12(rc.t)}")
         print("branch  sigma_z  sigma_q  P                 r1            r2")
-        for name, sz, sq, p_val, r1, r2, note in rows:
-            print(f"{name:<6}  {sz:+d}       {sq:+d}       "
-                  f"{p_val:<16.10g}  {r1:<12.4g}  {r2:<12.4g}" + (note and f"  {note}"))
+        for name, rep, note in rows:
+            print(f"{name:<6}  {rep.sigma_z:+d}       {rep.sigma_q:+d}       "
+                  f"{rep.P:<16.10g}  {rep.r1:<12.4g}  {rep.r2:<12.4g}" + (note and f"  {note}"))
         # next to a profile pole r2 differences a near-vertical profile, so
         # it is marked as report_at marks it and left out of the verdict
-        solves = all(r1 <= tol["r_alg"] and (note or r2 <= tol["r_alg"])
-                     for _, _, _, _, r1, r2, note in rows)
-        nonzero = all(abs(p_val) >= tol["p_floor"] for _, _, _, p_val, _, _, _ in rows)
-        matches = [name for name, _, _, p_val, _, _, _ in rows
-                   if abs(p_val - P_MATCH_TARGET) <= tol["p_match"]]
+        solves = all(rep.r1 <= tol["r_alg"] and (note or rep.r2 <= tol["r_alg"])
+                     for _, rep, note in rows)
+        nonzero = all(abs(rep.P) >= tol["p_floor"] for _, rep, _ in rows)
+        matches = [name for name, rep, _ in rows
+                   if abs(rep.P - P_MATCH_TARGET) <= tol["p_match"]]
         print(f"constructed pair solves both quartic ODEs (r1, r2 <= {tol['r_alg']:g}): "
               f"{'yes' if solves else 'NO'}")
         print(f"|P| >= {tol['p_floor']:g} on every branch: {'yes' if nonzero else 'NO'}")
@@ -457,29 +457,17 @@ def cmd_scan(rc: RunConfig) -> int:
 
 
 def cmd_residuals(rc: RunConfig) -> int:
-    by_branch = _point_reports(_TimeRow(rc.params, rc.t), _orbits(rc), rc.x)
-    reports = [by_branch[signs] for _, signs in rc.branches]
-    _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
+    _write_reports(rc, _branch_reports(rc), {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
     return 0
 
 
 def cmd_pde(rc: RunConfig) -> int:
-    reports, row = [], _TimeRow(rc.params, rc.t)
-    for _, (sz, sq) in rc.branches:
-        par = with_branch(rc.params, sz, sq)
-        notes, value = "", float("nan")
-        try:
-            # the stencil of residuals; an orbit state that fails at t, or a
-            # profile curve with no real slope at Q0, fails it
-            _, x, part = _point(row, par, rc.x)
-            value = abs(_checked(row.pde(par, (sq,), x, part)[0]))
-        except (NegativeRadicand, PoleProximity, RealityViolation, StencilOutOfDomain):
-            notes = StencilOutOfDomain.__name__
-        reports.append(ResidualReport(
-            x=rc.x, t=rc.t, sigma_z=sz, sigma_q=sq,
-            P=float("nan"), r1=float("nan"), r2=float("nan"),
-            pde_abs=float(value), notes=notes,
-        ))
+    # the pde_abs of residuals: an orbit state that fails at t, or a profile
+    # curve with no real slope at Q0, fails the stencil as a time node does
+    nan = float("nan")
+    reports = [replace(rep, P=nan, r1=nan, r2=nan,
+                       notes="StencilOutOfDomain" if math.isnan(rep.pde_abs) else "")
+               for rep in _branch_reports(rc)]
     _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
     return 0
 

@@ -156,7 +156,8 @@ def wp_pair(u, inv: EllipticInvariants):
     times keeps the bits each has alone.
 
     Raises PoleProximity when any element sits within POLE_EPSILON of the
-    double pole at the origin.
+    double pole at the origin, before the fold or after it (where the float
+    spacing at Re u is wider than 2w).
     """
     u_arr = np.asarray(u)
     uf = u_arr.astype(complex, copy=False).ravel()
@@ -190,6 +191,9 @@ def _evaluate(uf, au, inv: EllipticInvariants, row: int = 0):
         uf = uf.copy()
         uf[far] -= k * period
         au = np.abs(uf)
+        if (au < POLE_EPSILON).any():  # float spacing at Re u wider than 2w
+            raise PoleProximity(f"wp argument folds by whole periods 2w = {period:g} "
+                                f"to within {POLE_EPSILON:g} of the double pole at u = 0")
     n = np.zeros(uf.shape, dtype=int)
     big = au > thr
     if big.any():

@@ -17,10 +17,12 @@ argument reduction uses one depth across it.
 
 ``reports_at`` gathers P, r1, r2 and the PDE residual at one point of one
 orbit for a tuple of profile slope signs, each from one closed-form call per
-stencil for all the signs.  All four read the time row (``_TimeRow``)
-that the caller builds once per t and passes to every point and branch at
-t; its PDE stencil samples the envelope up to a constant phase, so reads no
-phase.  ``report_at`` is the one-sign case on a row of its own, as each of
+stencil for all the signs: the command line's one report path, from which
+``scan``, ``residuals``, ``pde`` and ``paper-check`` read every number.  The
+four quantities read the time row (``_TimeRow``) that the caller builds
+once per t and passes to every point and branch at t; its PDE stencil
+samples the envelope up to a constant phase, so reads no phase.
+``report_at`` is the one-sign case on a row of its own, as each of
 ``residual_P``, ``residual_R1`` and ``residual_R2`` builds its own.  The
 profile lattice does not move with t, so P and the PDE's time nodes share
 one wp evaluation.

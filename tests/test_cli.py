@@ -501,20 +501,84 @@ class TestNonFinitePoint:
         assert main(["residuals", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: config key 'x' must be finite")
 
-    @pytest.mark.parametrize("grid, message", [
-        ("nan:1:3,0.2:1:2", "x axis LO must be finite"),
-        ("0.2:1:3,0.2:inf:2", "t axis HI must be finite"),
-        ("0.2:1:3,-inf:1:1", "t axis LO must be finite"),
+    @pytest.mark.parametrize("mode, grid, message", [
+        pytest.param(["scan"], grid, message, id=f"{grid}-{message}")
+        for grid, message in (
+            ("nan:1:3,0.2:1:2", "x axis LO must be finite"),
+            ("0.2:1:3,0.2:inf:2", "t axis HI must be finite"),
+            ("0.2:1:3,-inf:1:1", "t axis LO must be finite"),
+            # finite ends whose difference overflows: refused before linspace
+            ("-1e308:1e308:3,0:1:2", "x axis HI - LO overflows a float"),
+        )
+    ] + [
+        pytest.param(["evolve", "--branch", "mm"], "-1e308:1e308:64",
+                     "window axis HI - LO overflows a float", id="evolve-window-overflows"),
     ])
-    def test_grid_axis_named(self, capsys, grid, message):
+    def test_grid_axis_named(self, capsys, mode, grid, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["scan", "--grid", grid]) == 1
+            assert main([*mode, f"--grid={grid}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}"), err
+        assert err.count("\n") == 1
+
+
+# points of the one report path: the default, a pole-adjacent branch (mp at
+# t = 20000), the mirror point of a pole and a point where the -1 orbit
+# fails (c2 = 0.8: R(Q0) < 0 on its profile curve)
+ONE_PATH_POINTS = [
+    pytest.param([], id="default"),
+    pytest.param(["--t", "20000"], id="t20000"),
+    pytest.param(["--x", "2.14"], id="x2.14"),
+    pytest.param(["--c2", "0.8"], id="c2-0.8"),
+]
+DOMAIN_ERRORS = {"NegativeRadicand", "PoleProximity", "RealityViolation"}
 
 
 class TestPointModes:
+    @staticmethod
+    def reports(capsys, mode, point):
+        assert main([mode, *point, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["reports"]
+
+    @pytest.mark.parametrize("point", ONE_PATH_POINTS)
+    def test_paper_check_rows_are_the_residuals_reports(self, capsys, point):
+        # per branch: the row is the report at 10 and 4 digits with its
+        # first note if that is a pole note; a branch whose report names a
+        # domain error ends paper-check with that error
+        for name, rep in zip(BRANCH_ORDER, self.reports(capsys, "residuals", point)):
+            code = main(["paper-check", *point, "--branch", name])
+            out, err = capsys.readouterr()
+            notes = rep["notes"].split(";")
+            if DOMAIN_ERRORS.intersection(notes):
+                assert code == 1 and out == "" and err.startswith("error: R(y0) = ")
+                continue
+            note = notes[0] if notes[0] in ("pole", "pole_adjacent") else ""
+            row = (f"{name:<6}  {rep['sigma_z']:+d}       {rep['sigma_q']:+d}       "
+                   f"{rep['P']:<16.10g}  {rep['r1']:<12.4g}  {rep['r2']:<12.4g}"
+                   + (note and f"  {note}"))
+            assert out.splitlines()[2] == row
+
+    @pytest.mark.parametrize("point", ONE_PATH_POINTS)
+    def test_pde_reads_the_residuals_pde_abs(self, capsys, point):
+        pde = self.reports(capsys, "pde", point)
+        residuals = self.reports(capsys, "residuals", point)
+        assert [r["pde_abs"].hex() for r in pde] == [r["pde_abs"].hex() for r in residuals]
+        assert [r["notes"] for r in pde] == [
+            "StencilOutOfDomain" if np.isnan(r["pde_abs"]) else "" for r in residuals
+        ]
+        assert all(np.isnan([r["P"], r["r1"], r["r2"]]).all() for r in pde)
+
+    def test_paper_check_raises_the_failing_orbits_error(self, capsys):
+        # at c2 = 0.8 the +1 orbit is clean and the -1 orbit's profile curve
+        # has no real slope at Q0: the run ends with that error, no table
+        assert main(["paper-check", "--c2", "0.8"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: R(y0) = -0.215643 < 0: no real slope at y0\n"
+        notes = [r["notes"] for r in self.reports(capsys, "residuals", ["--c2", "0.8"])]
+        assert notes == ["", "", "NegativeRadicand", "NegativeRadicand"]
+
     def test_residuals_reports_all_branches(self, tmp_path):
         out = tmp_path / "res.json"
         assert main(["residuals", "--format", "json", "--out", str(out)]) == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,16 @@ class TestRealPeriod:
         for k in (1, 2, -3, 2048):
             w, w1 = wp_pair(k * period, INV)
             assert np.isfinite(w) and abs(w) > 1e12
+
+    def test_fold_onto_the_pole_raises(self):
+        # at u = 1e17 the float spacing (16) is wider than 2w = 3.708: every
+        # fold, one period short included, rounds onto the pole at 0
+        inv = EllipticInvariants(1.0, 0.0)
+        assert real_period(inv) < np.spacing(1e17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleProximity):
+                wp_pair(1e17, inv)
 
 
 class TestCubicRoots:

@@ -10,20 +10,23 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 91 of the list
+flags, that one invocation is compared; without, the 95 of the list
 below: the default and the benchmark ``scan``, the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), a grid through
 x = 0 and t = 0, the pole-adjacent point, a grid on which one profile
 slope of a point is pole-adjacent and the other is not, every ``late``
 window of the benchmark, ``residuals`` at eight times, four of them many
 orbit periods out (1e6, 1e10, 1e12 and 1e17), at three points far out in
-x, at a point that fails (a negative radicand) and at x = 0 past one
-period (t = 7.3, where P is exactly -sqrt(z) (c1 - q (3 z + Q0^2))),
-``paper-check`` at four points (x = 2.14 the mirror point of a pole) and
-at a point that fails (a negative radicand, exit 1), ``pde`` at the
-default point, at three late times (one of them 1e17), at two points far
-out in x, in full bits at the pole-adjacent point, and at the failing
-point (every branch noted), ``evolve`` on the benchmark
+x, at a point that fails (a negative radicand), at a point where one
+orbit fails (c2 = 0.8: the -1 orbit) and at x = 0 past one period
+(t = 7.3, where P is exactly -sqrt(z) (c1 - q (3 z + Q0^2))),
+``paper-check`` at four points (x = 2.14 the mirror point of a pole), at
+a point that fails (a negative radicand, exit 1) and at two where one
+orbit fails (c2 = 0.8: at t = 1 the -1 orbit, at t = 0.5 the +1 orbit,
+exit 1), ``pde`` at the default point, at three late times (one of them
+1e17), at two points far out in x, in full bits at the pole-adjacent
+point, at the failing point (every branch noted) and where one orbit
+fails (c2 = 0.8), ``evolve`` on the benchmark
 window and the default one, with an uneven sample schedule on the
 benchmark's n (the control and the ansatz run share one stack), with the
 control finishing before the ansatz run, on a window with a pole at that
@@ -69,17 +72,21 @@ def invocations() -> list:
           for t in ("0", "1", "-1000", "5115.1", "1e6", "1e10", "1e12", "1e17")),
         *(("residuals", "--x", x) for x in ("1e5", "1e7", "1e300")),
         ("residuals", "--z0", "1e-300"),
+        ("residuals", "--c2", "0.8"),
         ("residuals", "--x", "0", "--t", "7.3"),
         ("paper-check",),
         ("paper-check", "--t", "20000"),
         ("paper-check", "--x", "1e5"),
         ("paper-check", "--x", "2.14"),
         ("paper-check", "--z0", "1e-300"),
+        ("paper-check", "--c2", "0.8"),
+        ("paper-check", "--c2", "0.8", "--t", "0.5"),
         ("pde",),
         *(("pde", "--t", t) for t in ("1000", "5115.1", "1e17")),
         *(("pde", "--x", x) for x in ("1e7", "1e300")),
         ("pde", "--branch", "pp", "--x", "0.978", "--t", "0.311", "--format", "json"),
         ("pde", "--z0", "1e-300"),
+        ("pde", "--c2", "0.8"),
         workloads.EVOLVE_ARGS,
         ("evolve", "--branch", "mm"),
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:1024,0.05:0.3:4", "--dt", "1e-4"),
