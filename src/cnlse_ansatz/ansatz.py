@@ -163,11 +163,12 @@ def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCur
 
 
 def _or_error(fn, *args):
-    """fn(*args), or the error it raises where z is not real, kept in place
-    of the value: a failure on one orbit, or at one time, is its own."""
+    """fn(*args), or the error it raises where z is not real or a radicand
+    is negative, kept in place of the value: a failure on one orbit, or at
+    one time, is its own."""
     try:
         return fn(*args)
-    except (PoleProximity, RealityViolation) as exc:
+    except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
         return exc.with_traceback(None)  # keeps no frames alive in a cache
 
 

@@ -299,8 +299,8 @@ def _resolve_run(ns) -> RunConfig:
 
 
 def _parse_axis(chunk: str, name: str) -> np.ndarray:
-    """The points of one ``LO:HI:N`` axis: LO finite, and when N > 1, HI
-    finite and above LO, and HI - LO finite."""
+    """The points of one ``LO:HI:N`` axis: at most EVOLVE_MAX_STEPS points,
+    LO finite, and when N > 1, HI finite and above LO, and HI - LO finite."""
     bits = chunk.split(":")
     if len(bits) != 3:
         raise CliError(f"{name} axis must be LO:HI:N, got {chunk!r}")
@@ -310,6 +310,8 @@ def _parse_axis(chunk: str, name: str) -> np.ndarray:
         raise CliError(f"bad {name} axis {chunk!r}") from exc
     if n <= 0:
         raise CliError(f"empty grid: {name} axis has {n} points")
+    if n > EVOLVE_MAX_STEPS:  # refused before an allocation that cannot succeed
+        raise CliError(f"{name} axis has {n} points; an axis takes at most {EVOLVE_MAX_STEPS:.0e}")
     if not math.isfinite(lo):
         raise CliError(f"{name} axis LO must be finite, got {chunk!r}")
     if n == 1:

@@ -85,37 +85,38 @@ def _scalars(R: QuarticCurve, y0: float):
     return r
 
 
-def _closed_form_parts(R: QuarticCurve, y0: float, xi):
-    """The wp part of the closed form: R^(k)(y0), k = 0..4, xi as a checked
-    array of at least one dimension, the mask of its elements beyond the
-    elliptic pole guard, and wp and wp' of R's lattice on it (None where no
-    element is beyond the guard)."""
-    r, inv = _scalars(R, y0), R.invariants
-    xi_arr = np.asarray(xi)
+def _closed_form_parts(R: QuarticCurve, xi):
+    """The wp part of the closed form: xi as a checked array of at least
+    one dimension, the mask of its elements beyond the elliptic pole guard,
+    and wp and wp' of R's lattice on it (None where no element is beyond
+    the guard).  The rational part reads it with the scalars ``_scalars``."""
+    inv, xi_arr = R.invariants, np.asarray(xi)
     xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, float))
     if not np.isfinite(xf).all():
         raise NonFiniteSamples("xi must be finite")
     away = np.abs(xf) >= POLE_EPSILON
     if not away.any():
-        return r, xf, away, None, None
+        return xf, away, None, None
     # an element inside the guard is evaluated at POLE_EPSILON instead: it
     # needs no more halvings than any element beyond the guard, so it cannot
     # deepen its row of the batch, and the rows keep their shape
     W, W1 = wp_pair(np.where(away, xf, POLE_EPSILON), inv)
-    return r, xf, away, W, W1
+    return xf, away, W, W1
 
 
 def _rational_part(r, y0: float, signs: tuple, xf, away, W, W1) -> list:
     """The rational part of the closed form: y at xf per sign of signs from
-    the five scalars r = R^(k)(y0) and the rest of ``_closed_form_parts``.
-    Complex scalars, of a curve built from a complex step, carry it to y."""
+    the five scalars r = R^(k)(y0) and the wp part ``_closed_form_parts``.
+    Complex scalars, of a curve built from a complex step, carry it to y.
+    Scalars of k curves as a (k, 1) column give each curve's own bits."""
     r0, r1, _, r3, _ = r
     sq, xn = np.sqrt(r0), np.where(away, 0.0, xf)
     ys = [y0 + s * sq * xn + 0.25 * r1 * xn * xn for s in map(float, signs)]
-    # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
-    # closed form would produce 0/0 wherever wp crosses b
-    if W is None or (r0 == 0.0 and r1 == 0.0):
+    if W is None:
         return ys
+    # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
+    # closed form would produce 0/0 wherever wp crosses b; its rows keep y0
+    use = away & ~np.logical_and(r0 == 0.0, r1 == 0.0)
     Wb = W - r[2] / 24.0
     den = 2.0 * Wb * Wb - r0 * r[4] / 48.0
     for s, y in zip(map(float, signs), ys):
@@ -123,7 +124,7 @@ def _rational_part(r, y0: float, signs: tuple, xf, away, W, W1) -> list:
         part = np.real if y.dtype.kind == "f" else np.asarray
         num = 0.5 * r1 * Wb - s * sq * W1 + r0 * r3 / 24.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            y[away] = y0 + part(num / den)[away]
+            y[use] = y0 + part(num / den)[use]
     return ys
 
 
@@ -155,8 +156,8 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
     signs, y0 = sigma if isinstance(sigma, tuple) else (sigma,), float(y0)
     if not {1.0, -1.0}.issuperset(signs):
         raise ValueError("sigma must be +1 or -1")
-    r, *wp = _closed_form_parts(R, y0, xi)
-    out = [y[0].item() if np.ndim(xi) == 0 else y for y in _rational_part(r, y0, signs, *wp)]
+    ys = _rational_part(_scalars(R, y0), y0, signs, *_closed_form_parts(R, xi))
+    out = [y[0].item() if np.ndim(xi) == 0 else y for y in ys]
     return tuple(out) if isinstance(sigma, tuple) else out[0]
 
 
@@ -165,7 +166,8 @@ def solution_denominator(R: QuarticCurve, y0: float, xi):
     guard.  Real zeros of this function in xi are the solution poles of
     weierstrass_solution; scans use sign changes of it to detect a pole
     crossing between grid nodes."""
-    r, xf, away, W, _ = _closed_form_parts(R, float(y0), xi)
+    r = _scalars(R, float(y0))
+    xf, away, W, _ = _closed_form_parts(R, xi)
     out = np.full(xf.shape, np.inf)
     if W is not None:
         Wb = W - r[2] / 24.0

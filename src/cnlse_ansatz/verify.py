@@ -16,16 +16,15 @@ independent of the closed forms; a stencil is one batch, so the elliptic
 argument reduction uses one depth across it.
 
 ``reports_at`` gathers P, r1, r2 and the PDE residual at one point of one
-orbit for a tuple of profile slope signs, each from one closed-form call per
-stencil for all the signs: the command line's one report path, from which
-``scan``, ``residuals``, ``pde`` and ``paper-check`` read every number.  The
-four quantities read the time row (``_TimeRow``) that the caller builds
-once per t and passes to every point and branch at t; its PDE stencil
-samples the envelope up to a constant phase, so reads no phase.
-``report_at`` is the one-sign case on a row of its own, as each of
-``residual_P``, ``residual_R1`` and ``residual_R2`` builds its own.  The
-profile lattice does not move with t, so P and the PDE's time nodes share
-one wp evaluation.
+orbit for a tuple of profile slope signs: the command line's one report
+path, from which ``scan``, ``residuals``, ``pde`` and ``paper-check`` read
+every number.  The four quantities read the time row (``_TimeRow``) that
+the caller builds once per t and passes to every point and branch at t; it
+holds what depends on (t, orbit) only, and its PDE stencil samples the
+envelope up to a constant phase, so reads no phase.  ``report_at`` is the
+one-sign case on a row of its own, as each of ``residual_P``,
+``residual_R1`` and ``residual_R2`` builds its own.  The profile lattice
+does not move with t, so P's wp call serves the PDE's time nodes too.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .ansatz import (
     P_STEP,
     AnsatzParams,
     _checked,
-    _envelope,
+    _or_error,
     _orbit_states,
     _panel_values,
     _q_curve_from_state,
@@ -137,8 +136,8 @@ class _TimeRow:
     share, whichever signs params carries: both orbits' states at the PDE's
     time nodes r + offsets, r = t reduced by whole periods 2w of z (r = t
     below 2w), from one orbit call, and on first use r1 at r and the nodes'
-    gauges.  z is periodic, so every residual at t reads the state at r.
-    A caller builds one row per t and passes it to every point at t."""
+    gauges and profile scalars.  z is periodic, so every residual at t reads
+    the state at r.  A caller builds one row per t for every point at t."""
 
     def __init__(self, params: AnsatzParams, t: float):
         cfg = DiffConfig()
@@ -146,7 +145,6 @@ class _TimeRow:
         self.curve = z_curve(params)
         self.r = _split_periods(self.curve, self.t)[1]
         self.ts = self.r + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
-        self.index = {s: i for i, s in enumerate(self.ts)}
         self.states = _orbit_states(self.params, self.ts)
 
     @cached_property
@@ -168,52 +166,70 @@ class _TimeRow:
         defects = _ode_defect(self.curve, self.params.z0, (1, -1), self.r, R1_TIME_STEP)
         return dict(zip((1, -1), defects))
 
-    def pde(self, params: AnsatzParams, sigmas: tuple, x: float, part: tuple) -> list:
+    @cached_property
+    def profile(self) -> dict:
+        """Per orbit, the scalars R^(k)(Q0) of the profile curve at r with
+        those of it stepped along the orbit, z + ih z_t and z_t + ih z_tt
+        (h = P_STEP), which carry P's Q_t; and the other time nodes' as (4, 1)
+        columns.  Each, or the error computing it raised, in its place."""
+        def centre(st):
+            st, h, p = _checked(st), 1j * P_STEP, self.params
+            ztt = 0.5 * eval_with_derivatives(self.curve, st.z)[1]
+            curve = _q_curve_from_state(p, st.z + h * st.zt, st.zt + h * ztt)
+            return _scalars(st.curve, p.Q0), eval_with_derivatives(curve, p.Q0)
+
+        def nodes(states):
+            r = [_scalars(_checked(st).curve, self.params.Q0) for st in states]
+            return tuple(c[:, None] for c in np.array(r).T)
+
+        return {sigma: (_or_error(centre, states[0]), _or_error(nodes, states[1:]))
+                for sigma, states in self.states.items()}
+
+    def pde(self, params: AnsatzParams, sigmas: tuple, x: float, at_x: tuple) -> list:
         """The default-step PDE residuals (p = 1) at (x, r) per slope sign of
         sigmas of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
         orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}.  The x
         stencil is one closed-form call at r.  A time node s reads Q at x
-        from ``part``, the wp part of ``_point``, with the scalars R^(k)(Q0)
-        of its own profile curve: that curve's lattice is the one at r."""
-        states = self.states[params.sigma_z]
+        from ``at_x``, the wp part of x, with the scalars R^(k)(Q0) of its
+        own profile curve: that curve's lattice is the one at r.  An error
+        of either stencil raises StencilOutOfDomain."""
+        cfg, states = DiffConfig(), self.states[params.sigma_z]
+        try:
+            gauges = _checked(self.gauges[params.sigma_z])
+            nodes = _checked(self.profile[params.sigma_z][1])
+            xs = x + _stencil_offsets(cfg.h_x, cfg.richardson_levels)
+            xq = _profile_at(self, params, states[0], xs, sigmas)
+        except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
+            raise StencilOutOfDomain(
+                f"field not evaluable on the stencil at ({x:g}, {self.r:g})"
+            ) from exc
+        xvs = [q + 1j * states[0].sqrt_z for q in xq]
+        tvs = [[(q + 1j * st.sqrt_z) * g
+                for q, st, g in zip(y[:, 0].tolist(), states[1:], gauges[1:])]
+               for y in _rational_part(nodes, params.Q0, sigmas, *at_x)]
+        return _stencil_residuals(xvs, tvs, x, self.r, cfg, 1.0, params.q)
 
-        def fields(xs, s):
-            i = self.index[s]
-            gauge = _checked(self.gauges[params.sigma_z])[i]
-            st = _checked(states[i])
-            if i == 0:
-                return _envelope(params, st, gauge, sigmas, xs)
-            r = _scalars(st.curve, params.Q0)
-            return [(q.item() + 1j * st.sqrt_z) * gauge
-                    for q in _rational_part(r, params.Q0, sigmas, *part[1:])]
 
-        return _stencil_residuals(fields, x, self.r, DiffConfig(), 1.0, params.q)
+def _profile_at(row: _TimeRow, params: AnsatzParams, st, xs, sigmas: tuple) -> list:
+    """Q per profile slope sign of sigmas at the reduced xs, one closed-form
+    call on the lattice of the row's state st, read with its row scalars."""
+    r = _checked(row.profile[params.sigma_z][0])[0]
+    return _rational_part(r, params.Q0, sigmas, *_closed_form_parts(st.curve, xs))
 
 
-def _point(row: _TimeRow, params: AnsatzParams, x: float):
-    """The state of the orbit params.sigma_z at the time row's r, the state
-    r1 and the PDE stencil read, x reduced by whole real periods of the
-    profile lattice, which does not move with t, and the state's wp part
-    (``_closed_form_parts``) at that x: what every residual reads."""
+def _point(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple):
+    """The state of the orbit params.sigma_z at the time row's r, x reduced
+    by whole real periods of the profile lattice, which does not move with
+    t, (P, Q) per profile slope sign of sigmas at that x (``residual_P``),
+    and the state's wp part there, which the PDE's time nodes read too."""
     st = _checked(row.states[params.sigma_z][0])
     x = _split_periods(st.curve, x)[1]
-    return st, x, _closed_form_parts(st.curve, params.Q0, x)
-
-
-def _P_and_Q(params: AnsatzParams, st, part: tuple, sigmas: tuple) -> list:
-    """(P, Q) per profile slope sign of sigmas at the point of ``_point``,
-    of orbit state st and wp part ``part``: ``residual_P`` and the real
-    profile value it evaluates on the way, from which the pole note is read.
-    The wp part serves Q, from the state's scalars R^(k)(Q0), and Q_t, from
-    the stepped curve's, for every sign."""
-    r, *wp = part
-    ztt = 0.5 * eval_with_derivatives(z_curve(params), st.z)[1]
-    h = 1j * P_STEP
-    curve = _q_curve_from_state(params, st.z + h * st.zt, st.zt + h * ztt)
-    q_center, qs = ([y.item() for y in _rational_part(s, params.Q0, sigmas, *wp)]
-                    for s in (r, eval_with_derivatives(curve, params.Q0)))
-    return [(q.imag / P_STEP - st.sqrt_z * (params.c1 - params.q * (3.0 * st.z + qc ** 2)), qc)
-            for q, qc in zip(qs, q_center)]
+    r, stepped = _checked(row.profile[params.sigma_z][0])
+    at_x, p = _closed_form_parts(st.curve, x), params
+    pq = [(qt.item().imag / P_STEP - st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + q ** 2)), q)
+          for q, qt in zip((y.item() for y in _rational_part(r, p.Q0, sigmas, *at_x)),
+                           _rational_part(stepped, p.Q0, sigmas, *at_x))]
+    return st, x, pq, at_x
 
 
 def residual_P(params: AnsatzParams, x: float, t: float) -> float:
@@ -231,22 +247,22 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     periods, as r1 and the PDE stencil read it; the profile lattice does not
     move with t, so x is first reduced by its whole real periods, as
     ``residual_R2`` reduces it."""
-    st, _, part = _point(_TimeRow(params, t), params, float(x))
-    return _P_and_Q(params, st, part, (params.sigma_Q,))[0][0]
+    return _point(_TimeRow(params, t), params, float(x), (params.sigma_Q,))[2][0][0]
 
 
-def _ode_defect(curve, y0: float, sigma, xi: float, h: float):
-    """Relative defect |(dy/dxi)^2 - R(y)| / max(1, |R(y)|) of the closed form
-    at xi, with dy/dxi and y from one batch on the central stencil; a tuple
-    of them for a tuple of signs."""
-    ys = weierstrass_solution(curve, y0, sigma, float(xi) + _stencil_offsets(h))
+def _defect(curve, y, h: float) -> float:
+    """Relative defect |(dy/dxi)^2 - R(y)| / max(1, |R(y)|) of the values y
+    of a solution of the curve on the central stencil of step h."""
+    slope, _ = _central_differences(y, h)
+    r = float(eval_with_derivatives(curve, y[0])[0])
+    return abs(slope * slope - r) / max(1.0, abs(r))
 
-    def defect(y):
-        slope, _ = _central_differences(y, h)
-        r = float(eval_with_derivatives(curve, y[0])[0])
-        return abs(slope * slope - r) / max(1.0, abs(r))
 
-    return tuple(map(defect, ys)) if isinstance(sigma, tuple) else defect(ys)
+def _ode_defect(curve, y0: float, signs: tuple, xi: float, h: float) -> tuple:
+    """``_defect`` of the closed form at xi per sign of signs, with dy/dxi
+    and y from one batch on the central stencil."""
+    ys = weierstrass_solution(curve, y0, signs, float(xi) + _stencil_offsets(h))
+    return tuple(_defect(curve, y, h) for y in ys)
 
 
 def residual_R1(params: AnsatzParams, t: float) -> float:
@@ -262,9 +278,10 @@ def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at the time
     row's r, with x reduced by whole real periods of the profile lattice as
     ``residual_R1`` reduces t."""
-    st = _checked(_TimeRow(params, t).states[params.sigma_z][0])
-    x = _split_periods(st.curve, float(x))[1]
-    return _ode_defect(st.curve, params.Q0, params.sigma_Q, x, R2_SPACE_STEP)
+    row = _TimeRow(params, t)
+    st = _checked(row.states[params.sigma_z][0])
+    xs = _split_periods(st.curve, float(x))[1] + _stencil_offsets(R2_SPACE_STEP)
+    return _defect(st.curve, _profile_at(row, params, st, xs, (params.sigma_Q,))[0], R2_SPACE_STEP)
 
 
 def closed_form_invariants_z(params: AnsatzParams) -> EllipticInvariants:
@@ -327,25 +344,17 @@ def soliton_field(a: float) -> SolitonSampler:
     return SolitonSampler(a)
 
 
-def _stencil_residuals(fields, x: float, t: float, cfg: DiffConfig, p: float, q: float) -> list:
-    """Finite-difference residuals i A_t + p A_xx + q A |A|^2 of the
-    samplers that ``fields(x, t)`` evaluates together, a tuple of one value
-    per sampler: per sampler its residual, or the StencilOutOfDomain of a
-    non-finite stencil in its place.  A domain error of ``fields`` is every
-    sampler's, and is raised as StencilOutOfDomain."""
-    lv = int(cfg.richardson_levels)
-    try:
-        xvs = [np.asarray(v, dtype=complex) for v in fields(x + _stencil_offsets(cfg.h_x, lv), t)]
-        tvs = [fields(x, t + dt) for dt in _stencil_offsets(cfg.h_t, lv)[1:]]
-    except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
-        raise StencilOutOfDomain(
-            f"field not evaluable on the stencil at ({x:g}, {t:g})"
-        ) from exc
+def _stencil_residuals(xvs, tvs, x: float, t: float, cfg: DiffConfig, p: float, q: float) -> list:
+    """Finite-difference residuals i A_t + p A_xx + q A |A|^2 at (x, t) per
+    sampler, from its values on the x stencil x + _stencil_offsets(cfg.h_x)
+    (xvs) and, as Python complex, at t + _stencil_offsets(cfg.h_t)[1:]
+    (tvs); a non-finite stencil gives a StencilOutOfDomain in its place."""
     out = []
-    for i, xv in enumerate(xvs):
+    for xv, tv in zip(xvs, tvs):
         # Python complex, as the sampler returns them: numpy would divide the
         # differences through a reciprocal and move the last bit
-        tv = [complex(xv[0])] + [complex(v[i]) for v in tvs]
+        xv = np.asarray(xv, dtype=complex)
+        tv = [complex(xv[0])] + [complex(v) for v in tv]
         if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(tv))):
             out.append(StencilOutOfDomain(
                 f"non-finite field values on the stencil at ({x:g}, {t:g})"
@@ -366,11 +375,14 @@ def cnlse_residual(field, x: float, t: float, cfg: DiffConfig | None = None,
     call; the t stencil needs one sampler call per node.  Raises
     StencilOutOfDomain when any stencil value is missing or non-finite.
     """
-    def fields(xs, s):
-        return (field(xs, s),)
-
     cfg = cfg if cfg is not None else DiffConfig()
-    return _checked(_stencil_residuals(fields, float(x), float(t), cfg, p, q)[0])
+    x, t, lv = float(x), float(t), int(cfg.richardson_levels)
+    try:
+        xv = field(x + _stencil_offsets(cfg.h_x, lv), t)
+        tv = [field(x, t + dt) for dt in _stencil_offsets(cfg.h_t, lv)[1:]]
+    except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
+        raise StencilOutOfDomain(f"field not evaluable on the stencil at ({x:g}, {t:g})") from exc
+    return _checked(_stencil_residuals((xv,), (tv,), x, t, cfg, p, q)[0])
 
 
 def convergence_order(residuals) -> float:
@@ -412,14 +424,16 @@ def reports_at(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple) -> 
     notes = [[] for _ in sigmas]
     P, r1, r2, pde = [nan] * n, nan, [nan] * n, [nan] * n
     try:
-        st, xr, part = _point(row, params, x)
-        for i, (p_val, q_val) in enumerate(_P_and_Q(params, st, part, sigmas)):
+        st, xr, pq, at_x = _point(row, params, x, sigmas)
+        for i, (p_val, q_val) in enumerate(pq):
             P[i], note = p_val, _pole_note(q_val)
             if note:
                 notes[i].append(note)
         r1 = row.r1[params.sigma_z]
-        r2 = _ode_defect(st.curve, params.Q0, sigmas, xr, R2_SPACE_STEP)
-        for i, res in enumerate(row.pde(params, sigmas, xr, part)):
+        h = R2_SPACE_STEP
+        xs = xr + _stencil_offsets(h)
+        r2 = [_defect(st.curve, y, h) for y in _profile_at(row, params, st, xs, sigmas)]
+        for i, res in enumerate(row.pde(params, sigmas, xr, at_x)):
             if isinstance(res, Exception):
                 notes[i].append(type(res).__name__)
             else:

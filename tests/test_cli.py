@@ -401,6 +401,25 @@ class TestScan:
         assert calls["profile"] == 3 * 9 * 2
         assert 0 < calls["z"] <= 4 * 3
 
+    def test_profile_scalars_once_per_node_orbit_and_row(self, monkeypatch):
+        # R^(k)(Q0) of each time node's profile curve is computed once per
+        # orbit and time row, whatever the number of x: 5 nodes x 2 orbits
+        # x 3 rows
+        zc = z_curve(REFERENCE_PARAMS)
+        real, calls = quartic._scalars, []
+
+        def spy(curve, y0):
+            calls.append(curve != zc)
+            return real(curve, y0)
+
+        for module in (quartic, verify):
+            monkeypatch.setattr(module, "_scalars", spy)
+        for nx in (3, 7):
+            calls.clear()
+            assert main(["scan", "--branch", "all", "--grid", f"0.2:1.2:{nx},0.2:1.2:3",
+                         "--out", os.devnull]) == 0
+            assert sum(calls) == 5 * 2 * 3
+
 
 class TestParser:
     @staticmethod
@@ -513,6 +532,11 @@ class TestNonFinitePoint:
     ] + [
         pytest.param(["evolve", "--branch", "mm"], "-1e308:1e308:64",
                      "window axis HI - LO overflows a float", id="evolve-window-overflows"),
+        # more points than memory holds: refused before linspace allocates them
+        pytest.param(["scan", "--out", os.devnull], "0:1:2,0:1:10000000000000",
+                     "t axis has 10000000000000 points", id="scan-axis-too-long"),
+        pytest.param(["evolve", "--branch", "mm"], "-1:1:64,0:1:10000000000000",
+                     "time axis has 10000000000000 points", id="evolve-time-axis-too-long"),
     ])
     def test_grid_axis_named(self, capsys, mode, grid, message):
         with warnings.catch_warnings():

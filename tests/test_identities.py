@@ -51,6 +51,22 @@ def test_twin_identity():
     assert sp.expand(difference.subs(dwp ** 2, 4 * wp ** 3 - g2 * wp - g3)) == 0
 
 
+def test_closed_form_series_at_the_origin():
+    # with wp = xi^-2 + g2 xi^2 / 20 + g3 xi^4 / 28 + O(xi^6), the closed
+    # form is y0 + sigma sqrt(R(y0)) xi + R'(y0) xi^2 / 4 + O(xi^3): the
+    # pole guard's Taylor branch, exactly y0 at xi = 0, so Q(0, t) = Q0 and
+    # P(0, t) = -sqrt(z) (c1 - q (3 z + Q0^2))
+    sp = pytest.importorskip("sympy")
+    xi, y0, root, sigma, g2, g3 = sp.symbols("xi y0 root sigma g2 g3")
+    r0, (r1, r2, r3, r4) = root ** 2, sp.symbols("r1:5")  # root = sqrt(R(y0))
+    wp = xi ** -2 + g2 * xi ** 2 / 20 + g3 * xi ** 4 / 28
+    shift = r2 / 24
+    y = y0 + (r1 / 2 * (wp - shift) - sigma * root * sp.diff(wp, xi) + r0 * r3 / 24) / (
+        2 * (wp - shift) ** 2 - r0 * r4 / 48)
+    series = sp.series(y, xi, 0, 3).removeO()
+    assert sp.expand(series - (y0 + sigma * root * xi + r1 * xi ** 2 / 4)) == 0
+
+
 def test_profile_invariants_hold_along_both_orbits():
     # every state's curve invariants, from its float coefficients, lie
     # within 1e-14 guarded of the constants (measured at most 9.7e-16)

@@ -269,6 +269,27 @@ class TestSignPair:
             weierstrass_solution(Z_CURVE, 1.0, sigma, 0.5)
 
 
+class TestStackedScalars:
+    def test_stacked_rows_equal_one_row_calls(self):
+        # the scalars R^(k)(y0) of k curves stacked as a (k, 1) column
+        # against one row of arguments give each curve's one-row call bit
+        # for bit, an equilibrium row (r0 = r1 = 0, R = -(y-1)^2 (y^2+1))
+        # next to regular ones included, on both sides of the pole guard
+        curves = (Z_CURVE, QuarticCurve(-1.0, 0.5, -1.0 / 3.0, 0.5, -1.0),
+                  QuarticCurve(-0.5, 0.0, 0.2, 0.1, 1.3))
+        scalars = [quartic._scalars(curve, 1.0) for curve in curves]
+        assert scalars[1][:2] == (0.0, 0.0) and scalars[0][0] > 0.0
+        xf = np.array([[0.0, 3e-11, 0.3, 0.9, 1.7]])
+        away = np.abs(xf) >= POLE_EPSILON
+        wp = xf, away, *quartic.wp_pair(np.where(away, xf, POLE_EPSILON), Z_CURVE.invariants)
+        stacked = tuple(np.array(column)[:, None] for column in zip(*scalars))
+        together = quartic._rational_part(stacked, 1.0, (1, -1), *wp)
+        for i, r in enumerate(scalars):
+            for y, alone in zip(together, quartic._rational_part(r, 1.0, (1, -1), *wp)):
+                assert y[i:i + 1].tobytes() == alone.tobytes(), i
+        assert np.all(together[0][1] == 1.0)
+
+
 class TestDenominator:
     def test_matches_direct_formula(self):
         from cnlse_ansatz import wp_pair

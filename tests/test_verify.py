@@ -86,7 +86,7 @@ class TestInconsistency:
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_P(p, 0.0, 0.0) == -2.0, name
             for t in ts:
-                st = verify._point(verify._TimeRow(p, t), p, 0.0)[0]
+                st = verify._point(verify._TimeRow(p, t), p, 0.0, (sq,))[0]
                 want = -st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + p.Q0 ** 2))
                 assert residual_P(p, 0.0, t) == want, (name, t)
 
@@ -110,7 +110,8 @@ class TestInconsistency:
         monkeypatch.setattr(EllipticInvariants, "__post_init__", post_init)
         residual_P(p, 1.3, 0.7)
         monkeypatch.undo()  # _point's own wp evaluation stays out of the count
-        profile = invariants_from_coefficients(verify._point(verify._TimeRow(p, 0.7), p, 1.3)[0].curve)
+        st = verify._point(verify._TimeRow(p, 0.7), p, 1.3, (-1,))[0]
+        profile = invariants_from_coefficients(st.curve)
         assert sum(inv == profile for inv in seen) == 1
         assert built and all(type(inv.g2) is float and type(inv.g3) is float for inv in built)
 
@@ -508,11 +509,13 @@ class TestReportAt:
     def test_failure_is_noted_not_raised(self, monkeypatch):
         from cnlse_ansatz import verify
 
-        def bad(params, st, phase, sigma, x):
-            xa = np.asarray(x, dtype=float)
-            return tuple(np.full(xa.shape, np.nan, dtype=complex) for _ in sigma)
+        # the x stencil's values come out non-finite
+        real = verify._stencil_residuals
 
-        monkeypatch.setattr(verify, "_envelope", bad)
+        def bad(xvs, *args):
+            return real([np.full(np.shape(xv), np.nan, dtype=complex) for xv in xvs], *args)
+
+        monkeypatch.setattr(verify, "_stencil_residuals", bad)
         p = with_branch(REFERENCE_PARAMS, -1, -1)
         rep = report_at(p, 0.5, 0.4)
         assert "StencilOutOfDomain" in rep.notes
@@ -654,7 +657,7 @@ class TestReportsAt:
 
         seen, real = [], verify._stencil_residuals
         monkeypatch.setattr(verify, "_stencil_residuals",
-                            lambda fields, *args: seen.append(fields) or real(fields, *args))
+                            lambda xvs, tvs, *args: seen.append(tvs) or real(xvs, tvs, *args))
         worst, clean = 0.0, 0
         for x, t in np.random.default_rng(22).uniform(0.05, 3.0, (15, 2)):
             for sz in (1, -1):
@@ -662,10 +665,10 @@ class TestReportsAt:
                 row = verify._TimeRow(p, t)
                 if any(rep.notes for rep in reports_at(row, p, x, (1, -1))):
                     continue
-                _, xr, _ = verify._point(row, p, x)
+                xr = verify._point(row, p, x, (1, -1))[1]
                 for i, s in enumerate(row.ts[1:], 1):
                     st, gauge = row.states[sz][i], row.gauges[sz][i]
-                    for sq, a in zip((1, -1), seen[-1](xr, s)):
+                    for sq, a in zip((1, -1), (tv[i - 1] for tv in seen[-1])):
                         want = quartic.weierstrass_solution(st.curve, p.Q0, sq, xr)
                         q = (a / gauge - 1j * st.sqrt_z).real
                         worst = max(worst, abs(q - want) / max(1.0, abs(want)))

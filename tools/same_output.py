@@ -10,11 +10,14 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 95 of the list
+flags, that one invocation is compared; without, the 99 of the list
 below: the default and the benchmark ``scan``, the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), a grid through
 x = 0 and t = 0, the pole-adjacent point, a grid on which one profile
-slope of a point is pole-adjacent and the other is not, every ``late``
+slope of a point is pole-adjacent and the other is not, four grids at the
+edges of a point's x stencils (the pole guard inside the
+stencils, the halving depth's step at |u| = 1, the fold threshold and the
+profile period), every ``late``
 window of the benchmark, ``residuals`` at eight times, four of them many
 orbit periods out (1e6, 1e10, 1e12 and 1e17), at three points far out in
 x, at a point that fails (a negative radicand), at a point where one
@@ -67,6 +70,13 @@ def invocations() -> list:
         ("scan", "--grid=-0.5:0.5:5,-0.5:0.5:5"),
         ("scan", "--branch", "pp", "--grid", "0.978:0.978:1,0.311:0.311:1"),
         ("scan", "--grid", "2.13:2.15:5,0.9:1.1:3"),
+        # edges of a point's x stencils: the pole guard inside the
+        # stencils, the halving depth's step at |u| = 1, the fold threshold
+        # (with pole-adjacent points) and the profile period 2w = 5.4921
+        ("scan", "--grid=-0.0015:0.0015:7,0.2:1.2:3"),
+        ("scan", "--grid", "0.999:1.001:5,0.4:1.2:5"),
+        ("scan", "--grid", "1.999:2.001:5,0.2:1.2:3"),
+        ("scan", "--grid", "5.4915:5.4925:5,0.2:1.2:3"),
         *(workloads.late_args(t0) for t0 in starts),
         *(("residuals", f"--t={t}")
           for t in ("0", "1", "-1000", "5115.1", "1e6", "1e10", "1e12", "1e17")),
