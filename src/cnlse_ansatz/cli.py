@@ -59,8 +59,8 @@ from .verify import (
     closed_form_invariants_z,
     cnlse_residual,
     convergence_order,
-    reports_at,
     residual_P,
+    row_reports,
     soliton_field,
 )
 
@@ -393,17 +393,20 @@ def _orbits(rc: RunConfig) -> list:
     return [(with_branch(rc.params, sz, sqs[0]), tuple(sqs)) for sz, sqs in signs.items()]
 
 
-def _point_reports(row: _TimeRow, orbits: list, x: float) -> dict:
-    """The reports at x and the time of the row of the branches of
-    ``_orbits``, one ``reports_at`` call per orbit, by (sigma_z, sigma_q)."""
-    return {(rep.sigma_z, rep.sigma_q): rep
-            for par, sqs in orbits for rep in reports_at(row, par, x, sqs)}
+def _row_reports(row: _TimeRow, orbits: list, xs) -> list:
+    """Per x of xs, the reports at x and the time of the row of the branches
+    of ``_orbits``, one ``row_reports`` call per orbit, by (sigma_z, sigma_q)."""
+    by_x = [{} for _ in xs]
+    for par, sqs in orbits:
+        for reps, at_x in zip(row_reports(row, par, xs, sqs), by_x):
+            at_x.update(((rep.sigma_z, rep.sigma_q), rep) for rep in reps)
+    return by_x
 
 
 def _branch_reports(rc: RunConfig) -> list:
     """The reports at rc's point (x, t), one per branch of rc.branches in
     their order, from one time row: what residuals, pde and paper-check read."""
-    by_branch = _point_reports(_TimeRow(rc.params, rc.t), _orbits(rc), rc.x)
+    by_branch = _row_reports(_TimeRow(rc.params, rc.t), _orbits(rc), (rc.x,))[0]
     return [by_branch[signs] for _, signs in rc.branches]
 
 
@@ -445,11 +448,11 @@ def cmd_paper_check(rc: RunConfig) -> int:
 
 def cmd_scan(rc: RunConfig) -> int:
     xs, ts = _parse_grid(rc.grid)
-    # t, then x, then the orbit: one time row per t (see verify) serves every
-    # point and branch at t, and one reports_at call a point's sigma_Q
-    # branches of an orbit.  The reports are written branch, then x, then t.
+    # t, then the orbit: one time row per t (see verify) serves every point
+    # and branch at t, and one row_reports call every x and sigma_Q branch
+    # of an orbit.  The reports are written branch, then x, then t.
     orbits, rows = _orbits(rc), (_TimeRow(rc.params, t) for t in ts)
-    by_t = [[_point_reports(row, orbits, x) for x in xs] for row in rows]
+    by_t = [_row_reports(row, orbits, xs) for row in rows]
     reports = [by_t[j][i][signs] for _, signs in rc.branches
                for i in range(len(xs)) for j in range(len(ts))]
     _write_reports(rc, reports, {

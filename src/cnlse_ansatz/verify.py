@@ -15,16 +15,19 @@ stencil, at the origin too, so r1, r2 and the PDE residual stay checks
 independent of the closed forms; a stencil is one batch, so the elliptic
 argument reduction uses one depth across it.
 
-``reports_at`` gathers P, r1, r2 and the PDE residual at one point of one
-orbit for a tuple of profile slope signs: the command line's one report
-path, from which ``scan``, ``residuals``, ``pde`` and ``paper-check`` read
-every number.  The four quantities read the time row (``_TimeRow``) that
-the caller builds once per t and passes to every point and branch at t; it
-holds what depends on (t, orbit) only, and its PDE stencil samples the
-envelope up to a constant phase, so reads no phase.  ``report_at`` is the
-one-sign case on a row of its own, as each of ``residual_P``,
-``residual_R1`` and ``residual_R2`` builds its own.  The profile lattice
-does not move with t, so P's wp call serves the PDE's time nodes too.
+``row_reports`` gathers P, r1, r2 and the PDE residual at every x of a
+time row on one orbit, for a tuple of profile slope signs: the command
+line's one report path, from which ``scan``, ``residuals``, ``pde`` and
+``paper-check`` read every number.  The four quantities read the time row
+(``_TimeRow``) that the caller builds once per t and passes to every point
+and branch at t; it holds what depends on (t, orbit) only, and its PDE
+stencil samples the envelope up to a constant phase, so reads no phase.
+The profile lattice does not move with t, and an (nx, 1) wp argument gives
+each x its own halving depth, so one wp call per row and orbit serves P,
+its pole note and the PDE's time nodes at every x, each with its own bits.
+``reports_at`` is the one-x case, and ``report_at`` the one-sign case on
+a row of its own, as each of ``residual_P``, ``residual_R1`` and
+``residual_R2`` builds its own.
 """
 
 from __future__ import annotations
@@ -185,18 +188,18 @@ class _TimeRow:
         return {sigma: (_or_error(centre, states[0]), _or_error(nodes, states[1:]))
                 for sigma, states in self.states.items()}
 
-    def pde(self, params: AnsatzParams, sigmas: tuple, x: float, at_x: tuple) -> list:
+    def pde(self, params: AnsatzParams, sigmas: tuple, x: float, node_qs) -> list:
         """The default-step PDE residuals (p = 1) at (x, r) per slope sign of
         sigmas of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
         orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}.  The x
-        stencil is one closed-form call at r.  A time node s reads Q at x
-        from ``at_x``, the wp part of x, with the scalars R^(k)(Q0) of its
-        own profile curve: that curve's lattice is the one at r.  An error
-        of either stencil raises StencilOutOfDomain."""
+        stencil is one closed-form call at r.  The time nodes s read Q at x
+        from ``node_qs``, per sign the node values ``_row_points`` gives (or
+        the error of their scalars).  An error of either stencil raises
+        StencilOutOfDomain."""
         cfg, states = DiffConfig(), self.states[params.sigma_z]
         try:
             gauges = _checked(self.gauges[params.sigma_z])
-            nodes = _checked(self.profile[params.sigma_z][1])
+            node_qs = _checked(node_qs)
             xs = x + _stencil_offsets(cfg.h_x, cfg.richardson_levels)
             xq = _profile_at(self, params, states[0], xs, sigmas)
         except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
@@ -204,9 +207,8 @@ class _TimeRow:
                 f"field not evaluable on the stencil at ({x:g}, {self.r:g})"
             ) from exc
         xvs = [q + 1j * states[0].sqrt_z for q in xq]
-        tvs = [[(q + 1j * st.sqrt_z) * g
-                for q, st, g in zip(y[:, 0].tolist(), states[1:], gauges[1:])]
-               for y in _rational_part(nodes, params.Q0, sigmas, *at_x)]
+        tvs = [[(q + 1j * st.sqrt_z) * g for q, st, g in zip(qs, states[1:], gauges[1:])]
+               for qs in node_qs]
         return _stencil_residuals(xvs, tvs, x, self.r, cfg, 1.0, params.q)
 
 
@@ -217,19 +219,44 @@ def _profile_at(row: _TimeRow, params: AnsatzParams, st, xs, sigmas: tuple) -> l
     return _rational_part(r, params.Q0, sigmas, *_closed_form_parts(st.curve, xs))
 
 
-def _point(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple):
-    """The state of the orbit params.sigma_z at the time row's r, x reduced
-    by whole real periods of the profile lattice, which does not move with
-    t, (P, Q) per profile slope sign of sigmas at that x (``residual_P``),
-    and the state's wp part there, which the PDE's time nodes read too."""
-    st = _checked(row.states[params.sigma_z][0])
-    x = _split_periods(st.curve, x)[1]
-    r, stepped = _checked(row.profile[params.sigma_z][0])
-    at_x, p = _closed_form_parts(st.curve, x), params
-    pq = [(qt.item().imag / P_STEP - st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + q ** 2)), q)
-          for q, qt in zip((y.item() for y in _rational_part(r, p.Q0, sigmas, *at_x)),
-                           _rational_part(stepped, p.Q0, sigmas, *at_x))]
-    return st, x, pq, at_x
+def _r2(row: _TimeRow, params: AnsatzParams, st, x: float, sigmas: tuple) -> list:
+    """r2 (``residual_R2``) at the reduced x per profile slope sign of sigmas."""
+    h = R2_SPACE_STEP
+    ys = _profile_at(row, params, st, x + _stencil_offsets(h), sigmas)
+    return [_defect(st.curve, y, h) for y in ys]
+
+
+def _row_points(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
+    """Per x of xs, on the orbit params.sigma_z at the time row's r: its
+    state, x reduced by whole real periods of the profile lattice, which
+    does not move with t, (P, Q) per profile slope sign of sigmas there
+    (``residual_P``) and Q per sign at the PDE's time nodes (or the error
+    of their scalars); or the error that x raised.  The wp part of every x
+    is one (nx, 1) call: each x is a row of its own halving depth, so it has
+    the bits it has alone.  If that call raises, each x is evaluated alone
+    and carries its own error; an error of the row's state or scalars is
+    every x's."""
+    p = params
+    try:
+        st = _checked(row.states[p.sigma_z][0])
+        xr = [_split_periods(st.curve, x)[1] for x in xs]
+        (r, stepped), nodes = _checked(row.profile[p.sigma_z][0]), row.profile[p.sigma_z][1]
+        at = _closed_form_parts(st.curve, np.array(xr)[:, None])
+    except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
+        if len(xs) == 1:
+            return [exc.with_traceback(None)]
+        return [_row_points(row, params, (x,), sigmas)[0] for x in xs]
+    qs = _rational_part(r, p.Q0, sigmas, *at)
+    qts = _rational_part(stepped, p.Q0, sigmas, *at)
+    if not isinstance(nodes, Exception):  # a (4, 1) node column against a (1, nx) row
+        nodes = _rational_part(nodes, p.Q0, sigmas, *(a if a is None else a.T for a in at))
+    out = []
+    for j, x in enumerate(xr):
+        pq = [(qt[j].item().imag / P_STEP - st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + q ** 2)), q)
+              for q, qt in zip((y[j].item() for y in qs), qts)]
+        out.append((st, x, pq, nodes if isinstance(nodes, Exception)
+                    else [y[:, j].tolist() for y in nodes]))
+    return out
 
 
 def residual_P(params: AnsatzParams, x: float, t: float) -> float:
@@ -246,8 +273,9 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     period 2w, so the state is read at the time row's r, t reduced by whole
     periods, as r1 and the PDE stencil read it; the profile lattice does not
     move with t, so x is first reduced by its whole real periods, as
-    ``residual_R2`` reduces it."""
-    return _point(_TimeRow(params, t), params, float(x), (params.sigma_Q,))[2][0][0]
+    ``residual_R2`` reduces it.  The one-x case of ``_row_points``."""
+    point = _row_points(_TimeRow(params, t), params, (float(x),), (params.sigma_Q,))[0]
+    return _checked(point)[2][0][0]
 
 
 def _defect(curve, y, h: float) -> float:
@@ -280,8 +308,7 @@ def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     ``residual_R1`` reduces t."""
     row = _TimeRow(params, t)
     st = _checked(row.states[params.sigma_z][0])
-    xs = _split_periods(st.curve, float(x))[1] + _stencil_offsets(R2_SPACE_STEP)
-    return _defect(st.curve, _profile_at(row, params, st, xs, (params.sigma_Q,))[0], R2_SPACE_STEP)
+    return _r2(row, params, st, _split_periods(st.curve, float(x))[1], (params.sigma_Q,))[0]
 
 
 def closed_form_invariants_z(params: AnsatzParams) -> EllipticInvariants:
@@ -407,52 +434,58 @@ def _pole_note(q_val) -> str:
     return "pole_adjacent" if abs(q_val) > POLE_ADJACENT_Q else ""
 
 
-def reports_at(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple) -> list:
-    """Full residual records at x and the time of the row, which the
-    caller builds for params at that time, on the orbit params.sigma_z, one
-    per profile slope sign of sigmas (params.sigma_Q is not read), never
-    raising on pole contact: failures are recorded in the notes field and
-    the numbers set to nan.  P, r1, r2, the pole note and the PDE residual
-    (``_TimeRow.pde``) all read the orbit state at the row's r and x reduced
-    by whole profile periods, and P, its pole note and the PDE's time nodes
-    one wp evaluation there.  The signs share every closed-form call, so
+def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
+    """Full residual records at each x of xs and the time of the row, which
+    the caller builds for params at that time, on the orbit params.sigma_z:
+    per x, one per profile slope sign of sigmas (params.sigma_Q is not
+    read), never raising on pole contact: failures are recorded in the
+    notes field and the numbers set to nan.  P, r1, r2, the pole note and
+    the PDE residual (``_TimeRow.pde``) all read the orbit state at the
+    row's r and x reduced by whole profile periods; P, its pole note and
+    the PDE's time nodes one wp call for every x (``_row_points``), r2's
+    and the PDE's x stencils a call per x.  The signs share every call, so
     an error of that shared work, a failed time node (StencilOutOfDomain)
     among them, is every sign's; a pole and a non-finite stencil are each
     sign's own."""
-    x, t = float(x), row.t
+    xs, t = [float(x) for x in xs], row.t
     nan, n = float("nan"), len(sigmas)
-    notes = [[] for _ in sigmas]
-    P, r1, r2, pde = [nan] * n, nan, [nan] * n, [nan] * n
-    try:
-        st, xr, pq, at_x = _point(row, params, x, sigmas)
-        for i, (p_val, q_val) in enumerate(pq):
-            P[i], note = p_val, _pole_note(q_val)
-            if note:
-                notes[i].append(note)
-        r1 = row.r1[params.sigma_z]
-        h = R2_SPACE_STEP
-        xs = xr + _stencil_offsets(h)
-        r2 = [_defect(st.curve, y, h) for y in _profile_at(row, params, st, xs, sigmas)]
-        for i, res in enumerate(row.pde(params, sigmas, xr, at_x)):
-            if isinstance(res, Exception):
-                notes[i].append(type(res).__name__)
-            else:
-                pde[i] = abs(res)
-    except (PoleProximity, RealityViolation, NegativeRadicand, StencilOutOfDomain) as exc:
-        for note in notes:
-            note.append(type(exc).__name__)
-    reports = []
-    for i, sigma in enumerate(sigmas):
-        if not all(np.isfinite(v) for v in (P[i], r1, r2[i], pde[i])) and not notes[i]:
-            notes[i].append("nonfinite")
-        reports.append(ResidualReport(
+    out = []
+    for x, point in zip(xs, _row_points(row, params, xs, sigmas)):
+        notes = [[] for _ in sigmas]
+        P, r1, r2, pde = [nan] * n, nan, [nan] * n, [nan] * n
+        try:
+            st, xr, pq, node_qs = _checked(point)
+            for i, (p_val, q_val) in enumerate(pq):
+                P[i], note = p_val, _pole_note(q_val)
+                if note:
+                    notes[i].append(note)
+            r1 = row.r1[params.sigma_z]
+            r2 = _r2(row, params, st, xr, sigmas)
+            for i, res in enumerate(row.pde(params, sigmas, xr, node_qs)):
+                if isinstance(res, Exception):
+                    notes[i].append(type(res).__name__)
+                else:
+                    pde[i] = abs(res)
+        except (PoleProximity, RealityViolation, NegativeRadicand, StencilOutOfDomain) as exc:
+            for note in notes:
+                note.append(type(exc).__name__)
+        for i in range(n):
+            if not all(np.isfinite(v) for v in (P[i], r1, r2[i], pde[i])) and not notes[i]:
+                notes[i].append("nonfinite")
+        out.append([ResidualReport(
             x=x, t=t, sigma_z=params.sigma_z, sigma_q=sigma,
             P=P[i], r1=r1, r2=r2[i], pde_abs=pde[i], notes=";".join(notes[i]),
-        ))
-    return reports
+        ) for i, sigma in enumerate(sigmas)])
+    return out
+
+
+def reports_at(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple) -> list:
+    """The reports at one x, per sign of sigmas: the one-x case of
+    ``row_reports``."""
+    return row_reports(row, params, (x,), sigmas)[0]
 
 
 def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
-    """Full residual record at one point: the one-sign case of
-    ``reports_at``, for the branch of params, on a row of its own."""
+    """Full residual record at one point: the one-x, one-sign case of
+    ``row_reports``, for the branch of params, on a row of its own."""
     return reports_at(_TimeRow(params, t), params, x, (params.sigma_Q,))[0]

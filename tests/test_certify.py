@@ -9,13 +9,18 @@ from pathlib import Path
 import pytest
 
 from cnlse_ansatz import BRANCHES, REFERENCE_PARAMS, residual_P, with_branch
+from cnlse_ansatz.cli import main as cli_main
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "certify.py"
 
 
-def certify(*flags) -> str:
-    proc = subprocess.run([sys.executable, str(TOOL), *flags],
+def run(*flags) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOL), *flags],
                           capture_output=True, text=True, timeout=60)
+
+
+def certify(*flags) -> str:
+    proc = run(*flags)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     line, = proc.stdout.splitlines()
     assert line.startswith("P(0, 0) = ")
@@ -48,3 +53,48 @@ def test_witness_collapses_a_rational_root():
     assert module.witness("-1", "-2", "0.5", "1") == (Fraction(1, 2), Fraction(-1, 2))
     with pytest.raises(ValueError):
         module.witness("-1", "-2", "0", "1")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--c1", "-4"), "R1(z0) = -9.08 < 0: z(t) has no real initial slope"),
+    (("--q", "0"), "q must be nonzero"),
+    (("--z0", "0"), "z0 must be positive"),
+    (("--z0", "-1"), "z0 must be positive"),
+    # as floats, as the command line reads them
+    (("--q", "inf"), "parameters must be finite"),
+    (("--q0", "1e400"), "parameters must be finite"),
+    (("--q", "1e-400"), "q must be nonzero"),
+])
+def test_refuses_what_the_command_line_refuses(flags, message, capsys):
+    # the command line's message, as the command line prints it, and exit 1
+    proc = run(*flags)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+    assert cli_main(["paper-check", *flags]) == 1
+    assert capsys.readouterr().err == proc.stderr
+
+
+def test_r1_is_exact_on_the_z_curve():
+    # R1(z0) = -16 q^2 z0^4 + 16 q c1 z0^3 - 4 (c1^2 + 4 q c2) z0^2 + 4 c3 z0
+    spec = importlib.util.spec_from_file_location("certify", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.r1("-1", "-2", "0.4", "0.13", "1") == Fraction(173, 25)
+    assert module.r1("-1", "-4", "0.4", "0.13", "1") == Fraction(-227, 25)
+    # c3 enters R1(z0): a larger c3 admits the set that --c1 -4 refuses,
+    # where Q0 = 1/2 gives P(0, 0) = -(c1 - q (3 + 1/4)) = 3/4
+    assert module.r1("-1", "-4", "0.4", "2.5", "1") == Fraction(2, 5)
+    assert certify("--c1", "-4", "--c3", "2.5", "--q0", "0.5") == "3/4"
+    p = dataclasses.replace(REFERENCE_PARAMS, c1=-4.0, c3=2.5, Q0=0.5)
+    assert residual_P(p, 0.0, 0.0) == 0.75
+
+
+def test_a_vanishing_witness_is_never_printed():
+    # c1 = q (3 z0 + Q0^2) = -4 makes P(0, 0) exactly 0 on every branch:
+    # no zero is printed as a witness, and the exit code says so
+    proc = run("--c1", "-4", "--c2", "1.2")
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert "P(0, 0) =" not in proc.stdout
+    assert "ROADMAP item 7" in proc.stdout
+    p = dataclasses.replace(REFERENCE_PARAMS, c1=-4.0, c2=1.2)
+    for name, (sz, sq) in BRANCHES.items():
+        assert residual_P(with_branch(p, sz, sq), 0.0, 0.0) == 0.0, name

@@ -383,9 +383,10 @@ class TestScan:
 
     def test_four_branch_scan_pairs_the_profile_slopes(self, monkeypatch):
         # a point's two sigma_Q branches share each closed-form wp part on
-        # its orbit: per point and orbit 3 on the profile lattice (P's one,
-        # which serves Q, Q_t and the PDE's 4 time nodes, r2's stencil and
-        # the PDE's x stencil), not 3 per branch
+        # its orbit: on the profile lattice 2 per point and orbit (r2's
+        # stencil and the PDE's x stencil), not 2 per branch, and 1 per time
+        # row and orbit, P's, which serves Q, Q_t and the PDE's 4 time nodes
+        # at every x of the row
         zc = z_curve(REFERENCE_PARAMS)
         calls = {"z": 0, "profile": 0}
         real = quartic._closed_form_parts
@@ -398,7 +399,7 @@ class TestScan:
             monkeypatch.setattr(module, "_closed_form_parts", spy)
         assert main(["scan", "--branch", "all", "--grid", "0.2:1.2:3,0.2:1.2:3",
                      "--out", os.devnull]) == 0
-        assert calls["profile"] == 3 * 9 * 2
+        assert calls["profile"] == 2 * 9 * 2 + 3 * 2
         assert 0 < calls["z"] <= 4 * 3
 
     def test_profile_scalars_once_per_node_orbit_and_row(self, monkeypatch):

@@ -86,7 +86,7 @@ class TestInconsistency:
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_P(p, 0.0, 0.0) == -2.0, name
             for t in ts:
-                st = verify._point(verify._TimeRow(p, t), p, 0.0, (sq,))[0]
+                st = verify._row_points(verify._TimeRow(p, t), p, (0.0,), (sq,))[0][0]
                 want = -st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + p.Q0 ** 2))
                 assert residual_P(p, 0.0, t) == want, (name, t)
 
@@ -109,8 +109,8 @@ class TestInconsistency:
         monkeypatch.setattr(quartic, "wp_pair", spy)
         monkeypatch.setattr(EllipticInvariants, "__post_init__", post_init)
         residual_P(p, 1.3, 0.7)
-        monkeypatch.undo()  # _point's own wp evaluation stays out of the count
-        st = verify._point(verify._TimeRow(p, 0.7), p, 1.3, (-1,))[0]
+        monkeypatch.undo()  # the row's own wp evaluation stays out of the count
+        st = verify._row_points(verify._TimeRow(p, 0.7), p, (1.3,), (-1,))[0][0]
         profile = invariants_from_coefficients(st.curve)
         assert sum(inv == profile for inv in seen) == 1
         assert built and all(type(inv.g2) is float and type(inv.g3) is float for inv in built)
@@ -665,7 +665,7 @@ class TestReportsAt:
                 row = verify._TimeRow(p, t)
                 if any(rep.notes for rep in reports_at(row, p, x, (1, -1))):
                     continue
-                xr = verify._point(row, p, x, (1, -1))[1]
+                xr = verify._row_points(row, p, (x,), (1, -1))[0][1]
                 for i, s in enumerate(row.ts[1:], 1):
                     st, gauge = row.states[sz][i], row.gauges[sz][i]
                     for sq, a in zip((1, -1), (tv[i - 1] for tv in seen[-1])):
@@ -675,3 +675,77 @@ class TestReportsAt:
                 clean += 1
         assert clean >= 20
         assert worst <= 1e-13
+
+
+class TestRowReports:
+    # the floats on either side of the pp profile pole at t = 1, where the
+    # closed form's denominator changes sign
+    POLE = (2.138636624931717, 2.1386366249317175)
+
+    @staticmethod
+    def one_x(params, xs, t, sigmas=(1, -1)):
+        # each x on a time row of its own
+        return [verify.reports_at(verify._TimeRow(params, t), params, x, sigmas) for x in xs]
+
+    @staticmethod
+    def fields(reports):
+        return [list(map(_fields, reps)) for reps in reports]
+
+    @pytest.mark.parametrize("xs, t", [
+        ([0.0], 0.7),
+        ([-0.4, 0.0, 0.4], 0.0),
+        # both sides of the profile period 2w = 5.4921, and of -2w
+        (list(np.linspace(5.4915, 5.4925, 9)) + [-5.4921, 5.4921 + 1e-12], 0.9),
+        ([0.2, 1.0, 3.0, 11.0, 1e5], 1.0),
+        ([2.13, *POLE, 2.14, 2.15, 2.2, 2.3], 1.0),
+    ])
+    def test_a_row_is_its_one_x_calls(self, xs, t):
+        # a row's reports are its one-x calls, field for field, the floats
+        # to the bit and the notes equal
+        for sz in (1, -1):
+            p = with_branch(REFERENCE_PARAMS, sz, 1)
+            row = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
+            assert self.fields(row) == self.fields(self.one_x(p, xs, t))
+
+    def test_a_row_holds_a_pole_adjacent_and_clean_points(self):
+        p = with_branch(REFERENCE_PARAMS, 1, 1)
+        xs = [2.13, *self.POLE, 2.3]
+        reps = verify.row_reports(verify._TimeRow(p, 1.0), p, xs, (1, -1))
+        assert [[rep.notes for rep in r] for r in reps] == (
+            [["pole_adjacent", ""]] * 3 + [["", ""]])
+        assert abs(reps[1][0].P) > 1e27 and abs(reps[2][0].P) > 1e27
+
+    @pytest.mark.parametrize("t", [0.5333333333333333, 0.7555555555555555, 1.2])
+    def test_an_orbit_that_fails_on_the_row(self, t):
+        # at c2 = 0.8 the profile curve has no real slope at Q0 on one
+        # orbit at these times (on both at t = 1.2): that orbit's every x
+        # reads NegativeRadicand, the other's its own reports
+        p0 = dataclasses.replace(REFERENCE_PARAMS, c2=0.8)
+        xs = list(np.linspace(0.2, 1.2, 7))
+        failed = set()
+        for sz in (1, -1):
+            p = with_branch(p0, sz, 1)
+            row = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
+            assert self.fields(row) == self.fields(self.one_x(p, xs, t))
+            if {rep.notes for reps in row for rep in reps} == {"NegativeRadicand"}:
+                failed.add(sz)
+        assert failed == ({1, -1} if t == 1.2 else {1} if t < 0.6 else {-1})
+
+    def test_a_failing_wp_call_is_its_xs_own(self, monkeypatch):
+        # a wp evaluation that raises at one x fails the row's shared call:
+        # each x is then evaluated alone, and only that x carries the error
+        bad, real = 0.7, verify._closed_form_parts
+
+        def parts(curve, xi):
+            if np.any(np.asarray(xi) == bad):
+                raise PoleProximity("wp argument on a lattice point")
+            return real(curve, xi)
+
+        p, xs, t = with_branch(REFERENCE_PARAMS, -1, 1), [0.3, bad, 1.1], 0.4
+        want = self.fields(self.one_x(p, xs, t))
+        monkeypatch.setattr(verify, "_closed_form_parts", parts)
+        got = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
+        assert self.fields(got) == self.fields(self.one_x(p, xs, t))
+        assert [self.fields(got)[i] for i in (0, 2)] == [want[i] for i in (0, 2)]
+        assert [rep.notes for rep in got[1]] == ["PoleProximity"] * 2
+        assert all(np.isnan(v) for rep in got[1] for v in (rep.P, rep.r1, rep.r2, rep.pde_abs))

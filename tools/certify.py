@@ -11,9 +11,14 @@ collapsed to one fraction where z0 is the square of a rational.  No
 elliptic function enters and nothing is rounded.  The reference set gives
 -2, and a nonzero P(0, 0) is a point where the envelope fails the equation.
 
-Usage: python3 tools/certify.py [--q Q] [--c1 C1] [--z0 Z0] [--q0 Q0]
+Usage: python3 tools/certify.py [--q Q] [--c1 C1] [--c2 C2] [--c3 C3] [--z0 Z0] [--q0 Q0]
 
-The flags are those of the command line; c2 and c3 do not enter P(0, 0).
+The flags are those of the command line, with the reference values as
+defaults.  A parameter set the command line refuses is refused with its
+message and exit code 1: a value that is not finite, q = 0 or z0 <= 0, all
+read as the command line reads them, as floats, or R1(z0) < 0, in exact
+arithmetic on the z-curve.  Where c1 = q (3 z0 + Q0^2), P(0, 0) is exactly
+0: no witness is printed, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -24,13 +29,43 @@ import sys
 from fractions import Fraction
 
 # the reference parameter set, as decimal strings
-REFERENCE = {"q": "-1", "c1": "-2", "z0": "1", "q0": "1"}
+REFERENCE = {"q": "-1", "c1": "-2", "c2": "0.4", "c3": "0.13", "z0": "1", "q0": "1"}
 
 
 def rational_sqrt(v: Fraction) -> Fraction | None:
     """The square root of v >= 0 if it is rational, else None."""
     n, d = math.isqrt(v.numerator), math.isqrt(v.denominator)
     return Fraction(n, d) if (n * n, d * d) == (v.numerator, v.denominator) else None
+
+
+def decimal(text: str) -> str:
+    """text, if it reads as a number (as a float, as the command line reads
+    it): an argparse type."""
+    float(text)
+    return text
+
+
+def r1(q, c1, c2, c3, z) -> Fraction:
+    """R1(z) = -16 q^2 z^4 + 16 q c1 z^3 - 4 (c1^2 + 4 q c2) z^2 + 4 c3 z, the
+    z-curve's quartic, exactly."""
+    q, c1, c2, c3, z = map(Fraction, (q, c1, c2, c3, z))
+    return (((-16 * q * q * z + 16 * q * c1) * z - 4 * (c1 * c1 + 4 * q * c2)) * z + 4 * c3) * z
+
+
+def refusal(q, c1, c2, c3, z0, q0) -> str | None:
+    """The command line's message refusing the parameter set of decimal
+    strings, or None."""
+    if not all(math.isfinite(float(v)) for v in (q, c1, c2, c3, z0, q0)):
+        return "parameters must be finite"
+    if float(q) == 0.0:
+        return "q must be nonzero"
+    if not float(z0) > 0.0:
+        return "z0 must be positive"
+    r10 = r1(q, c1, c2, c3, z0)
+    if r10 < 0:
+        shown = f"{float(r10):g}" if r10 > -2 ** 1024 else "-inf"  # no float holds it
+        return f"R1(z0) = {shown} < 0: z(t) has no real initial slope"
+    return None
 
 
 def witness(q: str, c1: str, z0: str, q0: str) -> tuple:
@@ -48,9 +83,17 @@ def witness(q: str, c1: str, z0: str, q0: str) -> tuple:
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for name, default in REFERENCE.items():
-        parser.add_argument(f"--{name}", default=default)
+        parser.add_argument(f"--{name}", type=decimal, default=default)
     ns = parser.parse_args(argv)
+    error = refusal(ns.q, ns.c1, ns.c2, ns.c3, ns.z0, ns.q0)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     s, f = witness(ns.q, ns.c1, ns.z0, ns.q0)
+    if f == 0:
+        print("no witness at order 0: c1 = q (3 z0 + Q0^2) makes P(0, 0) vanish; "
+              "the first nonzero order in t is ROADMAP item 7")
+        return 2
     print(f"P(0, 0) = {f}" if s == 1 else f"P(0, 0) = sqrt({s}) * ({f})")
     return 0
 
