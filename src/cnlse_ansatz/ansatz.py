@@ -73,15 +73,20 @@ def with_branch(params: AnsatzParams, sigma_z: int, sigma_Q: int) -> AnsatzParam
 
 def z_curve(params: AnsatzParams) -> QuarticCurve:
     """Quartic curve solved by z(t):
-    (alpha, beta, gamma, delta, epsilon) = (-16 q^2, 4 q c1, -(2/3)(c1^2 + 4 q c2), c3, 0)."""
-    k = params.c1 ** 2 + 4.0 * params.q * params.c2
-    return QuarticCurve(
-        alpha=-16.0 * params.q ** 2,
-        beta=4.0 * params.q * params.c1,
-        gamma=-(2.0 / 3.0) * k,
-        delta=params.c3,
-        epsilon=0.0,
-    )
+    (alpha, beta, gamma, delta, epsilon) = (-16 q^2, 4 q c1, -(2/3)(c1^2 + 4 q c2), c3, 0).
+    A coefficient that overflows a float raises NonFiniteSamples."""
+    q, c1, c2, c3 = params.q, params.c1, params.c2, params.c3
+    try:
+        q2, c12 = q ** 2, c1 ** 2
+    except OverflowError:  # a float power raises where a product reads inf
+        q2, c12 = q * q, c1 * c1
+    coeffs = {"alpha": -16.0 * q2, "beta": 4.0 * q * c1,
+              "gamma": -(2.0 / 3.0) * (c12 + 4.0 * q * c2), "delta": c3, "epsilon": 0.0}
+    for name, value in coeffs.items():
+        if not math.isfinite(value):
+            raise NonFiniteSamples(f"z-curve coefficient {name} overflows a float at "
+                                   f"q = {q:g}, c1 = {c1:g}, c2 = {c2:g}, c3 = {c3:g}")
+    return QuarticCurve(**coeffs)
 
 
 # The default experiment: the parameter set every command falls back to.

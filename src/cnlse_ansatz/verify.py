@@ -22,9 +22,9 @@ line's one report path, from which ``scan``, ``residuals``, ``pde`` and
 (``_TimeRow``) that the caller builds once per t and passes to every point
 and branch at t; it holds what depends on (t, orbit) only, and its PDE
 stencil samples the envelope up to a constant phase, so reads no phase.
-The profile lattice does not move with t, and an (nx, 1) wp argument gives
-each x its own halving depth, so one wp call per row and orbit serves P,
-its pole note and the PDE's time nodes at every x, each with its own bits.
+The profile lattice does not move with t, and each row of a wp argument
+has its own halving depth: per row and orbit, one wp call serves P and the
+PDE's time nodes at every x, and one the x stencils, each with its own bits.
 ``reports_at`` is the one-x case, and ``report_at`` the one-sign case on
 a row of its own, as each of ``residual_P``, ``residual_R1`` and
 ``residual_R2`` builds its own.
@@ -188,42 +188,22 @@ class _TimeRow:
         return {sigma: (_or_error(centre, states[0]), _or_error(nodes, states[1:]))
                 for sigma, states in self.states.items()}
 
-    def pde(self, params: AnsatzParams, sigmas: tuple, x: float, node_qs) -> list:
+    def pde(self, params: AnsatzParams, sigmas: tuple, x: float, node_qs, xq) -> list:
         """The default-step PDE residuals (p = 1) at (x, r) per slope sign of
         sigmas of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
-        orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}.  The x
-        stencil is one closed-form call at r.  The time nodes s read Q at x
-        from ``node_qs``, per sign the node values ``_row_points`` gives (or
-        the error of their scalars).  An error of either stencil raises
-        StencilOutOfDomain."""
+        orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}, from Q
+        per sign on the x stencil (``xq``) and the time nodes (``node_qs``);
+        an error sampling either is a StencilOutOfDomain of every sign."""
         cfg, states = DiffConfig(), self.states[params.sigma_z]
         try:
-            gauges = _checked(self.gauges[params.sigma_z])
-            node_qs = _checked(node_qs)
-            xs = x + _stencil_offsets(cfg.h_x, cfg.richardson_levels)
-            xq = _profile_at(self, params, states[0], xs, sigmas)
-        except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
-            raise StencilOutOfDomain(
-                f"field not evaluable on the stencil at ({x:g}, {self.r:g})"
-            ) from exc
+            gauges, node_qs, xq = map(_checked, (self.gauges[params.sigma_z], node_qs, xq))
+        except (PoleProximity, RealityViolation, NegativeRadicand):
+            return [StencilOutOfDomain(
+                f"field not evaluable on the stencil at ({x:g}, {self.r:g})")] * len(sigmas)
         xvs = [q + 1j * states[0].sqrt_z for q in xq]
         tvs = [[(q + 1j * st.sqrt_z) * g for q, st, g in zip(qs, states[1:], gauges[1:])]
                for qs in node_qs]
         return _stencil_residuals(xvs, tvs, x, self.r, cfg, 1.0, params.q)
-
-
-def _profile_at(row: _TimeRow, params: AnsatzParams, st, xs, sigmas: tuple) -> list:
-    """Q per profile slope sign of sigmas at the reduced xs, one closed-form
-    call on the lattice of the row's state st, read with its row scalars."""
-    r = _checked(row.profile[params.sigma_z][0])[0]
-    return _rational_part(r, params.Q0, sigmas, *_closed_form_parts(st.curve, xs))
-
-
-def _r2(row: _TimeRow, params: AnsatzParams, st, x: float, sigmas: tuple) -> list:
-    """r2 (``residual_R2``) at the reduced x per profile slope sign of sigmas."""
-    h = R2_SPACE_STEP
-    ys = _profile_at(row, params, st, x + _stencil_offsets(h), sigmas)
-    return [_defect(st.curve, y, h) for y in ys]
 
 
 def _row_points(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
@@ -257,6 +237,26 @@ def _row_points(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
         out.append((st, x, pq, nodes if isinstance(nodes, Exception)
                     else [y[:, j].tolist() for y in nodes]))
     return out
+
+
+def _row_stencils(row: _TimeRow, params: AnsatzParams, xrs, sigmas: tuple) -> list:
+    """Per reduced x of xrs, Q per profile slope sign of sigmas on r2's
+    stencil and on the PDE's x stencil at the time row's r, each, or the
+    error sampling it raised: rows of one (nx, 2, 5) wp call, or if that
+    call raises each stencil alone.  See ``_row_points``."""
+    cfg, st = DiffConfig(), _checked(row.states[params.sigma_z][0])
+    r = _checked(row.profile[params.sigma_z][0])[0]
+
+    def sample(xi):
+        return _rational_part(r, params.Q0, sigmas, *_closed_form_parts(st.curve, xi))
+
+    stencils = np.array(xrs)[:, None, None] + np.array(
+        [_stencil_offsets(R2_SPACE_STEP), _stencil_offsets(cfg.h_x, cfg.richardson_levels)])
+    try:
+        ys = sample(stencils)
+    except (PoleProximity, RealityViolation, NegativeRadicand):
+        return [[_or_error(sample, xi) for xi in pair] for pair in stencils]
+    return [[[y[j, k] for y in ys] for k in (0, 1)] for j in range(len(xrs))]
 
 
 def residual_P(params: AnsatzParams, x: float, t: float) -> float:
@@ -308,7 +308,9 @@ def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     ``residual_R1`` reduces t."""
     row = _TimeRow(params, t)
     st = _checked(row.states[params.sigma_z][0])
-    return _r2(row, params, st, _split_periods(st.curve, float(x))[1], (params.sigma_Q,))[0]
+    xr = _split_periods(st.curve, float(x))[1]
+    ys = _checked(_row_stencils(row, params, (xr,), (params.sigma_Q,))[0][0])
+    return _defect(st.curve, ys[0], R2_SPACE_STEP)
 
 
 def closed_form_invariants_z(params: AnsatzParams) -> EllipticInvariants:
@@ -443,30 +445,34 @@ def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
     the PDE residual (``_TimeRow.pde``) all read the orbit state at the
     row's r and x reduced by whole profile periods; P, its pole note and
     the PDE's time nodes one wp call for every x (``_row_points``), r2's
-    and the PDE's x stencils a call per x.  The signs share every call, so
-    an error of that shared work, a failed time node (StencilOutOfDomain)
-    among them, is every sign's; a pole and a non-finite stencil are each
-    sign's own."""
+    and the PDE's x stencils one more (``_row_stencils``).  The signs share
+    every call, so an error of that shared work, a failed PDE stencil
+    (StencilOutOfDomain) among them, is every sign's; a pole and a
+    non-finite stencil are each sign's own."""
     xs, t = [float(x) for x in xs], row.t
     nan, n = float("nan"), len(sigmas)
-    out = []
-    for x, point in zip(xs, _row_points(row, params, xs, sigmas)):
+    points, out = _row_points(row, params, xs, sigmas), []
+    xrs = [point[1] for point in points if not isinstance(point, Exception)]
+    stencils = iter(_row_stencils(row, params, xrs, sigmas) if xrs else ())
+    for x, point in zip(xs, points):
         notes = [[] for _ in sigmas]
         P, r1, r2, pde = [nan] * n, nan, [nan] * n, [nan] * n
         try:
             st, xr, pq, node_qs = _checked(point)
+            r2_qs, xq = next(stencils)
             for i, (p_val, q_val) in enumerate(pq):
                 P[i], note = p_val, _pole_note(q_val)
                 if note:
                     notes[i].append(note)
             r1 = row.r1[params.sigma_z]
-            r2 = _r2(row, params, st, xr, sigmas)
-            for i, res in enumerate(row.pde(params, sigmas, xr, node_qs)):
+            for i, res in enumerate(row.pde(params, sigmas, xr, node_qs, xq)):
                 if isinstance(res, Exception):
                     notes[i].append(type(res).__name__)
                 else:
                     pde[i] = abs(res)
-        except (PoleProximity, RealityViolation, NegativeRadicand, StencilOutOfDomain) as exc:
+            # last, so a failed r2 stencil leaves the PDE's values
+            r2 = [_defect(st.curve, y, R2_SPACE_STEP) for y in _checked(r2_qs)]
+        except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
             for note in notes:
                 note.append(type(exc).__name__)
         for i in range(n):

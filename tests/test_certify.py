@@ -64,6 +64,13 @@ def test_witness_collapses_a_rational_root():
     (("--q", "inf"), "parameters must be finite"),
     (("--q0", "1e400"), "parameters must be finite"),
     (("--q", "1e-400"), "q must be nonzero"),
+    # a z-curve coefficient that overflows a float, not R1(z0) = -inf
+    (("--q", "1e200"),
+     "z-curve coefficient alpha overflows a float at q = 1e+200, c1 = -2, c2 = 0.4, c3 = 0.13"),
+    (("--c1", "1e160"),
+     "z-curve coefficient gamma overflows a float at q = -1, c1 = 1e+160, c2 = 0.4, c3 = 0.13"),
+    (("--q", "1e10", "--c2", "1e300"),
+     "z-curve coefficient gamma overflows a float at q = 1e+10, c1 = -2, c2 = 1e+300, c3 = 0.13"),
 ])
 def test_refuses_what_the_command_line_refuses(flags, message, capsys):
     # the command line's message, as the command line prints it, and exit 1

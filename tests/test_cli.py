@@ -127,6 +127,13 @@ class TestExitCodes:
         (["residuals", "--c2", "1e200", "--t", "30"], "invariant g2"),
         (["scan", "--c2", "1e200", "--grid", "1:1:1,30:30:1"], "invariant g2"),
         (["residuals", "--c3", "1e160", "--t", "30"], "invariant g3"),
+        # a z-curve coefficient, with the parameters that make it
+        (["paper-check", "--q", "1e200"], "z-curve coefficient alpha overflows a float at "
+         "q = 1e+200, c1 = -2, c2 = 0.4, c3 = 0.13"),
+        (["residuals", "--c1", "1e160"], "z-curve coefficient gamma overflows a float at "
+         "q = -1, c1 = 1e+160, c2 = 0.4, c3 = 0.13"),
+        (["residuals", "--q", "1e10", "--c2", "1e300"], "z-curve coefficient gamma overflows "
+         "a float at q = 1e+10, c1 = -2, c2 = 1e+300, c3 = 0.13"),
     ])
     def test_float_overflow_names_what_overflowed(self, args, name, capsys):
         # a float power raises OverflowError where a product reads inf:
@@ -383,10 +390,11 @@ class TestScan:
 
     def test_four_branch_scan_pairs_the_profile_slopes(self, monkeypatch):
         # a point's two sigma_Q branches share each closed-form wp part on
-        # its orbit: on the profile lattice 2 per point and orbit (r2's
-        # stencil and the PDE's x stencil), not 2 per branch, and 1 per time
-        # row and orbit, P's, which serves Q, Q_t and the PDE's 4 time nodes
-        # at every x of the row
+        # its orbit, and the points of a time row share it too: on the
+        # profile lattice 2 per time row and orbit, whatever the number of
+        # x, not 2 per branch or per point: P's, which serves Q, Q_t and the
+        # PDE's 4 time nodes at every x of the row, and one for r2's stencil
+        # and the PDE's x stencil at every x
         zc = z_curve(REFERENCE_PARAMS)
         calls = {"z": 0, "profile": 0}
         real = quartic._closed_form_parts
@@ -397,10 +405,12 @@ class TestScan:
 
         for module in (quartic, verify):
             monkeypatch.setattr(module, "_closed_form_parts", spy)
-        assert main(["scan", "--branch", "all", "--grid", "0.2:1.2:3,0.2:1.2:3",
-                     "--out", os.devnull]) == 0
-        assert calls["profile"] == 2 * 9 * 2 + 3 * 2
-        assert 0 < calls["z"] <= 4 * 3
+        for nx in (3, 7):
+            calls.update(z=0, profile=0)
+            assert main(["scan", "--branch", "all", "--grid", f"0.2:1.2:{nx},0.2:1.2:3",
+                         "--out", os.devnull]) == 0
+            assert calls["profile"] == 2 * 3 * 2
+            assert 0 < calls["z"] <= 4 * 3
 
     def test_profile_scalars_once_per_node_orbit_and_row(self, monkeypatch):
         # R^(k)(Q0) of each time node's profile curve is computed once per

@@ -749,3 +749,33 @@ class TestRowReports:
         assert [self.fields(got)[i] for i in (0, 2)] == [want[i] for i in (0, 2)]
         assert [rep.notes for rep in got[1]] == ["PoleProximity"] * 2
         assert all(np.isnan(v) for rep in got[1] for v in (rep.P, rep.r1, rep.r2, rep.pde_abs))
+
+    @pytest.mark.parametrize("step, field, note", [
+        (verify.R2_SPACE_STEP, "r2", "PoleProximity"),
+        (verify.DiffConfig().h_x, "pde_abs", "StencilOutOfDomain"),
+    ])
+    def test_a_failing_stencil_call_is_its_stencils_own(self, monkeypatch, step, field, note):
+        # a wp evaluation that raises at a node only one x's r2 stencil (or
+        # only its PDE x stencil) holds fails the row's shared stencil call:
+        # each stencil is then evaluated alone, and only that x's stencil
+        # carries the error; its other stencil and P keep their bits
+        p, xs, t = with_branch(REFERENCE_PARAMS, -1, 1), [0.3, 0.7, 1.1], 0.4
+        bad = verify._row_points(verify._TimeRow(p, t), p, (0.7,), (1, -1))[0][1] + step / 2.0
+        real = verify._closed_form_parts
+
+        def parts(curve, xi):
+            if np.any(np.asarray(xi) == bad):
+                raise PoleProximity("wp argument on a lattice point")
+            return real(curve, xi)
+
+        want = self.one_x(p, xs, t)
+        monkeypatch.setattr(verify, "_closed_form_parts", parts)
+        got = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
+        assert self.fields(got) == self.fields(self.one_x(p, xs, t))
+        assert [self.fields(got)[i] for i in (0, 2)] == [self.fields(want)[i] for i in (0, 2)]
+        assert [rep.notes for rep in got[1]] == [note] * 2
+        assert all(np.isnan(getattr(rep, field)) for rep in got[1])
+        for rep, alone in zip(got[1], want[1]):
+            assert alone.notes == "" and np.isfinite(getattr(alone, field))
+            assert _fields(dataclasses.replace(rep, notes="", **{field: 0.0})) == _fields(
+                dataclasses.replace(alone, **{field: 0.0}))

@@ -15,8 +15,9 @@ Usage: python3 tools/certify.py [--q Q] [--c1 C1] [--c2 C2] [--c3 C3] [--z0 Z0] 
 
 The flags are those of the command line, with the reference values as
 defaults.  A parameter set the command line refuses is refused with its
-message and exit code 1: a value that is not finite, q = 0 or z0 <= 0, all
-read as the command line reads them, as floats, or R1(z0) < 0, in exact
+message and exit code 1: a value that is not finite, q = 0, z0 <= 0 or a
+z-curve coefficient that overflows a float, all read and computed as the
+command line reads and computes them, as floats, or R1(z0) < 0, in exact
 arithmetic on the z-curve.  Where c1 = q (3 z0 + Q0^2), P(0, 0) is exactly
 0: no witness is printed, and the exit code is 2.
 """
@@ -61,6 +62,16 @@ def refusal(q, c1, c2, c3, z0, q0) -> str | None:
         return "q must be nonzero"
     if not float(z0) > 0.0:
         return "z0 must be positive"
+    fq, fc1, fc2, fc3 = map(float, (q, c1, c2, c3))
+    try:
+        q2, c12 = fq ** 2, fc1 ** 2
+    except OverflowError:  # a float power raises where a product reads inf
+        q2, c12 = fq * fq, fc1 * fc1
+    for name, value in (("alpha", -16.0 * q2), ("beta", 4.0 * fq * fc1),
+                        ("gamma", -(2.0 / 3.0) * (c12 + 4.0 * fq * fc2))):
+        if not math.isfinite(value):
+            return (f"z-curve coefficient {name} overflows a float at "
+                    f"q = {fq:g}, c1 = {fc1:g}, c2 = {fc2:g}, c3 = {fc3:g}")
     r10 = r1(q, c1, c2, c3, z0)
     if r10 < 0:
         shown = f"{float(r10):g}" if r10 > -2 ** 1024 else "-inf"  # no float holds it

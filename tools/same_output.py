@@ -10,7 +10,7 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 101 of the list
+flags, that one invocation is compared; without, the 103 of the list
 below: the default and the benchmark ``scan``, the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
 and a longer one at c2 = 0.8 (one orbit fails on some time rows, the other
@@ -19,7 +19,8 @@ x = 0 and t = 0, the pole-adjacent point, a grid on which one profile
 slope of a point is pole-adjacent and the other is not, four grids at the
 edges of a point's x stencils (the pole guard inside the
 stencils, the halving depth's step at |u| = 1, the fold threshold and the
-profile period), every ``late``
+profile period), two wide rows (40 points of a row, and 60 across
+the profile folds on 20 rows), every ``late``
 window of the benchmark, ``residuals`` at eight times, four of them many
 orbit periods out (1e6, 1e10, 1e12 and 1e17), at three points far out in
 x, at a point that fails (a negative radicand), at a point where one
@@ -81,6 +82,10 @@ def invocations() -> list:
         ("scan", "--grid", "0.999:1.001:5,0.4:1.2:5"),
         ("scan", "--grid", "1.999:2.001:5,0.2:1.2:3"),
         ("scan", "--grid", "5.4915:5.4925:5,0.2:1.2:3"),
+        # wide rows: 40 points of a row in one stencil call, and rows
+        # across the profile folds
+        ("scan", "--branch", "all", "--grid", "0.2:1.2:40,0.2:1.2:3"),
+        ("scan", "--branch", "all", "--grid=-7:9:60,0:30:20"),
         *(workloads.late_args(t0) for t0 in starts),
         *(("residuals", f"--t={t}")
           for t in ("0", "1", "-1000", "5115.1", "1e6", "1e10", "1e12", "1e17")),
