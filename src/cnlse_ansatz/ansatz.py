@@ -27,6 +27,19 @@ from .quartic import QuarticCurve, eval_with_derivatives, weierstrass_solution
 BRANCHES = {"pp": (1, 1), "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)}
 
 
+def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
+    if np.real(z) <= 0.0:
+        raise RealityViolation(f"z = {z:g} <= 0: profile curve needs sqrt(z)")
+    rz = np.sqrt(z)
+    return QuarticCurve(
+        alpha=-0.5 * params.q,
+        beta=0.0,
+        gamma=(params.c1 - 3.0 * params.q * z) / 6.0,
+        delta=zt / (4.0 * rz),
+        epsilon=2.0 * params.c2 + 1.5 * params.q * z * z - params.c1 * z,
+    )
+
+
 @dataclass(frozen=True)
 class AnsatzParams:
     """Parameters of the construction.
@@ -34,7 +47,9 @@ class AnsatzParams:
     q is the nonlinearity coefficient; c1, c2, c3 are the integration
     constants of the reduced system; z0 = z(0) > 0 and Q0 = Q(0, t) are the
     initial levels; sigma_z and sigma_Q select the initial slope signs of
-    the two quartic solutions.
+    the two quartic solutions.  A set whose z-curve has no real slope at
+    z0, or whose profile scalars R2^(k)(Q0) at t = 0 overflow a float, is
+    refused.
     """
 
     q: float
@@ -64,6 +79,15 @@ class AnsatzParams:
             raise NegativeRadicand(
                 f"R1(z0) = {r10:g} < 0: z(t) has no real initial slope"
             )
+        if math.isfinite(r10):  # an infinite z_t(0): the z-curve's invariants overflow
+            # the profile scalars R2^(k)(Q0) at t = 0, where z = z0
+            curve = _q_curve_from_state(self, self.z0, self.sigma_z * math.sqrt(r10))
+            with np.errstate(over="ignore", invalid="ignore"):
+                scalars = eval_with_derivatives(curve, self.Q0)
+            for name, value in zip(("R2", "R2'", "R2''", "R2'''", "R2''''"), scalars):
+                if not np.isfinite(value):
+                    raise NonFiniteSamples(f"profile scalar {name}(Q0) overflows a float "
+                                           f"at Q0 = {self.Q0:g}")
 
 
 def with_branch(params: AnsatzParams, sigma_z: int, sigma_Q: int) -> AnsatzParams:
@@ -152,19 +176,6 @@ def z_with_rate(params: AnsatzParams, t):
     _require_real_z(y.real, t)
     z, zt = y.real, y.imag / P_STEP
     return (z, zt) if np.ndim(t) else (float(z), float(zt))
-
-
-def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
-    if np.real(z) <= 0.0:
-        raise RealityViolation(f"z = {z:g} <= 0: profile curve needs sqrt(z)")
-    rz = np.sqrt(z)
-    return QuarticCurve(
-        alpha=-0.5 * params.q,
-        beta=0.0,
-        gamma=(params.c1 - 3.0 * params.q * z) / 6.0,
-        delta=zt / (4.0 * rz),
-        epsilon=2.0 * params.c2 + 1.5 * params.q * z * z - params.c1 * z,
-    )
 
 
 def _or_error(fn, *args):

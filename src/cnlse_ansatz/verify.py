@@ -25,9 +25,18 @@ stencil samples the envelope up to a constant phase, so reads no phase.
 The profile lattice does not move with t, and each row of a wp argument
 has its own halving depth: per row and orbit, one wp call serves P and the
 PDE's time nodes at every x, and one the x stencils, each with its own bits.
-``reports_at`` is the one-x case, and ``report_at`` the one-sign case on
-a row of its own, as each of ``residual_P``, ``residual_R1`` and
-``residual_R2`` builds its own.
+Every number of a row is then a (sign, x) array, and its notes come from
+masks; no x is evaluated alone.  Both calls read x reduced by the real
+period wp folds by, so no argument folds onto the pole; an error either
+raises anyway is every x's.  The arrays keep the bits of Python's scalar
+arithmetic, which numpy moves in four places: a complex product is taken
+by parts (numpy fuses a multiply and an add), the time differences divide
+real and imaginary parts as floats (numpy's complex / float multiplies by
+a reciprocal), |A| is hypot (numpy's complex abs rounds otherwise) and a
+square is ``np.float_power``, the C pow of Python's ``**`` (``np.square``
+rounds the product).  ``reports_at`` is the one-x case, and ``report_at``
+the one-sign case on a row of its own, as each of ``residual_P``,
+``residual_R1`` and ``residual_R2`` builds its own.
 """
 
 from __future__ import annotations
@@ -124,13 +133,14 @@ def _stencil_offsets(h: float, levels: int = 2) -> np.ndarray:
 
 def _central_differences(vals, h: float):
     """Richardson-extrapolated central first and second differences from the
-    values on ``_stencil_offsets(h, levels)``, in that order."""
+    values on ``_stencil_offsets(h, levels)`` along the last axis of the
+    array vals, in that order."""
     first, second = [], []
-    for m in range((len(vals) - 1) // 2):
+    for m in range((vals.shape[-1] - 1) // 2):
         hm = h / 2.0 ** m
-        left, right = vals[1 + 2 * m], vals[2 + 2 * m]
+        left, right = vals[..., 1 + 2 * m], vals[..., 2 + 2 * m]
         first.append((right - left) / (2.0 * hm))
-        second.append((left - 2.0 * vals[0] + right) / hm ** 2)
+        second.append((left - 2.0 * vals[..., 0] + right) / hm ** 2)
     return _extrapolate(first), _extrapolate(second)
 
 
@@ -152,14 +162,13 @@ class _TimeRow:
 
     @cached_property
     def gauges(self) -> dict:
-        """e^{i(phi(s) - phi(r))} per orbit at the nodes s (1 at r), or its
-        error; phi(s) - phi(r) = c1 (s - r) - 2 q * (z over one panel [r, s])."""
+        """e^{i(phi(s) - phi(r))} per orbit at the four nodes s other than r,
+        or its error; phi(s) - phi(r) = c1 (s - r) - 2 q * (z over [r, s])."""
         p, s = self.params, self.ts[1:]
         panels = _panel_values(self.curve, p.z0, np.full((s.size, 1), self.r), s[:, None])
 
         def factors(v):
-            phase = p.c1 * (s - self.r) - 2.0 * p.q * np.sum(v, axis=(1, 2))
-            return [1.0] + [complex(f) for f in np.exp(1j * phase)]
+            return np.exp(1j * (p.c1 * (s - self.r) - 2.0 * p.q * np.sum(v, axis=(1, 2))))
 
         return {sigma: v if isinstance(v, Exception) else factors(v)
                 for sigma, v in panels.items()}
@@ -188,75 +197,63 @@ class _TimeRow:
         return {sigma: (_or_error(centre, states[0]), _or_error(nodes, states[1:]))
                 for sigma, states in self.states.items()}
 
-    def pde(self, params: AnsatzParams, sigmas: tuple, x: float, node_qs, xq) -> list:
-        """The default-step PDE residuals (p = 1) at (x, r) per slope sign of
-        sigmas of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
+    def pde(self, params: AnsatzParams, xq, node_qs) -> tuple:
+        """The default-step |PDE residual| (p = 1) at r and each x per slope
+        sign, of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
         orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}, from Q
-        per sign on the x stencil (``xq``) and the time nodes (``node_qs``);
-        an error sampling either is a StencilOutOfDomain of every sign."""
-        cfg, states = DiffConfig(), self.states[params.sigma_z]
-        try:
-            gauges, node_qs, xq = map(_checked, (self.gauges[params.sigma_z], node_qs, xq))
-        except (PoleProximity, RealityViolation, NegativeRadicand):
-            return [StencilOutOfDomain(
-                f"field not evaluable on the stencil at ({x:g}, {self.r:g})")] * len(sigmas)
-        xvs = [q + 1j * states[0].sqrt_z for q in xq]
-        tvs = [[(q + 1j * st.sqrt_z) * g for q, st, g in zip(qs, states[1:], gauges[1:])]
-               for qs in node_qs]
-        return _stencil_residuals(xvs, tvs, x, self.r, cfg, 1.0, params.q)
+        on the x stencils (``xq``, (signs, nx, 5)) and at the four other time
+        nodes (``node_qs``, (signs, 4, nx)), with the mask of the stencils
+        that are finite; an error of the gauges or of the nodes' scalars
+        (``node_qs``) fails every stencil."""
+        states, gauges = self.states[params.sigma_z], self.gauges[params.sigma_z]
+        if isinstance(gauges, Exception) or isinstance(node_qs, Exception):
+            return np.full(xq.shape[:-1], np.nan), np.zeros(xq.shape[:-1], dtype=bool)
+        g, sz = gauges[:, None], np.array([st.sqrt_z for st in states[1:]])[:, None]
+        # (Q + i sqrt z) g by parts, as Python's complex product rounds it:
+        # numpy's fuses a multiply and an add and moves the last bit
+        nodes = (node_qs * g.real - sz * g.imag) + 1j * (node_qs * g.imag + sz * g.real)
+        xv = xq + 1j * states[0].sqrt_z
+        tv = np.concatenate((xv[..., :1], np.swapaxes(nodes, -1, -2)), axis=-1)
+        res, ok = _stencil_residuals(xv, tv, DiffConfig(), 1.0, params.q)
+        return np.where(ok, np.hypot(res.real, res.imag), np.nan), ok
 
 
-def _row_points(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
-    """Per x of xs, on the orbit params.sigma_z at the time row's r: its
-    state, x reduced by whole real periods of the profile lattice, which
-    does not move with t, (P, Q) per profile slope sign of sigmas there
-    (``residual_P``) and Q per sign at the PDE's time nodes (or the error
-    of their scalars); or the error that x raised.  The wp part of every x
-    is one (nx, 1) call: each x is a row of its own halving depth, so it has
-    the bits it has alone.  If that call raises, each x is evaluated alone
-    and carries its own error; an error of the row's state or scalars is
-    every x's."""
+def _row_points(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> tuple:
+    """xs reduced by whole real periods of the profile lattice, which does
+    not move with t; per profile slope sign of sigmas, on the orbit
+    params.sigma_z at the time row's r, P (``residual_P``) and Q at them as
+    (signs, nx) arrays; and Q at the PDE's four other time nodes as (signs,
+    4, nx), or the error of those nodes' scalars.  The wp part of every x
+    is one (nx, 1) call: each x is a row of its own halving depth, so it
+    has the bits it has alone."""
     p = params
-    try:
-        st = _checked(row.states[p.sigma_z][0])
-        xr = [_split_periods(st.curve, x)[1] for x in xs]
-        (r, stepped), nodes = _checked(row.profile[p.sigma_z][0]), row.profile[p.sigma_z][1]
-        at = _closed_form_parts(st.curve, np.array(xr)[:, None])
-    except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
-        if len(xs) == 1:
-            return [exc.with_traceback(None)]
-        return [_row_points(row, params, (x,), sigmas)[0] for x in xs]
-    qs = _rational_part(r, p.Q0, sigmas, *at)
-    qts = _rational_part(stepped, p.Q0, sigmas, *at)
+    st = _checked(row.states[p.sigma_z][0])
+    xr = np.array([_split_periods(st.curve, x)[1] for x in xs])
+    (r, stepped), nodes = _checked(row.profile[p.sigma_z][0]), row.profile[p.sigma_z][1]
+    at = _closed_form_parts(st.curve, xr[:, None])
+    q, qt = (np.array(_rational_part(c, p.Q0, sigmas, *at))[..., 0] for c in (r, stepped))
+    with np.errstate(invalid="ignore", over="ignore"):  # at a pole; the caller notes it
+        # the C pow of Python's q ** 2: np.square rounds the product, which
+        # differs for about one q in a thousand
+        P = qt.imag / P_STEP - st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + np.float_power(q, 2)))
     if not isinstance(nodes, Exception):  # a (4, 1) node column against a (1, nx) row
-        nodes = _rational_part(nodes, p.Q0, sigmas, *(a if a is None else a.T for a in at))
-    out = []
-    for j, x in enumerate(xr):
-        pq = [(qt[j].item().imag / P_STEP - st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + q ** 2)), q)
-              for q, qt in zip((y[j].item() for y in qs), qts)]
-        out.append((st, x, pq, nodes if isinstance(nodes, Exception)
-                    else [y[:, j].tolist() for y in nodes]))
-    return out
+        nodes = np.array(_rational_part(nodes, p.Q0, sigmas, *(a if a is None else a.T for a in at)))
+    return xr, P, q, nodes
 
 
-def _row_stencils(row: _TimeRow, params: AnsatzParams, xrs, sigmas: tuple) -> list:
-    """Per reduced x of xrs, Q per profile slope sign of sigmas on r2's
-    stencil and on the PDE's x stencil at the time row's r, each, or the
-    error sampling it raised: rows of one (nx, 2, 5) wp call, or if that
-    call raises each stencil alone.  See ``_row_points``."""
+def _row_stencils(row: _TimeRow, params: AnsatzParams, xr, sigmas: tuple) -> tuple:
+    """Per profile slope sign of sigmas and reduced x of xr, r2
+    (``residual_R2``) at the time row's r as a (signs, nx) array and Q on
+    the PDE's x stencil as (signs, nx, 5), from one wp call: r2's stencil
+    and the PDE's of every x are the rows of an (nx, 2, 5) argument, each
+    with the bits it has alone.  See ``_row_points``."""
     cfg, st = DiffConfig(), _checked(row.states[params.sigma_z][0])
     r = _checked(row.profile[params.sigma_z][0])[0]
-
-    def sample(xi):
-        return _rational_part(r, params.Q0, sigmas, *_closed_form_parts(st.curve, xi))
-
-    stencils = np.array(xrs)[:, None, None] + np.array(
+    stencils = xr[:, None, None] + np.array(
         [_stencil_offsets(R2_SPACE_STEP), _stencil_offsets(cfg.h_x, cfg.richardson_levels)])
-    try:
-        ys = sample(stencils)
-    except (PoleProximity, RealityViolation, NegativeRadicand):
-        return [[_or_error(sample, xi) for xi in pair] for pair in stencils]
-    return [[[y[j, k] for y in ys] for k in (0, 1)] for j in range(len(xrs))]
+    ys = np.array(_rational_part(r, params.Q0, sigmas, *_closed_form_parts(st.curve, stencils)))
+    with np.errstate(invalid="ignore", over="ignore"):  # at a pole; the caller notes it
+        return _defect(st.curve, ys[..., 0, :], R2_SPACE_STEP), ys[..., 1, :]
 
 
 def residual_P(params: AnsatzParams, x: float, t: float) -> float:
@@ -274,23 +271,23 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     periods, as r1 and the PDE stencil read it; the profile lattice does not
     move with t, so x is first reduced by its whole real periods, as
     ``residual_R2`` reduces it.  The one-x case of ``_row_points``."""
-    point = _row_points(_TimeRow(params, t), params, (float(x),), (params.sigma_Q,))[0]
-    return _checked(point)[2][0][0]
+    return _row_points(_TimeRow(params, t), params, (float(x),), (params.sigma_Q,))[1].item()
 
 
-def _defect(curve, y, h: float) -> float:
+def _defect(curve, y, h: float):
     """Relative defect |(dy/dxi)^2 - R(y)| / max(1, |R(y)|) of the values y
-    of a solution of the curve on the central stencil of step h."""
+    of a solution of the curve on the central stencil of step h, along the
+    last axis."""
     slope, _ = _central_differences(y, h)
-    r = float(eval_with_derivatives(curve, y[0])[0])
-    return abs(slope * slope - r) / max(1.0, abs(r))
+    r = eval_with_derivatives(curve, y[..., 0])[0]
+    return np.abs(slope * slope - r) / np.maximum(1.0, np.abs(r))
 
 
 def _ode_defect(curve, y0: float, signs: tuple, xi: float, h: float) -> tuple:
     """``_defect`` of the closed form at xi per sign of signs, with dy/dxi
     and y from one batch on the central stencil."""
     ys = weierstrass_solution(curve, y0, signs, float(xi) + _stencil_offsets(h))
-    return tuple(_defect(curve, y, h) for y in ys)
+    return tuple(_defect(curve, np.array(ys), h).tolist())
 
 
 def residual_R1(params: AnsatzParams, t: float) -> float:
@@ -309,8 +306,7 @@ def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     row = _TimeRow(params, t)
     st = _checked(row.states[params.sigma_z][0])
     xr = _split_periods(st.curve, float(x))[1]
-    ys = _checked(_row_stencils(row, params, (xr,), (params.sigma_Q,))[0][0])
-    return _defect(st.curve, ys[0], R2_SPACE_STEP)
+    return _row_stencils(row, params, np.array([xr]), (params.sigma_Q,))[0].item()
 
 
 def closed_form_invariants_z(params: AnsatzParams) -> EllipticInvariants:
@@ -373,27 +369,26 @@ def soliton_field(a: float) -> SolitonSampler:
     return SolitonSampler(a)
 
 
-def _stencil_residuals(xvs, tvs, x: float, t: float, cfg: DiffConfig, p: float, q: float) -> list:
-    """Finite-difference residuals i A_t + p A_xx + q A |A|^2 at (x, t) per
-    sampler, from its values on the x stencil x + _stencil_offsets(cfg.h_x)
-    (xvs) and, as Python complex, at t + _stencil_offsets(cfg.h_t)[1:]
-    (tvs); a non-finite stencil gives a StencilOutOfDomain in its place."""
-    out = []
-    for xv, tv in zip(xvs, tvs):
-        # Python complex, as the sampler returns them: numpy would divide the
-        # differences through a reciprocal and move the last bit
-        xv = np.asarray(xv, dtype=complex)
-        tv = [complex(xv[0])] + [complex(v) for v in tv]
-        if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(tv))):
-            out.append(StencilOutOfDomain(
-                f"non-finite field values on the stencil at ({x:g}, {t:g})"
-            ))
-            continue
+def _stencil_residuals(xv, tv, cfg: DiffConfig, p: float, q: float) -> tuple:
+    """Finite-difference residuals i A_t + p A_xx + q A |A|^2 along the last
+    axis, from the values on the x stencil x + _stencil_offsets(cfg.h_x)
+    (xv) and on the time stencil t + _stencil_offsets(cfg.h_t) (tv), with
+    the mask of the stencils whose values are all finite: elsewhere the
+    residual means nothing.  Each step rounds as Python's complex scalars
+    do: the time differences divide the real and imaginary parts as floats
+    (numpy's complex / float multiplies by a reciprocal), |A| is hypot
+    (numpy's complex abs rounds otherwise) and |A|^2 the C pow of Python's
+    float power."""
+    xv, tv = np.asarray(xv, dtype=complex), np.asarray(tv, dtype=complex)
+    ok = np.isfinite(xv).all(axis=-1) & np.isfinite(tv).all(axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
         _, axx = _central_differences(xv, cfg.h_x)
-        at, _ = _central_differences(tv, cfg.h_t)
-        a0 = tv[0]
-        out.append(1j * at + p * axx + q * a0 * (abs(a0) ** 2))
-    return out
+        (at_re, at_im), _ = _central_differences(np.stack((tv.real, tv.imag)), cfg.h_t)
+        a0 = tv[..., 0]
+        m = np.float_power(np.hypot(a0.real, a0.imag), 2)
+        re = -at_im + p * axx.real + q * a0.real * m
+        im = at_re + p * axx.imag + q * a0.imag * m
+    return re + 1j * im, ok
 
 
 def cnlse_residual(field, x: float, t: float, cfg: DiffConfig | None = None,
@@ -407,11 +402,14 @@ def cnlse_residual(field, x: float, t: float, cfg: DiffConfig | None = None,
     cfg = cfg if cfg is not None else DiffConfig()
     x, t, lv = float(x), float(t), int(cfg.richardson_levels)
     try:
-        xv = field(x + _stencil_offsets(cfg.h_x, lv), t)
-        tv = [field(x, t + dt) for dt in _stencil_offsets(cfg.h_t, lv)[1:]]
+        xv = np.asarray(field(x + _stencil_offsets(cfg.h_x, lv), t), dtype=complex)
+        tv = [xv[0]] + [complex(field(x, t + dt)) for dt in _stencil_offsets(cfg.h_t, lv)[1:]]
     except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
         raise StencilOutOfDomain(f"field not evaluable on the stencil at ({x:g}, {t:g})") from exc
-    return _checked(_stencil_residuals((xv,), (tv,), x, t, cfg, p, q)[0])
+    res, ok = _stencil_residuals(xv, tv, cfg, p, q)
+    if not ok:
+        raise StencilOutOfDomain(f"non-finite field values on the stencil at ({x:g}, {t:g})")
+    return res[()]
 
 
 def convergence_order(residuals) -> float:
@@ -428,14 +426,6 @@ def convergence_order(residuals) -> float:
     return float(np.mean(ratios))
 
 
-def _pole_note(q_val) -> str:
-    """Flag of a profile value: "pole" if not finite, "pole_adjacent" if
-    |Q| > POLE_ADJACENT_Q, else ""."""
-    if not np.isfinite(q_val):
-        return "pole"
-    return "pole_adjacent" if abs(q_val) > POLE_ADJACENT_Q else ""
-
-
 def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
     """Full residual records at each x of xs and the time of the row, which
     the caller builds for params at that time, on the orbit params.sigma_z:
@@ -443,46 +433,37 @@ def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
     read), never raising on pole contact: failures are recorded in the
     notes field and the numbers set to nan.  P, r1, r2, the pole note and
     the PDE residual (``_TimeRow.pde``) all read the orbit state at the
-    row's r and x reduced by whole profile periods; P, its pole note and
-    the PDE's time nodes one wp call for every x (``_row_points``), r2's
-    and the PDE's x stencils one more (``_row_stencils``).  The signs share
-    every call, so an error of that shared work, a failed PDE stencil
-    (StencilOutOfDomain) among them, is every sign's; a pole and a
-    non-finite stencil are each sign's own."""
-    xs, t = [float(x) for x in xs], row.t
-    nan, n = float("nan"), len(sigmas)
-    points, out = _row_points(row, params, xs, sigmas), []
-    xrs = [point[1] for point in points if not isinstance(point, Exception)]
-    stencils = iter(_row_stencils(row, params, xrs, sigmas) if xrs else ())
-    for x, point in zip(xs, points):
-        notes = [[] for _ in sigmas]
-        P, r1, r2, pde = [nan] * n, nan, [nan] * n, [nan] * n
-        try:
-            st, xr, pq, node_qs = _checked(point)
-            r2_qs, xq = next(stencils)
-            for i, (p_val, q_val) in enumerate(pq):
-                P[i], note = p_val, _pole_note(q_val)
-                if note:
-                    notes[i].append(note)
-            r1 = row.r1[params.sigma_z]
-            for i, res in enumerate(row.pde(params, sigmas, xr, node_qs, xq)):
-                if isinstance(res, Exception):
-                    notes[i].append(type(res).__name__)
-                else:
-                    pde[i] = abs(res)
-            # last, so a failed r2 stencil leaves the PDE's values
-            r2 = [_defect(st.curve, y, R2_SPACE_STEP) for y in _checked(r2_qs)]
-        except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
-            for note in notes:
-                note.append(type(exc).__name__)
-        for i in range(n):
-            if not all(np.isfinite(v) for v in (P[i], r1, r2[i], pde[i])) and not notes[i]:
-                notes[i].append("nonfinite")
-        out.append([ResidualReport(
-            x=x, t=t, sigma_z=params.sigma_z, sigma_q=sigma,
-            P=P[i], r1=r1, r2=r2[i], pde_abs=pde[i], notes=";".join(notes[i]),
-        ) for i, sigma in enumerate(sigmas)])
-    return out
+    row's r and x reduced by whole profile periods, each as a (signs, nx)
+    array: P, its pole note and the PDE's time nodes from one wp call for
+    every x (``_row_points``), r2's and the PDE's x stencils from one more
+    (``_row_stencils``).  An error of the row's state or scalars, or of a
+    shared call, is every x's and every sign's; a failed gauge or time
+    node (StencilOutOfDomain) every x's; a pole, a pole-adjacent value and
+    a non-finite stencil are each x's and sign's own, through a mask."""
+    xs, sz = [float(x) for x in xs], params.sigma_z
+    shape = (len(sigmas), len(xs))
+    try:
+        xr, P, Q, node_qs = _row_points(row, params, xs, sigmas)
+        r2, xq = _row_stencils(row, params, xr, sigmas)
+        r1 = row.r1[sz]
+    except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
+        P = r2 = pde = np.full(shape, np.nan)
+        r1, notes = math.nan, [(type(exc).__name__, np.ones(shape, dtype=bool))]
+    else:
+        pde, ok = row.pde(params, xq, node_qs)
+        finite_q = np.isfinite(Q)
+        notes = [("pole", ~finite_q),
+                 ("pole_adjacent", finite_q & (np.abs(Q) > POLE_ADJACENT_Q)),
+                 ("StencilOutOfDomain", ~ok)]
+    finite = np.isfinite(P) & np.isfinite(r1) & np.isfinite(r2) & np.isfinite(pde)
+
+    def report(i, j, x):
+        note = ";".join(name for name, mask in notes if mask[i, j])
+        return ResidualReport(x=x, t=row.t, sigma_z=sz, sigma_q=sigmas[i], P=P[i, j].item(),
+                              r1=r1, r2=r2[i, j].item(), pde_abs=pde[i, j].item(),
+                              notes=note or ("" if finite[i, j] else "nonfinite"))
+
+    return [[report(i, j, x) for i in range(len(sigmas))] for j, x in enumerate(xs)]
 
 
 def reports_at(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple) -> list:

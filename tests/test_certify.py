@@ -71,6 +71,8 @@ def test_witness_collapses_a_rational_root():
      "z-curve coefficient gamma overflows a float at q = -1, c1 = 1e+160, c2 = 0.4, c3 = 0.13"),
     (("--q", "1e10", "--c2", "1e300"),
      "z-curve coefficient gamma overflows a float at q = 1e+10, c1 = -2, c2 = 1e+300, c3 = 0.13"),
+    # a profile scalar at Q0, on the profile curve at t = 0
+    (("--q0", "1e100"), "profile scalar R2(Q0) overflows a float at Q0 = 1e+100"),
 ])
 def test_refuses_what_the_command_line_refuses(flags, message, capsys):
     # the command line's message, as the command line prints it, and exit 1

@@ -134,6 +134,11 @@ class TestExitCodes:
          "q = -1, c1 = 1e+160, c2 = 0.4, c3 = 0.13"),
         (["residuals", "--q", "1e10", "--c2", "1e300"], "z-curve coefficient gamma overflows "
          "a float at q = 1e+10, c1 = -2, c2 = 1e+300, c3 = 0.13"),
+        # a profile scalar R2^(k)(Q0), with the Q0 that makes it, and no
+        # warning from the arithmetic that found it
+        (["residuals", "--q0", "1e100"], "profile scalar R2(Q0) overflows a float at Q0 = 1e+100"),
+        (["paper-check", "--q0", "1e100"], "profile scalar R2(Q0) overflows a float at Q0 = 1e+100"),
+        (["scan", "--q0=-1e100"], "profile scalar R2(Q0) overflows a float at Q0 = -1e+100"),
     ])
     def test_float_overflow_names_what_overflowed(self, args, name, capsys):
         # a float power raises OverflowError where a product reads inf:

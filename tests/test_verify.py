@@ -51,6 +51,8 @@ from _pins import (
 
 # Real period 2w of the z-curve lattice at the reference parameters.
 PERIOD = real_period(invariants_from_coefficients(z_curve(REFERENCE_PARAMS)))
+# Real period 2w_Q of the profile lattice, which does not move with t.
+PROFILE_PERIOD = real_period(invariants_from_coefficients(q_curve(REFERENCE_PARAMS, 0.0)))
 
 
 class TestDiffConfig:
@@ -86,7 +88,7 @@ class TestInconsistency:
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_P(p, 0.0, 0.0) == -2.0, name
             for t in ts:
-                st = verify._row_points(verify._TimeRow(p, t), p, (0.0,), (sq,))[0][0]
+                st = verify._TimeRow(p, t).states[sz][0]
                 want = -st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + p.Q0 ** 2))
                 assert residual_P(p, 0.0, t) == want, (name, t)
 
@@ -110,7 +112,7 @@ class TestInconsistency:
         monkeypatch.setattr(EllipticInvariants, "__post_init__", post_init)
         residual_P(p, 1.3, 0.7)
         monkeypatch.undo()  # the row's own wp evaluation stays out of the count
-        st = verify._row_points(verify._TimeRow(p, 0.7), p, (1.3,), (-1,))[0][0]
+        st = verify._TimeRow(p, 0.7).states[p.sigma_z][0]
         profile = invariants_from_coefficients(st.curve)
         assert sum(inv == profile for inv in seen) == 1
         assert built and all(type(inv.g2) is float and type(inv.g3) is float for inv in built)
@@ -665,10 +667,10 @@ class TestReportsAt:
                 row = verify._TimeRow(p, t)
                 if any(rep.notes for rep in reports_at(row, p, x, (1, -1))):
                     continue
-                xr = verify._row_points(row, p, (x,), (1, -1))[0][1]
+                xr = verify._row_points(row, p, (x,), (1, -1))[0][0]
                 for i, s in enumerate(row.ts[1:], 1):
-                    st, gauge = row.states[sz][i], row.gauges[sz][i]
-                    for sq, a in zip((1, -1), (tv[i - 1] for tv in seen[-1])):
+                    st, gauge = row.states[sz][i], row.gauges[sz][i - 1]
+                    for sq, a in zip((1, -1), seen[-1][:, 0, i]):
                         want = quartic.weierstrass_solution(st.curve, p.Q0, sq, xr)
                         q = (a / gauge - 1j * st.sqrt_z).real
                         worst = max(worst, abs(q - want) / max(1.0, abs(want)))
@@ -681,6 +683,10 @@ class TestRowReports:
     # the floats on either side of the pp profile pole at t = 1, where the
     # closed form's denominator changes sign
     POLE = (2.138636624931717, 2.1386366249317175)
+    # x far out and next to 0, and on and next to whole profile periods,
+    # where an r2 stencil node lands on a period
+    EDGES = [1e17, -1e17, 1e-11, -1e-11,
+             *(k * PROFILE_PERIOD + d for k in (1, -1, 1000) for d in (0.0, -5e-4, 5e-4))]
 
     @staticmethod
     def one_x(params, xs, t, sigmas=(1, -1)):
@@ -698,6 +704,8 @@ class TestRowReports:
         (list(np.linspace(5.4915, 5.4925, 9)) + [-5.4921, 5.4921 + 1e-12], 0.9),
         ([0.2, 1.0, 3.0, 11.0, 1e5], 1.0),
         ([2.13, *POLE, 2.14, 2.15, 2.2, 2.3], 1.0),
+        ([1e17, -1e17, 1e-11, -1e-11], 1.0),
+        ([k * PROFILE_PERIOD for k in (1, -1, 1000)], 0.9),
     ])
     def test_a_row_is_its_one_x_calls(self, xs, t):
         # a row's reports are its one-x calls, field for field, the floats
@@ -732,50 +740,56 @@ class TestRowReports:
         assert failed == ({1, -1} if t == 1.2 else {1} if t < 0.6 else {-1})
 
     def test_a_failing_wp_call_is_its_xs_own(self, monkeypatch):
-        # a wp evaluation that raises at one x fails the row's shared call:
-        # each x is then evaluated alone, and only that x carries the error
-        bad, real = 0.7, verify._closed_form_parts
-
-        def parts(curve, xi):
-            if np.any(np.asarray(xi) == bad):
-                raise PoleProximity("wp argument on a lattice point")
-            return real(curve, xi)
-
-        p, xs, t = with_branch(REFERENCE_PARAMS, -1, 1), [0.3, bad, 1.1], 0.4
-        want = self.fields(self.one_x(p, xs, t))
-        monkeypatch.setattr(verify, "_closed_form_parts", parts)
-        got = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
-        assert self.fields(got) == self.fields(self.one_x(p, xs, t))
-        assert [self.fields(got)[i] for i in (0, 2)] == [want[i] for i in (0, 2)]
-        assert [rep.notes for rep in got[1]] == ["PoleProximity"] * 2
-        assert all(np.isnan(v) for rep in got[1] for v in (rep.P, rep.r1, rep.r2, rep.pde_abs))
-
-    @pytest.mark.parametrize("step, field, note", [
-        (verify.R2_SPACE_STEP, "r2", "PoleProximity"),
-        (verify.DiffConfig().h_x, "pde_abs", "StencilOutOfDomain"),
-    ])
-    def test_a_failing_stencil_call_is_its_stencils_own(self, monkeypatch, step, field, note):
-        # a wp evaluation that raises at a node only one x's r2 stencil (or
-        # only its PDE x stencil) holds fails the row's shared stencil call:
-        # each stencil is then evaluated alone, and only that x's stencil
-        # carries the error; its other stencil and P keep their bits
+        # a wp evaluation that raises at one x fails the row's shared call,
+        # P's or the x stencils', which no x retries alone: the row does not
+        # raise, and every x and sign carries the error with nan numbers
         p, xs, t = with_branch(REFERENCE_PARAMS, -1, 1), [0.3, 0.7, 1.1], 0.4
-        bad = verify._row_points(verify._TimeRow(p, t), p, (0.7,), (1, -1))[0][1] + step / 2.0
         real = verify._closed_form_parts
+        for ndim in (2, 3):  # P's (nx, 1) call, the stencils' (nx, 2, 5)
 
-        def parts(curve, xi):
-            if np.any(np.asarray(xi) == bad):
-                raise PoleProximity("wp argument on a lattice point")
-            return real(curve, xi)
+            def parts(curve, xi):
+                if np.ndim(xi) == ndim and np.any(np.asarray(xi) == 0.7):
+                    raise PoleProximity("wp argument on a lattice point")
+                return real(curve, xi)
 
-        want = self.one_x(p, xs, t)
-        monkeypatch.setattr(verify, "_closed_form_parts", parts)
-        got = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
-        assert self.fields(got) == self.fields(self.one_x(p, xs, t))
-        assert [self.fields(got)[i] for i in (0, 2)] == [self.fields(want)[i] for i in (0, 2)]
-        assert [rep.notes for rep in got[1]] == [note] * 2
-        assert all(np.isnan(getattr(rep, field)) for rep in got[1])
-        for rep, alone in zip(got[1], want[1]):
-            assert alone.notes == "" and np.isfinite(getattr(alone, field))
-            assert _fields(dataclasses.replace(rep, notes="", **{field: 0.0})) == _fields(
-                dataclasses.replace(alone, **{field: 0.0}))
+            monkeypatch.setattr(verify, "_closed_form_parts", parts)
+            got = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
+            assert [[rep.notes for rep in reps] for reps in got] == [["PoleProximity"] * 2] * 3
+            assert all(np.isnan(v) for reps in got for rep in reps
+                       for v in (rep.P, rep.r1, rep.r2, rep.pde_abs))
+
+    def test_no_shared_call_raises_at_the_edges(self, monkeypatch):
+        # why no x is retried alone: the shared calls read x reduced by the
+        # real period wp folds by, and an element inside the pole guard moved
+        # out to it, so no wp argument folds onto the pole, on any branch
+        raised, real = [], verify._closed_form_parts
+
+        def spy(curve, xi):
+            try:
+                return real(curve, xi)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(verify, "_closed_form_parts", spy)
+        for t in (0.0, 0.4, 1.0, 1e6):
+            for sz in (1, -1):
+                p = with_branch(REFERENCE_PARAMS, sz, 1)
+                reps = verify.row_reports(verify._TimeRow(p, t), p, self.EDGES, (1, -1))
+                assert not any("PoleProximity" in rep.notes for r in reps for rep in r)
+        assert raised == []
+
+    def test_a_row_has_no_per_x_differencing(self, monkeypatch):
+        # a row's differences are taken on arrays: as many difference calls
+        # per row and orbit at 40 points as at 3
+        calls, real = [], verify._central_differences
+        monkeypatch.setattr(verify, "_central_differences",
+                            lambda vals, h: calls.append(h) or real(vals, h))
+
+        def count(nx):
+            calls.clear()
+            p = with_branch(REFERENCE_PARAMS, -1, 1)
+            verify.row_reports(verify._TimeRow(p, 0.4), p, np.linspace(0.2, 1.2, nx), (1, -1))
+            return len(calls)
+
+        assert count(3) == count(40)

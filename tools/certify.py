@@ -15,10 +15,11 @@ Usage: python3 tools/certify.py [--q Q] [--c1 C1] [--c2 C2] [--c3 C3] [--z0 Z0] 
 
 The flags are those of the command line, with the reference values as
 defaults.  A parameter set the command line refuses is refused with its
-message and exit code 1: a value that is not finite, q = 0, z0 <= 0 or a
-z-curve coefficient that overflows a float, all read and computed as the
-command line reads and computes them, as floats, or R1(z0) < 0, in exact
-arithmetic on the z-curve.  Where c1 = q (3 z0 + Q0^2), P(0, 0) is exactly
+message and exit code 1: a value that is not finite, q = 0, z0 <= 0, a
+z-curve coefficient that overflows a float or a Q0 at which a scalar
+R2^(k)(Q0) of the profile curve at t = 0 does, all read and computed as
+the command line reads and computes them, as floats, or R1(z0) < 0, in
+exact arithmetic on the z-curve.  Where c1 = q (3 z0 + Q0^2), P(0, 0) is exactly
 0: no witness is printed, and the exit code is 2.
 """
 
@@ -53,6 +54,15 @@ def r1(q, c1, c2, c3, z) -> Fraction:
     return (((-16 * q * q * z + 16 * q * c1) * z - 4 * (c1 * c1 + 4 * q * c2)) * z + 4 * c3) * z
 
 
+def horner(coeffs, y: float) -> tuple:
+    """R(y) and its first four derivatives for the weighted coefficients
+    (alpha, beta, gamma, delta, epsilon), in the command line's float steps."""
+    a, b, g, d, e = coeffs
+    return ((((a * y + 4.0 * b) * y + 6.0 * g) * y + 4.0 * d) * y + e,
+            ((4.0 * a * y + 12.0 * b) * y + 12.0 * g) * y + 4.0 * d,
+            (12.0 * a * y + 24.0 * b) * y + 12.0 * g, 24.0 * a * y + 24.0 * b, 24.0 * a + 0.0 * y)
+
+
 def refusal(q, c1, c2, c3, z0, q0) -> str | None:
     """The command line's message refusing the parameter set of decimal
     strings, or None."""
@@ -62,13 +72,13 @@ def refusal(q, c1, c2, c3, z0, q0) -> str | None:
         return "q must be nonzero"
     if not float(z0) > 0.0:
         return "z0 must be positive"
-    fq, fc1, fc2, fc3 = map(float, (q, c1, c2, c3))
+    fq, fc1, fc2, fc3, fz0, fq0 = map(float, (q, c1, c2, c3, z0, q0))
     try:
         q2, c12 = fq ** 2, fc1 ** 2
     except OverflowError:  # a float power raises where a product reads inf
         q2, c12 = fq * fq, fc1 * fc1
-    for name, value in (("alpha", -16.0 * q2), ("beta", 4.0 * fq * fc1),
-                        ("gamma", -(2.0 / 3.0) * (c12 + 4.0 * fq * fc2))):
+    z_curve = (-16.0 * q2, 4.0 * fq * fc1, -(2.0 / 3.0) * (c12 + 4.0 * fq * fc2), fc3, 0.0)
+    for name, value in zip(("alpha", "beta", "gamma"), z_curve):
         if not math.isfinite(value):
             return (f"z-curve coefficient {name} overflows a float at "
                     f"q = {fq:g}, c1 = {fc1:g}, c2 = {fc2:g}, c3 = {fc3:g}")
@@ -76,6 +86,15 @@ def refusal(q, c1, c2, c3, z0, q0) -> str | None:
     if r10 < 0:
         shown = f"{float(r10):g}" if r10 > -2 ** 1024 else "-inf"  # no float holds it
         return f"R1(z0) = {shown} < 0: z(t) has no real initial slope"
+    r10 = horner(z_curve, fz0)[0]
+    if math.isfinite(r10):  # else z_t(0) overflows, as the z-curve's invariants say
+        # the profile curve at t = 0 on the orbit sigma_z = +1, and its scalars at Q0
+        profile = (-0.5 * fq, 0.0, (fc1 - 3.0 * fq * fz0) / 6.0,
+                   math.sqrt(r10) / (4.0 * math.sqrt(fz0)),
+                   2.0 * fc2 + 1.5 * fq * fz0 * fz0 - fc1 * fz0)
+        for name, value in zip(("R2", "R2'", "R2''", "R2'''", "R2''''"), horner(profile, fq0)):
+            if not math.isfinite(value):
+                return f"profile scalar {name}(Q0) overflows a float at Q0 = {fq0:g}"
     return None
 
 
