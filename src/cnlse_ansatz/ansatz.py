@@ -19,12 +19,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NegativeRadicand, NonFiniteSamples, PoleProximity, RealityViolation
-from .elliptic import real_period
+from .elliptic import EllipticInvariants, real_period
 from .quartic import QuarticCurve, eval_with_derivatives, weierstrass_solution
 
 # Branch label -> (sigma_z, sigma_Q).  The slope sign pair is part of the
 # parameter record; these labels are the short names used by reports.
 BRANCHES = {"pp": (1, 1), "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)}
+
+
+def profile_lattice(params: AnsatzParams) -> EllipticInvariants:
+    """The invariants of every profile curve of params, constants of the
+    motion: g2 = c1^2/12 - q c2 and g3 = -(c1^3 + 36 q c1 c2 - 27 q c3)/216,
+    on both orbits at every t."""
+    q, c1, c2, c3 = params.q, params.c1, params.c2, params.c3
+    return EllipticInvariants(c1 * c1 / 12.0 - q * c2,
+                              -(c1 * c1 * c1 + 36.0 * q * c1 * c2 - 27.0 * q * c3) / 216.0)
 
 
 def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
@@ -37,6 +46,7 @@ def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCur
         gamma=(params.c1 - 3.0 * params.q * z) / 6.0,
         delta=zt / (4.0 * rz),
         epsilon=2.0 * params.c2 + 1.5 * params.q * z * z - params.c1 * z,
+        lattice=profile_lattice(params),
     )
 
 

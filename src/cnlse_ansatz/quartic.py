@@ -13,7 +13,7 @@ with the Weierstrass function of those invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,13 +24,16 @@ from .errors import NegativeRadicand, NonFiniteSamples
 
 @dataclass(frozen=True)
 class QuarticCurve:
-    """Coefficients of R(y) = alpha y^4 + 4 beta y^3 + 6 gamma y^2 + 4 delta y + epsilon."""
+    """Coefficients of R(y) = alpha y^4 + 4 beta y^3 + 6 gamma y^2 + 4 delta y + epsilon,
+    and the lattice of a curve whose invariants are known in closed form (a
+    profile curve carries its parameters' ``ansatz.profile_lattice``)."""
 
     alpha: float
     beta: float
     gamma: float
     delta: float
     epsilon: float
+    lattice: EllipticInvariants | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
@@ -39,10 +42,10 @@ class QuarticCurve:
 
     @cached_property
     def invariants(self) -> EllipticInvariants:
-        """The curve's invariants (``invariants_from_coefficients``),
-        computed on first use and held by this curve object; an error is
-        raised again on every use."""
-        return invariants_from_coefficients(self)
+        """The curve's lattice, else its invariants
+        (``invariants_from_coefficients``), computed on first use and held by
+        this curve object; an error is raised again on every use."""
+        return invariants_from_coefficients(self) if self.lattice is None else self.lattice
 
 
 def eval_with_derivatives(R: QuarticCurve, y):
