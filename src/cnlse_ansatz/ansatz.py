@@ -22,18 +22,23 @@ from .errors import NegativeRadicand, NonFiniteSamples, PoleProximity, RealityVi
 from .elliptic import EllipticInvariants, real_period
 from .quartic import QuarticCurve, eval_with_derivatives, weierstrass_solution
 
+PROFILE_CONSTANTS = ("scalar R2(Q0)", "scalar R2'(Q0)", "scalar R2''(Q0)", "scalar R2'''(Q0)",
+                     "scalar R2''''(Q0)", "term R2(Q0) R2''''(Q0)/48", "term R2(Q0) R2'''(Q0)/24")
+
 # Branch label -> (sigma_z, sigma_Q).  The slope sign pair is part of the
 # parameter record; these labels are the short names used by reports.
 BRANCHES = {"pp": (1, 1), "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)}
 
 
 def profile_lattice(params: AnsatzParams) -> EllipticInvariants:
-    """The invariants of every profile curve of params, constants of the
-    motion: g2 = c1^2/12 - q c2 and g3 = -(c1^3 + 36 q c1 c2 - 27 q c3)/216,
-    on both orbits at every t."""
+    """The invariants of every profile curve of params, on both orbits at
+    every t: g2 = c1^2/12 - q c2, g3 = -(c1^3 + 36 q c1 c2 - 27 q c3)/216."""
     q, c1, c2, c3 = params.q, params.c1, params.c2, params.c3
-    return EllipticInvariants(c1 * c1 / 12.0 - q * c2,
-                              -(c1 * c1 * c1 + 36.0 * q * c1 * c2 - 27.0 * q * c3) / 216.0)
+    g = (c1 * c1 / 12.0 - q * c2, -(c1 * c1 * c1 + 36.0 * q * c1 * c2 - 27.0 * q * c3) / 216.0)
+    if not np.isfinite(g).all():
+        raise NonFiniteSamples(f"profile lattice g2, g3 = {g[0]:g}, {g[1]:g} overflows a float "
+                               f"at q = {q:g}, c1 = {c1:g}, c2 = {c2:g}, c3 = {c3:g}")
+    return EllipticInvariants(*g)
 
 
 def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
@@ -58,8 +63,8 @@ class AnsatzParams:
     constants of the reduced system; z0 = z(0) > 0 and Q0 = Q(0, t) are the
     initial levels; sigma_z and sigma_Q select the initial slope signs of
     the two quartic solutions.  A set whose z-curve has no real slope at
-    z0, or whose profile scalars R2^(k)(Q0) at t = 0 overflow a float, is
-    refused.
+    z0, or whose profile scalars R2^(k)(Q0) or closed form's constant terms
+    at t = 0 overflow a float, is refused.
     """
 
     q: float
@@ -90,14 +95,14 @@ class AnsatzParams:
                 f"R1(z0) = {r10:g} < 0: z(t) has no real initial slope"
             )
         if math.isfinite(r10):  # an infinite z_t(0): the z-curve's invariants overflow
-            # the profile scalars R2^(k)(Q0) at t = 0, where z = z0
+            # at t = 0, where z = z0: the profile scalars and the closed form's products
             curve = _q_curve_from_state(self, self.z0, self.sigma_z * math.sqrt(r10))
             with np.errstate(over="ignore", invalid="ignore"):
-                scalars = eval_with_derivatives(curve, self.Q0)
-            for name, value in zip(("R2", "R2'", "R2''", "R2'''", "R2''''"), scalars):
+                r = eval_with_derivatives(curve, self.Q0)
+                values = (*r, r[0] * r[4] / 48.0, r[0] * r[3] / 24.0)
+            for name, value in zip(PROFILE_CONSTANTS, values):
                 if not np.isfinite(value):
-                    raise NonFiniteSamples(f"profile scalar {name}(Q0) overflows a float "
-                                           f"at Q0 = {self.Q0:g}")
+                    raise NonFiniteSamples(f"profile {name} overflows a float at Q0 = {self.Q0:g}")
 
 
 def with_branch(params: AnsatzParams, sigma_z: int, sigma_Q: int) -> AnsatzParams:
@@ -208,8 +213,8 @@ def _checked(value):
 def _panel_values(curve: QuarticCurve, z0: float, lo: np.ndarray, hi: np.ndarray) -> dict:
     """Weighted Gauss-Legendre node values of z on the panels [lo, hi] (of
     shape (rows, panels)) per orbit, sigma_z = +1 and -1, of the curve
-    through z0, or its error, from one closed-form call of one halving
-    depth per row."""
+    through z0, nan on a row where z is not real, with those rows' errors,
+    from one closed-form call of one halving depth per row."""
     half = 0.5 * (hi - lo)[..., None]
     nodes = lo[..., None] + half * (1.0 + _GL_X)
     rows = nodes.reshape(len(lo), lo.shape[1] * PHASE_NODES)
@@ -217,10 +222,11 @@ def _panel_values(curve: QuarticCurve, z0: float, lo: np.ndarray, hi: np.ndarray
 
     def weighted(z):
         z = z.reshape(nodes.shape)
-        _require_real_z(z, nodes)
-        return half * _GL_W * z
+        real = ((z >= 0.0) & (z < math.inf)).all(axis=(1, 2))
+        errors = [_or_error(_require_real_z, z[i], nodes[i]) for i in np.flatnonzero(~real)]
+        return np.where(real[:, None, None], half * _GL_W * z, np.nan), errors
 
-    return {sigma: _or_error(weighted, z) for sigma, z in zip((1, -1), zs)}
+    return {sigma: weighted(z) for sigma, z in zip((1, -1), zs)}
 
 
 def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
@@ -241,8 +247,9 @@ def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
     table = _panel_values(curve, z0, edges[:, :-1], edges[:, 1:])
 
     def integrals(sigma):
-        rest = iter(_checked(rests[sigma]))
-        rows = dict(zip(chunks, np.split(_checked(table[sigma]), [chunks[1.0]])))
+        (rest, errors), (panels, more) = rests[sigma], table[sigma]
+        _checked(next(iter(errors + more), None))  # the first row that failed
+        rest, rows = iter(rest), dict(zip(chunks, np.split(panels, [chunks[1.0]])))
         out = np.empty(ts.shape)
         for i, (s, j) in enumerate(zip(sign, whole)):
             values = rows[s].ravel()[:j * PHASE_NODES]
@@ -254,14 +261,13 @@ def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
     return {sigma: _or_error(integrals, sigma) for sigma in (1, -1)}
 
 
-def _split_periods(curve: QuarticCurve, t: float):
-    """(k, r) with |t| = k 2w + |r|, r of the sign of t and 2w the real period
-    of the curve's lattice: k = floor(|t| / 2w) and the remainder.  Below
-    one period, and for a lattice without a real period, (0, t).  A
-    non-finite t raises NonFiniteSamples."""
+def _split_periods(period: float | None, t: float):
+    """(k, r) with |t| = k 2w + |r|, r of the sign of t and 2w a lattice's
+    real period (``real_period``): k = floor(|t| / 2w) and the remainder.
+    Below one period, and for a lattice without a real period (None),
+    (0, t).  A non-finite t raises NonFiniteSamples."""
     if not math.isfinite(t):
         raise NonFiniteSamples(f"{t} is not finite: no whole periods to split off")
-    period = real_period(curve.invariants)
     k = 0 if period is None else math.floor(abs(t) / period)
     return k, (math.copysign(abs(t) - k * period, t) if k else t)
 
@@ -281,8 +287,8 @@ def phi_of_t(params: AnsatzParams, t):
     halving depth it has alone: its phase has the same bits in any array."""
     ta = np.asarray(t, dtype=float)
     ts, curve, sigma = ta.ravel(), z_curve(params), params.sigma_z
-    splits = [_split_periods(curve, float(s)) for s in ts]
     period = real_period(curve.invariants)
+    splits = [_split_periods(period, float(s)) for s in ts]
     signs = sorted({math.copysign(1.0, s) for s, (k, _) in zip(ts, splits) if k})
     rests = [r for _, r in splits] + [s * period for s in signs]
     integral = _checked(_z_integrals(curve, params.z0, np.array(rests))[sigma])

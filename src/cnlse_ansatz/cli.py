@@ -51,7 +51,7 @@ from .reference import (
 )
 from .verify import (
     DiffConfig,
-    _central_differences,
+    _defect,
     _TimeRow,
     _rel_dev,
     _stencil_offsets,
@@ -393,21 +393,20 @@ def _orbits(rc: RunConfig) -> list:
     return [(with_branch(rc.params, sz, sqs[0]), tuple(sqs)) for sz, sqs in signs.items()]
 
 
-def _row_reports(row: _TimeRow, orbits: list, xs) -> list:
-    """Per x of xs, the reports at x and the time of the row of the branches
-    of ``_orbits``, one ``row_reports`` call per orbit, by (sigma_z, sigma_q)."""
-    by_x = [{} for _ in xs]
-    for par, sqs in orbits:
-        for reps, at_x in zip(row_reports(row, par, xs, sqs), by_x):
-            at_x.update(((rep.sigma_z, rep.sigma_q), rep) for rep in reps)
-    return by_x
+def _row_reports(row: _TimeRow, orbits: list, xs) -> dict:
+    """The reports of the branches of ``_orbits`` at every time of the row's
+    stack and x of xs, one ``row_reports`` call per orbit, by (t index,
+    x index, sigma_z, sigma_q)."""
+    return {(k, j, rep.sigma_z, rep.sigma_q): rep for par, sqs in orbits
+            for k, at_t in enumerate(row_reports(row, par, xs, sqs))
+            for j, reps in enumerate(at_t) for rep in reps}
 
 
 def _branch_reports(rc: RunConfig) -> list:
     """The reports at rc's point (x, t), one per branch of rc.branches in
     their order, from one time row: what residuals, pde and paper-check read."""
-    by_branch = _row_reports(_TimeRow(rc.params, rc.t), _orbits(rc), (rc.x,))[0]
-    return [by_branch[signs] for _, signs in rc.branches]
+    reports = _row_reports(_TimeRow(rc.params, rc.t), _orbits(rc), (rc.x,))
+    return [reports[(0, 0, *signs)] for _, signs in rc.branches]
 
 
 def cmd_paper_check(rc: RunConfig) -> int:
@@ -448,12 +447,11 @@ def cmd_paper_check(rc: RunConfig) -> int:
 
 def cmd_scan(rc: RunConfig) -> int:
     xs, ts = _parse_grid(rc.grid)
-    # t, then the orbit: one time row per t (see verify) serves every point
-    # and branch at t, and one row_reports call every x and sigma_Q branch
-    # of an orbit.  The reports are written branch, then x, then t.
-    orbits, rows = _orbits(rc), (_TimeRow(rc.params, t) for t in ts)
-    by_t = [_row_reports(row, orbits, xs) for row in rows]
-    reports = [by_t[j][i][signs] for _, signs in rc.branches
+    # one stack of time rows (see verify) serves every point and branch,
+    # and one row_reports call every t, x and sigma_Q branch of an orbit.
+    # The reports are written branch, then x, then t.
+    by_point = _row_reports(_TimeRow(rc.params, ts), _orbits(rc), xs)
+    reports = [by_point[(j, i, *signs)] for _, signs in rc.branches
                for i in range(len(xs)) for j in range(len(ts))]
     _write_reports(rc, reports, {
         "grid": rc.grid, "branch": ",".join(name for name, _ in rc.branches),
@@ -622,9 +620,7 @@ def _check_quartic_ode(tol: float):
             vals = weierstrass_solution(curve, y0, 1, stencil)
             if not np.all(np.isfinite(vals)) or float(np.max(np.abs(vals))) > 50.0:
                 continue
-            slope, _ = _central_differences(vals, h)
-            r = float(eval_with_derivatives(curve, float(vals[0]))[0])
-            worst = max(worst, abs(slope * slope - r) / max(1.0, abs(r)))
+            worst = max(worst, float(_defect(curve, vals, h)))
     return worst <= tol, worst
 
 

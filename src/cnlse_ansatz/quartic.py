@@ -24,9 +24,8 @@ from .errors import NegativeRadicand, NonFiniteSamples
 
 @dataclass(frozen=True)
 class QuarticCurve:
-    """Coefficients of R(y) = alpha y^4 + 4 beta y^3 + 6 gamma y^2 + 4 delta y + epsilon,
-    and the lattice of a curve whose invariants are known in closed form (a
-    profile curve carries its parameters' ``ansatz.profile_lattice``)."""
+    """Coefficients of R(y) = alpha y^4 + 4 beta y^3 + 6 gamma y^2 + 4 delta y + epsilon
+    (arrays of one shape: a stack of curves); a profile curve carries its lattice."""
 
     alpha: float
     beta: float
@@ -36,8 +35,7 @@ class QuarticCurve:
     lattice: EllipticInvariants | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        vals = (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
-        if not all(np.isfinite(v) for v in vals):
+        if not np.isfinite((self.alpha, self.beta, self.gamma, self.delta, self.epsilon)).all():
             raise NonFiniteSamples("curve coefficients must be finite")
 
     @cached_property
@@ -88,12 +86,12 @@ def _scalars(R: QuarticCurve, y0: float):
     return r
 
 
-def _closed_form_parts(R: QuarticCurve, xi):
+def _closed_form_parts(inv: EllipticInvariants, xi):
     """The wp part of the closed form: xi as a checked array of at least
     one dimension, the mask of its elements beyond the elliptic pole guard,
-    and wp and wp' of R's lattice on it (None where no element is beyond
-    the guard).  The rational part reads it with the scalars ``_scalars``."""
-    inv, xi_arr = R.invariants, np.asarray(xi)
+    and wp and wp' of the lattice inv on it (None where no element is
+    beyond the guard).  The rational part reads it with the scalars ``_scalars``."""
+    xi_arr = np.asarray(xi)
     xf = np.atleast_1d(xi_arr).astype(np.result_type(xi_arr, float))
     if not np.isfinite(xf).all():
         raise NonFiniteSamples("xi must be finite")
@@ -111,8 +109,8 @@ def _rational_part(r, y0: float, signs: tuple, xf, away, W, W1) -> list:
     """The rational part of the closed form: y at xf per sign of signs from
     the five scalars r = R^(k)(y0) and the wp part ``_closed_form_parts``.
     Complex scalars, of a curve built from a complex step, carry it to y.
-    Scalars of k curves as a (k, 1) column give each curve's own bits."""
-    r0, r1, _, r3, _ = r
+    Scalars of k curves as (k, 1) columns give each curve's own bits."""
+    r0, r1, r2, r3, r4 = r
     sq, xn = np.sqrt(r0), np.where(away, 0.0, xf)
     ys = [y0 + s * sq * xn + 0.25 * r1 * xn * xn for s in map(float, signs)]
     if W is None:
@@ -120,8 +118,10 @@ def _rational_part(r, y0: float, signs: tuple, xf, away, W, W1) -> list:
     # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
     # closed form would produce 0/0 wherever wp crosses b; its rows keep y0
     use = away & ~np.logical_and(r0 == 0.0, r1 == 0.0)
-    Wb = W - r[2] / 24.0
-    den = 2.0 * Wb * Wb - r0 * r[4] / 48.0
+    # b = r2 / 24 by parts, as Python's complex / float divides: numpy's
+    # multiplies by a reciprocal, which moves the bits of a complex column
+    Wb = W - (np.real(r2) / 24.0 + 1j * (np.imag(r2) / 24.0))
+    den = 2.0 * Wb * Wb - r0 * r4 / 48.0
     for s, y in zip(map(float, signs), ys):
         # real in, real out: the wp arithmetic is complex throughout
         part = np.real if y.dtype.kind == "f" else np.asarray
@@ -159,7 +159,7 @@ def weierstrass_solution(R: QuarticCurve, y0: float, sigma, xi):
     signs, y0 = sigma if isinstance(sigma, tuple) else (sigma,), float(y0)
     if not {1.0, -1.0}.issuperset(signs):
         raise ValueError("sigma must be +1 or -1")
-    ys = _rational_part(_scalars(R, y0), y0, signs, *_closed_form_parts(R, xi))
+    ys = _rational_part(_scalars(R, y0), y0, signs, *_closed_form_parts(R.invariants, xi))
     out = [y[0].item() if np.ndim(xi) == 0 else y for y in ys]
     return tuple(out) if isinstance(sigma, tuple) else out[0]
 
@@ -169,10 +169,14 @@ def solution_denominator(R: QuarticCurve, y0: float, xi):
     guard.  Real zeros of this function in xi are the solution poles of
     weierstrass_solution; scans use sign changes of it to detect a pole
     crossing between grid nodes."""
-    r = _scalars(R, float(y0))
-    xf, away, W, _ = _closed_form_parts(R, xi)
-    out = np.full(xf.shape, np.inf)
+    out = _denominator(_scalars(R, float(y0)), *_closed_form_parts(R.invariants, xi)[1:3])
+    return float(out[0]) if np.ndim(xi) == 0 else out
+
+
+def _denominator(r, away, W):
+    """The closed form's denominator from real scalars r and the wp part."""
+    out = np.full(away.shape, np.inf)
     if W is not None:
         Wb = W - r[2] / 24.0
         out[away] = (2.0 * Wb * Wb - r[0] * r[4] / 48.0).real[away]
-    return float(out[0]) if np.ndim(xi) == 0 else out
+    return out

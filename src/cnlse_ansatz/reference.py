@@ -33,9 +33,9 @@ from typing import Callable
 import numpy as np
 from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft  # (n),(scale)->(n)
 
-from .ansatz import AnsatzParams, field_A, q_curve
+from .ansatz import AnsatzParams, _checked, _orbit_states, field_A, profile_lattice
 from .errors import AliasingWarning, NonFiniteSamples, WindowContainsPole
-from .quartic import solution_denominator, weierstrass_solution
+from .quartic import _closed_form_parts, _denominator, _rational_part, _scalars
 from .verify import POLE_ADJACENT_Q
 
 TAPER_FRACTION = 0.10  # share of the window at each end that the taper rolls off
@@ -341,14 +341,15 @@ def divergence_from(field, grid: SpectralGrid, p: float, q: float,
 
 def _ansatz_run(params: AnsatzParams, grid: SpectralGrid, t_end: float,
                 sample_times) -> _Run:
-    """The run of ``ansatz_divergence``, after its pole screen."""
+    """The run of ``ansatz_divergence``, after its pole screen on one wp part."""
     targets = _sample_targets(t_end, sample_times)
     xs = np.linspace(grid.x_min, grid.x_max, 4 * grid.n + 1)
-    for t in [0.0] + targets:
-        curve = q_curve(params, t)
-        den = solution_denominator(curve, params.Q0, xs)
+    parts, times = _closed_form_parts(profile_lattice(params), xs), [0.0] + targets
+    for t, st in zip(times, _orbit_states(params, np.array(times))[params.sigma_z]):
+        r = _scalars(_checked(st).curve, params.Q0)
+        den = _denominator(r, *parts[1:3])
         i = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
-        q = weierstrass_solution(curve, params.Q0, params.sigma_Q, np.stack((xs[i], xs[i + 1])))
+        q = _rational_part(r, params.Q0, (params.sigma_Q,), *parts)[0][np.stack((i, i + 1))]
         if ((np.sign(q[0]) != np.sign(q[1])) & ~(np.abs(q) <= POLE_ADJACENT_Q).all(axis=0)).any():
             raise WindowContainsPole(
                 f"profile pole inside [{grid.x_min:g}, {grid.x_max:g}] at t = {t:g}"

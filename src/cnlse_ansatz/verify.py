@@ -15,33 +15,30 @@ stencil, at the origin too, so r1, r2 and the PDE residual stay checks
 independent of the closed forms; a stencil is one batch, so the elliptic
 argument reduction uses one depth across it.
 
-``row_reports`` gathers P, r1, r2 and the PDE residual at every x of a
-time row on one orbit, for a tuple of profile slope signs: the command
+``row_reports`` gathers P, r1, r2 and the PDE residual at every (t, x) of
+a scan on one orbit, for a tuple of profile slope signs: the command
 line's one report path, from which ``scan``, ``residuals``, ``pde`` and
-``paper-check`` read every number.  The four quantities read the time row
-(``_TimeRow``) that the caller builds once per t and passes to every point
-and branch at t; it holds what depends on (t, orbit) only, and its PDE
+``paper-check`` read every number.  They read a stack of time rows
+(``_TimeRow``) that the caller builds once for its times and passes to
+every orbit; it holds what depends on (t, orbit) only, and its PDE
 stencil samples the envelope up to a constant phase, so reads no phase.
-The profile lattice does not move with t, and each row of a wp argument
-has its own halving depth: per row and orbit, one wp call serves P and the
-PDE's time nodes at every x, and one the x stencils, each with its own bits.
-Every number of a row is then a (sign, x) array, and its notes come from
-masks; no x is evaluated alone.  Both calls read x reduced by the real
-period wp folds by, so no argument folds onto the pole; an error either
-raises anyway is every x's.  The arrays keep the bits of Python's scalar
-arithmetic, which numpy moves in four places: a complex product is taken
-by parts (numpy fuses a multiply and an add), the time differences divide
-real and imaginary parts as floats (numpy's complex / float multiplies by
-a reciprocal), |A| is hypot (numpy's complex abs rounds otherwise) and a
-square is ``np.float_power``, the C pow of Python's ``**`` (``np.square``
-rounds the product).  ``reports_at`` is the one-x case, and ``report_at``
-the one-sign case on a row of its own, as each of ``residual_P``,
-``residual_R1`` and ``residual_R2`` builds its own.
+The profile lattice is a constant of the parameters, so one wp table at
+the xs serves every row and orbit, read with each row's scalars as
+columns: every number is a (sign, t, x) array, and its notes come from
+masks.  The arrays keep the bits of Python's scalar arithmetic, which
+numpy moves in four places: a complex product is taken by parts (numpy
+fuses a multiply and an add), a complex divided by a float divides its
+parts (numpy multiplies by a reciprocal), |A| is hypot (numpy's complex
+abs rounds otherwise) and a square is ``np.float_power``, the C pow of
+Python's ``**`` (``np.square`` rounds the product).  ``reports_at`` is
+the one-t, one-x case and ``report_at`` its one-sign case, whose P and
+r2 are ``residual_P`` and ``residual_R2``.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,10 +53,11 @@ from .ansatz import (
     _panel_values,
     _q_curve_from_state,
     _split_periods,
+    profile_lattice,
     time_state,
     z_curve,
 )
-from .elliptic import EllipticInvariants
+from .elliptic import EllipticInvariants, real_period
 from .errors import (
     DegenerateResiduals,
     NegativeRadicand,
@@ -67,8 +65,8 @@ from .errors import (
     RealityViolation,
     StencilOutOfDomain,
 )
-from .quartic import _closed_form_parts, _rational_part, _scalars, eval_with_derivatives
-from .quartic import invariants_from_coefficients, weierstrass_solution
+from .quartic import QuarticCurve, _closed_form_parts, _rational_part, _scalars
+from .quartic import eval_with_derivatives, invariants_from_coefficients, weierstrass_solution
 
 # Internal steps for the by-construction residuals r1 and r2.  These are
 # larger than DiffConfig defaults on purpose: the quantity differentiated is
@@ -145,115 +143,86 @@ def _central_differences(vals, h: float):
 
 
 class _TimeRow:
-    """The time row at t that the four slope branches of a parameter set
-    share, whichever signs params carries: both orbits' states at the PDE's
-    time nodes r + offsets, r = t reduced by whole periods 2w of z (r = t
-    below 2w), from one orbit call, and on first use r1 at r and the nodes'
-    gauges and profile scalars.  z is periodic, so every residual at t reads
-    the state at r.  A caller builds one row per t for every point at t."""
+    """The rows at the times t (an array, or one time) that the four slope
+    branches of params share, stacked over t: both orbits' states at each
+    row's PDE time nodes r + offsets (``ts``), r = t reduced by whole periods
+    2w of z, and on first use r1, the gauges and the profile scalars, each
+    from one call in which each row is a batch row that keeps its own bits
+    and an error of one row's state, gauges or scalars is that row's."""
 
-    def __init__(self, params: AnsatzParams, t: float):
+    def __init__(self, params: AnsatzParams, t):
         cfg = DiffConfig()
-        self.params, self.t = params, float(t)
-        self.curve = z_curve(params)
-        self.r = _split_periods(self.curve, self.t)[1]
-        self.ts = self.r + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
-        self.states = _orbit_states(self.params, self.ts)
+        self.params, self.t = params, np.atleast_1d(np.asarray(t, dtype=float))
+        self.curve, self.tables = z_curve(params), {}
+        self.r = np.array([_split_periods(real_period(self.curve.invariants), s)[1]
+                           for s in self.t.tolist()])
+        self.ts = self.r[:, None] + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
+        self.states = _orbit_states(self.params, self.ts.ravel())
+
+    def table(self, xs) -> tuple:
+        """xs reduced by whole real periods of the profile lattice, and its wp
+        part, made once for every row and orbit, at each as the rows of an
+        (nx, 3, 5) argument: r2's x stencil, the point itself five times (so
+        with the bits it has alone), and the PDE's x stencil."""
+        key = tuple(map(float, xs))
+        if key not in self.tables:
+            cfg, lattice = DiffConfig(), profile_lattice(self.params)
+            xr = np.array([_split_periods(real_period(lattice), x)[1] for x in key])
+            offsets = np.array([_stencil_offsets(R2_SPACE_STEP), np.zeros(5),
+                                _stencil_offsets(cfg.h_x, cfg.richardson_levels)])
+            self.tables[key] = xr, _closed_form_parts(lattice, xr[:, None, None] + offsets)
+        return self.tables[key]
 
     @cached_property
     def gauges(self) -> dict:
-        """e^{i(phi(s) - phi(r))} per orbit at the four nodes s other than r,
-        or its error; phi(s) - phi(r) = c1 (s - r) - 2 q * (z over [r, s])."""
-        p, s = self.params, self.ts[1:]
-        panels = _panel_values(self.curve, p.z0, np.full((s.size, 1), self.r), s[:, None])
-
-        def factors(v):
-            return np.exp(1j * (p.c1 * (s - self.r) - 2.0 * p.q * np.sum(v, axis=(1, 2))))
-
-        return {sigma: v if isinstance(v, Exception) else factors(v)
-                for sigma, v in panels.items()}
+        """e^{i(phi(s) - phi(r))} per orbit at every row's four nodes s other
+        than r, as (nt, 4, 1), nan at a node whose panel failed;
+        phi(s) - phi(r) = c1 (s - r) - 2 q * (z over [r, s])."""
+        p, s = self.params, self.ts[:, 1:, None]
+        r = np.broadcast_to(self.r[:, None, None], s.shape)
+        panels = _panel_values(self.curve, p.z0, r.reshape(-1, 1), s.reshape(-1, 1))
+        sums = {sigma: v.sum(axis=(1, 2)).reshape(s.shape) for sigma, (v, _) in panels.items()}
+        return {sigma: np.exp(1j * (p.c1 * (s - r) - 2.0 * p.q * v)) for sigma, v in sums.items()}
 
     @cached_property
     def r1(self) -> dict:
-        defects = _ode_defect(self.curve, self.params.z0, (1, -1), self.r, R1_TIME_STEP)
-        return dict(zip((1, -1), defects))
+        """r1 per orbit at every r, from one batch of a stencil per row."""
+        h, z0 = R1_TIME_STEP, self.params.z0
+        ys = weierstrass_solution(self.curve, z0, (1, -1), self.r[:, None] + _stencil_offsets(h))
+        return dict(zip((1, -1), _defect(self.curve, np.array(ys), h)))
 
     @cached_property
     def profile(self) -> dict:
-        """Per orbit, the scalars R^(k)(Q0) of the profile curve at r with
-        those of it stepped along the orbit, z + ih z_t and z_t + ih z_tt
-        (h = P_STEP), which carry P's Q_t; and the other time nodes' as (4, 1)
-        columns.  Each, or the error computing it raised, in its place."""
+        """Per orbit, each from its own state, nan where that failed: each
+        row's error at r or None; R^(k)(Q0) and sqrt z at every node as (6, nt,
+        5, 1) columns; and at r as (nt, 1) columns those of the curve stepped to
+        z + ih z_t, z_t + ih z_tt (h = P_STEP) for P's Q_t, z and r's curves."""
+        p, h, n = self.params, 1j * P_STEP, self.ts.shape[1]
+
+        def node(st):
+            return (*_scalars(_checked(st).curve, p.Q0), _checked(st).sqrt_z)
+
         def centre(st):
-            st, h, p = _checked(st), 1j * P_STEP, self.params
+            st, c = _checked(st), _checked(st).curve
             ztt = 0.5 * eval_with_derivatives(self.curve, st.z)[1]
-            curve = _q_curve_from_state(p, st.z + h * st.zt, st.zt + h * ztt)
-            return _scalars(st.curve, p.Q0), eval_with_derivatives(curve, p.Q0)
+            stepped = _q_curve_from_state(p, st.z + h * st.zt, st.zt + h * ztt)
+            return (*eval_with_derivatives(stepped, p.Q0), st.z,
+                    c.alpha, c.beta, c.gamma, c.delta, c.epsilon)
 
-        def nodes(states):
-            r = [_scalars(_checked(st).curve, self.params.Q0) for st in states]
-            return tuple(c[:, None] for c in np.array(r).T)
+        def stack(fn, states, width):
+            values = [_or_error(fn, st) for st in states]
+            cols = np.array([np.full(width, np.nan) if isinstance(v, Exception) else v
+                             for v in values]).T[..., None]
+            return [v if isinstance(v, Exception) else None for v in values], cols
 
-        return {sigma: (_or_error(centre, states[0]), _or_error(nodes, states[1:]))
-                for sigma, states in self.states.items()}
-
-    def pde(self, params: AnsatzParams, xq, node_qs) -> tuple:
-        """The default-step |PDE residual| (p = 1) at r and each x per slope
-        sign, of B(x, s) = (Q + i sqrt(z)) e^{i(phi(s) - phi(r))} on the
-        orbit params.sigma_z, which is A(x, t + s - r) e^{-i phi(t)}, from Q
-        on the x stencils (``xq``, (signs, nx, 5)) and at the four other time
-        nodes (``node_qs``, (signs, 4, nx)), with the mask of the stencils
-        that are finite; an error of the gauges or of the nodes' scalars
-        (``node_qs``) fails every stencil."""
-        states, gauges = self.states[params.sigma_z], self.gauges[params.sigma_z]
-        if isinstance(gauges, Exception) or isinstance(node_qs, Exception):
-            return np.full(xq.shape[:-1], np.nan), np.zeros(xq.shape[:-1], dtype=bool)
-        g, sz = gauges[:, None], np.array([st.sqrt_z for st in states[1:]])[:, None]
-        # (Q + i sqrt z) g by parts, as Python's complex product rounds it:
-        # numpy's fuses a multiply and an add and moves the last bit
-        nodes = (node_qs * g.real - sz * g.imag) + 1j * (node_qs * g.imag + sz * g.real)
-        xv = xq + 1j * states[0].sqrt_z
-        tv = np.concatenate((xv[..., :1], np.swapaxes(nodes, -1, -2)), axis=-1)
-        res, ok = _stencil_residuals(xv, tv, DiffConfig(), 1.0, params.q)
-        return np.where(ok, np.hypot(res.real, res.imag), np.nan), ok
-
-
-def _row_points(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> tuple:
-    """xs reduced by whole real periods of the profile lattice, which does
-    not move with t; per profile slope sign of sigmas, on the orbit
-    params.sigma_z at the time row's r, P (``residual_P``) and Q at them as
-    (signs, nx) arrays; and Q at the PDE's four other time nodes as (signs,
-    4, nx), or the error of those nodes' scalars.  The wp part of every x
-    is one (nx, 1) call: each x is a row of its own halving depth, so it
-    has the bits it has alone."""
-    p = params
-    st = _checked(row.states[p.sigma_z][0])
-    xr = np.array([_split_periods(st.curve, x)[1] for x in xs])
-    (r, stepped), nodes = _checked(row.profile[p.sigma_z][0]), row.profile[p.sigma_z][1]
-    at = _closed_form_parts(st.curve, xr[:, None])
-    q, qt = (np.array(_rational_part(c, p.Q0, sigmas, *at))[..., 0] for c in (r, stepped))
-    with np.errstate(invalid="ignore", over="ignore"):  # at a pole; the caller notes it
-        # the C pow of Python's q ** 2: np.square rounds the product, which
-        # differs for about one q in a thousand
-        P = qt.imag / P_STEP - st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + np.float_power(q, 2)))
-    if not isinstance(nodes, Exception):  # a (4, 1) node column against a (1, nx) row
-        nodes = np.array(_rational_part(nodes, p.Q0, sigmas, *(a if a is None else a.T for a in at)))
-    return xr, P, q, nodes
-
-
-def _row_stencils(row: _TimeRow, params: AnsatzParams, xr, sigmas: tuple) -> tuple:
-    """Per profile slope sign of sigmas and reduced x of xr, r2
-    (``residual_R2``) at the time row's r as a (signs, nx) array and Q on
-    the PDE's x stencil as (signs, nx, 5), from one wp call: r2's stencil
-    and the PDE's of every x are the rows of an (nx, 2, 5) argument, each
-    with the bits it has alone.  See ``_row_points``."""
-    cfg, st = DiffConfig(), _checked(row.states[params.sigma_z][0])
-    r = _checked(row.profile[params.sigma_z][0])[0]
-    stencils = xr[:, None, None] + np.array(
-        [_stencil_offsets(R2_SPACE_STEP), _stencil_offsets(cfg.h_x, cfg.richardson_levels)])
-    ys = np.array(_rational_part(r, params.Q0, sigmas, *_closed_form_parts(st.curve, stencils)))
-    with np.errstate(invalid="ignore", over="ignore"):  # at a pole; the caller notes it
-        return _defect(st.curve, ys[..., 0, :], R2_SPACE_STEP), ys[..., 1, :]
+        out = {}
+        for sigma, states in self.states.items():
+            errors, nodes = stack(node, states, 6)
+            c = stack(centre, states[::n], 11)[1]
+            out[sigma] = types.SimpleNamespace(
+                errors=errors[::n], nodes=nodes.reshape(6, -1, n, 1), stepped=c[:5], z=c[5].real,
+                curve=QuarticCurve(*np.nan_to_num(c[6:].real)))  # a failed row's Q is nan
+        return out
 
 
 def residual_P(params: AnsatzParams, x: float, t: float) -> float:
@@ -270,24 +239,24 @@ def residual_P(params: AnsatzParams, x: float, t: float) -> float:
     period 2w, so the state is read at the time row's r, t reduced by whole
     periods, as r1 and the PDE stencil read it; the profile lattice does not
     move with t, so x is first reduced by its whole real periods, as
-    ``residual_R2`` reduces it.  The one-x case of ``_row_points``."""
-    return _row_points(_TimeRow(params, t), params, (float(x),), (params.sigma_Q,))[1].item()
+    ``residual_R2`` reduces it.  The P of ``_point``."""
+    return _point(params, x, t).P
+
+
+def _point(params: AnsatzParams, x: float, t: float) -> ResidualReport:
+    """``report_at``, raising the error of a state or scalars that fail at t."""
+    row = _TimeRow(params, t)
+    _checked(row.profile[params.sigma_z].errors[0])
+    return reports_at(row, params, x, (params.sigma_Q,))[0]
 
 
 def _defect(curve, y, h: float):
     """Relative defect |(dy/dxi)^2 - R(y)| / max(1, |R(y)|) of the values y
-    of a solution of the curve on the central stencil of step h, along the
-    last axis."""
+    of a solution of the curve (or of a stack of curves, as columns) on the
+    central stencil of step h, along the last axis."""
     slope, _ = _central_differences(y, h)
     r = eval_with_derivatives(curve, y[..., 0])[0]
     return np.abs(slope * slope - r) / np.maximum(1.0, np.abs(r))
-
-
-def _ode_defect(curve, y0: float, signs: tuple, xi: float, h: float) -> tuple:
-    """``_defect`` of the closed form at xi per sign of signs, with dy/dxi
-    and y from one batch on the central stencil."""
-    ys = weierstrass_solution(curve, y0, signs, float(xi) + _stencil_offsets(h))
-    return tuple(_defect(curve, np.array(ys), h).tolist())
 
 
 def residual_R1(params: AnsatzParams, t: float) -> float:
@@ -296,17 +265,14 @@ def residual_R1(params: AnsatzParams, t: float) -> float:
     first reduced by whole real periods 2w of z (|t| < 2w is not), to the
     time row's r: a stencil of the fixed step R1_TIME_STEP around a large t
     would read the spacing of floats near t."""
-    return _TimeRow(params, t).r1[params.sigma_z]
+    return _TimeRow(params, t).r1[params.sigma_z].item()
 
 
 def residual_R2(params: AnsatzParams, x: float, t: float) -> float:
     """Relative defect |(dQ/dx)^2 - R2(Q)| / max(1, |R2(Q)|) at the time
     row's r, with x reduced by whole real periods of the profile lattice as
-    ``residual_R1`` reduces t."""
-    row = _TimeRow(params, t)
-    st = _checked(row.states[params.sigma_z][0])
-    xr = _split_periods(st.curve, float(x))[1]
-    return _row_stencils(row, params, np.array([xr]), (params.sigma_Q,))[0].item()
+    ``residual_R1`` reduces t: the r2 of ``_point``."""
+    return _point(params, x, t).r2
 
 
 def closed_form_invariants_z(params: AnsatzParams) -> EllipticInvariants:
@@ -427,52 +393,66 @@ def convergence_order(residuals) -> float:
 
 
 def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
-    """Full residual records at each x of xs and the time of the row, which
-    the caller builds for params at that time, on the orbit params.sigma_z:
-    per x, one per profile slope sign of sigmas (params.sigma_Q is not
-    read), never raising on pole contact: failures are recorded in the
-    notes field and the numbers set to nan.  P, r1, r2, the pole note and
-    the PDE residual (``_TimeRow.pde``) all read the orbit state at the
-    row's r and x reduced by whole profile periods, each as a (signs, nx)
-    array: P, its pole note and the PDE's time nodes from one wp call for
-    every x (``_row_points``), r2's and the PDE's x stencils from one more
-    (``_row_stencils``).  An error of the row's state or scalars, or of a
-    shared call, is every x's and every sign's; a failed gauge or time
-    node (StencilOutOfDomain) every x's; a pole, a pole-adjacent value and
-    a non-finite stencil are each x's and sign's own, through a mask."""
-    xs, sz = [float(x) for x in xs], params.sigma_z
-    shape = (len(sigmas), len(xs))
+    """Full residual records at every time of the row's stack, built for
+    params, and x of xs on the orbit params.sigma_z: per t, per x, one per
+    profile slope sign of sigmas (params.sigma_Q is not read), never raising
+    on pole contact: failures are noted and their numbers set to nan.  All
+    are (signs, nt, nx) arrays: each row's scalars, as (nt, 1) columns, read
+    the stack's one wp table (``_TimeRow.table``); the default-step PDE
+    residual (p = 1) reads the gauges, so no phase.  An error of a row's
+    state or scalars is that row's, of a shared call every row's; a failed
+    gauge or time node (StencilOutOfDomain) its row's; a pole, a
+    pole-adjacent value and a non-finite stencil each point's and sign's."""
+    xs, sz, ts, q0 = [float(x) for x in xs], params.sigma_z, row.t.tolist(), params.Q0
     try:
-        xr, P, Q, node_qs = _row_points(row, params, xs, sigmas)
-        r2, xq = _row_stencils(row, params, xr, sigmas)
-        r1 = row.r1[sz]
+        prof, (_, parts), g = row.profile[sz], row.table(xs), row.gauges[sz]
+        rs, sq = prof.nodes[:5, :, 0], prof.nodes[5]  # (nt, 1) scalars at r, sqrt z
+        point = [a[:, 1, :1].T for a in parts]  # (1, nx): the point's wp part
+        Q, Qt = (np.array(_rational_part(c, q0, sigmas, *point)) for c in (rs, prof.stepped))
+        qs = np.array(_rational_part(prof.nodes[:5, :, 1:], q0, sigmas, *point))
+        ys = np.array(_rational_part(rs[..., None, None], q0, sigmas, *parts))
+        with np.errstate(invalid="ignore", over="ignore"):  # at a pole, noted below
+            # the C pow of Python's Q ** 2: np.square rounds the product,
+            # which differs for about one Q in a thousand
+            P = Qt.imag / P_STEP - sq[:, 0] * (params.c1 - params.q * (
+                3.0 * prof.z + np.float_power(Q, 2)))
+            r2 = _defect(prof.curve, ys[..., 0, :], R2_SPACE_STEP)
+        # the PDE residual of B = (Q + i sqrt z) e^{i(phi(s) - phi(r))}, the gauge
+        # product by parts as Python's complex product rounds it (numpy's fuses)
+        qs = (qs * g.real - sq[:, 1:] * g.imag) + 1j * (qs * g.imag + sq[:, 1:] * g.real)
+        xv = ys[..., 2, :] + 1j * sq[:, :1]
+        tv = np.concatenate((xv[..., :1], np.swapaxes(qs, -1, -2)), axis=-1)
+        res, ok = _stencil_residuals(xv, tv, DiffConfig(), 1.0, params.q)
+        pde = np.where(ok, np.hypot(res.real, res.imag), np.nan)
     except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
-        P = r2 = pde = np.full(shape, np.nan)
-        r1, notes = math.nan, [(type(exc).__name__, np.ones(shape, dtype=bool))]
+        P = r2 = pde = np.full((len(sigmas), len(ts), len(xs)), np.nan)
+        errors, r1, notes = [exc] * len(ts), np.full(len(ts), np.nan), []
     else:
-        pde, ok = row.pde(params, xq, node_qs)
-        finite_q = np.isfinite(Q)
-        notes = [("pole", ~finite_q),
-                 ("pole_adjacent", finite_q & (np.abs(Q) > POLE_ADJACENT_Q)),
-                 ("StencilOutOfDomain", ~ok)]
-    finite = np.isfinite(P) & np.isfinite(r1) & np.isfinite(r2) & np.isfinite(pde)
+        errors, finite_q = prof.errors, np.isfinite(Q)
+        r1 = np.where([error is None for error in errors], row.r1[sz], np.nan)
+        notes = [("pole", (~finite_q).tolist()),
+                 ("pole_adjacent", (finite_q & (np.abs(Q) > POLE_ADJACENT_Q)).tolist()),
+                 ("StencilOutOfDomain", (~ok).tolist())]
+    finite = np.isfinite(P) & np.isfinite(r1)[:, None] & np.isfinite(r2) & np.isfinite(pde)
+    P, r1, r2, pde, finite = (a.tolist() for a in (P, r1, r2, pde, finite))
 
-    def report(i, j, x):
-        note = ";".join(name for name, mask in notes if mask[i, j])
-        return ResidualReport(x=x, t=row.t, sigma_z=sz, sigma_q=sigmas[i], P=P[i, j].item(),
-                              r1=r1, r2=r2[i, j].item(), pde_abs=pde[i, j].item(),
-                              notes=note or ("" if finite[i, j] else "nonfinite"))
+    def report(i, k, j, x):
+        note = (type(errors[k]).__name__ if errors[k] else
+                ";".join(name for name, mask in notes if mask[i][k][j]))
+        return ResidualReport(x=x, t=ts[k], sigma_z=sz, sigma_q=sigmas[i], P=P[i][k][j],
+                              r1=r1[k], r2=r2[i][k][j], pde_abs=pde[i][k][j],
+                              notes=note or ("" if finite[i][k][j] else "nonfinite"))
 
-    return [[report(i, j, x) for i in range(len(sigmas))] for j, x in enumerate(xs)]
+    return [[[report(i, k, j, x) for i in range(len(sigmas))] for j, x in enumerate(xs)]
+            for k in range(len(ts))]
 
 
 def reports_at(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple) -> list:
-    """The reports at one x, per sign of sigmas: the one-x case of
-    ``row_reports``."""
-    return row_reports(row, params, (x,), sigmas)[0]
+    """The one-t, one-x case of ``row_reports``: per sign of sigmas."""
+    return row_reports(row, params, (x,), sigmas)[0][0]
 
 
 def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:
-    """Full residual record at one point: the one-x, one-sign case of
-    ``row_reports``, for the branch of params, on a row of its own."""
+    """Full residual record at one point on a row of its own: the one-sign
+    case of ``reports_at``, for the branch of params."""
     return reports_at(_TimeRow(params, t), params, x, (params.sigma_Q,))[0]

@@ -73,6 +73,12 @@ def test_witness_collapses_a_rational_root():
      "z-curve coefficient gamma overflows a float at q = 1e+10, c1 = -2, c2 = 1e+300, c3 = 0.13"),
     # a profile scalar at Q0, on the profile curve at t = 0
     (("--q0", "1e100"), "profile scalar R2(Q0) overflows a float at Q0 = 1e+100"),
+    # a constant term of the closed form, a product of two finite scalars
+    (("--q0", "1e77"), "profile term R2(Q0) R2''''(Q0)/48 overflows a float at Q0 = 1e+77"),
+    (("--q0=-1e62",), "profile term R2(Q0) R2'''(Q0)/24 overflows a float at Q0 = -1e+62"),
+    # the profile lattice, the same for every profile curve
+    (("--c3", "1e307"), "profile lattice g2, g3 = 0.733333, -inf overflows a float at q = -1, "
+     "c1 = -2, c2 = 0.4, c3 = 1e+307"),
 ])
 def test_refuses_what_the_command_line_refuses(flags, message, capsys):
     # the command line's message, as the command line prints it, and exit 1

@@ -139,6 +139,14 @@ class TestExitCodes:
         (["residuals", "--q0", "1e100"], "profile scalar R2(Q0) overflows a float at Q0 = 1e+100"),
         (["paper-check", "--q0", "1e100"], "profile scalar R2(Q0) overflows a float at Q0 = 1e+100"),
         (["scan", "--q0=-1e100"], "profile scalar R2(Q0) overflows a float at Q0 = -1e+100"),
+        # a constant term of the closed form at t = 0, a product of two
+        # finite scalars
+        (["residuals", "--q0", "1e77"],
+         "profile term R2(Q0) R2''''(Q0)/48 overflows a float at Q0 = 1e+77"),
+        (["scan", "--q0", "1e62"], "profile term R2(Q0) R2'''(Q0)/24 overflows a float at Q0 = 1e+62"),
+        # the profile lattice, with the parameters that make it
+        (["residuals", "--c3", "1e307"], "profile lattice g2, g3 = 0.733333, -inf overflows "
+         "a float at q = -1, c1 = -2, c2 = 0.4, c3 = 1e+307"),
     ])
     def test_float_overflow_names_what_overflowed(self, args, name, capsys):
         # a float power raises OverflowError where a product reads inf:
@@ -148,6 +156,21 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert name in captured.err and "overflows a float" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["residuals", "--q0", "1e77"],
+        ["pde", "--q0=-1e62"],
+    ])
+    def test_closed_form_overflow_is_refused_without_warnings(self, args):
+        # R2(Q0) is finite and R2(Q0) R2''''(Q0) or R2(Q0) R2'''(Q0) is not:
+        # refused with the one error line, before any arithmetic warns
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnlse_ansatz", *args],
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: profile term") and proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_bare_tolerance_rebinds_all(self, capsys):
         # 1e-6 is loose for r1, r2 but far too tight for the 0.113 match,
@@ -286,7 +309,8 @@ class TestScan:
     def test_many_times_gauge_each_row_once(self, tmp_path, monkeypatch):
         # 220 times, most of them beyond one period 2w: the PDE stencil
         # samples the gauge B, so no time reads the phase, and each time row
-        # integrates z once, over one panel per time node
+        # integrates z once, over one panel per time node, all rows of the
+        # scan's stack in one call
         phases, gauges = [], []
         panel_values = verify._panel_values
         for name in ("phi_of_t", "_z_integrals"):
@@ -297,7 +321,7 @@ class TestScan:
         assert main(["scan", "--branch", "mm", "--grid", "0.5:1.0:2,0.05:11.0:220",
                      "--out", str(out)]) == 0
         assert len(body_lines(out)) == 1 + 2 * 220
-        assert phases == [] and gauges == [(4, 1)] * 220
+        assert phases == [] and gauges == [(4 * 220, 1)]
 
     @pytest.mark.parametrize("args", [
         pytest.param(["residuals", "--t", "5115.1"], id="residuals-5115.1"),
@@ -394,28 +418,27 @@ class TestScan:
 
 
     def test_four_branch_scan_pairs_the_profile_slopes(self, monkeypatch):
-        # a point's two sigma_Q branches share each closed-form wp part on
-        # its orbit, and the points of a time row share it too: on the
-        # profile lattice 2 per time row and orbit, whatever the number of
-        # x, not 2 per branch or per point: P's, which serves Q, Q_t and the
-        # PDE's 4 time nodes at every x of the row, and one for r2's stencil
-        # and the PDE's x stencil at every x
-        zc = z_curve(REFERENCE_PARAMS)
+        # every branch, time row and point of a scan shares each closed-form
+        # wp part: on the profile lattice one per scan, whatever the number
+        # of x and t, not one per orbit, row, branch or point, for r2's
+        # stencil, the PDE's x stencil and P's point, which serves Q, Q_t
+        # and the PDE's 4 time nodes, at every x; on the z lattice the
+        # orbit's, the gauges' and r1's, one each for every row
+        zc = z_curve(REFERENCE_PARAMS).invariants
         calls = {"z": 0, "profile": 0}
         real = quartic._closed_form_parts
 
-        def spy(curve, *args):
-            calls["z" if curve == zc else "profile"] += 1
-            return real(curve, *args)
+        def spy(inv, *args):
+            calls["z" if inv == zc else "profile"] += 1
+            return real(inv, *args)
 
         for module in (quartic, verify):
             monkeypatch.setattr(module, "_closed_form_parts", spy)
-        for nx in (3, 7):
+        for nx, nt in ((3, 3), (7, 3), (3, 1)):
             calls.update(z=0, profile=0)
-            assert main(["scan", "--branch", "all", "--grid", f"0.2:1.2:{nx},0.2:1.2:3",
+            assert main(["scan", "--branch", "all", "--grid", f"0.2:1.2:{nx},0.2:1.2:{nt}",
                          "--out", os.devnull]) == 0
-            assert calls["profile"] == 2 * 3 * 2
-            assert 0 < calls["z"] <= 4 * 3
+            assert calls == {"z": 3, "profile": 1}
 
     def test_profile_scalars_once_per_node_orbit_and_row(self, monkeypatch):
         # R^(k)(Q0) of each time node's profile curve is computed once per

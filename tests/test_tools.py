@@ -56,3 +56,15 @@ def test_inconsistency_matches_the_oracle_on_a_seeded_sample(regenerate_pins):
             worst = max(worst, err)
             assert err <= 5e-12, (name, x, t, err)
     assert worst > 0.0  # the sample reached the oracle
+
+
+@pytest.mark.parametrize("x, tol", [(1e5, 1e-12), (1e7, 2e-8)])
+def test_far_out_p_reads_the_profile_lattice(regenerate_pins, x, tol):
+    # x is reduced by whole real periods of the parameters' profile lattice,
+    # which no t and no orbit moves: far out P keeps the oracle's digits
+    # (measured 3.7e-13 at 1e5 and 7.0e-9 at 1e7; reducing by the period of
+    # each state curve's own float invariants read 7.4e-12 and 5.4e-8)
+    for name, (sz, sq) in BRANCHES.items():
+        want = regenerate_pins.inconsistency(mp.mpf(x), mp.mpf(1), sz, sq)
+        got = residual_P(with_branch(REFERENCE_PARAMS, sz, sq), x, 1.0)
+        assert abs(got - want) / max(1, abs(want)) <= tol, name

@@ -399,15 +399,16 @@ class TestReportAt:
 
     def test_late_window_evaluates_each_time_row_once(self, monkeypatch):
         # a late-shaped window, 4 x 4 points on mm, beyond one period 2w:
-        # per time row one orbit batch (the 5 stencil times at t reduced by
-        # whole periods, which P, r2 and the pole note read too), one gauge
-        # batch (a panel per time node), and one r1 stencil
+        # one stack of its 4 time rows makes one orbit batch (the 5 stencil
+        # times of each t reduced by whole periods, which P, r2 and the pole
+        # note read too), one gauge batch (a panel per time node), and one
+        # r1 batch (a stencil per row)
         from cnlse_ansatz import verify
         from cnlse_ansatz.cli import main
 
         counts = {"orbit": [], "gauge": [], "r1": 0}
-        orbit_states, panel_values, ode_defect = (
-            verify._orbit_states, verify._panel_values, verify._ode_defect)
+        orbit_states, panel_values, defect_of = (
+            verify._orbit_states, verify._panel_values, verify._defect)
 
         def orbit(params, ts):
             counts["orbit"].append(np.size(ts))
@@ -417,16 +418,16 @@ class TestReportAt:
             counts["gauge"].append(np.size(hi))
             return panel_values(curve, z0, lo, hi)
 
-        def defect(curve, y0, sigma, xi, h):
+        def defect(curve, y, h):
             counts["r1"] += h == verify.R1_TIME_STEP
-            return ode_defect(curve, y0, sigma, xi, h)
+            return defect_of(curve, y, h)
 
         monkeypatch.setattr(verify, "_orbit_states", orbit)
         monkeypatch.setattr(verify, "_panel_values", gauge)
-        monkeypatch.setattr(verify, "_ode_defect", defect)
+        monkeypatch.setattr(verify, "_defect", defect)
         assert main(["scan", "--branch", "mm", "--grid", "0.4:1.0:4,8.0:12.0:4",
                      "--out", os.devnull]) == 0
-        assert counts == {"orbit": [5] * 4, "gauge": [4] * 4, "r1": 4}
+        assert counts == {"orbit": [5 * 4], "gauge": [4 * 4], "r1": 1}
 
     @staticmethod
     def _time_node_failure(monkeypatch, paired):
@@ -483,8 +484,8 @@ class TestReportAt:
         def failing(*args):
             values = real(*args)
             error = RealityViolation("orbit out of the domain")
-            if where == "_panel_values":
-                values[1] = error
+            if where == "_panel_values":  # every row of the orbit's panels
+                values[1] = (np.full_like(values[1][0], np.nan), [error])
             else:
                 values[1][0] = error
             return values
@@ -664,10 +665,10 @@ class TestReportsAt:
                 row = verify._TimeRow(p, t)
                 if any(rep.notes for rep in reports_at(row, p, x, (1, -1))):
                     continue
-                xr = verify._row_points(row, p, (x,), (1, -1))[0][0]
-                for i, s in enumerate(row.ts[1:], 1):
-                    st, gauge = row.states[sz][i], row.gauges[sz][i - 1]
-                    for sq, a in zip((1, -1), seen[-1][:, 0, i]):
+                xr = row.table((x,))[0][0]
+                for i, s in enumerate(row.ts[0, 1:], 1):
+                    st, gauge = row.states[sz][i], row.gauges[sz][0, i - 1, 0]
+                    for sq, a in zip((1, -1), seen[-1][:, 0, 0, i]):
                         want = quartic.weierstrass_solution(st.curve, p.Q0, sq, xr)
                         q = (a / gauge - 1j * st.sqrt_z).real
                         worst = max(worst, abs(q - want) / max(1.0, abs(want)))
@@ -709,13 +710,13 @@ class TestRowReports:
         # to the bit and the notes equal
         for sz in (1, -1):
             p = with_branch(REFERENCE_PARAMS, sz, 1)
-            row = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
+            row = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))[0]
             assert self.fields(row) == self.fields(self.one_x(p, xs, t))
 
     def test_a_row_holds_a_pole_adjacent_and_clean_points(self):
         p = with_branch(REFERENCE_PARAMS, 1, 1)
         xs = [2.13, *self.POLE, 2.3]
-        reps = verify.row_reports(verify._TimeRow(p, 1.0), p, xs, (1, -1))
+        reps = verify.row_reports(verify._TimeRow(p, 1.0), p, xs, (1, -1))[0]
         assert [[rep.notes for rep in r] for r in reps] == (
             [["pole_adjacent", ""]] * 3 + [["", ""]])
         assert abs(reps[1][0].P) > 1e27 and abs(reps[2][0].P) > 1e27
@@ -730,30 +731,30 @@ class TestRowReports:
         failed = set()
         for sz in (1, -1):
             p = with_branch(p0, sz, 1)
-            row = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
+            row = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))[0]
             assert self.fields(row) == self.fields(self.one_x(p, xs, t))
             if {rep.notes for reps in row for rep in reps} == {"NegativeRadicand"}:
                 failed.add(sz)
         assert failed == ({1, -1} if t == 1.2 else {1} if t < 0.6 else {-1})
 
     def test_a_failing_wp_call_is_its_xs_own(self, monkeypatch):
-        # a wp evaluation that raises at one x fails the row's shared call,
-        # P's or the x stencils', which no x retries alone: the row does not
-        # raise, and every x and sign carries the error with nan numbers
+        # a wp evaluation that raises at one x fails the stack's one shared
+        # profile call, (nx, 3, 5) for P's point and the x stencils, which no
+        # x retries alone: the row does not raise, and every x and sign
+        # carries the error with nan numbers
         p, xs, t = with_branch(REFERENCE_PARAMS, -1, 1), [0.3, 0.7, 1.1], 0.4
         real = verify._closed_form_parts
-        for ndim in (2, 3):  # P's (nx, 1) call, the stencils' (nx, 2, 5)
 
-            def parts(curve, xi):
-                if np.ndim(xi) == ndim and np.any(np.asarray(xi) == 0.7):
-                    raise PoleProximity("wp argument on a lattice point")
-                return real(curve, xi)
+        def parts(curve, xi):
+            if np.any(np.asarray(xi) == 0.7):
+                raise PoleProximity("wp argument on a lattice point")
+            return real(curve, xi)
 
-            monkeypatch.setattr(verify, "_closed_form_parts", parts)
-            got = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))
-            assert [[rep.notes for rep in reps] for reps in got] == [["PoleProximity"] * 2] * 3
-            assert all(np.isnan(v) for reps in got for rep in reps
-                       for v in (rep.P, rep.r1, rep.r2, rep.pde_abs))
+        monkeypatch.setattr(verify, "_closed_form_parts", parts)
+        got = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))[0]
+        assert [[rep.notes for rep in reps] for reps in got] == [["PoleProximity"] * 2] * 3
+        assert all(np.isnan(v) for reps in got for rep in reps
+                   for v in (rep.P, rep.r1, rep.r2, rep.pde_abs))
 
     def test_no_shared_call_raises_at_the_edges(self, monkeypatch):
         # why no x is retried alone: the shared calls read x reduced by the
@@ -772,7 +773,7 @@ class TestRowReports:
         for t in (0.0, 0.4, 1.0, 1e6):
             for sz in (1, -1):
                 p = with_branch(REFERENCE_PARAMS, sz, 1)
-                reps = verify.row_reports(verify._TimeRow(p, t), p, self.EDGES, (1, -1))
+                reps = verify.row_reports(verify._TimeRow(p, t), p, self.EDGES, (1, -1))[0]
                 assert not any("PoleProximity" in rep.notes for r in reps for rep in r)
         assert raised == []
 
@@ -790,3 +791,36 @@ class TestRowReports:
             return len(calls)
 
         assert count(3) == count(40)
+
+
+class TestTimeStack:
+    SCAN = ["scan", "--branch", "all", "--format", "json", "--out", os.devnull]
+
+    @pytest.mark.parametrize("rows", [1, 11])
+    def test_a_scan_reads_one_profile_table(self, monkeypatch, rows):
+        # the benchmark scan's grid: the orbit states, the gauges and r1 of
+        # every row come from one z-lattice call each, and the profile
+        # lattice's one table serves every row, orbit and x, so the count of
+        # wp calls does not grow with the rows
+        from cnlse_ansatz.cli import main
+
+        calls, real = [], quartic.wp_pair
+        monkeypatch.setattr(quartic, "wp_pair", lambda u, inv: calls.append(inv) or real(u, inv))
+        assert main(["scan", "--grid", f"0.2:1.2:11,0.2:1.2:{rows}", *self.SCAN[1:]]) == 0
+        assert len(calls) == 4 <= 6
+        assert sum(inv == profile_lattice(REFERENCE_PARAMS) for inv in calls) == 1
+
+    def test_a_stack_is_its_one_row_calls(self):
+        # at c2 = 0.8 the +1 orbit fails on the early rows of this grid and
+        # the -1 orbit on the late ones (NegativeRadicand): the stacked
+        # reports are each row's own call, field for field, notes included
+        p0 = dataclasses.replace(REFERENCE_PARAMS, c2=0.8)
+        xs, ts = np.linspace(0.2, 1.2, 4), np.linspace(0.2, 3.0, 8)
+        for sz in (1, -1):
+            p = with_branch(p0, sz, 1)
+            stack = verify.row_reports(verify._TimeRow(p, ts), p, xs, (1, -1))
+            alone = [verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))[0] for t in ts]
+            assert [[list(map(_fields, r)) for r in reps] for reps in stack] == (
+                [[list(map(_fields, r)) for r in reps] for reps in alone])
+            notes = [{rep.notes for r in reps for rep in r} for reps in stack]
+            assert {"NegativeRadicand"} in notes and any("NegativeRadicand" not in n for n in notes)

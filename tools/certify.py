@@ -16,10 +16,11 @@ Usage: python3 tools/certify.py [--q Q] [--c1 C1] [--c2 C2] [--c3 C3] [--z0 Z0] 
 The flags are those of the command line, with the reference values as
 defaults.  A parameter set the command line refuses is refused with its
 message and exit code 1: a value that is not finite, q = 0, z0 <= 0, a
-z-curve coefficient that overflows a float or a Q0 at which a scalar
-R2^(k)(Q0) of the profile curve at t = 0 does, all read and computed as
-the command line reads and computes them, as floats, or R1(z0) < 0, in
-exact arithmetic on the z-curve.  Where c1 = q (3 z0 + Q0^2), P(0, 0) is exactly
+z-curve coefficient or an invariant of the profile lattice that overflows
+a float, a Q0 at which a scalar R2^(k)(Q0) of the profile curve at t = 0
+does, or a constant term of its closed form (R2 R2''''/48 and R2 R2'''/24
+at Q0), all read and computed as the command line reads and computes
+them, as floats, or R1(z0) < 0, in exact arithmetic on the z-curve.  Where c1 = q (3 z0 + Q0^2), P(0, 0) is exactly
 0: no witness is printed, and the exit code is 2.
 """
 
@@ -29,6 +30,10 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+
+# what the command line refuses to overflow at t = 0, in its words
+PROFILE_CONSTANTS = ("scalar R2(Q0)", "scalar R2'(Q0)", "scalar R2''(Q0)", "scalar R2'''(Q0)",
+                     "scalar R2''''(Q0)", "term R2(Q0) R2''''(Q0)/48", "term R2(Q0) R2'''(Q0)/24")
 
 # the reference parameter set, as decimal strings
 REFERENCE = {"q": "-1", "c1": "-2", "c2": "0.4", "c3": "0.13", "z0": "1", "q0": "1"}
@@ -88,13 +93,20 @@ def refusal(q, c1, c2, c3, z0, q0) -> str | None:
         return f"R1(z0) = {shown} < 0: z(t) has no real initial slope"
     r10 = horner(z_curve, fz0)[0]
     if math.isfinite(r10):  # else z_t(0) overflows, as the z-curve's invariants say
+        # the profile lattice, the same for every profile curve
+        g = (fc1 * fc1 / 12.0 - fq * fc2,
+             -(fc1 * fc1 * fc1 + 36.0 * fq * fc1 * fc2 - 27.0 * fq * fc3) / 216.0)
+        if not all(map(math.isfinite, g)):
+            return (f"profile lattice g2, g3 = {g[0]:g}, {g[1]:g} overflows a float "
+                    f"at q = {fq:g}, c1 = {fc1:g}, c2 = {fc2:g}, c3 = {fc3:g}")
         # the profile curve at t = 0 on the orbit sigma_z = +1, and its scalars at Q0
         profile = (-0.5 * fq, 0.0, (fc1 - 3.0 * fq * fz0) / 6.0,
                    math.sqrt(r10) / (4.0 * math.sqrt(fz0)),
                    2.0 * fc2 + 1.5 * fq * fz0 * fz0 - fc1 * fz0)
-        for name, value in zip(("R2", "R2'", "R2''", "R2'''", "R2''''"), horner(profile, fq0)):
+        r = horner(profile, fq0)
+        for name, value in zip(PROFILE_CONSTANTS, (*r, r[0] * r[4] / 48.0, r[0] * r[3] / 24.0)):
             if not math.isfinite(value):
-                return f"profile scalar {name}(Q0) overflows a float at Q0 = {fq0:g}"
+                return f"profile {name} overflows a float at Q0 = {fq0:g}"
     return None
 
 

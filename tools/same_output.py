@@ -10,8 +10,9 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 105 of the list
-below: the default and the benchmark ``scan``, the default grid on each single branch
+flags, that one invocation is compared; without, the 106 of the list
+below: the default and the benchmark ``scan``, a scan of one x at 61
+times (the time stack's longest case), the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
 and a longer one at c2 = 0.8 (one orbit fails on some time rows, the other
 not), a grid through
@@ -70,6 +71,7 @@ def invocations() -> list:
     return [
         ("scan",),
         workloads.SCAN_ARGS,
+        ("scan", "--grid", "1:1:1,0:6:61"),
         *(("scan", "--branch", branch) for branch in ("pp", "pm", "mp")),
         ("scan", "--c2", "0.8"),
         ("scan", "--c2", "0.8", "--grid", "0.2:1.2:4,0.2:3:8"),
