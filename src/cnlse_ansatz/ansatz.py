@@ -41,7 +41,10 @@ def profile_lattice(params: AnsatzParams) -> EllipticInvariants:
     return EllipticInvariants(*g)
 
 
-def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCurve:
+def _q_curve_from_state(params: AnsatzParams, z: float, zt: float,
+                        lattice: EllipticInvariants | None = None) -> QuarticCurve:
+    """The profile curve at the state (z, z_t), carrying ``lattice``, which
+    is ``profile_lattice(params)``: a caller making many curves passes it."""
     if np.real(z) <= 0.0:
         raise RealityViolation(f"z = {z:g} <= 0: profile curve needs sqrt(z)")
     rz = np.sqrt(z)
@@ -51,7 +54,7 @@ def _q_curve_from_state(params: AnsatzParams, z: float, zt: float) -> QuarticCur
         gamma=(params.c1 - 3.0 * params.q * z) / 6.0,
         delta=zt / (4.0 * rz),
         epsilon=2.0 * params.c2 + 1.5 * params.q * z * z - params.c1 * z,
-        lattice=profile_lattice(params),
+        lattice=profile_lattice(params) if lattice is None else lattice,
     )
 
 
@@ -316,13 +319,14 @@ def _orbit_states(params: AnsatzParams, ts: np.ndarray) -> dict:
     """The states at the 1-d times ts on both orbits, sigma_z = +1 and -1,
     from one complex-step closed-form call (``_z_stepped``): per orbit, per
     time, its state or error."""
-    ys = _z_stepped(params, ts, (1, -1))
+    ys, lattice = _z_stepped(params, ts, (1, -1)), profile_lattice(params)
 
     def state(y, t):
         z, zt = float(y.real), float(y.imag / P_STEP)
         if not 0.0 <= z < math.inf:  # the check's array set-up, only where it fails
             _require_real_z(z, t)
-        return TimeState(float(t), z, zt, _q_curve_from_state(params, z, zt), math.sqrt(z))
+        curve = _q_curve_from_state(params, z, zt, lattice)
+        return TimeState(float(t), z, zt, curve, math.sqrt(z))
 
     return {sigma: [_or_error(state, y[i], t) for i, t in enumerate(ts)]
             for sigma, y in zip((1, -1), ys)}

@@ -356,13 +356,41 @@ def _params_dict(params: AnsatzParams) -> dict:
     return {k: v for k, v in asdict(params).items() if k not in ("sigma_z", "sigma_Q")}
 
 
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, the same bytes, with each
+    container whose values are all scalars encoded by one call of json's C
+    encoder: its item separator carries the newline and indent of the
+    container's depth, and its braces are re-indented.  (With ``indent``,
+    json runs its pure-Python encoder, a string per token.)"""
+    encoders = {}
+
+    def encode(value, depth):
+        pad = "\n" + "  " * (depth + 1)
+        container = isinstance(value, (dict, list))
+        values = value.values() if isinstance(value, dict) else value if container else ()
+        if any(isinstance(v, (dict, list)) for v in values):
+            if isinstance(value, dict):
+                ends, items = "{}", [json.dumps(k) + ": " + encode(v, depth + 1)
+                                     for k, v in value.items()]
+            else:
+                ends, items = "[]", [encode(v, depth + 1) for v in value]
+            return ends[0] + pad + ("," + pad).join(items) + pad[:-2] + ends[1]
+        if depth not in encoders:
+            encoders[depth] = json.JSONEncoder(separators=("," + pad, ": ")).encode
+        text = encoders[depth](value)
+        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if container and value else text
+
+    return encode(doc, 0) + "\n"
+
+
 def _write_table(rc: RunConfig, meta: dict, columns, key: str, records) -> None:
     """Write ``records`` (dicts) with the run metadata.
 
     CSV: ``# generated_at``, ``# mode`` and one ``# key=value`` line per
     metadata entry, then ``columns`` as header and rows at 12 significant
     digits (the ``flags`` column reads a record's ``notes``).  JSON:
-    ``{"metadata": {generated_at, mode, ..., params}, key: records}``.
+    ``{"metadata": {generated_at, mode, ..., params}, key: records}`` as
+    ``json.dumps(..., indent=2)`` writes it, in one write.
     """
     meta = {"generated_at": _timestamp(), "mode": rc.mode, **meta}
     with _output(rc.out) as stream:
@@ -375,13 +403,12 @@ def _write_table(rc: RunConfig, meta: dict, columns, key: str, records) -> None:
                 writer.writerow([_fmt12(rec[_CSV_FIELD.get(c, c)]) for c in columns])
         else:
             meta["params"] = _params_dict(rc.params)
-            json.dump({"metadata": meta, key: records}, stream, indent=2)
-            stream.write("\n")
+            stream.write(_json_text({"metadata": meta, key: records}))
 
 
 def _write_reports(rc: RunConfig, reports, meta: dict) -> None:
-    _write_table(rc, meta, CLI_COLUMNS, "reports",
-                 [rep.to_json_dict() for rep in reports])
+    # a report's fields in order, read in place
+    _write_table(rc, meta, CLI_COLUMNS, "reports", [vars(rep) for rep in reports])
 
 
 def _orbits(rc: RunConfig) -> list:
@@ -534,8 +561,7 @@ def cmd_elliptic(ns) -> int:
         payload[f"e{i}_im"] = r.imag
     with _output(ns.out) as stream:
         if ns.fmt == "json":
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
+            stream.write(_json_text(payload))
         else:
             for key, val in payload.items():
                 stream.write(f"{key},{_fmt12(float(val))}\n")

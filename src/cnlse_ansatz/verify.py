@@ -78,6 +78,12 @@ R2_SPACE_STEP = 1e-3
 # |Q| beyond this marks a grid point as sitting next to a profile pole.
 POLE_ADJACENT_Q = 15.0
 
+# A point's notes by code, the sum of 1 (pole: Q not finite), 2
+# (pole_adjacent: |Q| > POLE_ADJACENT_Q) and 4 (StencilOutOfDomain: a PDE
+# stencil value not finite): the names of its bits, joined in that order.
+_NOTES = tuple(";".join(name for bit, name in enumerate(
+    ("pole", "pole_adjacent", "StencilOutOfDomain")) if code >> bit & 1) for code in range(8))
+
 
 @dataclass(frozen=True)
 class DiffConfig:
@@ -107,9 +113,6 @@ class ResidualReport:
     r2: float
     pde_abs: float
     notes: str = ""
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def _extrapolate(estimates) -> float:
@@ -197,7 +200,7 @@ class _TimeRow:
         row's error at r or None; R^(k)(Q0) and sqrt z at every node as (6, nt,
         5, 1) columns; and at r as (nt, 1) columns those of the curve stepped to
         z + ih z_t, z_t + ih z_tt (h = P_STEP) for P's Q_t, z and r's curves."""
-        p, h, n = self.params, 1j * P_STEP, self.ts.shape[1]
+        p, h, n, lattice = self.params, 1j * P_STEP, self.ts.shape[1], profile_lattice(self.params)
 
         def node(st):
             return (*_scalars(_checked(st).curve, p.Q0), _checked(st).sqrt_z)
@@ -205,7 +208,7 @@ class _TimeRow:
         def centre(st):
             st, c = _checked(st), _checked(st).curve
             ztt = 0.5 * eval_with_derivatives(self.curve, st.z)[1]
-            stepped = _q_curve_from_state(p, st.z + h * st.zt, st.zt + h * ztt)
+            stepped = _q_curve_from_state(p, st.z + h * st.zt, st.zt + h * ztt, lattice)
             return (*eval_with_derivatives(stepped, p.Q0), st.z,
                     c.alpha, c.beta, c.gamma, c.delta, c.epsilon)
 
@@ -426,19 +429,16 @@ def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
         pde = np.where(ok, np.hypot(res.real, res.imag), np.nan)
     except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
         P = r2 = pde = np.full((len(sigmas), len(ts), len(xs)), np.nan)
-        errors, r1, notes = [exc] * len(ts), np.full(len(ts), np.nan), []
+        errors, r1, codes = [exc] * len(ts), np.full(len(ts), np.nan), None
     else:
         errors, finite_q = prof.errors, np.isfinite(Q)
         r1 = np.where([error is None for error in errors], row.r1[sz], np.nan)
-        notes = [("pole", (~finite_q).tolist()),
-                 ("pole_adjacent", (finite_q & (np.abs(Q) > POLE_ADJACENT_Q)).tolist()),
-                 ("StencilOutOfDomain", (~ok).tolist())]
+        codes = (~finite_q + 2 * (finite_q & (np.abs(Q) > POLE_ADJACENT_Q)) + 4 * ~ok).tolist()
     finite = np.isfinite(P) & np.isfinite(r1)[:, None] & np.isfinite(r2) & np.isfinite(pde)
     P, r1, r2, pde, finite = (a.tolist() for a in (P, r1, r2, pde, finite))
 
     def report(i, k, j, x):
-        note = (type(errors[k]).__name__ if errors[k] else
-                ";".join(name for name, mask in notes if mask[i][k][j]))
+        note = type(errors[k]).__name__ if errors[k] else _NOTES[codes[i][k][j]]
         return ResidualReport(x=x, t=ts[k], sigma_z=sz, sigma_q=sigmas[i], P=P[i][k][j],
                               r1=r1[k], r2=r2[i][k][j], pde_abs=pde[i][k][j],
                               notes=note or ("" if finite[i][k][j] else "nonfinite"))

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cnlse_ansatz import (
     REFERENCE_PARAMS,
@@ -835,6 +838,52 @@ class TestMetadata:
         json_keys = list(json.loads(json_out.read_text())["metadata"])
         json_keys.remove("params")
         assert csv_keys == json_keys
+
+
+# JSON scalars as the command line writes them, and the edges of json's
+# float and string encodings
+_SCALARS = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0 and subnormals among them
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, -2.5e-310]),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\xe9\u20ac\U0001f600'),
+                      st.characters())),
+    st.booleans(),
+    st.none(),
+)
+_FLAT = st.dictionaries(st.text(), _SCALARS, max_size=9)
+
+
+class TestJsonText:
+    @given(meta=_FLAT, params=_FLAT, key=st.sampled_from(["reports", "points"]),
+           records=st.lists(_FLAT, max_size=4))
+    @example(meta={}, params={}, key="reports", records=[])
+    @example(meta={"mode": "scan"}, params={"q": -1.0}, key="points", records=[{}, {"x": 1}])
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_are_indent_2(self, meta, params, key, records):
+        # metadata with a nested params dict, and a list of flat records
+        doc = {"metadata": {**meta, "params": params}, key: records}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @given(payload=_FLAT)
+    @example(payload={})
+    @settings(max_examples=50, deadline=None)
+    def test_a_flat_payload_is_indent_2(self, payload):
+        # elliptic's payload is one flat dict
+        assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "--c2", "0.8", "--grid", "0.2:1.2:3,0.2:3:4"],
+        ["elliptic", "--g2", "1", "--g3", "0", "--u", "0.5"],
+    ], ids=lambda args: args[0])
+    def test_one_write_of_indent_2(self, monkeypatch, args):
+        # the document is written whole, as json.dumps(..., indent=2) reads
+        # it back (nan fields included)
+        writes = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        assert main(args + ["--format", "json"]) == 0
+        assert len(writes) == 1
+        assert writes[0] == json.dumps(json.loads(writes[0]), indent=2) + "\n"
 
 
 class TestElliptic:

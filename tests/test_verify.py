@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import types
 import warnings
@@ -593,9 +594,9 @@ class TestReportAt:
             x=1.0, t=2.0, sigma_z=1, sigma_q=-1,
             P=0.1, r1=1e-12, r2=2e-12, pde_abs=0.3, notes="n",
         )
-        d = rep.to_json_dict()
-        assert tuple(d) == ("x", "t", "sigma_z", "sigma_q",
-                            "P", "r1", "r2", "pde_abs", "notes")
+        # the JSON writer reads a report's fields in place, in this order
+        assert tuple(vars(rep)) == ("x", "t", "sigma_z", "sigma_q",
+                                    "P", "r1", "r2", "pde_abs", "notes")
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_time_or_x_raises_nonfinite_samples(self, bad):
@@ -777,6 +778,16 @@ class TestRowReports:
                 assert not any("PoleProximity" in rep.notes for r in reps for rep in r)
         assert raised == []
 
+    @pytest.mark.parametrize("pole, adjacent, stencil",
+                             list(itertools.product((False, True), repeat=3)))
+    def test_a_note_code_reads_its_names_in_order(self, pole, adjacent, stencil):
+        # a point's note is the table entry of its mask bits: the names of
+        # the masks it is in, joined in the order pole, pole_adjacent,
+        # StencilOutOfDomain, as one join per point wrote them
+        masks = [("pole", pole), ("pole_adjacent", adjacent), ("StencilOutOfDomain", stencil)]
+        code = pole + 2 * adjacent + 4 * stencil
+        assert verify._NOTES[code] == ";".join(name for name, mask in masks if mask)
+
     def test_a_row_has_no_per_x_differencing(self, monkeypatch):
         # a row's differences are taken on arrays: as many difference calls
         # per row and orbit at 40 points as at 3
@@ -809,6 +820,22 @@ class TestTimeStack:
         assert main(["scan", "--grid", f"0.2:1.2:11,0.2:1.2:{rows}", *self.SCAN[1:]]) == 0
         assert len(calls) == 4 <= 6
         assert sum(inv == profile_lattice(REFERENCE_PARAMS) for inv in calls) == 1
+
+    @pytest.mark.parametrize("rows", [1, 11])
+    def test_a_scan_builds_the_profile_lattice_per_batch(self, monkeypatch, rows):
+        # the orbit states of a stack take one lattice for all their curves,
+        # and so do the stepped curves of P's Q_t, so the lattices built do
+        # not grow with the rows: the parameters' three records (the run's
+        # and each orbit's), the states, the stepped curves and the table
+        from cnlse_ansatz import ansatz
+        from cnlse_ansatz.cli import main
+
+        calls, real = [], ansatz.profile_lattice
+        spy = lambda params: calls.append(params) or real(params)  # noqa: E731
+        monkeypatch.setattr(ansatz, "profile_lattice", spy)
+        monkeypatch.setattr(verify, "profile_lattice", spy)
+        assert main(["scan", "--grid", f"0.2:1.2:11,0.2:1.2:{rows}", *self.SCAN[1:]]) == 0
+        assert len(calls) == 6
 
     def test_a_stack_is_its_one_row_calls(self):
         # at c2 = 0.8 the +1 orbit fails on the early rows of this grid and

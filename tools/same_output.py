@@ -10,7 +10,7 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 106 of the list
+flags, that one invocation is compared; without, the 112 of the list
 below: the default and the benchmark ``scan``, a scan of one x at 61
 times (the time stack's longest case), the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
@@ -40,8 +40,13 @@ benchmark's n (the control and the ansatz run share one stack), with the
 control finishing before the ansatz run, on a window with a pole at that
 n, with samples past one orbit period (the phase reads the integral over
 a whole period), and at n = 64 (the benchmark's warm-up) and n = 2048,
-and every mode's ``--help``.  Each output that differs is printed as a
-diff.  The exit code is 1 if any output differs, else 0.
+``elliptic`` at one point in CSV and in JSON, JSON twins of four of the
+above that write nan fields and the ``NegativeRadicand``,
+``pole_adjacent`` and ``StencilOutOfDomain`` notes (``scan`` at c2 = 0.8
+and on the grid of pole-adjacent points, ``residuals`` and ``pde`` where
+a point or an orbit fails), and every mode's ``--help``.  Each output
+that differs is printed as a diff.  The exit code is 1 if any output
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -78,6 +83,10 @@ def invocations() -> list:
         ("scan", "--grid=-0.5:0.5:5,-0.5:0.5:5"),
         ("scan", "--branch", "pp", "--grid", "0.978:0.978:1,0.311:0.311:1"),
         ("scan", "--grid", "2.13:2.15:5,0.9:1.1:3"),
+        # JSON twins of outputs with nan fields and the notes they write
+        *((*args, "--format", "json") for args in (
+            ("scan", "--c2", "0.8"), ("scan", "--grid", "2.13:2.15:5,0.9:1.1:3"),
+            ("residuals", "--z0", "1e-300"), ("pde", "--c2", "0.8"))),
         # edges of a point's x stencils: the pole guard inside the
         # stencils, the halving depth's step at |u| = 1, the fold threshold
         # (with pole-adjacent points) and the profile period 2w = 5.4921
@@ -123,6 +132,8 @@ def invocations() -> list:
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:64", "--dt", "1e-3", "--t-end", "0.01",
          "--format", "json"),
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:2048", "--dt", "1e-3", "--t-end", "0.2"),
+        *(("elliptic", "--g2", "1", "--g3", "0", "--u", "0.5", "--format", fmt)
+          for fmt in ("csv", "json")),
         ("--help",),
         *((mode, "--help") for mode in MODES),
     ]
