@@ -14,13 +14,15 @@ The envelope as a sampler (x, t) -> A is ``partial(field_A, params)``.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NegativeRadicand, NonFiniteSamples, PoleProximity, RealityViolation
 from .elliptic import EllipticInvariants, real_period
-from .quartic import QuarticCurve, eval_with_derivatives, weierstrass_solution
+from .quartic import QuarticCurve, _over, _scalars, _times, eval_with_derivatives
+from .quartic import weierstrass_solution
 
 PROFILE_CONSTANTS = ("scalar R2(Q0)", "scalar R2'(Q0)", "scalar R2''(Q0)", "scalar R2'''(Q0)",
                      "scalar R2''''(Q0)", "term R2(Q0) R2''''(Q0)/48", "term R2(Q0) R2'''(Q0)/24")
@@ -41,19 +43,21 @@ def profile_lattice(params: AnsatzParams) -> EllipticInvariants:
     return EllipticInvariants(*g)
 
 
-def _q_curve_from_state(params: AnsatzParams, z: float, zt: float,
+def _q_curve_from_state(params: AnsatzParams, z, zt,
                         lattice: EllipticInvariants | None = None) -> QuarticCurve:
     """The profile curve at the state (z, z_t), carrying ``lattice``, which
-    is ``profile_lattice(params)``: a caller making many curves passes it."""
-    if np.real(z) <= 0.0:
+    is ``profile_lattice(params)``: a caller making many curves passes it.
+    z and z_t are scalars or arrays (a stack), real or complex (P's complex
+    step), each element with the bits of its scalar call."""
+    if np.any(np.real(z) <= 0.0):  # a stack's caller fails such states first, one by one
         raise RealityViolation(f"z = {z:g} <= 0: profile curve needs sqrt(z)")
-    rz = np.sqrt(z)
+    q, zero = params.q, 0.0 * np.real(z)  # every coefficient of a stack has z's shape
     return QuarticCurve(
-        alpha=-0.5 * params.q,
-        beta=0.0,
-        gamma=(params.c1 - 3.0 * params.q * z) / 6.0,
-        delta=zt / (4.0 * rz),
-        epsilon=2.0 * params.c2 + 1.5 * params.q * z * z - params.c1 * z,
+        alpha=zero - 0.5 * q,
+        beta=zero,
+        gamma=_over(params.c1 - 3.0 * q * z, 6.0),
+        delta=zt / (4.0 * np.sqrt(z)),
+        epsilon=2.0 * params.c2 + _times(1.5 * q * z, z) - params.c1 * z,
         lattice=profile_lattice(params) if lattice is None else lattice,
     )
 
@@ -304,43 +308,42 @@ def phi_of_t(params: AnsatzParams, t):
     return float(phi[0]) if ta.ndim == 0 else phi.reshape(ta.shape)
 
 
-@dataclass(frozen=True)
-class TimeState:
-    """State of the construction at one time t, but for its phase."""
-
-    t: float
-    z: float
-    zt: float
-    curve: QuarticCurve  # the quartic solved by Q(., t)
-    sqrt_z: float
+def _state_scalars(params: AnsatzParams, z: float, zt: float, t: float, lattice):
+    """R^(k)(Q0) at one time's state, raising where z is not real or R(Q0) < 0."""
+    _require_real_z(z, t)
+    return _scalars(_q_curve_from_state(params, z, zt, lattice), params.Q0)
 
 
 def _orbit_states(params: AnsatzParams, ts: np.ndarray) -> dict:
     """The states at the 1-d times ts on both orbits, sigma_z = +1 and -1,
-    from one complex-step closed-form call (``_z_stepped``): per orbit, per
-    time, its state or error."""
+    from one complex-step closed-form call (``_z_stepped``), as arrays per
+    orbit: z, z_t, sqrt z, the profile curves as one stack and their scalars
+    R^(k)(Q0) as (5, n) rows, with per time None or the error that the scalar
+    code raises at a failed time alone, where z is not real or R(Q0) < 0.
+    A failed time holds the state z = 1, z_t = 0, and nan sqrt z and scalars."""
     ys, lattice = _z_stepped(params, ts, (1, -1)), profile_lattice(params)
 
-    def state(y, t):
-        z, zt = float(y.real), float(y.imag / P_STEP)
-        if not 0.0 <= z < math.inf:  # the check's array set-up, only where it fails
-            _require_real_z(z, t)
-        curve = _q_curve_from_state(params, z, zt, lattice)
-        return TimeState(float(t), z, zt, curve, math.sqrt(z))
+    def orbit(y):
+        z, zt = y.real, y.imag / P_STEP
+        ok = (z > 0.0) & (z < math.inf)
+        zs, zts = np.where(ok, z, 1.0), np.where(ok, zt, 0.0)
+        curve = _q_curve_from_state(params, zs, zts, lattice)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, as Python's floats read it
+            r = np.array(eval_with_derivatives(curve, params.Q0))
+        ok &= ~(r[0] < 0.0)
+        errors = [None] * len(ts)
+        for i in np.flatnonzero(~ok):
+            errors[i] = _or_error(_state_scalars, params, z[i], zt[i], ts[i], lattice)
+        return types.SimpleNamespace(z=zs, zt=zts, sqrt_z=np.where(ok, np.sqrt(zs), np.nan),
+                                     curve=curve, scalars=np.where(ok, r, np.nan), errors=errors)
 
-    return {sigma: [_or_error(state, y[i], t) for i, t in enumerate(ts)]
-            for sigma, y in zip((1, -1), ys)}
-
-
-def time_state(params: AnsatzParams, t: float) -> TimeState:
-    """The per-time state at scalar t: the batch of one of ``_orbit_states``."""
-    return _checked(_orbit_states(params, np.array([float(t)]))[params.sigma_z][0])
+    return {sigma: orbit(y) for sigma, y in zip((1, -1), ys)}
 
 
 def q_curve(params: AnsatzParams, t: float) -> QuarticCurve:
     """Quartic curve solved by Q(., t):
     (-q/2, 0, (c1 - 3 q z)/6, z_t/(4 sqrt(z)), 2 c2 + (3/2) q z^2 - c1 z)."""
-    return time_state(params, t).curve
+    return _q_curve_from_state(params, *z_with_rate(params, t))
 
 
 def Q_of_xt(params: AnsatzParams, x, t: float):
@@ -348,17 +351,9 @@ def Q_of_xt(params: AnsatzParams, x, t: float):
     return weierstrass_solution(q_curve(params, t), params.Q0, params.sigma_Q, x)
 
 
-def _envelope(params: AnsatzParams, st: TimeState, phase: complex, sigma, x):
-    """A(x, t) = (Q + i sqrt(z)) e^{i phi} from the state and phase at t, Q
-    of the profile slope sign sigma; for a tuple of signs a tuple of one
-    envelope per sign, from one closed-form call."""
-    Q = weierstrass_solution(st.curve, params.Q0, sigma, x)
-    if isinstance(sigma, tuple):
-        return tuple((q + 1j * st.sqrt_z) * phase for q in Q)
-    return (Q + 1j * st.sqrt_z) * phase
-
-
 def field_A(params: AnsatzParams, x, t: float):
     """Complex envelope A(x, t) = (Q + i sqrt(z)) e^{i phi} at scalar t."""
     phase = complex(np.exp(1j * phi_of_t(params, t)))
-    return _envelope(params, time_state(params, t), phase, params.sigma_Q, x)
+    z, zt = z_with_rate(params, t)
+    Q = weierstrass_solution(_q_curve_from_state(params, z, zt), params.Q0, params.sigma_Q, x)
+    return (Q + 1j * math.sqrt(z)) * phase

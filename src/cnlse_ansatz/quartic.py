@@ -25,7 +25,9 @@ from .errors import NegativeRadicand, NonFiniteSamples
 @dataclass(frozen=True)
 class QuarticCurve:
     """Coefficients of R(y) = alpha y^4 + 4 beta y^3 + 6 gamma y^2 + 4 delta y + epsilon
-    (arrays of one shape: a stack of curves); a profile curve carries its lattice."""
+    (arrays of one shape: a stack of curves, which needs every coefficient at
+    that shape, since a mix of scalars and arrays is refused); a profile
+    curve carries its lattice."""
 
     alpha: float
     beta: float
@@ -86,6 +88,20 @@ def _scalars(R: QuarticCurve, y0: float):
     return r
 
 
+def _times(a, b):
+    """a b, a complex product by parts as Python's complex scalars round it:
+    numpy's fuses a multiply and an add."""
+    if np.iscomplexobj(a) and np.iscomplexobj(b):
+        return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+    return a * b
+
+
+def _over(a, d: float):
+    """a / d for a float d, a complex a by parts as Python's complex scalars
+    divide: numpy's multiplies by a reciprocal."""
+    return a.real / d + 1j * (a.imag / d) if np.iscomplexobj(a) else a / d
+
+
 def _closed_form_parts(inv: EllipticInvariants, xi):
     """The wp part of the closed form: xi as a checked array of at least
     one dimension, the mask of its elements beyond the elliptic pole guard,
@@ -118,9 +134,7 @@ def _rational_part(r, y0: float, signs: tuple, xf, away, W, W1) -> list:
     # r0 = r1 = 0 is a double root at y0: the exact equilibrium, where the
     # closed form would produce 0/0 wherever wp crosses b; its rows keep y0
     use = away & ~np.logical_and(r0 == 0.0, r1 == 0.0)
-    # b = r2 / 24 by parts, as Python's complex / float divides: numpy's
-    # multiplies by a reciprocal, which moves the bits of a complex column
-    Wb = W - (np.real(r2) / 24.0 + 1j * (np.imag(r2) / 24.0))
+    Wb = W - _over(r2, 24.0)  # b = r2 / 24
     den = 2.0 * Wb * Wb - r0 * r4 / 48.0
     for s, y in zip(map(float, signs), ys):
         # real in, real out: the wp arithmetic is complex throughout

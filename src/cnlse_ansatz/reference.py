@@ -35,7 +35,7 @@ from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft  # (n),(scale)
 
 from .ansatz import AnsatzParams, _checked, _orbit_states, field_A, profile_lattice
 from .errors import AliasingWarning, NonFiniteSamples, WindowContainsPole
-from .quartic import _closed_form_parts, _denominator, _rational_part, _scalars
+from .quartic import _closed_form_parts, _denominator, _rational_part
 from .verify import POLE_ADJACENT_Q
 
 TAPER_FRACTION = 0.10  # share of the window at each end that the taper rolls off
@@ -345,8 +345,9 @@ def _ansatz_run(params: AnsatzParams, grid: SpectralGrid, t_end: float,
     targets = _sample_targets(t_end, sample_times)
     xs = np.linspace(grid.x_min, grid.x_max, 4 * grid.n + 1)
     parts, times = _closed_form_parts(profile_lattice(params), xs), [0.0] + targets
-    for t, st in zip(times, _orbit_states(params, np.array(times))[params.sigma_z]):
-        r = _scalars(_checked(st).curve, params.Q0)
+    orbit = _orbit_states(params, np.array(times))[params.sigma_z]
+    for t, r, error in zip(times, orbit.scalars.T, orbit.errors):
+        _checked(error)
         den = _denominator(r, *parts[1:3])
         i = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
         q = _rational_part(r, params.Q0, (params.sigma_Q,), *parts)[0][np.stack((i, i + 1))]

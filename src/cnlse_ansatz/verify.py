@@ -48,14 +48,12 @@ from .ansatz import (
     P_STEP,
     AnsatzParams,
     _checked,
-    _or_error,
     _orbit_states,
     _panel_values,
     _q_curve_from_state,
     _split_periods,
-    profile_lattice,
-    time_state,
     z_curve,
+    z_with_rate,
 )
 from .elliptic import EllipticInvariants, real_period
 from .errors import (
@@ -65,7 +63,7 @@ from .errors import (
     RealityViolation,
     StencilOutOfDomain,
 )
-from .quartic import QuarticCurve, _closed_form_parts, _rational_part, _scalars
+from .quartic import QuarticCurve, _closed_form_parts, _rational_part
 from .quartic import eval_with_derivatives, invariants_from_coefficients, weierstrass_solution
 
 # Internal steps for the by-construction residuals r1 and r2.  These are
@@ -147,11 +145,12 @@ def _central_differences(vals, h: float):
 
 class _TimeRow:
     """The rows at the times t (an array, or one time) that the four slope
-    branches of params share, stacked over t: both orbits' states at each
-    row's PDE time nodes r + offsets (``ts``), r = t reduced by whole periods
-    2w of z, and on first use r1, the gauges and the profile scalars, each
-    from one call in which each row is a batch row that keeps its own bits
-    and an error of one row's state, gauges or scalars is that row's."""
+    branches of params share, stacked over t: both orbits' states, as arrays
+    (``_orbit_states``), at each row's PDE time nodes r + offsets (``ts``),
+    r = t reduced by whole periods 2w of z, and on first use r1, the gauges
+    and the profile scalars, each from one call in which each row is a batch
+    row that keeps its own bits and an error of one row's state, gauges or
+    scalars is that row's."""
 
     def __init__(self, params: AnsatzParams, t):
         cfg = DiffConfig()
@@ -169,7 +168,7 @@ class _TimeRow:
         with the bits it has alone), and the PDE's x stencil."""
         key = tuple(map(float, xs))
         if key not in self.tables:
-            cfg, lattice = DiffConfig(), profile_lattice(self.params)
+            cfg, lattice = DiffConfig(), self.states[1].curve.lattice
             xr = np.array([_split_periods(real_period(lattice), x)[1] for x in key])
             offsets = np.array([_stencil_offsets(R2_SPACE_STEP), np.zeros(5),
                                 _stencil_offsets(cfg.h_x, cfg.richardson_levels)])
@@ -196,35 +195,24 @@ class _TimeRow:
 
     @cached_property
     def profile(self) -> dict:
-        """Per orbit, each from its own state, nan where that failed: each
-        row's error at r or None; R^(k)(Q0) and sqrt z at every node as (6, nt,
-        5, 1) columns; and at r as (nt, 1) columns those of the curve stepped to
-        z + ih z_t, z_t + ih z_tt (h = P_STEP) for P's Q_t, z and r's curves."""
-        p, h, n, lattice = self.params, 1j * P_STEP, self.ts.shape[1], profile_lattice(self.params)
-
-        def node(st):
-            return (*_scalars(_checked(st).curve, p.Q0), _checked(st).sqrt_z)
-
-        def centre(st):
-            st, c = _checked(st), _checked(st).curve
-            ztt = 0.5 * eval_with_derivatives(self.curve, st.z)[1]
-            stepped = _q_curve_from_state(p, st.z + h * st.zt, st.zt + h * ztt, lattice)
-            return (*eval_with_derivatives(stepped, p.Q0), st.z,
-                    c.alpha, c.beta, c.gamma, c.delta, c.epsilon)
-
-        def stack(fn, states, width):
-            values = [_or_error(fn, st) for st in states]
-            cols = np.array([np.full(width, np.nan) if isinstance(v, Exception) else v
-                             for v in values]).T[..., None]
-            return [v if isinstance(v, Exception) else None for v in values], cols
-
+        """Per orbit, read from its states' arrays: each row's error at r or
+        None; R^(k)(Q0) and sqrt z at every node as (6, nt, 5, 1) columns, nan
+        where that state failed; and at r as (nt, 1) columns those of the
+        curves stepped to z + ih z_t, z_t + ih z_tt (h = P_STEP) for P's Q_t
+        (one stack; a failed row's P reads its nan sqrt z), z and r's curves."""
+        p, h, n = self.params, 1j * P_STEP, self.ts.shape[1]
         out = {}
-        for sigma, states in self.states.items():
-            errors, nodes = stack(node, states, 6)
-            c = stack(centre, states[::n], 11)[1]
+        for sigma, st in self.states.items():
+            c, z, zt = st.curve, st.z[::n], st.zt[::n]
+            ztt = 0.5 * eval_with_derivatives(self.curve, z)[1]
+            stepped = _q_curve_from_state(p, z + h * zt, zt + h * ztt, c.lattice)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, as Python's floats read it
+                r = np.array(eval_with_derivatives(stepped, p.Q0))
             out[sigma] = types.SimpleNamespace(
-                errors=errors[::n], nodes=nodes.reshape(6, -1, n, 1), stepped=c[:5], z=c[5].real,
-                curve=QuarticCurve(*np.nan_to_num(c[6:].real)))  # a failed row's Q is nan
+                errors=st.errors[::n], stepped=r[..., None], z=z[:, None],
+                nodes=np.vstack((st.scalars, st.sqrt_z)).reshape(6, -1, n, 1),
+                curve=QuarticCurve(*(a[::n, None] for a in (
+                    c.alpha, c.beta, c.gamma, c.delta, c.epsilon))))
         return out
 
 
@@ -309,12 +297,12 @@ def invariant_crosscheck(params: AnsatzParams, t: float):
     """Max relative deviation between classical invariants of the
     coefficient lists and the closed forms, for the z-curve pair and the
     profile-curve pair at time t."""
-    st = time_state(params, t)
+    z, zt = z_with_rate(params, t)
     cz = invariants_from_coefficients(z_curve(params))
     ez = closed_form_invariants_z(params)
     dev_z = max(_rel_dev(cz.g2, ez.g2), _rel_dev(cz.g3, ez.g3))
-    cq = invariants_from_coefficients(st.curve)
-    eq = closed_form_invariants_q(params, st.z, st.zt)
+    cq = invariants_from_coefficients(_q_curve_from_state(params, z, zt))
+    eq = closed_form_invariants_q(params, z, zt)
     dev_q = max(_rel_dev(cq.g2, eq.g2), _rel_dev(cq.g3, eq.g3))
     return dev_z, dev_q
 

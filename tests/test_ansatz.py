@@ -16,8 +16,10 @@ from cnlse_ansatz import (
     BRANCHES,
     NegativeRadicand,
     Q_of_xt,
+    PoleProximity,
     RealityViolation,
     REFERENCE_PARAMS,
+    eval_with_derivatives,
     field_A,
     invariants_from_coefficients,
     phi_of_t,
@@ -38,7 +40,6 @@ from cnlse_ansatz.ansatz import (
     _q_curve_from_state,
     _require_real_z,
     _z_integrals,
-    time_state,
 )
 from cnlse_ansatz.verify import DiffConfig, _stencil_offsets
 
@@ -405,11 +406,10 @@ class TestField:
 
     def test_state_matches_its_parts(self):
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        st = time_state(p, 0.8)
-        assert q_curve(p, 0.8) == st.curve
-        assert st.sqrt_z == math.sqrt(z_with_rate(p, 0.8)[0])
+        z, zt = z_with_rate(p, 0.8)
+        assert q_curve(p, 0.8) == _q_curve_from_state(p, z, zt)
         phase = np.exp(1j * phi_of_t(p, 0.8))
-        assert field_A(p, 0.5, 0.8) == (Q_of_xt(p, 0.5, 0.8) + 1j * st.sqrt_z) * phase
+        assert field_A(p, 0.5, 0.8) == (Q_of_xt(p, 0.5, 0.8) + 1j * math.sqrt(z)) * phase
 
     def test_field_at_origin(self):
         # A(0, 0) = (Q0 + i sqrt(z0)) e^{i phi0}
@@ -432,8 +432,24 @@ def _stencil_times():
 
 class TestStateBatch:
     @staticmethod
-    def fields(st):
-        return st.t, st.z, st.zt, st.curve, st.sqrt_z
+    def fields(orbit, i):
+        # time i of an orbit's arrays: z, z_t, sqrt z, the curve, R^(k)(Q0)
+        c = orbit.curve
+        return (orbit.z[i], orbit.zt[i], orbit.sqrt_z[i],
+                *(a[i] for a in (c.alpha, c.beta, c.gamma, c.delta, c.epsilon)),
+                *orbit.scalars[:, i])
+
+    @staticmethod
+    def alone(p, t):
+        # the same fields from the scalar path at t
+        z, zt = z_with_rate(p, t)
+        c = q_curve(p, t)
+        return (z, zt, math.sqrt(z), c.alpha, c.beta, c.gamma, c.delta, c.epsilon,
+                *eval_with_derivatives(c, p.Q0))
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=float).view(np.int64).tolist()
 
     @pytest.mark.parametrize("sigma", (1, -1))
     def test_stencil_batch_equals_one_time_at_a_time(self, sigma):
@@ -446,29 +462,60 @@ class TestStateBatch:
         offsets = _stencil_offsets(cfg.h_t, cfg.richardson_levels)
         for centre in _stencil_times():
             ts = centre + offsets
-            batch = [self.fields(st) for st in _orbit_states(p, ts)[sigma]]
+            orbit = _orbit_states(p, ts)[sigma]
+            batch = [self.fields(orbit, i) for i in range(len(ts))]
             batch += [complex(f) for f in np.exp(1j * phi_of_t(p, ts))]
             alone, factors = [], []
             for t in ts:
-                alone.append(self.fields(time_state(p, t)))
+                alone.append(self.alone(p, t))
                 factors.append(complex(np.exp(1j * phi_of_t(p, t))))
+            assert orbit.errors == [None] * len(ts)
             assert batch == alone + factors, centre
 
-    def test_a_failure_is_its_own_orbit_and_time(self, monkeypatch):
-        # z < 0 at one time of one orbit fails that state alone
+    def test_a_stack_is_its_scalar_path_field_for_field(self):
+        # one stack of every stencil time, on both orbits, holds per time
+        # the bits of z_with_rate, q_curve's coefficients and their
+        # scalars R^(k)(Q0), signed zeros included
+        ts = np.array(_stencil_times())
+        states = _orbit_states(REFERENCE_PARAMS, ts)
+        for sigma in (1, -1):
+            p = with_branch(REFERENCE_PARAMS, sigma, 1)
+            assert states[sigma].errors == [None] * len(ts)
+            for i, t in enumerate(ts):
+                assert self.bits(self.fields(states[sigma], i)) == self.bits(self.alone(p, t)), t
+
+    @pytest.mark.parametrize("value, error, message", [
+        (-1.0, RealityViolation, "z({t:g}) = -1 < 0: sqrt(z) is not real there"),
+        (0.0, RealityViolation, "z = 0 <= 0: profile curve needs sqrt(z)"),
+        (complex(math.inf, 0.0), PoleProximity, "z(t) hit a solution pole near t = {t:g}"),
+        # z = 1, z_t = -5 on the reference set: R(Q0) = 2.8 + z_t
+        (complex(1.0, -5.0 * ansatz.P_STEP), NegativeRadicand,
+         "R(y0) = -2.2 < 0: no real slope at y0"),
+    ])
+    def test_a_failure_is_its_own_orbit_and_time(self, monkeypatch, value, error, message):
+        # a state that fails at one time of one orbit (z < 0, z = 0, a pole
+        # of z, or R(Q0) < 0) fails that time alone, with the scalar code's
+        # error, and nan sqrt z and scalars; the neighbouring times and the
+        # other orbit keep their bits
         real = ansatz.weierstrass_solution
 
         def orbit(curve, y0, sigma, xi):
             ys = real(curve, y0, sigma, xi)
             if isinstance(sigma, tuple):
-                ys[1][2] = -1.0
+                ys[1][2] = value
             return ys
 
-        monkeypatch.setattr(ansatz, "weierstrass_solution", orbit)
         ts = 0.4 + _stencil_offsets(1e-5, 2)
+        want = _orbit_states(REFERENCE_PARAMS, ts)
+        monkeypatch.setattr(ansatz, "weierstrass_solution", orbit)
         states = _orbit_states(REFERENCE_PARAMS, ts)
-        assert isinstance(states[-1][2], RealityViolation)
         monkeypatch.undo()
-        for sigma, i in [(1, 0), (1, 2), (-1, 0), (-1, 4)]:
-            want = time_state(with_branch(REFERENCE_PARAMS, sigma, 1), ts[i])
-            assert self.fields(states[sigma][i]) == self.fields(want)
+        got = states[-1].errors[2]
+        assert type(got) is error and str(got) == message.format(t=ts[2])
+        assert states[-1].errors[:2] + states[-1].errors[3:] == [None] * 4
+        assert np.isnan(states[-1].sqrt_z[2]) and np.isnan(states[-1].scalars[:, 2]).all()
+        for sigma in (1, -1):
+            for i in range(len(ts)):
+                if (sigma, i) != (-1, 2):
+                    assert (self.bits(self.fields(states[sigma], i))
+                            == self.bits(self.fields(want[sigma], i))), (sigma, i)

@@ -444,23 +444,25 @@ class TestScan:
             assert calls == {"z": 3, "profile": 1}
 
     def test_profile_scalars_once_per_node_orbit_and_row(self, monkeypatch):
-        # R^(k)(Q0) of each time node's profile curve is computed once per
-        # orbit and time row, whatever the number of x: 5 nodes x 2 orbits
-        # x 3 rows
-        zc = z_curve(REFERENCE_PARAMS)
-        real, calls = quartic._scalars, []
+        # R^(k)(Q0) of every time node's real profile curve comes from one
+        # evaluation per orbit and stack, of all its nodes' curves at once,
+        # whatever the number of x and of rows (5 nodes x 2 orbits x rows
+        # evaluations of one curve each before); the three one-curve
+        # evaluations are the parameter records' checks at t = 0
+        real, calls = quartic.eval_with_derivatives, []
 
-        def spy(curve, y0):
-            calls.append(curve != zc)
-            return real(curve, y0)
+        def spy(curve, y):
+            if curve.lattice is not None and not np.iscomplexobj(curve.gamma):
+                calls.append(np.ndim(curve.gamma))
+            return real(curve, y)
 
-        for module in (quartic, verify):
-            monkeypatch.setattr(module, "_scalars", spy)
-        for nx in (3, 7):
+        for module in (quartic, ansatz, verify):
+            monkeypatch.setattr(module, "eval_with_derivatives", spy)
+        for nx, rows in ((3, 1), (3, 11), (7, 1), (7, 11)):
             calls.clear()
-            assert main(["scan", "--branch", "all", "--grid", f"0.2:1.2:{nx},0.2:1.2:3",
+            assert main(["scan", "--branch", "all", "--grid", f"0.2:1.2:{nx},0.2:1.2:{rows}",
                          "--out", os.devnull]) == 0
-            assert sum(calls) == 5 * 2 * 3
+            assert sorted(calls) == [0, 0, 0, 1, 1], (nx, rows)
 
 
 class TestParser:

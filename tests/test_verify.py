@@ -89,8 +89,8 @@ class TestInconsistency:
             p = with_branch(REFERENCE_PARAMS, sz, sq)
             assert residual_P(p, 0.0, 0.0) == -2.0, name
             for t in ts:
-                st = verify._TimeRow(p, t).states[sz][0]
-                want = -st.sqrt_z * (p.c1 - p.q * (3.0 * st.z + p.Q0 ** 2))
+                orbit = verify._TimeRow(p, t).states[sz]
+                want = -orbit.sqrt_z[0] * (p.c1 - p.q * (3.0 * orbit.z[0] + p.Q0 ** 2))
                 assert residual_P(p, 0.0, t) == want, (name, t)
 
     def test_one_wp_evaluation_on_the_profile_lattice(self, monkeypatch):
@@ -240,7 +240,7 @@ class TestAlgebraicResiduals:
         # on the profile lattice; residual_R2 builds its own time row, whose
         # orbit batch is a second call, on the z lattice
         p = with_branch(REFERENCE_PARAMS, -1, -1)
-        profile = verify._TimeRow(p, 0.3).states[-1][0].curve.invariants
+        profile = verify._TimeRow(p, 0.3).states[-1].curve.invariants
         calls = []
         real_wp_pair = quartic.wp_pair
 
@@ -443,7 +443,9 @@ class TestReportAt:
 
         def orbit(params, ts):
             states = orbit_states(params, ts)
-            states[-1][list(ts).index(node)] = RealityViolation("node out of the domain")
+            i = list(ts).index(node)
+            states[-1].errors[i] = RealityViolation("node out of the domain")
+            states[-1].sqrt_z[i] = states[-1].scalars[:, i] = np.nan  # as a failed state reads
             return states
 
         monkeypatch.setattr(verify, "_orbit_states", orbit)
@@ -487,8 +489,9 @@ class TestReportAt:
             error = RealityViolation("orbit out of the domain")
             if where == "_panel_values":  # every row of the orbit's panels
                 values[1] = (np.full_like(values[1][0], np.nan), [error])
-            else:
-                values[1][0] = error
+            else:  # the orbit's state at t, as a failed state reads
+                values[1].errors[0] = error
+                values[1].sqrt_z[0] = values[1].scalars[:, 0] = np.nan
             return values
 
         def reports():
@@ -667,11 +670,13 @@ class TestReportsAt:
                 if any(rep.notes for rep in reports_at(row, p, x, (1, -1))):
                     continue
                 xr = row.table((x,))[0][0]
+                orbit = row.states[sz]
                 for i, s in enumerate(row.ts[0, 1:], 1):
-                    st, gauge = row.states[sz][i], row.gauges[sz][0, i - 1, 0]
+                    curve = _q_curve_from_state(p, orbit.z[i], orbit.zt[i])
+                    gauge = row.gauges[sz][0, i - 1, 0]
                     for sq, a in zip((1, -1), seen[-1][:, 0, 0, i]):
-                        want = quartic.weierstrass_solution(st.curve, p.Q0, sq, xr)
-                        q = (a / gauge - 1j * st.sqrt_z).real
+                        want = quartic.weierstrass_solution(curve, p.Q0, sq, xr)
+                        q = (a / gauge - 1j * orbit.sqrt_z[i]).real
                         worst = max(worst, abs(q - want) / max(1.0, abs(want)))
                 clean += 1
         assert clean >= 20
@@ -824,18 +829,18 @@ class TestTimeStack:
     @pytest.mark.parametrize("rows", [1, 11])
     def test_a_scan_builds_the_profile_lattice_per_batch(self, monkeypatch, rows):
         # the orbit states of a stack take one lattice for all their curves,
-        # and so do the stepped curves of P's Q_t, so the lattices built do
-        # not grow with the rows: the parameters' three records (the run's
-        # and each orbit's), the states, the stepped curves and the table
+        # which the stepped curves of P's Q_t and the table read too, so the
+        # lattices built do not grow with the rows: the parameters' three
+        # records (the run's and each orbit's) and the states
         from cnlse_ansatz import ansatz
         from cnlse_ansatz.cli import main
 
         calls, real = [], ansatz.profile_lattice
         spy = lambda params: calls.append(params) or real(params)  # noqa: E731
-        monkeypatch.setattr(ansatz, "profile_lattice", spy)
-        monkeypatch.setattr(verify, "profile_lattice", spy)
+        for module in (ansatz, verify):  # verify, if it builds one of its own
+            monkeypatch.setattr(module, "profile_lattice", spy, raising=False)
         assert main(["scan", "--grid", f"0.2:1.2:11,0.2:1.2:{rows}", *self.SCAN[1:]]) == 0
-        assert len(calls) == 6
+        assert len(calls) == 4
 
     def test_a_stack_is_its_one_row_calls(self):
         # at c2 = 0.8 the +1 orbit fails on the early rows of this grid and

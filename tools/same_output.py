@@ -10,7 +10,7 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 112 of the list
+flags, that one invocation is compared; without, the 116 of the list
 below: the default and the benchmark ``scan``, a scan of one x at 61
 times (the time stack's longest case), the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
@@ -26,8 +26,10 @@ pole, a row from x = 1e15 to 1e17 on every branch, every ``late``
 window of the benchmark, ``residuals`` at eight times, four of them many
 orbit periods out (1e6, 1e10, 1e12 and 1e17), at three points far out in
 x, at a point that fails (a negative radicand), at a point where one
-orbit fails (c2 = 0.8: the -1 orbit) and at x = 0 past one period
-(t = 7.3, where P is exactly -sqrt(z) (c1 - q (3 z + Q0^2))),
+orbit fails (c2 = 0.8: the -1 orbit), at x = 0 past one period
+(t = 7.3, where P is exactly -sqrt(z) (c1 - q (3 z + Q0^2))) and at
+Q0 = 1e12, in CSV and in JSON (every branch noted ``pole`` and
+``StencilOutOfDomain``),
 ``paper-check`` at four points (x = 2.14 the mirror point of a pole), at
 a point that fails (a negative radicand, exit 1) and at two where one
 orbit fails (c2 = 0.8: at t = 1 the -1 orbit, at t = 0.5 the +1 orbit,
@@ -39,7 +41,9 @@ window and the default one, with an uneven sample schedule on the
 benchmark's n (the control and the ansatz run share one stack), with the
 control finishing before the ansatz run, on a window with a pole at that
 n, with samples past one orbit period (the phase reads the integral over
-a whole period), and at n = 64 (the benchmark's warm-up) and n = 2048,
+a whole period), at n = 64 (the benchmark's warm-up) and n = 2048, and
+on two parameter sets its pole screen refuses (z0 = 1e-150 on ``pp``: z
+is not real at t = 0; c2 = 0.8 on ``mm``: a negative radicand),
 ``elliptic`` at one point in CSV and in JSON, JSON twins of four of the
 above that write nan fields and the ``NegativeRadicand``,
 ``pole_adjacent`` and ``StencilOutOfDomain`` notes (``scan`` at c2 = 0.8
@@ -109,6 +113,8 @@ def invocations() -> list:
         ("residuals", "--z0", "1e-300"),
         ("residuals", "--c2", "0.8"),
         ("residuals", "--x", "0", "--t", "7.3"),
+        # the pole note, on every branch
+        *(("residuals", "--q0", "1e12", "--format", fmt) for fmt in ("csv", "json")),
         ("paper-check",),
         ("paper-check", "--t", "20000"),
         ("paper-check", "--x", "1e5"),
@@ -132,6 +138,9 @@ def invocations() -> list:
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:64", "--dt", "1e-3", "--t-end", "0.01",
          "--format", "json"),
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:2048", "--dt", "1e-3", "--t-end", "0.2"),
+        # the pole screen's refusals: a state, and a radicand, that fail
+        ("evolve", "--branch", "pp", "--z0", "1e-150"),
+        ("evolve", "--branch", "mm", "--c2", "0.8"),
         *(("elliptic", "--g2", "1", "--g3", "0", "--u", "0.5", "--format", fmt)
           for fmt in ("csv", "json")),
         ("--help",),
