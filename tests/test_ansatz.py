@@ -484,19 +484,27 @@ class TestStateBatch:
             for i, t in enumerate(ts):
                 assert self.bits(self.fields(states[sigma], i)) == self.bits(self.alone(p, t)), t
 
+    def test_a_failure_is_its_own_orbit_and_time(self, monkeypatch):
+        # z < 0 at one time of one orbit fails that state alone
+        self.check_one_failure(monkeypatch, -1.0, RealityViolation,
+                               "z({t:g}) = -1 < 0: sqrt(z) is not real there")
+
     @pytest.mark.parametrize("value, error, message", [
-        (-1.0, RealityViolation, "z({t:g}) = -1 < 0: sqrt(z) is not real there"),
         (0.0, RealityViolation, "z = 0 <= 0: profile curve needs sqrt(z)"),
         (complex(math.inf, 0.0), PoleProximity, "z(t) hit a solution pole near t = {t:g}"),
         # z = 1, z_t = -5 on the reference set: R(Q0) = 2.8 + z_t
         (complex(1.0, -5.0 * ansatz.P_STEP), NegativeRadicand,
          "R(y0) = -2.2 < 0: no real slope at y0"),
     ])
-    def test_a_failure_is_its_own_orbit_and_time(self, monkeypatch, value, error, message):
-        # a state that fails at one time of one orbit (z < 0, z = 0, a pole
-        # of z, or R(Q0) < 0) fails that time alone, with the scalar code's
-        # error, and nan sqrt z and scalars; the neighbouring times and the
-        # other orbit keep their bits
+    def test_each_failure_kind_is_its_own_orbit_and_time(self, monkeypatch, value, error,
+                                                         message):
+        # z = 0, a pole of z, or R(Q0) < 0 likewise fails one state alone
+        self.check_one_failure(monkeypatch, value, error, message)
+
+    def check_one_failure(self, monkeypatch, value, error, message):
+        # a state that fails at one time of one orbit fails that time alone,
+        # with the scalar code's error, and nan sqrt z and scalars; the
+        # neighbouring times and the other orbit keep their bits
         real = ansatz.weierstrass_solution
 
         def orbit(curve, y0, sigma, xi):
