@@ -27,6 +27,7 @@ from .ansatz import (
     BRANCHES,
     REFERENCE_PARAMS,
     AnsatzParams,
+    _checked,
     _q_curve_from_state,
     with_branch,
     z_curve,
@@ -59,7 +60,6 @@ from .verify import (
     closed_form_invariants_z,
     cnlse_residual,
     convergence_order,
-    residual_P,
     row_reports,
     soliton_field,
 )
@@ -429,22 +429,21 @@ def _row_reports(row: _TimeRow, orbits: list, xs) -> dict:
             for j, reps in enumerate(at_t) for rep in reps}
 
 
-def _branch_reports(rc: RunConfig) -> list:
+def _branch_reports(rc: RunConfig, row: _TimeRow) -> list:
     """The reports at rc's point (x, t), one per branch of rc.branches in
-    their order, from one time row: what residuals, pde and paper-check read."""
-    reports = _row_reports(_TimeRow(rc.params, rc.t), _orbits(rc), (rc.x,))
+    their order, from rc's time row: what residuals, pde and paper-check read."""
+    reports = _row_reports(row, _orbits(rc), (rc.x,))
     return [reports[(0, 0, *signs)] for _, signs in rc.branches]
 
 
 def cmd_paper_check(rc: RunConfig) -> int:
-    tol = rc.tolerances
+    tol, row = rc.tolerances, _TimeRow(rc.params, rc.t)
     rows = []
-    for (name, _), rep in zip(rc.branches, _branch_reports(rc)):
+    for (name, _), rep in zip(rc.branches, _branch_reports(rc, row)):
         notes = rep.notes.split(";")
         if {"NegativeRadicand", "PoleProximity", "RealityViolation"}.intersection(notes):
-            # the point fails on this orbit: residual_P evaluates the same
-            # state, so it raises the same error
-            residual_P(with_branch(rc.params, rep.sigma_z, rep.sigma_q), rc.x, rc.t)
+            # the point fails on this orbit: raise the error of its state
+            _checked(row.profile[rep.sigma_z].errors[0])
         rows.append((name, rep, notes[0] if notes[0] in ("pole", "pole_adjacent") else ""))
     with _output(rc.out) as stream, contextlib.redirect_stdout(stream):
         print(f"point: x = {_fmt12(rc.x)}, t = {_fmt12(rc.t)}")
@@ -487,7 +486,8 @@ def cmd_scan(rc: RunConfig) -> int:
 
 
 def cmd_residuals(rc: RunConfig) -> int:
-    _write_reports(rc, _branch_reports(rc), {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
+    reports = _branch_reports(rc, _TimeRow(rc.params, rc.t))
+    _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
     return 0
 
 
@@ -497,7 +497,7 @@ def cmd_pde(rc: RunConfig) -> int:
     nan = float("nan")
     reports = [replace(rep, P=nan, r1=nan, r2=nan,
                        notes="StencilOutOfDomain" if math.isnan(rep.pde_abs) else "")
-               for rep in _branch_reports(rc)]
+               for rep in _branch_reports(rc, _TimeRow(rc.params, rc.t))]
     _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
     return 0
 

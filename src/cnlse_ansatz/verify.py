@@ -408,9 +408,9 @@ def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
             P = Qt.imag / P_STEP - sq[:, 0] * (params.c1 - params.q * (
                 3.0 * prof.z + np.float_power(Q, 2)))
             r2 = _defect(prof.curve, ys[..., 0, :], R2_SPACE_STEP)
-        # the PDE residual of B = (Q + i sqrt z) e^{i(phi(s) - phi(r))}, the gauge
-        # product by parts as Python's complex product rounds it (numpy's fuses)
-        qs = (qs * g.real - sq[:, 1:] * g.imag) + 1j * (qs * g.imag + sq[:, 1:] * g.real)
+            # the PDE residual of B = (Q + i sqrt z) e^{i(phi(s) - phi(r))}, the gauge
+            # product by parts as Python's complex product rounds it (numpy's fuses)
+            qs = (qs * g.real - sq[:, 1:] * g.imag) + 1j * (qs * g.imag + sq[:, 1:] * g.real)
         xv = ys[..., 2, :] + 1j * sq[:, :1]
         tv = np.concatenate((xv[..., :1], np.swapaxes(qs, -1, -2)), axis=-1)
         res, ok = _stencil_residuals(xv, tv, DiffConfig(), 1.0, params.q)

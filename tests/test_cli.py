@@ -647,6 +647,24 @@ class TestPointModes:
         notes = [r["notes"] for r in self.reports(capsys, "residuals", ["--c2", "0.8"])]
         assert notes == ["", "", "NegativeRadicand", "NegativeRadicand"]
 
+    def test_paper_check_raises_from_the_row_it_read(self, capsys, monkeypatch):
+        # the failing orbit's error comes from the time row that the
+        # reports were built from: no second row is built to raise it
+        init, rows = verify._TimeRow.__init__, []
+        monkeypatch.setattr(verify._TimeRow, "__init__", lambda row, *a: rows.append(init(row, *a)))
+        assert main(["paper-check", "--c2", "0.8"]) == 1
+        assert capsys.readouterr().err == "error: R(y0) = -0.215643 < 0: no real slope at y0\n"
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_residuals_at_a_huge_q0_write_no_warning(self, capsys, fmt):
+        # at Q0 = 1e12 every branch reads Q = inf (noted pole), and the
+        # gauge product of the PDE stencil on it is taken under np.errstate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["residuals", "--q0", "1e12", "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_residuals_reports_all_branches(self, tmp_path):
         out = tmp_path / "res.json"
         assert main(["residuals", "--format", "json", "--out", str(out)]) == 0
