@@ -19,7 +19,7 @@ import sys
 import time
 import types
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -361,35 +361,41 @@ def _json_text(doc) -> str:
     container whose values are all scalars encoded by one call of json's C
     encoder: its item separator carries the newline and indent of the
     container's depth, and its braces are re-indented.  (With ``indent``,
-    json runs its pure-Python encoder, a string per token.)"""
-    encoders = {}
+    json runs its pure-Python encoder, a string per token.)  The pieces go
+    to one flat list, joined once, so the text is held once."""
+    encoders, pieces = {}, []
 
     def encode(value, depth):
         pad = "\n" + "  " * (depth + 1)
-        container = isinstance(value, (dict, list))
-        values = value.values() if isinstance(value, dict) else value if container else ()
+        container, is_dict = isinstance(value, (dict, list)), isinstance(value, dict)
+        values = value.values() if is_dict else value if container else ()
         if any(isinstance(v, (dict, list)) for v in values):
-            if isinstance(value, dict):
-                ends, items = "{}", [json.dumps(k) + ": " + encode(v, depth + 1)
-                                     for k, v in value.items()]
-            else:
-                ends, items = "[]", [encode(v, depth + 1) for v in value]
-            return ends[0] + pad + ("," + pad).join(items) + pad[:-2] + ends[1]
+            pieces.append("{" if is_dict else "[")
+            for n, (k, v) in enumerate(value.items() if is_dict else enumerate(value)):
+                pieces.append(("," if n else "") + pad + (json.dumps(k) + ": " if is_dict else ""))
+                encode(v, depth + 1)
+            pieces.append(pad[:-2] + ("}" if is_dict else "]"))
+            return
         if depth not in encoders:
             encoders[depth] = json.JSONEncoder(separators=("," + pad, ": ")).encode
         text = encoders[depth](value)
-        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if container and value else text
+        pieces.append(text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if container and value
+                      else text)
 
-    return encode(doc, 0) + "\n"
+    encode(doc, 0)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
-def _write_table(rc: RunConfig, meta: dict, columns, key: str, records) -> None:
-    """Write ``records`` (dicts) with the run metadata.
+def _write_table(rc: RunConfig, meta: dict, columns, key: str, fields: dict) -> None:
+    """Write the table ``fields`` (one list per field name, all of one
+    length, a row per index) with the run metadata.
 
     CSV: ``# generated_at``, ``# mode`` and one ``# key=value`` line per
     metadata entry, then ``columns`` as header and rows at 12 significant
-    digits (the ``flags`` column reads a record's ``notes``).  JSON:
-    ``{"metadata": {generated_at, mode, ..., params}, key: records}`` as
+    digits (the ``flags`` column reads the ``notes`` field), streamed.
+    JSON: ``{"metadata": {generated_at, mode, ..., params}, key: records}``,
+    a record per row keyed by the field names in order, as
     ``json.dumps(..., indent=2)`` writes it, in one write.
     """
     meta = {"generated_at": _timestamp(), "mode": rc.mode, **meta}
@@ -399,65 +405,53 @@ def _write_table(rc: RunConfig, meta: dict, columns, key: str, records) -> None:
                 stream.write(f"# {name}={value}\n")
             writer = csv.writer(stream)
             writer.writerow(columns)
-            for rec in records:
-                writer.writerow([_fmt12(rec[_CSV_FIELD.get(c, c)]) for c in columns])
+            writer.writerows(zip(*(map(_fmt12, fields[_CSV_FIELD.get(c, c)]) for c in columns)))
         else:
             meta["params"] = _params_dict(rc.params)
+            records = [dict(zip(fields, values)) for values in zip(*fields.values())]
             stream.write(_json_text({"metadata": meta, key: records}))
 
 
-def _write_reports(rc: RunConfig, reports, meta: dict) -> None:
-    # a report's fields in order, read in place
-    _write_table(rc, meta, CLI_COLUMNS, "reports", [vars(rep) for rep in reports])
-
-
-def _orbits(rc: RunConfig) -> list:
-    """The requested branches by orbit: per sigma_z, in order of first
-    appearance, the parameters on that orbit and its sigma_Q tuple."""
+def _reports(rc: RunConfig, row: _TimeRow, xs) -> dict:
+    """The reports of rc.branches at every time of the row's stack and x of
+    xs, as one list per report field, in output order: branch (in their
+    order), then x, then t.  One ``row_reports`` call per orbit serves
+    every sigma_Q branch on it."""
     signs: dict = {}
     for _, (sz, sq) in rc.branches:
         signs.setdefault(sz, []).append(sq)
-    return [(with_branch(rc.params, sz, sqs[0]), tuple(sqs)) for sz, sqs in signs.items()]
-
-
-def _row_reports(row: _TimeRow, orbits: list, xs) -> dict:
-    """The reports of the branches of ``_orbits`` at every time of the row's
-    stack and x of xs, one ``row_reports`` call per orbit, by (t index,
-    x index, sigma_z, sigma_q)."""
-    return {(k, j, rep.sigma_z, rep.sigma_q): rep for par, sqs in orbits
-            for k, at_t in enumerate(row_reports(row, par, xs, sqs))
-            for j, reps in enumerate(at_t) for rep in reps}
-
-
-def _branch_reports(rc: RunConfig, row: _TimeRow) -> list:
-    """The reports at rc's point (x, t), one per branch of rc.branches in
-    their order, from rc's time row: what residuals, pde and paper-check read."""
-    reports = _row_reports(row, _orbits(rc), (rc.x,))
-    return [reports[(0, 0, *signs)] for _, signs in rc.branches]
+    orbits = {sz: row_reports(row, with_branch(rc.params, sz, sqs[0]), xs, tuple(sqs))
+              for sz, sqs in signs.items()}
+    blocks = [(orbits[sz], signs[sz].index(sq)) for _, (sz, sq) in rc.branches]
+    return {name: np.concatenate([cols[name][i].T.ravel() for cols, i in blocks]).tolist()
+            for name in next(iter(orbits.values()))}
 
 
 def cmd_paper_check(rc: RunConfig) -> int:
     tol, row = rc.tolerances, _TimeRow(rc.params, rc.t)
+    reports = _reports(rc, row, (rc.x,))
     rows = []
-    for (name, _), rep in zip(rc.branches, _branch_reports(rc, row)):
-        notes = rep.notes.split(";")
+    for (name, (sz, sq)), P, r1, r2, notes in zip(
+            rc.branches, *(reports[f] for f in ("P", "r1", "r2", "notes"))):
+        notes = notes.split(";")
         if {"NegativeRadicand", "PoleProximity", "RealityViolation"}.intersection(notes):
             # the point fails on this orbit: raise the error of its state
-            _checked(row.profile[rep.sigma_z].errors[0])
-        rows.append((name, rep, notes[0] if notes[0] in ("pole", "pole_adjacent") else ""))
+            _checked(row.profile[sz].errors[0])
+        rows.append((name, sz, sq, P, r1, r2,
+                     notes[0] if notes[0] in ("pole", "pole_adjacent") else ""))
     with _output(rc.out) as stream, contextlib.redirect_stdout(stream):
         print(f"point: x = {_fmt12(rc.x)}, t = {_fmt12(rc.t)}")
         print("branch  sigma_z  sigma_q  P                 r1            r2")
-        for name, rep, note in rows:
-            print(f"{name:<6}  {rep.sigma_z:+d}       {rep.sigma_q:+d}       "
-                  f"{rep.P:<16.10g}  {rep.r1:<12.4g}  {rep.r2:<12.4g}" + (note and f"  {note}"))
+        for name, sz, sq, P, r1, r2, note in rows:
+            print(f"{name:<6}  {sz:+d}       {sq:+d}       "
+                  f"{P:<16.10g}  {r1:<12.4g}  {r2:<12.4g}" + (note and f"  {note}"))
         # next to a profile pole r2 differences a near-vertical profile, so
         # it is marked as report_at marks it and left out of the verdict
-        solves = all(rep.r1 <= tol["r_alg"] and (note or rep.r2 <= tol["r_alg"])
-                     for _, rep, note in rows)
-        nonzero = all(abs(rep.P) >= tol["p_floor"] for _, rep, _ in rows)
-        matches = [name for name, rep, _ in rows
-                   if abs(rep.P - P_MATCH_TARGET) <= tol["p_match"]]
+        solves = all(r1 <= tol["r_alg"] and (note or r2 <= tol["r_alg"])
+                     for *_, r1, r2, note in rows)
+        nonzero = all(abs(P) >= tol["p_floor"] for _, _, _, P, *_ in rows)
+        matches = [name for name, _, _, P, *_ in rows
+                   if abs(P - P_MATCH_TARGET) <= tol["p_match"]]
         print(f"constructed pair solves both quartic ODEs (r1, r2 <= {tol['r_alg']:g}): "
               f"{'yes' if solves else 'NO'}")
         print(f"|P| >= {tol['p_floor']:g} on every branch: {'yes' if nonzero else 'NO'}")
@@ -473,32 +467,26 @@ def cmd_paper_check(rc: RunConfig) -> int:
 
 def cmd_scan(rc: RunConfig) -> int:
     xs, ts = _parse_grid(rc.grid)
-    # one stack of time rows (see verify) serves every point and branch,
-    # and one row_reports call every t, x and sigma_Q branch of an orbit.
-    # The reports are written branch, then x, then t.
-    by_point = _row_reports(_TimeRow(rc.params, ts), _orbits(rc), xs)
-    reports = [by_point[(j, i, *signs)] for _, signs in rc.branches
-               for i in range(len(xs)) for j in range(len(ts))]
-    _write_reports(rc, reports, {
-        "grid": rc.grid, "branch": ",".join(name for name, _ in rc.branches),
-    })
+    # one stack of time rows (see verify) serves every point and branch
+    _write_table(rc, {"grid": rc.grid, "branch": ",".join(name for name, _ in rc.branches)},
+                 CLI_COLUMNS, "reports", _reports(rc, _TimeRow(rc.params, ts), xs))
     return 0
 
 
 def cmd_residuals(rc: RunConfig) -> int:
-    reports = _branch_reports(rc, _TimeRow(rc.params, rc.t))
-    _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
+    reports = _reports(rc, _TimeRow(rc.params, rc.t), (rc.x,))
+    _write_table(rc, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)}, CLI_COLUMNS, "reports", reports)
     return 0
 
 
 def cmd_pde(rc: RunConfig) -> int:
     # the pde_abs of residuals: an orbit state that fails at t, or a profile
     # curve with no real slope at Q0, fails the stencil as a time node does
-    nan = float("nan")
-    reports = [replace(rep, P=nan, r1=nan, r2=nan,
-                       notes="StencilOutOfDomain" if math.isnan(rep.pde_abs) else "")
-               for rep in _branch_reports(rc, _TimeRow(rc.params, rc.t))]
-    _write_reports(rc, reports, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)})
+    reports = _reports(rc, _TimeRow(rc.params, rc.t), (rc.x,))
+    nans = [float("nan")] * len(reports["pde_abs"])
+    reports.update(P=nans, r1=nans, r2=nans, notes=[
+        "StencilOutOfDomain" if math.isnan(v) else "" for v in reports["pde_abs"]])
+    _write_table(rc, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)}, CLI_COLUMNS, "reports", reports)
     return 0
 
 
@@ -538,11 +526,11 @@ def cmd_evolve(rc: RunConfig) -> int:
     # one stack when the window's n is the control's
     control, series = _evolve_runs([_control_run(rc.dt), ansatz])
 
-    doc = series.to_json_dict()
+    columns = ("t", "l2", "linf")
     _write_table(rc, {
         "branch": name, "soliton_control_linf": control,
-        "aliasing_warned": aliasing, **doc["metadata"],
-    }, ("t", "l2", "linf"), "points", doc["points"])
+        "aliasing_warned": aliasing, **series.metadata, "monotone": series.monotone,
+    }, columns, "points", {c: [getattr(pt, c) for pt in series.points] for c in columns})
     return 0
 
 

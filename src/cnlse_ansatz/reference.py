@@ -25,7 +25,7 @@ from boundary artifacts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from typing import Callable
@@ -249,12 +249,6 @@ class DivergenceSeries:
     points: tuple
     monotone: bool
     metadata: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "metadata": dict(self.metadata, monotone=self.monotone),
-            "points": [asdict(p) for p in self.points],
-        }
 
 
 def _sample_targets(t_end: float, sample_times) -> list:

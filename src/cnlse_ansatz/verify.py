@@ -16,9 +16,10 @@ independent of the closed forms; a stencil is one batch, so the elliptic
 argument reduction uses one depth across it.
 
 ``row_reports`` gathers P, r1, r2 and the PDE residual at every (t, x) of
-a scan on one orbit, for a tuple of profile slope signs: the command
-line's one report path, from which ``scan``, ``residuals``, ``pde`` and
-``paper-check`` read every number.  They read a stack of time rows
+a scan on one orbit, for a tuple of profile slope signs, as one column per
+report field: the command line's one report path, from which ``scan``,
+``residuals``, ``pde`` and ``paper-check`` read every number, with no
+object per point.  They read a stack of time rows
 (``_TimeRow``) that the caller builds once for its times and passes to
 every orbit; it holds what depends on (t, orbit) only, and its PDE
 stencil samples the envelope up to a constant phase, so reads no phase.
@@ -31,15 +32,15 @@ fuses a multiply and an add), a complex divided by a float divides its
 parts (numpy multiplies by a reciprocal), |A| is hypot (numpy's complex
 abs rounds otherwise) and a square is ``np.float_power``, the C pow of
 Python's ``**`` (``np.square`` rounds the product).  ``reports_at`` is
-the one-t, one-x case and ``report_at`` its one-sign case, whose P and
-r2 are ``residual_P`` and ``residual_R2``.
+the one-t, one-x case, as a ``ResidualReport`` per sign, and ``report_at``
+its one-sign case, whose P and r2 are ``residual_P`` and ``residual_R2``.
 """
 
 from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -78,9 +79,11 @@ POLE_ADJACENT_Q = 15.0
 
 # A point's notes by code, the sum of 1 (pole: Q not finite), 2
 # (pole_adjacent: |Q| > POLE_ADJACENT_Q) and 4 (StencilOutOfDomain: a PDE
-# stencil value not finite): the names of its bits, joined in that order.
+# stencil value not finite): the names of its bits, joined in that order;
+# code 8 is a point with none of them and a number that is not finite.
 _NOTES = tuple(";".join(name for bit, name in enumerate(
-    ("pole", "pole_adjacent", "StencilOutOfDomain")) if code >> bit & 1) for code in range(8))
+    ("pole", "pole_adjacent", "StencilOutOfDomain")) if code >> bit & 1) for code in range(8)) + (
+    "nonfinite",)
 
 
 @dataclass(frozen=True)
@@ -383,18 +386,20 @@ def convergence_order(residuals) -> float:
     return float(np.mean(ratios))
 
 
-def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
+def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> dict:
     """Full residual records at every time of the row's stack, built for
-    params, and x of xs on the orbit params.sigma_z: per t, per x, one per
-    profile slope sign of sigmas (params.sigma_Q is not read), never raising
-    on pole contact: failures are noted and their numbers set to nan.  All
-    are (signs, nt, nx) arrays: each row's scalars, as (nt, 1) columns, read
+    params, x of xs and profile slope sign of sigmas (params.sigma_Q is not
+    read) on the orbit params.sigma_z, as columns: the fields of
+    ``ResidualReport`` in order, each a (signs, nt, nx) array, the notes an
+    object array.  Never raises on pole contact: failures are noted and
+    their numbers set to nan.  Each row's scalars, as (nt, 1) columns, read
     the stack's one wp table (``_TimeRow.table``); the default-step PDE
     residual (p = 1) reads the gauges, so no phase.  An error of a row's
     state or scalars is that row's, of a shared call every row's; a failed
     gauge or time node (StencilOutOfDomain) its row's; a pole, a
-    pole-adjacent value and a non-finite stencil each point's and sign's."""
-    xs, sz, ts, q0 = [float(x) for x in xs], params.sigma_z, row.t.tolist(), params.Q0
+    pole-adjacent value, a non-finite stencil and a number that is not
+    finite for no other noted reason (``nonfinite``) each point's and sign's."""
+    xs, sz, nt, q0 = [float(x) for x in xs], params.sigma_z, len(row.t), params.Q0
     try:
         prof, (_, parts), g = row.profile[sz], row.table(xs), row.gauges[sz]
         rs, sq = prof.nodes[:5, :, 0], prof.nodes[5]  # (nt, 1) scalars at r, sqrt z
@@ -416,28 +421,27 @@ def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> list:
         res, ok = _stencil_residuals(xv, tv, DiffConfig(), 1.0, params.q)
         pde = np.where(ok, np.hypot(res.real, res.imag), np.nan)
     except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
-        P = r2 = pde = np.full((len(sigmas), len(ts), len(xs)), np.nan)
-        errors, r1, codes = [exc] * len(ts), np.full(len(ts), np.nan), None
+        P = r2 = pde = np.full((len(sigmas), nt, len(xs)), np.nan)
+        errors, r1, codes = [exc] * nt, np.full(nt, np.nan), 0
     else:
         errors, finite_q = prof.errors, np.isfinite(Q)
         r1 = np.where([error is None for error in errors], row.r1[sz], np.nan)
-        codes = (~finite_q + 2 * (finite_q & (np.abs(Q) > POLE_ADJACENT_Q)) + 4 * ~ok).tolist()
+        codes = ~finite_q + 2 * (finite_q & (np.abs(Q) > POLE_ADJACENT_Q)) + 4 * ~ok
     finite = np.isfinite(P) & np.isfinite(r1)[:, None] & np.isfinite(r2) & np.isfinite(pde)
-    P, r1, r2, pde, finite = (a.tolist() for a in (P, r1, r2, pde, finite))
-
-    def report(i, k, j, x):
-        note = type(errors[k]).__name__ if errors[k] else _NOTES[codes[i][k][j]]
-        return ResidualReport(x=x, t=ts[k], sigma_z=sz, sigma_q=sigmas[i], P=P[i][k][j],
-                              r1=r1[k], r2=r2[i][k][j], pde_abs=pde[i][k][j],
-                              notes=note or ("" if finite[i][k][j] else "nonfinite"))
-
-    return [[[report(i, k, j, x) for i in range(len(sigmas))] for j, x in enumerate(xs)]
-            for k in range(len(ts))]
+    notes = np.array(_NOTES, dtype=object)[codes + 8 * ((codes == 0) & ~finite)]
+    for k, error in enumerate(errors):
+        if error is not None:
+            notes[:, k] = type(error).__name__
+    return dict(zip((f.name for f in fields(ResidualReport)), np.broadcast_arrays(
+        np.array(xs), row.t[:, None], sz, np.array(sigmas)[:, None, None], P, r1[:, None], r2,
+        pde, notes)))
 
 
 def reports_at(row: _TimeRow, params: AnsatzParams, x: float, sigmas: tuple) -> list:
-    """The one-t, one-x case of ``row_reports``: per sign of sigmas."""
-    return row_reports(row, params, (x,), sigmas)[0][0]
+    """The one-t, one-x case of ``row_reports``: per sign of sigmas, the
+    reports its columns hold at the stack's first time."""
+    columns = row_reports(row, params, (x,), sigmas).values()
+    return [ResidualReport(*rec) for rec in zip(*(c[:, 0, 0].tolist() for c in columns))]
 
 
 def report_at(params: AnsatzParams, x: float, t: float) -> ResidualReport:

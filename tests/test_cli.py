@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,7 @@ import sys
 import types
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,6 +355,43 @@ class TestScan:
         rows = body_lines(out)[1:]
         assert len(rows) == 1
         assert rows[0].endswith("pole_adjacent")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_scan_builds_no_report_object(self, monkeypatch, fmt):
+        # the benchmark grid's reports stay columns from row_reports to the
+        # bytes, with no ResidualReport per point; the one-point view builds one
+        built, init = [], verify.ResidualReport.__init__
+        monkeypatch.setattr(verify.ResidualReport, "__init__",
+                            lambda rep, *args: built.append(args) or init(rep, *args))
+        assert main(["scan", "--branch", "all", "--grid", "0.2:1.2:11,0.2:1.2:11",
+                     "--format", fmt, "--out", os.devnull]) == 0
+        assert built == []
+        verify.report_at(REFERENCE_PARAMS, 1.0, 1.0)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_number_not_finite_for_no_noted_reason(self, monkeypatch, tmp_path, fmt):
+        # r2 nan at the first x, where no mask says why: exactly that x's
+        # points, on every branch and time, read nonfinite, the others nothing
+        real = verify._defect
+
+        def defect(curve, y, h):
+            out = real(curve, y, h)
+            if h == verify.R2_SPACE_STEP:
+                out[..., 0] = np.nan
+            return out
+
+        monkeypatch.setattr(verify, "_defect", defect)
+        out = tmp_path / f"scan.{fmt}"
+        assert main(["scan", "--branch", "all", "--grid", "0.2:1.2:3,0.2:1.2:2",
+                     "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "json":
+            notes = [(rec["x"], rec["notes"]) for rec in json.loads(out.read_text())["reports"]]
+        else:
+            notes = [(float(rec["x"]), rec["flags"]) for rec in csv.DictReader(body_lines(out))]
+        assert len(notes) == 4 * 3 * 2
+        assert [note for x, note in notes if x == 0.2] == ["nonfinite"] * 8
+        assert [note for x, note in notes if x != 0.2] == [""] * 16
 
     def test_json_document(self, tmp_path):
         out = tmp_path / "scan.json"
@@ -872,6 +913,19 @@ _SCALARS = st.one_of(
     st.none(),
 )
 _FLAT = st.dictionaries(st.text(), _SCALARS, max_size=9)
+# a cell of a written table: floats at their edges, ints, and notes with
+# commas, quotes and non-ASCII
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, -2.5e-310]),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.text(st.one_of(st.sampled_from(',;"\'\n\r\xe9\u20ac\U0001f600'), st.characters())),
+)
+# the tables the command line writes: key, CSV columns and field names
+_TABLES = [
+    ("reports", CLI_COLUMNS, ("x", "t", "sigma_z", "sigma_q", "P", "r1", "r2", "pde_abs", "notes")),
+    ("points", ("t", "l2", "linf"), ("t", "l2", "linf")),
+]
 
 
 class TestJsonText:
@@ -891,6 +945,35 @@ class TestJsonText:
     def test_a_flat_payload_is_indent_2(self, payload):
         # elliptic's payload is one flat dict
         assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @given(data=st.data(), meta=_FLAT, table=st.sampled_from(_TABLES),
+           fmt=st.sampled_from(["csv", "json"]), rows=st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_a_table_is_its_rows(self, data, meta, table, fmt, rows):
+        # columns of equal length are written as a csv.writer writes their
+        # rows at 12 digits, or as json.dumps(..., indent=2) writes records
+        key, columns, names = table
+        fields = {name: data.draw(st.lists(_CELLS, min_size=rows, max_size=rows))
+                  for name in names}
+        rc = types.SimpleNamespace(mode="scan", fmt=fmt, out=None, params=REFERENCE_PARAMS)
+        got = io.StringIO()
+        with mock.patch.object(cli, "_timestamp", lambda: "T"), contextlib.redirect_stdout(got):
+            cli._write_table(rc, meta, columns, key, fields)
+        head = {"generated_at": "T", "mode": "scan", **meta}
+        if fmt == "csv":
+            want = io.StringIO()
+            want.writelines(f"# {k}={v}\n" for k, v in head.items())
+            writer = csv.writer(want)
+            writer.writerow(columns)
+            for i in range(rows):
+                writer.writerow([cli._fmt12(fields[{"flags": "notes"}.get(c, c)][i])
+                                 for c in columns])
+            want = want.getvalue()
+        else:
+            records = [{name: fields[name][i] for name in names} for i in range(rows)]
+            want = json.dumps({"metadata": {**head, "params": cli._params_dict(REFERENCE_PARAMS)},
+                               key: records}, indent=2) + "\n"
+        assert got.getvalue() == want
 
     @pytest.mark.parametrize("args", [
         ["scan", "--c2", "0.8", "--grid", "0.2:1.2:3,0.2:3:4"],

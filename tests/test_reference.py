@@ -337,9 +337,6 @@ class TestDivergenceFromExactSolution:
         md = series.metadata
         assert md["n"] == 256 and md["dt"] == 1e-3
         assert md["p"] == 1.0 and md["q"] == 2.0
-        d = series.to_json_dict()
-        assert set(d) == {"metadata", "points"}
-        assert "monotone" in d["metadata"]
 
     def test_times_realized_on_step_grid(self):
         s = soliton_field(1.0)

@@ -621,6 +621,13 @@ def _fields(rep):
     return [repr(v) for v in dataclasses.astuple(rep)]
 
 
+def _time_row(columns, k=0):
+    # time row k of row_reports' columns as reports: per x, one per sign
+    fields = [c[:, k].tolist() for c in columns.values()]
+    return [[ResidualReport(*(f[i][j] for f in fields)) for i in range(len(fields[0]))]
+            for j in range(len(fields[0][0]))]
+
+
 class TestReportsAt:
     @pytest.mark.parametrize("grid", [
         "0.2:1.2:10,0.2:1.2:10",
@@ -716,13 +723,13 @@ class TestRowReports:
         # to the bit and the notes equal
         for sz in (1, -1):
             p = with_branch(REFERENCE_PARAMS, sz, 1)
-            row = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))[0]
+            row = _time_row(verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1)))
             assert self.fields(row) == self.fields(self.one_x(p, xs, t))
 
     def test_a_row_holds_a_pole_adjacent_and_clean_points(self):
         p = with_branch(REFERENCE_PARAMS, 1, 1)
         xs = [2.13, *self.POLE, 2.3]
-        reps = verify.row_reports(verify._TimeRow(p, 1.0), p, xs, (1, -1))[0]
+        reps = _time_row(verify.row_reports(verify._TimeRow(p, 1.0), p, xs, (1, -1)))
         assert [[rep.notes for rep in r] for r in reps] == (
             [["pole_adjacent", ""]] * 3 + [["", ""]])
         assert abs(reps[1][0].P) > 1e27 and abs(reps[2][0].P) > 1e27
@@ -737,7 +744,7 @@ class TestRowReports:
         failed = set()
         for sz in (1, -1):
             p = with_branch(p0, sz, 1)
-            row = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))[0]
+            row = _time_row(verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1)))
             assert self.fields(row) == self.fields(self.one_x(p, xs, t))
             if {rep.notes for reps in row for rep in reps} == {"NegativeRadicand"}:
                 failed.add(sz)
@@ -757,7 +764,7 @@ class TestRowReports:
             return real(curve, xi)
 
         monkeypatch.setattr(verify, "_closed_form_parts", parts)
-        got = verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))[0]
+        got = _time_row(verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1)))
         assert [[rep.notes for rep in reps] for reps in got] == [["PoleProximity"] * 2] * 3
         assert all(np.isnan(v) for reps in got for rep in reps
                    for v in (rep.P, rep.r1, rep.r2, rep.pde_abs))
@@ -779,7 +786,8 @@ class TestRowReports:
         for t in (0.0, 0.4, 1.0, 1e6):
             for sz in (1, -1):
                 p = with_branch(REFERENCE_PARAMS, sz, 1)
-                reps = verify.row_reports(verify._TimeRow(p, t), p, self.EDGES, (1, -1))[0]
+                reps = _time_row(verify.row_reports(
+                    verify._TimeRow(p, t), p, self.EDGES, (1, -1)))
                 assert not any("PoleProximity" in rep.notes for r in reps for rep in r)
         assert raised == []
 
@@ -792,6 +800,8 @@ class TestRowReports:
         masks = [("pole", pole), ("pole_adjacent", adjacent), ("StencilOutOfDomain", stencil)]
         code = pole + 2 * adjacent + 4 * stencil
         assert verify._NOTES[code] == ";".join(name for name, mask in masks if mask)
+        # and code 8, past the masks: a number not finite for none of their reasons
+        assert verify._NOTES[8:] == ("nonfinite",)
 
     def test_a_row_has_no_per_x_differencing(self, monkeypatch):
         # a row's differences are taken on arrays: as many difference calls
@@ -850,8 +860,10 @@ class TestTimeStack:
         xs, ts = np.linspace(0.2, 1.2, 4), np.linspace(0.2, 3.0, 8)
         for sz in (1, -1):
             p = with_branch(p0, sz, 1)
-            stack = verify.row_reports(verify._TimeRow(p, ts), p, xs, (1, -1))
-            alone = [verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1))[0] for t in ts]
+            columns = verify.row_reports(verify._TimeRow(p, ts), p, xs, (1, -1))
+            stack = [_time_row(columns, k) for k in range(len(ts))]
+            alone = [_time_row(verify.row_reports(verify._TimeRow(p, t), p, xs, (1, -1)))
+                     for t in ts]
             assert [[list(map(_fields, r)) for r in reps] for reps in stack] == (
                 [[list(map(_fields, r)) for r in reps] for reps in alone])
             notes = [{rep.notes for r in reps for rep in r} for reps in stack]

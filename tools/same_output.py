@@ -10,7 +10,7 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 116 of the list
+flags, that one invocation is compared; without, the 118 of the list
 below: the default and the benchmark ``scan``, a scan of one x at 61
 times (the time stack's longest case), the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
@@ -21,7 +21,8 @@ slope of a point is pole-adjacent and the other is not, four grids at the
 edges of a point's x stencils (the pole guard inside the
 stencils, the halving depth's step at |u| = 1, the fold threshold and the
 profile period), two wide rows (40 points of a row, and 60 across
-the profile folds on 20 rows), the two floats on either side of the ``pp``
+the profile folds on 20 rows), the four-branch 40x40 grid (6,400
+records) in CSV and in JSON, the two floats on either side of the ``pp``
 pole, a row from x = 1e15 to 1e17 on every branch, every ``late``
 window of the benchmark, ``residuals`` at eight times, four of them many
 orbit periods out (1e6, 1e10, 1e12 and 1e17), at three points far out in
@@ -102,6 +103,9 @@ def invocations() -> list:
         # across the profile folds
         ("scan", "--branch", "all", "--grid", "0.2:1.2:40,0.2:1.2:3"),
         ("scan", "--branch", "all", "--grid=-7:9:60,0:30:20"),
+        # the four-branch 40x40 grid, 6,400 records, in CSV and in JSON
+        *(("scan", "--branch", "all", "--grid", "0.2:1.2:40,0.2:1.2:40", "--format", fmt)
+          for fmt in ("csv", "json")),
         # the floats on either side of the pp profile pole at t = 1, and a
         # row far out in x, each x reduced by its own whole periods
         ("scan", "--branch", "pp", "--grid", "2.138636624931717:2.1386366249317175:2,1:1:1"),
