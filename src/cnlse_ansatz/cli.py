@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import re
@@ -299,8 +300,11 @@ def _resolve_run(ns) -> RunConfig:
 
 
 def _parse_axis(chunk: str, name: str) -> np.ndarray:
-    """The points of one ``LO:HI:N`` axis: at most EVOLVE_MAX_STEPS points,
-    LO finite, and when N > 1, HI finite and above LO, and HI - LO finite."""
+    """The points of one ``LO:HI:N`` axis, printable text (the CSV header
+    repeats it on one line): at most EVOLVE_MAX_STEPS points, LO finite,
+    and when N > 1, HI finite and above LO, and HI - LO finite."""
+    if not chunk.isprintable():  # float() and int() take a line break or tab around a number
+        raise CliError(f"{name} axis must be printable text, got {chunk!r}")
     bits = chunk.split(":")
     if len(bits) != 3:
         raise CliError(f"{name} axis must be LO:HI:N, got {chunk!r}")
@@ -356,37 +360,6 @@ def _params_dict(params: AnsatzParams) -> dict:
     return {k: v for k, v in asdict(params).items() if k not in ("sigma_z", "sigma_Q")}
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, the same bytes, with each
-    container whose values are all scalars encoded by one call of json's C
-    encoder: its item separator carries the newline and indent of the
-    container's depth, and its braces are re-indented.  (With ``indent``,
-    json runs its pure-Python encoder, a string per token.)  The pieces go
-    to one flat list, joined once, so the text is held once."""
-    encoders, pieces = {}, []
-
-    def encode(value, depth):
-        pad = "\n" + "  " * (depth + 1)
-        container, is_dict = isinstance(value, (dict, list)), isinstance(value, dict)
-        values = value.values() if is_dict else value if container else ()
-        if any(isinstance(v, (dict, list)) for v in values):
-            pieces.append("{" if is_dict else "[")
-            for n, (k, v) in enumerate(value.items() if is_dict else enumerate(value)):
-                pieces.append(("," if n else "") + pad + (json.dumps(k) + ": " if is_dict else ""))
-                encode(v, depth + 1)
-            pieces.append(pad[:-2] + ("}" if is_dict else "]"))
-            return
-        if depth not in encoders:
-            encoders[depth] = json.JSONEncoder(separators=("," + pad, ": ")).encode
-        text = encoders[depth](value)
-        pieces.append(text[0] + pad + text[1:-1] + pad[:-2] + text[-1] if container and value
-                      else text)
-
-    encode(doc, 0)
-    pieces.append("\n")
-    return "".join(pieces)
-
-
 def _write_table(rc: RunConfig, meta: dict, columns, key: str, fields: dict) -> None:
     """Write the table ``fields`` (one list per field name, all of one
     length, a row per index) with the run metadata.
@@ -396,7 +369,11 @@ def _write_table(rc: RunConfig, meta: dict, columns, key: str, fields: dict) -> 
     digits (the ``flags`` column reads the ``notes`` field), streamed.
     JSON: ``{"metadata": {generated_at, mode, ..., params}, key: records}``,
     a record per row keyed by the field names in order, as
-    ``json.dumps(..., indent=2)`` writes it, in one write.
+    ``json.dumps(..., indent=2)`` writes it, in one write.  The metadata is
+    that call itself; each record is one template over a row of tokens, a
+    column's tokens one call of json's C encoder split on its item
+    separator, or one call per value where that split does not give one
+    token per value (a string holding the separator, or no values).
     """
     meta = {"generated_at": _timestamp(), "mode": rc.mode, **meta}
     with _output(rc.out) as stream:
@@ -408,8 +385,18 @@ def _write_table(rc: RunConfig, meta: dict, columns, key: str, fields: dict) -> 
             writer.writerows(zip(*(map(_fmt12, fields[_CSV_FIELD.get(c, c)]) for c in columns)))
         else:
             meta["params"] = _params_dict(rc.params)
-            records = [dict(zip(fields, values)) for values in zip(*fields.values())]
-            stream.write(_json_text({"metadata": meta, key: records}))
+            head = json.dumps({"metadata": meta, key: []}, indent=2)  # ends '[]\n}'
+            template = "%s\n    {" + ",".join(
+                f"\n      {json.dumps(name)}: %s" for name in fields) + "\n    }"
+            tokens = [itertools.chain([""], itertools.repeat(","))]  # from the 2nd record on
+            for values in fields.values():
+                # a string holding ", " splits into more tokens than values, and
+                # no values into one: either column is encoded value by value
+                split = json.dumps(values)[1:-1].split(", ")
+                tokens.append(split if len(split) == len(values) else map(json.dumps, values))
+            pieces = [head[:-3], *(template % row for row in zip(*tokens))]
+            pieces.append("\n  ]\n}\n" if len(pieces) > 1 else "]\n}\n")
+            stream.write("".join(pieces))
 
 
 def _reports(rc: RunConfig, row: _TimeRow, xs) -> dict:
@@ -549,7 +536,7 @@ def cmd_elliptic(ns) -> int:
         payload[f"e{i}_im"] = r.imag
     with _output(ns.out) as stream:
         if ns.fmt == "json":
-            stream.write(_json_text(payload))
+            stream.write(json.dumps(payload, indent=2) + "\n")
         else:
             for key, val in payload.items():
                 stream.write(f"{key},{_fmt12(float(val))}\n")

@@ -24,6 +24,7 @@ from boundary artifacts.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -60,6 +61,13 @@ class SpectralGrid:
         object.__setattr__(self, "n", n)
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        # the largest |wavenumber| as ``wavenumbers`` computes it; the
+        # multipliers and the aliasing screen take its square
+        k_max = 2.0 * math.pi * (n // 2 * (1.0 / (n * self.dx)))
+        if not math.isfinite(k_max * k_max):
+            raise ValueError(
+                f"window [{self.x_min:g}, {self.x_max:g}] with n = {n} is too narrow: "
+                f"its largest wavenumber, {k_max:.3g}, overflows a float when squared")
 
     @property
     def dx(self) -> float:

@@ -631,6 +631,38 @@ class TestNonFinitePoint:
         assert err.startswith(f"error: {message}"), err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode, grid, axis", [
+        # a line break after the grid, as $'...\n' in a shell passes it
+        (["scan", "--branch", "pp"], "0.2:1.2:2,0.2:1.2:1\n", "t axis"),
+        (["scan", "--branch", "pp"], "0.2:1.2:2\t,0.2:1.2:1", "x axis"),
+        # a config line ending in \r\n
+        (["evolve", "--branch", "mm"], "-1.25:1.25:256\r\n", "window axis"),
+        (["evolve", "--branch", "mm"], "-1.25:1.25:256,0.1:0.3:3\x00", "time axis"),
+    ], ids=["scan-newline", "scan-tab", "evolve-crlf", "evolve-nul"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_grid_that_is_not_printable_text(self, tmp_path, capsys, mode, grid, axis, source):
+        # float() and int() read a number with a line break around it, which
+        # the CSV header would write on lines of its own
+        if source == "flag":
+            args = [*mode, f"--grid={grid}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"grid": grid}))
+            args = [*mode, "--config", str(cfg)]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        chunk = grid.split(",")[axis in ("t axis", "time axis")]
+        assert out == ""
+        assert err == f"error: {axis} must be printable text, got {chunk!r}\n"
+
+    def test_spaces_in_a_grid_are_accepted(self, capsys):
+        assert main(["scan", "--branch", "pp", "--grid", "0.2:1.2:2,0.2:1.2:1"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(["scan", "--branch", "pp", "--grid", " 0.2 :1.2:2, 0.2:1.2: 1 "]) == 0
+        spaced = capsys.readouterr().out.splitlines()
+        assert spaced[2] == "# grid= 0.2 :1.2:2, 0.2:1.2: 1 "
+        assert spaced[3:] == plain[3:] and len(plain) == 7
+
 
 # points of the one report path: the default, a pole-adjacent branch (mp at
 # t = 20000), the mirror point of a pole and a point where the -1 orbit
@@ -828,6 +860,16 @@ class TestEvolve:
                          f"--grid=-1.25:1.25:256,{t_axis}"]) == 1, t_axis
         capsys.readouterr()
 
+    def test_a_window_too_narrow_for_its_wavenumbers(self, capsys):
+        # k_max = pi / dx reads 1.0e202 here, and its square overflows
+        assert main(["evolve", "--branch", "mm", "--grid=-1e-200:1e-200:64", "--dt", "1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window [-1e-200, 1e-200] with n = 64 is too narrow"), err
+        assert "overflows a float when squared" in err and err.count("\n") == 1
+        # k_max reads 1.0e152 here, its square 1.0e304
+        assert main(["evolve", "--branch", "mm", "--grid=-1e-150:1e-150:64", "--dt", "1e-3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) > 6
+
     def test_reversed_window_uses_the_axis_message(self, capsys):
         assert main(["evolve", "--branch", "mm", "--grid", "1.25:-1.25:256"]) == 1
         assert capsys.readouterr().err.startswith("error: window axis needs HI > LO")
@@ -928,33 +970,30 @@ _TABLES = [
 ]
 
 
+@st.composite
+def _table(draw):
+    """One of the tables the command line writes: key, CSV columns and
+    equal-length lists of cells by field name."""
+    key, columns, names = draw(st.sampled_from(_TABLES))
+    rows = draw(st.integers(0, 5))
+    return key, columns, {name: draw(st.lists(_CELLS, min_size=rows, max_size=rows))
+                          for name in names}
+
+
 class TestJsonText:
-    @given(meta=_FLAT, params=_FLAT, key=st.sampled_from(["reports", "points"]),
-           records=st.lists(_FLAT, max_size=4))
-    @example(meta={}, params={}, key="reports", records=[])
-    @example(meta={"mode": "scan"}, params={"q": -1.0}, key="points", records=[{}, {"x": 1}])
+    @given(table=_table(), meta=_FLAT, fmt=st.sampled_from(["csv", "json"]))
+    # no rows: an empty column must not read as one empty token
+    @example(table=(*_TABLES[0][:2], {name: [] for name in _TABLES[0][2]}), meta={}, fmt="json")
+    # a column of floats and a string that holds json's item separator
+    @example(table=("points", _TABLES[1][1], {"t": [0.5, "a, b", float("nan")],
+                                              "l2": [1e-300, -0.0, 3], "linf": ["", ", ", 2.5]}),
+             meta={"grid": "x, y"}, fmt="json")
     @settings(max_examples=150, deadline=None)
-    def test_bytes_are_indent_2(self, meta, params, key, records):
-        # metadata with a nested params dict, and a list of flat records
-        doc = {"metadata": {**meta, "params": params}, key: records}
-        assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
-
-    @given(payload=_FLAT)
-    @example(payload={})
-    @settings(max_examples=50, deadline=None)
-    def test_a_flat_payload_is_indent_2(self, payload):
-        # elliptic's payload is one flat dict
-        assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
-
-    @given(data=st.data(), meta=_FLAT, table=st.sampled_from(_TABLES),
-           fmt=st.sampled_from(["csv", "json"]), rows=st.integers(0, 5))
-    @settings(max_examples=150, deadline=None)
-    def test_a_table_is_its_rows(self, data, meta, table, fmt, rows):
+    def test_a_table_is_its_rows(self, table, meta, fmt):
         # columns of equal length are written as a csv.writer writes their
         # rows at 12 digits, or as json.dumps(..., indent=2) writes records
-        key, columns, names = table
-        fields = {name: data.draw(st.lists(_CELLS, min_size=rows, max_size=rows))
-                  for name in names}
+        key, columns, fields = table
+        rows = len(next(iter(fields.values())))
         rc = types.SimpleNamespace(mode="scan", fmt=fmt, out=None, params=REFERENCE_PARAMS)
         got = io.StringIO()
         with mock.patch.object(cli, "_timestamp", lambda: "T"), contextlib.redirect_stdout(got):
@@ -970,7 +1009,7 @@ class TestJsonText:
                                  for c in columns])
             want = want.getvalue()
         else:
-            records = [{name: fields[name][i] for name in names} for i in range(rows)]
+            records = [{name: fields[name][i] for name in fields} for i in range(rows)]
             want = json.dumps({"metadata": {**head, "params": cli._params_dict(REFERENCE_PARAMS)},
                                key: records}, indent=2) + "\n"
         assert got.getvalue() == want

@@ -79,6 +79,17 @@ class TestSpectralGrid:
         with pytest.raises(ValueError):
             SpectralGrid(x_min=0.0, x_max=1.0, n=64, dt=0.0)
 
+    def test_a_window_whose_largest_wavenumber_overflows_when_squared(self):
+        with pytest.raises(ValueError, match=r"^window \[-1e-200, 1e-200\] with n = 64 is "
+                           r"too narrow: .* overflows a float when squared$"):
+            SpectralGrid(x_min=-1e-200, x_max=1e-200, n=64, dt=1e-3)
+        # the same width at n = 1024 is refused; at n = 64, k_max is 1.005e154
+        # and its square, as the aliasing screen takes it, is a float
+        with pytest.raises(ValueError, match="n = 1024 is too narrow"):
+            SpectralGrid(x_min=-1e-152, x_max=1e-152, n=1024, dt=1e-3)
+        g = SpectralGrid(x_min=-1e-152, x_max=1e-152, n=64, dt=1e-3)
+        assert np.isfinite(float(np.max(np.abs(g.wavenumbers))) ** 2)
+
 
 class TestEvolution:
     def test_plane_wave_is_exact(self, no_aliasing_warning):
