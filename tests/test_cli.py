@@ -1128,6 +1128,67 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
         assert "'x'" in err[0]
 
+    def test_an_empty_skip_skips_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"skip": ""}))
+        assert main(["selftest", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" PASS") == 7 + 1 and " SKIP" not in out  # 7 checks, overall
+
+    def test_parameters_are_refused_before_out_is_read(self, tmp_path):
+        # the parameters resolve first, so a bad z0 is what is named; a
+        # subprocess, so that out = 7 cannot reach this process's descriptors
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z0": -1, "out": 7}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cnlse_ansatz", "residuals", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: z0 must be positive\n"
+
+    def test_t_end_wins_over_t_hyphen_end(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_end": 0.02, "t-end": 0.05}))
+        out = tmp_path / "ev.json"
+        assert main(["evolve", "--branch", "mm", "--grid=-1.25:1.25:64", "--format", "json",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["points"][-1]["t"] == 0.02
+
+    def test_a_key_whose_flag_is_given_is_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x": "abc"}))
+        assert main(["residuals", "--config", str(cfg), "--x", "1"]) == 0
+        capsys.readouterr()
+
+    def test_config_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": "f"}))
+        assert main(["residuals", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: config\n"
+
+    def test_every_run_flag_is_a_config_key(self, tmp_path, monkeypatch, capsys):
+        # the flags as the parser holds them; each key reads as its flag
+        monkeypatch.chdir(tmp_path)  # where an out of "0.5" writes
+        parser = TestParser.modes(cli._build_parser(["residuals"]))["residuals"]
+        flags = [a for a in parser._actions
+                 if a.option_strings and a.option_strings[0] not in ("-h", "--config")]
+        assert len(flags) == 17
+        cfg = tmp_path / "cfg.json"
+
+        def run(argv):
+            code = main(["residuals", *argv])
+            out, err = capsys.readouterr()
+            return code, [ln for ln in out.splitlines() if "generated_at" not in ln], err
+
+        for action in flags:
+            flag = action.option_strings[0]
+            value = action.choices[0] if action.choices else 0.5 if action.type is float else "0.5"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            got = run(["--config", str(cfg)])
+            assert "unknown config key" not in got[2], flag
+            assert got == run([flag, str(value)]), flag
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
