@@ -20,7 +20,7 @@ import sys
 import time
 import types
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -90,9 +90,24 @@ _DEFAULT_GRID = {"scan": SCAN_DEFAULT_GRID, "evolve": EVOLVE_DEFAULT_WINDOW}
 # Steps an evolve run may take: at n = 1024 a step costs about 56 us, so 10 minutes
 EVOLVE_MAX_STEPS = 10 ** 7
 
-_PARAM_FLAGS = ("q", "c1", "c2", "c3", "z0", "q0", "phi0")
 _FIELD_OF_FLAG = {"q": "q", "c1": "c1", "c2": "c2", "c3": "c3",
                   "z0": "z0", "q0": "Q0", "phi0": "phi0"}
+# Every flag of the run modes, in --help order, with its argparse settings.
+# Each but config is also a config key (t_end stands for t-end too), which
+# takes a JSON number for a float flag, a string for a single-valued one,
+# and anything for a repeatable one.
+_RUN_FLAGS = {
+    **{flag: {"type": float} for flag in (*_FIELD_OF_FLAG, "x", "t")},
+    "branch": {"choices": [*BRANCH_ORDER, "all"]},
+    "grid": {"help": "X0:X1:NX,T0:T1:NT (scan) or window X0:X1:N (evolve)"},
+    "format": {"choices": ["csv", "json"]},
+    "out": {},
+    "tol": {"action": "append", "help": "NAME=VALUE, or a bare VALUE for all checks"},
+    "config": {"help": "JSON file mirroring flag names"},
+    "dt": {"type": float},
+    "t-end": {"type": float},
+    "skip": {"action": "append", "help": "selftest: skip a module suite (repeatable)"},
+}
 
 
 class CliError(Exception):
@@ -111,24 +126,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: mode, parameters, evaluation point, output."""
-
-    mode: str
-    params: AnsatzParams
-    branches: tuple
-    x: float
-    t: float
-    grid: str | None
-    fmt: str
-    out: str | None
-    tolerances: dict
-    skips: tuple
-    dt: float
-    t_end: float
-
-
 def _fmt12(v) -> str:
     if isinstance(v, float):
         return format(v, ".12g")
@@ -136,29 +133,15 @@ def _fmt12(v) -> str:
 
 
 def _add_run_flags(sp) -> None:
-    for flag in _PARAM_FLAGS:
-        sp.add_argument(f"--{flag}", type=float, default=None)
-    sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--branch", choices=list(BRANCH_ORDER) + ["all"], default=None)
-    sp.add_argument("--grid", default=None,
-                    help="X0:X1:NX,T0:T1:NT (scan) or window X0:X1:N (evolve)")
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--tol", action="append", default=None,
-                    help="NAME=VALUE, or a bare VALUE for all checks")
-    sp.add_argument("--config", default=None, help="JSON file mirroring flag names")
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sp.add_argument("--skip", action="append", default=None,
-                    help="selftest: skip a module suite (repeatable)")
+    for flag, settings in _RUN_FLAGS.items():
+        sp.add_argument(f"--{flag}", **settings)
 
 
 def _add_elliptic_flags(sp) -> None:
     sp.add_argument("--g2", type=float, required=True)
     sp.add_argument("--g3", type=float, required=True)
     sp.add_argument("--u", type=complex, required=True)
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--out", default=None)
 
 
@@ -191,14 +174,6 @@ def _load_config(path: str) -> dict:
     return data
 
 
-_CONFIG_KEYS = set(_PARAM_FLAGS) | {
-    "x", "t", "branch", "grid", "format", "out", "dt", "t_end", "t-end",
-    "tol", "skip",
-}
-# config values read as numbers; the other keys that flags mirror read strings
-_NUMBER_KEYS = set(_PARAM_FLAGS) | {"x", "t", "dt", "t_end"}
-
-
 def _positive_float(text, what: str) -> float:
     try:
         v = float(text)
@@ -211,92 +186,82 @@ def _positive_float(text, what: str) -> float:
     return v
 
 
-def _resolve_run(ns) -> RunConfig:
+def _finite(v: float, what: str) -> float:
+    if not math.isfinite(v):
+        raise CliError(f"{what} must be finite, got {v!r}")
+    return v
+
+
+def _resolve_run(ns) -> argparse.Namespace:
+    """``ns`` with each run flag but config set to the value of the flag,
+    else of its config key, else the built-in one, and with ``params``,
+    ``branches``, ``tolerances`` and ``skips`` added.  Flags resolve, and a
+    bad value is refused, in this order: the parameters, branch, tol,
+    format, skip, x, t, grid, out, dt, t-end."""
     config = _load_config(ns.config) if ns.config else {}
-    unknown = set(config) - _CONFIG_KEYS
+    unknown = set(config) - (set(_RUN_FLAGS) - {"config"} | {"t_end"})
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    def pick(flag, fallback):
-        attr = {"format": "fmt"}.get(flag, flag.replace("-", "_"))
-        v = getattr(ns, attr, None)
-        if v is not None:
-            return v
-        key = flag if flag in config else {"t_end": "t-end"}.get(flag)
-        if key not in config:
-            return fallback
-        v = config[key]
-        kind = "number" if flag in _NUMBER_KEYS else "string"
-        if isinstance(v, bool) or not isinstance(v, (int, float) if kind == "number" else str):
-            raise CliError(f"config key {key!r} must be a {kind}, got {v!r}")
-        if kind == "number":
-            try:
-                return float(v)
-            except OverflowError:
-                raise CliError(f"config key {key!r} is too large for a float") from None
+    def pick(flag, fallback, check=None):
+        """The value of --flag, else of its config key (t_end before t-end),
+        else fallback; passed through check(value, source) and set on ns."""
+        dest = flag.replace("-", "_")
+        v, source = getattr(ns, dest), f"--{flag}"
+        key = next((k for k in (dest, flag) if k in config), None)
+        if v is None and key is None:
+            v = fallback
+        elif v is None:
+            v, source = config[key], f"config key {key!r}"
+            settings = _RUN_FLAGS[flag]
+            if "action" not in settings:  # a repeatable flag's key takes anything
+                number = settings.get("type") is float
+                if isinstance(v, bool) or not isinstance(v, (int, float) if number else str):
+                    raise CliError(f"{source} must be a {'number' if number else 'string'}, "
+                                   f"got {v!r}")
+                if number:
+                    try:
+                        v = float(v)
+                    except OverflowError:
+                        raise CliError(f"{source} is too large for a float") from None
+            if v not in settings.get("choices", (v,)):
+                raise CliError(f"unknown {flag} {v!r}")
+        if check is not None:
+            v = check(v, source)
+        setattr(ns, dest, v)
         return v
 
-    def named(flag):
-        return f"--{flag}" if getattr(ns, flag) is not None else f"config key {flag!r}"
-
-    def finite(flag, fallback):
-        v = pick(flag, fallback)
-        if not math.isfinite(v):
-            raise CliError(f"{named(flag)} must be finite, got {v!r}")
-        return v
-
-    fields = {}
-    for flag in _PARAM_FLAGS:
-        name = _FIELD_OF_FLAG[flag]
-        fields[name] = pick(flag, getattr(REFERENCE_PARAMS, name))
-    params = AnsatzParams(**fields)
+    ns.params = AnsatzParams(**{field: pick(flag, getattr(REFERENCE_PARAMS, field))
+                                for flag, field in _FIELD_OF_FLAG.items()})
 
     branch = pick("branch", "all")
-    if branch == "all":
-        branches = tuple((b, BRANCHES[b]) for b in BRANCH_ORDER)
-    elif branch in BRANCHES:
-        branches = ((branch, BRANCHES[branch]),)
-    else:
-        raise CliError(f"unknown branch {branch!r}")
+    ns.branches = tuple((b, BRANCHES[b]) for b in (BRANCH_ORDER if branch == "all" else [branch]))
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tol_items = ns.tol if ns.tol is not None else config.get("tol")
-    if tol_items is not None and not isinstance(tol_items, list):
-        tol_items = [tol_items]
-    for item in tol_items or []:
+    ns.tolerances = dict(DEFAULT_TOLERANCES)
+    tol = pick("tol", None)
+    for item in tol if isinstance(tol, list) else [] if tol is None else [tol]:
         text = str(item)
         if "=" in text:
             name, _, value = text.partition("=")
             name = name.strip()
-            if name not in tolerances:
+            if name not in ns.tolerances:
                 raise CliError(f"unknown tolerance name {name!r}")
-            tolerances[name] = _positive_float(value, f"tolerance {name}")
+            ns.tolerances[name] = _positive_float(value, f"tolerance {name}")
         else:
             v = _positive_float(text, "tolerance")
-            tolerances = {k: v for k in tolerances}
+            ns.tolerances = dict.fromkeys(ns.tolerances, v)
 
-    fmt = pick("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise CliError(f"unknown format {fmt!r}")
+    pick("format", "csv")
+    skips = pick("skip", None) or []
+    ns.skips = tuple(str(s) for s in (skips if isinstance(skips, list) else [skips]))
 
-    skips = ns.skip if ns.skip is not None else config.get("skip") or []
-    if not isinstance(skips, list):
-        skips = [skips]
-
-    return RunConfig(
-        mode=ns.mode,
-        params=params,
-        branches=branches,
-        x=finite("x", 1.0),
-        t=finite("t", 1.0),
-        grid=pick("grid", _DEFAULT_GRID.get(ns.mode)),
-        fmt=fmt,
-        out=pick("out", None),
-        tolerances=tolerances,
-        skips=tuple(str(s) for s in skips),
-        dt=_positive_float(pick("dt", 1e-3), named("dt")),
-        t_end=pick("t_end", 0.5),
-    )
+    pick("x", 1.0, _finite)
+    pick("t", 1.0, _finite)
+    pick("grid", _DEFAULT_GRID.get(ns.mode))
+    pick("out", None)
+    pick("dt", 1e-3, _positive_float)
+    pick("t-end", 0.5)
+    return ns
 
 
 def _parse_axis(chunk: str, name: str) -> np.ndarray:
@@ -360,7 +325,7 @@ def _params_dict(params: AnsatzParams) -> dict:
     return {k: v for k, v in asdict(params).items() if k not in ("sigma_z", "sigma_Q")}
 
 
-def _write_table(rc: RunConfig, meta: dict, columns, key: str, fields: dict) -> None:
+def _write_table(rc: argparse.Namespace, meta: dict, columns, key: str, fields: dict) -> None:
     """Write the table ``fields`` (one list per field name, all of one
     length, a row per index) with the run metadata.
 
@@ -377,7 +342,7 @@ def _write_table(rc: RunConfig, meta: dict, columns, key: str, fields: dict) -> 
     """
     meta = {"generated_at": _timestamp(), "mode": rc.mode, **meta}
     with _output(rc.out) as stream:
-        if rc.fmt == "csv":
+        if rc.format == "csv":
             for name, value in meta.items():
                 stream.write(f"# {name}={value}\n")
             writer = csv.writer(stream)
@@ -399,7 +364,7 @@ def _write_table(rc: RunConfig, meta: dict, columns, key: str, fields: dict) -> 
             stream.write("".join(pieces))
 
 
-def _reports(rc: RunConfig, row: _TimeRow, xs) -> dict:
+def _reports(rc: argparse.Namespace, row: _TimeRow, xs) -> dict:
     """The reports of rc.branches at every time of the row's stack and x of
     xs, as one list per report field, in output order: branch (in their
     order), then x, then t.  One ``row_reports`` call per orbit serves
@@ -414,7 +379,7 @@ def _reports(rc: RunConfig, row: _TimeRow, xs) -> dict:
             for name in next(iter(orbits.values()))}
 
 
-def cmd_paper_check(rc: RunConfig) -> int:
+def cmd_paper_check(rc: argparse.Namespace) -> int:
     tol, row = rc.tolerances, _TimeRow(rc.params, rc.t)
     reports = _reports(rc, row, (rc.x,))
     rows = []
@@ -452,7 +417,7 @@ def cmd_paper_check(rc: RunConfig) -> int:
     return 0 if matches else 2
 
 
-def cmd_scan(rc: RunConfig) -> int:
+def cmd_scan(rc: argparse.Namespace) -> int:
     xs, ts = _parse_grid(rc.grid)
     # one stack of time rows (see verify) serves every point and branch
     _write_table(rc, {"grid": rc.grid, "branch": ",".join(name for name, _ in rc.branches)},
@@ -460,13 +425,13 @@ def cmd_scan(rc: RunConfig) -> int:
     return 0
 
 
-def cmd_residuals(rc: RunConfig) -> int:
+def cmd_residuals(rc: argparse.Namespace) -> int:
     reports = _reports(rc, _TimeRow(rc.params, rc.t), (rc.x,))
     _write_table(rc, {"x": _fmt12(rc.x), "t": _fmt12(rc.t)}, CLI_COLUMNS, "reports", reports)
     return 0
 
 
-def cmd_pde(rc: RunConfig) -> int:
+def cmd_pde(rc: argparse.Namespace) -> int:
     # the pde_abs of residuals: an orbit state that fails at t, or a profile
     # curve with no real slope at Q0, fails the stencil as a time node does
     reports = _reports(rc, _TimeRow(rc.params, rc.t), (rc.x,))
@@ -490,7 +455,7 @@ def _control_run(dt: float) -> _Run:
                 lambda states: float(np.max(np.abs(states[0] - exact))))
 
 
-def cmd_evolve(rc: RunConfig) -> int:
+def cmd_evolve(rc: argparse.Namespace) -> int:
     if len(rc.branches) != 1:
         raise CliError("evolve runs one branch at a time; pass --branch pp|pm|mp|mm")
     (name, (sz, sq)), = rc.branches
@@ -535,7 +500,7 @@ def cmd_elliptic(ns) -> int:
         payload[f"e{i}_re"] = r.real
         payload[f"e{i}_im"] = r.imag
     with _output(ns.out) as stream:
-        if ns.fmt == "json":
+        if ns.format == "json":
             stream.write(json.dumps(payload, indent=2) + "\n")
         else:
             for key, val in payload.items():
@@ -665,7 +630,7 @@ _SELFTEST_SUITES = {
 }
 
 
-def cmd_selftest(rc: RunConfig) -> int:
+def cmd_selftest(rc: argparse.Namespace) -> int:
     for skip in rc.skips:
         if skip not in _SELFTEST_SUITES:
             raise CliError(

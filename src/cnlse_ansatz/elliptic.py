@@ -18,7 +18,9 @@ moderate-invariant case instead of silently losing digits.
 
 An argument far from the origin is first folded by whole real periods 2w
 (``real_period``) into |Re u| <= w, so the halving depth, and the
-round-off with it, stays bounded in |u| (see ``wp_pair``).
+round-off with it, stays bounded in |u| (see ``wp_pair``).  A degenerate
+lattice (g2^3 = 27 g3^2) has no such period to fold by, and its pair is
+read from its closed form instead (A&S 18.12).
 """
 
 from __future__ import annotations
@@ -122,6 +124,32 @@ def _real_period(g2: float, g3: float) -> float | None:
     return float(_LONG_PI / a)
 
 
+def _degenerate_pair(uf, g2: float, g3: float):
+    """(wp, wp') at ``uf`` where g2^3 = 27 g3^2 exactly (compared in
+    integers, which neither overflow nor underflow), else None.  There,
+    with double root e = -3 g3 / (2 g2), they are 1/u^2 and -2/u^3 at e = 0,
+    else e + 3e csch^2 z and -6e s coth z csch^2 z at z = s u, s = sqrt(3e)
+    complex, one form for both signs of e (A&S 18.12).  Where |Re z| > 20,
+    z is first moved by a real c to |Re z| = 20, since there
+    csch^2 z = exp(-2|c|) csch^2(z + c) and coth z = coth(z + c) to far below
+    round-off, and sinh z would overflow.  In extended precision, which
+    keeps z exact to well below double round-off far out."""
+    (a, b), (c, d) = g2.as_integer_ratio(), g3.as_integer_ratio()
+    if a ** 3 * d ** 2 != 27 * c ** 2 * b ** 3:
+        return None
+    u = uf.astype(np.clongdouble)
+    if g2 == 0.0:
+        return (1.0 / u ** 2).astype(complex), (-2.0 / u ** 3).astype(complex)
+    e = -1.5 * np.longdouble(g3) / np.longdouble(g2)
+    s = np.sqrt(np.clongdouble(3.0 * e))
+    z = s * u
+    c = np.clip(z.real, -20.0, 20.0) - z.real
+    sinh = np.sinh(z + c)
+    csch2 = np.exp(-2.0 * np.abs(c)) / sinh ** 2
+    coth = np.cosh(z + c) / sinh
+    return (e + 3.0 * e * csch2).astype(complex), (-6.0 * e * s * coth * csch2).astype(complex)
+
+
 def real_period(inv: EllipticInvariants) -> float | None:
     """Real period 2w of the lattice of real invariants, the smallest
     P > 0 with wp(u + P) = wp(u): pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2))
@@ -155,6 +183,9 @@ def wp_pair(u, inv: EllipticInvariants):
     such batches, one per row (its last axis), so a column of independent
     times keeps the bits each has alone.
 
+    On a degenerate lattice (g2^3 = 27 g3^2 exactly) every element is read
+    from the closed form instead (see ``_degenerate_pair``).
+
     Raises PoleProximity when any element sits within POLE_EPSILON of the
     double pole at the origin, before the fold or after it (where the float
     spacing at Re u is wider than 2w).
@@ -180,6 +211,9 @@ def _evaluate(uf, au, inv: EllipticInvariants, row: int = 0):
     """(wp, wp') at the checked 1-d complex arguments ``uf`` (moduli ``au``),
     whose consecutive runs of ``row`` arguments (all of them for 0) each
     share one halving depth."""
+    pair = _degenerate_pair(uf, inv.g2, inv.g3)
+    if pair is not None:
+        return pair
     thr = HALVING_THRESHOLD / _halving_scale(inv.g2, inv.g3)
     far = au > 4.0 * thr  # would need three or more halvings
     period = real_period(inv) if far.any() else None

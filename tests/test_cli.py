@@ -29,6 +29,7 @@ from cnlse_ansatz import (
 from cnlse_ansatz.cli import (
     BRANCH_ORDER,
     CLI_COLUMNS,
+    DEFAULT_TOLERANCES,
     CliError,
     _control_run,
     _parse_grid,
@@ -994,7 +995,7 @@ class TestJsonText:
         # rows at 12 digits, or as json.dumps(..., indent=2) writes records
         key, columns, fields = table
         rows = len(next(iter(fields.values())))
-        rc = types.SimpleNamespace(mode="scan", fmt=fmt, out=None, params=REFERENCE_PARAMS)
+        rc = types.SimpleNamespace(mode="scan", format=fmt, out=None, params=REFERENCE_PARAMS)
         got = io.StringIO()
         with mock.patch.object(cli, "_timestamp", lambda: "T"), contextlib.redirect_stdout(got):
             cli._write_table(rc, meta, columns, key, fields)
@@ -1050,6 +1051,23 @@ class TestElliptic:
     def test_requires_invariants(self, capsys):
         assert main(["elliptic", "--u", "0.3"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("g2, g3, want", [("0", "0", 1e-6), ("12", "-8", 1.0)])
+    def test_a_degenerate_lattice_far_out(self, capsys, g2, g3, want):
+        # 1/u^2, and 1 + 3 / sinh^2(sqrt(3) u): no real period to fold by
+        assert main(["elliptic", f"--g2={g2}", f"--g3={g3}", "--u", "1000"]) == 0
+        kv = dict(ln.split(",") for ln in capsys.readouterr().out.splitlines())
+        assert float(kv["wp_re"]) == pytest.approx(want, rel=1e-12)
+
+    def test_a_degenerate_profile_lattice(self, capsys):
+        # profile invariants (12, -8); P is about 1.5e-14 at x = 10, so the
+        # stencil's pde_abs reads its own round-off
+        assert main(["residuals", "--q", "-1", "--c1", "6", "--c2", "9", "--c3", "128",
+                     "--z0", "1", "--q0", "1", "--x", "10", "--t", "0.1", "--branch", "mm",
+                     "--format", "json"]) == 0
+        rep, = json.loads(capsys.readouterr().out)["reports"]
+        assert rep["notes"] or abs(rep["pde_abs"] - abs(rep["P"])) < 1e-6
+        assert rep["r2"] < DEFAULT_TOLERANCES["r_alg"]
 
 
 class TestConfig:

@@ -171,6 +171,54 @@ class TestRealPeriod:
                 wp_pair(1e17, inv)
 
 
+# degenerate lattices, g2^3 = 27 g3^2: e = 0; e > 0 (the sinh form, no real
+# period); e < 0 (the sin form, a real period that real_period leaves None)
+DEGENERATE = [(0.0, 0.0), (12.0, -8.0), (3.0, -1.0), (12.0, 8.0), (3.0, 1.0)]
+FAR_OUT = np.array([0.3, -0.7, 10.0, 100.0, 1000.0, -1000.0, 0.7 + 0.2j, 10.0 + 0.5j,
+                    100.0 - 3.0j, 1000.0 + 1e-3j, 3.0j, -37.5 + 12.0j])
+
+
+class TestDegenerateLattice:
+    @pytest.mark.parametrize("g2, g3", DEGENERATE)
+    def test_closed_forms(self, g2, g3):
+        # A&S 18.12 at 40 digits: 1/u^2 at e = 0, else e + 3e / sinh^2(sqrt(3e) u)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            e = mp.mpf(-1.5) * g3 / g2 if g2 else mp.mpf(0)
+            s = mp.sqrt(mp.mpc(3 * e))
+            for u in FAR_OUT:
+                w, w1 = wp_pair(u, EllipticInvariants(g2, g3))
+                u = mp.mpc(u)
+                if e == 0:
+                    want, want1 = 1 / u ** 2, -2 / u ** 3
+                else:
+                    want = e + 3 * e / mp.sinh(s * u) ** 2
+                    want1 = -6 * e * s * mp.cosh(s * u) / mp.sinh(s * u) ** 3
+                assert abs(w - complex(want)) <= 1e-14 * abs(complex(want)), u
+                assert abs(w1 - complex(want1)) <= 1e-14 * abs(complex(want1)), u
+
+    @pytest.mark.parametrize("g2, g3", DEGENERATE)
+    def test_ode_holds_without_a_warning(self, g2, g3):
+        # sinh(sqrt(3) 1000) overflows a double; no warning is printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, w1 = wp_pair(FAR_OUT, EllipticInvariants(g2, g3))
+        lhs = w1 ** 2 - (4 * w ** 3 - g2 * w - g3)
+        assert np.max(np.abs(lhs) / np.maximum(1.0, np.abs(w) ** 3)) < 1e-13
+
+    def test_huge_invariants_evaluate(self):
+        # g2^3 overflows a float, so the discriminant cannot be formed
+        inv = EllipticInvariants(3.0 * 2.0 ** 400, 2.0 ** 600)
+        with pytest.raises(NonFiniteSamples):
+            inv.discriminant
+        assert np.isfinite(wp_pair(1e-9, inv)[0])
+
+    def test_only_an_exact_zero_takes_the_closed_form(self):
+        u = np.array([0.3, 50.0])
+        assert elliptic._degenerate_pair(u, 3.0, 1.0) is not None
+        assert elliptic._degenerate_pair(u, np.nextafter(3.0, 4.0), 1.0) is None
+
+
 class TestCubicRoots:
     def test_reference_roots(self):
         roots = cubic_roots(INV)
@@ -233,7 +281,7 @@ class TestValidation:
 
     def test_discriminant(self):
         assert abs(INV.discriminant - (3.52 ** 3 - 27 * 1.0384 ** 2)) < 1e-12
-        # degenerate invariants are allowed, evaluation does not branch
+        # degenerate invariants are allowed, and read from the closed form
         degen = EllipticInvariants(3.0, 1.0)
         assert abs(degen.discriminant) < 1e-12
         w, w1 = wp_pair(0.4, degen)

@@ -10,7 +10,7 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 118 of the list
+flags, that one invocation is compared; without, the 139 of the list
 below: the default and the benchmark ``scan``, a scan of one x at 61
 times (the time stack's longest case), the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
@@ -49,18 +49,29 @@ is not real at t = 0; c2 = 0.8 on ``mm``: a negative radicand),
 above that write nan fields and the ``NegativeRadicand``,
 ``pole_adjacent`` and ``StencilOutOfDomain`` notes (``scan`` at c2 = 0.8
 and on the grid of pole-adjacent points, ``residuals`` and ``pde`` where
-a point or an orbit fails), and every mode's ``--help``.  Each output
-that differs is printed as a diff.  The exit code is 1 if any output
-differs, else 0.
+a point or an orbit fails), every mode's ``--help``, and the front end:
+config files (CONFIGS) with every key set, on four modes, a tol and a
+skip each as a string and as a list, an empty skip, t_end beside t-end,
+an unknown key, a string x, an x of 1e400 and of 10^400, and a file with
+two bad values; the refused flags ``--branch xx``, ``--zz 1``, ``--dt 0``,
+``--tol r_alg=inf`` and ``--tol nope=1``; a plain ``selftest``; and
+``elliptic`` on the degenerate lattice (12, -8).
+
+Each invocation runs in a directory of its own that holds the config
+files, the same for both trees, and the file a config's out names there
+is compared beside the standard output.  Each output that differs is
+printed as a diff.  The exit code is 1 if any output differs, else 0.
 """
 
 from __future__ import annotations
 
 import difflib
+import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -71,6 +82,26 @@ import workloads  # noqa: E402
 MODES = ("paper-check", "scan", "residuals", "pde", "evolve", "selftest", "elliptic")
 WORKERS = 4  # CLI processes in flight at once
 DIFF_LINES = 40  # lines of each diff printed
+
+# config files of the front-end invocations, as JSON text (json.dumps cannot
+# write 1e400 or 10^400); every-key.json names each run flag but config
+OUT = "every-key.out"
+CONFIGS = {
+    "every-key.json": json.dumps({
+        "q": -1.0, "c1": -2.0, "c2": 0.4, "c3": 0.13, "z0": 1.0, "q0": 1.0, "phi0": 0.25,
+        "x": 0.8, "t": 0.6, "branch": "mm", "grid": "-1.25:1.25:64", "format": "json",
+        "out": OUT, "tol": "r_alg=1e-6", "dt": 2e-3, "t-end": 0.01, "skip": ["reference"]}),
+    "tol-string.json": '{"tol": "1e-9"}',
+    "tol-list.json": '{"tol": ["wp_ode=1e-9", "mass_drift=1e-9"], "skip": "quartic"}',
+    "skip-list.json": '{"skip": ["reference", "verify"]}',
+    "skip-empty.json": '{"skip": ""}',
+    "t-end-pair.json": '{"t_end": 0.02, "t-end": 0.05}',
+    "unknown-key.json": '{"zz": 1, "x": 2}',
+    "string-x.json": '{"x": "abc"}',
+    "huge-x.json": '{"x": 1e400}',
+    "huge-int-x.json": '{"x": 1%s}' % ("0" * 400),
+    "two-bad-values.json": '{"z0": -1, "out": 7}',
+}
 
 
 def invocations() -> list:
@@ -149,15 +180,33 @@ def invocations() -> list:
           for fmt in ("csv", "json")),
         ("--help",),
         *((mode, "--help") for mode in MODES),
+        # the front end: config keys, refused flags
+        *((mode, "--config", "every-key.json")
+          for mode in ("residuals", "paper-check", "evolve", "selftest")),
+        *(("selftest", "--config", name)
+          for name in ("tol-string.json", "tol-list.json", "skip-list.json", "skip-empty.json")),
+        ("evolve", "--branch", "mm", "--grid=-1.25:1.25:64", "--format", "json",
+         "--config", "t-end-pair.json"),
+        *(("residuals", "--config", name) for name in (
+            "unknown-key.json", "string-x.json", "huge-x.json", "huge-int-x.json",
+            "two-bad-values.json")),
+        *(("residuals", *flags) for flags in (
+            ("--branch", "xx"), ("--zz", "1"), ("--dt", "0"), ("--tol", "r_alg=inf"),
+            ("--tol", "nope=1"))),
+        ("selftest",),
+        ("elliptic", "--g2", "12", "--g3=-8", "--u", "10"),
     ]
 
 
-def run(src: Path, args) -> list:
+def run(src: Path, args, cwd: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
-    proc = subprocess.run([sys.executable, "-m", "cnlse_ansatz", *args],
+    proc = subprocess.run([sys.executable, "-m", "cnlse_ansatz", *args], cwd=cwd,
                           capture_output=True, text=True, env=env, timeout=600)
+    out = cwd / OUT
+    written = out.read_text(encoding="utf-8") if out.exists() else ""
+    out.unlink(missing_ok=True)
     lines = [f"exit {proc.returncode}"]
-    for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+    for name, text in (("stdout", proc.stdout), ("stderr", proc.stderr), (OUT, written)):
         lines.append(f"--- {name}")
         lines += [re.sub(r"^\S*?(\w+\.py):\d+:", r"\1:", ln)
                   for ln in text.splitlines() if "generated_at" not in ln]
@@ -170,8 +219,15 @@ def main(argv) -> int:
         return 2
     old, new = (Path(a).resolve() for a in argv[:2])
     todo = [tuple(argv[2:])] if argv[2:] else invocations()
-    with ThreadPoolExecutor(WORKERS) as pool:
-        pairs = list(pool.map(lambda args: (run(old, args), run(new, args)), todo))
+    def both(index, args):
+        cwd = Path(tmp, str(index))
+        cwd.mkdir()
+        for name, text in CONFIGS.items():
+            (cwd / name).write_text(text, encoding="utf-8")
+        return run(old, args, cwd), run(new, args, cwd)
+
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
+        pairs = list(pool.map(both, range(len(todo)), todo))
     differ = 0
     for args, (a, b) in zip(todo, pairs):
         if a != b:
