@@ -96,11 +96,17 @@ class AnsatzParams:
             raise ValueError("sigma_z and sigma_Q must be +1 or -1")
         object.__setattr__(self, "sigma_z", int(self.sigma_z))
         object.__setattr__(self, "sigma_Q", int(self.sigma_Q))
-        r10 = eval_with_derivatives(z_curve(self), self.z0)[0]
+        c, z0 = z_curve(self), self.z0
+        r10 = eval_with_derivatives(c, z0)[0]
         if r10 < 0.0:
             raise NegativeRadicand(
                 f"R1(z0) = {r10:g} < 0: z(t) has no real initial slope"
             )
+        # epsilon = 0, so R1(z0) = z0 f, which reads 0 where the product underflows
+        f = ((c.alpha * z0 + 4.0 * c.beta) * z0 + 6.0 * c.gamma) * z0 + 4.0 * c.delta
+        if f < 0.0:
+            raise NegativeRadicand(f"R1(z0) = z0 f underflows to 0, f = {f:g} < 0: "
+                                   "z(t) has no real initial slope")
         if math.isfinite(r10):  # an infinite z_t(0): the z-curve's invariants overflow
             # at t = 0, where z = z0: the profile scalars and the closed form's products
             curve = _q_curve_from_state(self, self.z0, self.sigma_z * math.sqrt(r10))
@@ -138,11 +144,9 @@ def z_curve(params: AnsatzParams) -> QuarticCurve:
 # The default experiment: the parameter set every command falls back to.
 REFERENCE_PARAMS = AnsatzParams(q=-1.0, c1=-2.0, c2=0.4, c3=0.13, z0=1.0, Q0=1.0)
 
-# Phase quadrature: Gauss-Legendre nodes per panel, the panel width, and
-# the panels per chunk of the phase's table of whole panels.
+# Phase quadrature: Gauss-Legendre nodes per panel and the panel width.
 PHASE_NODES = 16
 PHASE_PANEL = 0.25
-PHASE_CHUNK = 16
 # np.polynomial.legendre.leggauss(PHASE_NODES) bit for bit, mirrored from its x > 0 pairs
 _GL_HALF = np.array([
     (0.09501250983763744, 0.18945061045506864),
@@ -207,7 +211,7 @@ def _or_error(fn, *args):
     try:
         return fn(*args)
     except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
-        return exc.with_traceback(None)  # keeps no frames alive in a cache
+        return exc.with_traceback(None)
 
 
 def _checked(value):
@@ -218,65 +222,58 @@ def _checked(value):
 
 
 def _panel_values(curve: QuarticCurve, z0: float, lo: np.ndarray, hi: np.ndarray) -> dict:
-    """Weighted Gauss-Legendre node values of z on the panels [lo, hi] (of
-    shape (rows, panels)) per orbit, sigma_z = +1 and -1, of the curve
-    through z0, nan on a row where z is not real, with those rows' errors,
-    from one closed-form call of one halving depth per row."""
-    half = 0.5 * (hi - lo)[..., None]
-    nodes = lo[..., None] + half * (1.0 + _GL_X)
-    rows = nodes.reshape(len(lo), lo.shape[1] * PHASE_NODES)
-    zs = weierstrass_solution(curve, z0, (1, -1), rows)
+    """Gauss-Legendre integrals of z over the panels [lo, hi], given as
+    (panels, 1) columns, per orbit, sigma_z = +1 and -1, of the curve through
+    z0, nan on a panel where z is not real, with those panels' errors, from
+    one closed-form call in which each panel is a row of one halving depth."""
+    half = 0.5 * (hi - lo)
+    nodes = lo + half * (1.0 + _GL_X)
+    zs = weierstrass_solution(curve, z0, (1, -1), nodes)
 
-    def weighted(z):
-        z = z.reshape(nodes.shape)
-        real = ((z >= 0.0) & (z < math.inf)).all(axis=(1, 2))
+    def integrals(z):
+        real = ((z >= 0.0) & (z < math.inf)).all(axis=1)
         errors = [_or_error(_require_real_z, z[i], nodes[i]) for i in np.flatnonzero(~real)]
-        return np.where(real[:, None, None], half * _GL_W * z, np.nan), errors
+        return np.where(real, np.sum(half * _GL_W * z, axis=1), np.nan), errors
 
-    return {sigma: weighted(z) for sigma, z in zip((1, -1), zs)}
+    return {sigma: integrals(z) for sigma, z in zip((1, -1), zs)}
 
 
 def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
     """Integral of z over [0, t] for each t of ts per orbit of the curve
-    through z0, or its error: whole panels and one partial panel per t (see
-    ``phi_of_t``).  The whole panels form chunks of PHASE_CHUNK panels from
-    0 in each direction, each chunk the call needs one row of one batch, so
-    a panel's bits do not depend on which times came with it; the partial
-    panels are a second batch, a row each."""
+    through z0, or its error: the running sum of the whole panels from 0 in
+    the direction of t, plus t's partial panel (of width 0 on a panel edge;
+    see ``phi_of_t``).  Every panel is a row of one ``_panel_values`` call,
+    so a panel's bits do not depend on which times came with it."""
     sign = np.copysign(1.0, ts)
-    whole = np.floor(np.abs(ts) / PHASE_PANEL).astype(int)
-    edge = sign * whole * PHASE_PANEL
-    partial = ts != edge
-    rests = _panel_values(curve, z0, edge[partial, None], ts[partial, None])
-    chunks = {s: -(-whole[sign == s].max(initial=0) // PHASE_CHUNK) for s in (1.0, -1.0)}
-    edges = np.array([s * PHASE_PANEL * np.arange(m * PHASE_CHUNK, (m + 1) * PHASE_CHUNK + 1)
-                      for s, n in chunks.items() for m in range(n)]).reshape(-1, PHASE_CHUNK + 1)
-    table = _panel_values(curve, z0, edges[:, :-1], edges[:, 1:])
+    whole = np.floor(np.abs(ts) / PHASE_PANEL)
+    n = [int(whole[sign == s].max(initial=0)) for s in (1.0, -1.0)]
+    edges = [s * PHASE_PANEL * np.arange(m + 1) for s, m in zip((1.0, -1.0), n)]
+    lo = np.concatenate([e[:-1] for e in edges] + [sign * whole * PHASE_PANEL])
+    hi = np.concatenate([e[1:] for e in edges] + [ts])
+    table = _panel_values(curve, z0, lo[:, None], hi[:, None])
 
     def integrals(sigma):
-        (rest, errors), (panels, more) = rests[sigma], table[sigma]
-        _checked(next(iter(errors + more), None))  # the first row that failed
-        rest, rows = iter(rest), dict(zip(chunks, np.split(panels, [chunks[1.0]])))
-        out = np.empty(ts.shape)
-        for i, (s, j) in enumerate(zip(sign, whole)):
-            values = rows[s].ravel()[:j * PHASE_NODES]
-            if partial[i]:
-                values = np.concatenate((values, next(rest).ravel()))
-            out[i] = np.sum(values)
-        return out
+        values, errors = table[sigma]
+        _checked(next(iter(errors), None))  # the first row that failed
+        ahead, behind, partial = np.split(values, np.cumsum(n))
+        sums = np.concatenate([np.cumsum(np.append(0.0, v)) for v in (ahead, behind)])
+        return sums[whole.astype(int) + (sign < 0) * (n[0] + 1)] + partial
 
     return {sigma: _or_error(integrals, sigma) for sigma in (1, -1)}
 
 
-def _split_periods(period: float | None, t: float):
+def _split_periods(period: float | None, t):
     """(k, r) with |t| = k 2w + |r|, r of the sign of t and 2w a lattice's
-    real period (``real_period``): k = floor(|t| / 2w) and the remainder.
-    Below one period, and for a lattice without a real period (None),
-    (0, t).  A non-finite t raises NonFiniteSamples."""
-    if not math.isfinite(t):
-        raise NonFiniteSamples(f"{t} is not finite: no whole periods to split off")
-    k = 0 if period is None else math.floor(abs(t) / period)
-    return k, (math.copysign(abs(t) - k * period, t) if k else t)
+    real period (``real_period``), for each element of the float or array t:
+    k = floor(|t| / 2w), a float, and the remainder.  Below one period, and
+    for a lattice without a real period (None), (0, t).  A non-finite t
+    raises NonFiniteSamples, naming the first."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~np.isfinite(t)]
+    if bad.size:
+        raise NonFiniteSamples(f"{bad[0]} is not finite: no whole periods to split off")
+    k = np.zeros_like(t) if period is None else np.floor(np.abs(t) / period)
+    return k, (t if period is None else np.copysign(np.abs(t) - k * period, t))
 
 
 def phi_of_t(params: AnsatzParams, t):
@@ -290,20 +287,19 @@ def phi_of_t(params: AnsatzParams, t):
     the integral over one period, read by the same ``_z_integrals`` call
     as the remainders, +-2w appended to them.  Both sum the same whole
     panels, so phi is continuous as r reaches 2w, as the envelope's FD time
-    stencil needs, and each t keeps, in its partial panel's batch, the
-    halving depth it has alone: its phase has the same bits in any array."""
+    stencil needs, and each t's partial panel is a batch row of its own,
+    with the halving depth it has alone: its phase has the same bits in any
+    array."""
     ta = np.asarray(t, dtype=float)
     ts, curve, sigma = ta.ravel(), z_curve(params), params.sigma_z
     period = real_period(curve.invariants)
-    splits = [_split_periods(period, float(s)) for s in ts]
-    signs = sorted({math.copysign(1.0, s) for s, (k, _) in zip(ts, splits) if k})
-    rests = [r for _, r in splits] + [s * period for s in signs]
-    integral = _checked(_z_integrals(curve, params.z0, np.array(rests))[sigma])
-    periods = dict(zip(signs, integral[ts.size:]))
-    integral = integral[:ts.size]
-    for i, (k, _) in enumerate(splits):
-        if k:
-            integral[i] += k * periods[math.copysign(1.0, ts[i])]
+    k, rests = _split_periods(period, ts)
+    far = k > 0
+    sides, side = np.unique(np.copysign(1.0, ts[far]), return_inverse=True)
+    ends = [s * period for s in sides]
+    integral = _checked(_z_integrals(curve, params.z0, np.concatenate((rests, ends)))[sigma])
+    integral, periods = integral[:ts.size], integral[ts.size:]
+    integral[far] += k[far] * periods[side]
     phi = params.phi0 + params.c1 * ts - 2.0 * params.q * integral
     return float(phi[0]) if ta.ndim == 0 else phi.reshape(ta.shape)
 

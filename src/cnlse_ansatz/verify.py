@@ -150,17 +150,16 @@ class _TimeRow:
     """The rows at the times t (an array, or one time) that the four slope
     branches of params share, stacked over t: both orbits' states, as arrays
     (``_orbit_states``), at each row's PDE time nodes r + offsets (``ts``),
-    r = t reduced by whole periods 2w of z, and on first use r1, the gauges
-    and the profile scalars, each from one call in which each row is a batch
-    row that keeps its own bits and an error of one row's state, gauges or
-    scalars is that row's."""
+    r = t reduced by whole periods 2w of z (one ``_split_periods`` call), and
+    on first use r1, the gauges and the profile scalars, each from one call
+    in which each row is a batch row that keeps its own bits and an error of
+    one row's state, gauges or scalars is that row's."""
 
     def __init__(self, params: AnsatzParams, t):
         cfg = DiffConfig()
         self.params, self.t = params, np.atleast_1d(np.asarray(t, dtype=float))
         self.curve, self.tables = z_curve(params), {}
-        self.r = np.array([_split_periods(real_period(self.curve.invariants), s)[1]
-                           for s in self.t.tolist()])
+        self.r = _split_periods(real_period(self.curve.invariants), self.t)[1]
         self.ts = self.r[:, None] + _stencil_offsets(cfg.h_t, cfg.richardson_levels)
         self.states = _orbit_states(self.params, self.ts.ravel())
 
@@ -172,7 +171,7 @@ class _TimeRow:
         key = tuple(map(float, xs))
         if key not in self.tables:
             cfg, lattice = DiffConfig(), self.states[1].curve.lattice
-            xr = np.array([_split_periods(real_period(lattice), x)[1] for x in key])
+            xr = _split_periods(real_period(lattice), key)[1]
             offsets = np.array([_stencil_offsets(R2_SPACE_STEP), np.zeros(5),
                                 _stencil_offsets(cfg.h_x, cfg.richardson_levels)])
             self.tables[key] = xr, _closed_form_parts(lattice, xr[:, None, None] + offsets)
@@ -186,8 +185,8 @@ class _TimeRow:
         p, s = self.params, self.ts[:, 1:, None]
         r = np.broadcast_to(self.r[:, None, None], s.shape)
         panels = _panel_values(self.curve, p.z0, r.reshape(-1, 1), s.reshape(-1, 1))
-        sums = {sigma: v.sum(axis=(1, 2)).reshape(s.shape) for sigma, (v, _) in panels.items()}
-        return {sigma: np.exp(1j * (p.c1 * (s - r) - 2.0 * p.q * v)) for sigma, v in sums.items()}
+        return {sigma: np.exp(1j * (p.c1 * (s - r) - 2.0 * p.q * v.reshape(s.shape)))
+                for sigma, (v, _) in panels.items()}
 
     @cached_property
     def r1(self) -> dict:

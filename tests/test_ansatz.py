@@ -15,6 +15,7 @@ from cnlse_ansatz import (
     AnsatzParams,
     BRANCHES,
     NegativeRadicand,
+    NonFiniteSamples,
     Q_of_xt,
     PoleProximity,
     RealityViolation,
@@ -39,6 +40,7 @@ from cnlse_ansatz.ansatz import (
     _orbit_states,
     _q_curve_from_state,
     _require_real_z,
+    _split_periods,
     _z_integrals,
 )
 from cnlse_ansatz.verify import DiffConfig, _stencil_offsets
@@ -295,9 +297,9 @@ class TestPhase:
     ])
     def test_continuous_at_panel_edges(self, t):
         # at a multiple of PHASE_PANEL the whole panels gain one and the
-        # partial panel starts again; at fl(2w) the period count gains one
-        # (the first four edges lie inside the table's first chunk, 4.0 and
-        # 4.25 start its second, which only a time below 2w can need)
+        # partial panel starts again, at width 0; at fl(2w) the period count
+        # gains one (4.0 and beyond lie past one period, so they are reduced
+        # by it first)
         for sigma in (1, -1):
             p = with_branch(REFERENCE_PARAMS, sigma, 1)
             for edge in (t, -t):
@@ -321,10 +323,12 @@ class TestPhase:
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (p.sigma_z, t)
 
     def test_table_bits_do_not_depend_on_the_order_of_times(self, monkeypatch):
-        # the whole panels come in chunks, each one row of a batch, so a time
-        # asked for after far ones, or with them, reads the bits it reads
-        # first; t = +-40 reduces into the first chunk, so the check runs
-        # again without a real period, where it builds 20 chunk rows
+        # every panel is one row of a batch and the whole panels are summed
+        # from 0 outward, so a time asked for after far ones, or with them,
+        # reads the bits it reads first; t = +-40 reduces below one period,
+        # so the check runs again without a real period, where it sums 160
+        # whole panels each way; times on a panel edge end on a partial
+        # panel of width 0
         p = with_branch(REFERENCE_PARAMS, -1, 1)
 
         def check(ts):
@@ -333,9 +337,9 @@ class TestPhase:
             assert [phi_of_t(p, t) for t in reversed(ts)] == first[::-1]
             assert phi_of_t(p, np.array(ts + (40.0, -40.0)))[:len(ts)].tolist() == first
 
-        check((0.3, 1.7, 2.4, -0.9, -2.2))
+        check((0.3, 1.7, 2.4, -0.9, -2.2, 0.25, -2.0, 0.0))
         monkeypatch.setattr(ansatz, "real_period", lambda inv: None)
-        check((0.3, 1.7, 2.4, -0.9, -2.2, 5.3, -7.9))
+        check((0.3, 1.7, 2.4, -0.9, -2.2, 5.3, -7.9, 0.25, -2.0, 0.0, 6.0, -7.75))
 
     def test_gauss_legendre_table_is_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(PHASE_NODES)
@@ -352,7 +356,7 @@ class TestPhase:
 
     def test_without_a_real_period_the_table_spans_t(self, monkeypatch):
         # a lattice without a real period reads the plain integral over
-        # [0, t] from the same table, grown past its first chunk
+        # [0, t] from the same running sum of whole panels, past one period
         p = with_branch(REFERENCE_PARAMS, 1, 1)
         ts = (9.3, -9.3, 17.1, -17.1)
         reduced = [phi_of_t(p, t) for t in ts]
@@ -360,6 +364,50 @@ class TestPhase:
         for t, want in zip(ts, reduced):
             got = phi_of_t(p, t)
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), t
+
+    def test_one_panel_batch_per_call(self, monkeypatch):
+        # every panel a time needs, whole or partial, is a row of one
+        # closed-form call: t = 0.3 reads [0, 0.25] and [0.25, 0.3], and
+        # t = 7.3 = 2 (2w) + 2.305 the 9 whole panels that 2.305 and 2w
+        # share, and the partial panel of each
+        p, calls = with_branch(REFERENCE_PARAMS, 1, 1), []
+        panel_values = ansatz._panel_values
+
+        def counted(curve, z0, lo, hi):
+            calls.append(hi.shape)
+            return panel_values(curve, z0, lo, hi)
+
+        monkeypatch.setattr(ansatz, "_panel_values", counted)
+        phi_of_t(p, 0.3)
+        assert calls == [(2, 1)]
+        calls.clear()
+        phi_of_t(p, 7.3)
+        assert calls == [(9 + 2, 1)]
+
+    def test_split_periods_on_an_array_is_the_scalar_rule(self):
+        # the array split reads, element by element, the bits of the
+        # scalar rule: k = floor(|t| / 2w) and r = copysign(|t| - k 2w, t),
+        # also where k is beyond an int64 and at the float neighbours of
+        # whole periods, and without a real period k = 0 and r = t
+        def scalar(period, t):
+            k = 0 if period is None else math.floor(abs(t) / period)
+            return k, (math.copysign(abs(t) - k * period, t) if k else t)
+
+        near = [np.nextafter(k * PERIOD, d) for k in (1, 3, 400) for d in (0.0, math.inf)]
+        ts = [0.0, -0.0, 0.3, -2.2, 1e300, -1e17, 5115.1]
+        ts += [s * t for t in [k * PERIOD for k in (1, 3, 400)] + near for s in (1.0, -1.0)]
+        for period in (PERIOD, None):
+            k, r = _split_periods(period, np.array(ts))
+            want = [scalar(period, t) for t in ts]
+            assert [float(v).hex() for v in k] == [float(kw).hex() for kw, _ in want]
+            assert [v.hex() for v in r.tolist()] == [rw.hex() for _, rw in want]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_split_periods_names_the_first_non_finite_time(self, bad):
+        for period in (PERIOD, None):
+            with pytest.raises(NonFiniteSamples) as info:
+                _split_periods(period, np.array([0.5, bad, -bad, 1e3]))
+            assert str(info.value) == f"{bad} is not finite: no whole periods to split off"
 
     def test_equilibrium_closed_form(self):
         # constant z: phi = phi0 + (c1 - 2 q z0) t, here phi0 + t

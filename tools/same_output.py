@@ -10,7 +10,7 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 139 of the list
+flags, that one invocation is compared; without, the 141 of the list
 below: the default and the benchmark ``scan``, a scan of one x at 61
 times (the time stack's longest case), the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
@@ -32,17 +32,18 @@ orbit fails (c2 = 0.8: the -1 orbit), at x = 0 past one period
 Q0 = 1e12, in CSV and in JSON (every branch noted ``pole`` and
 ``StencilOutOfDomain``),
 ``paper-check`` at four points (x = 2.14 the mirror point of a pole), at
-a point that fails (a negative radicand, exit 1) and at two where one
+a point that fails (a negative radicand, exit 1), at two where one
 orbit fails (c2 = 0.8: at t = 1 the -1 orbit, at t = 0.5 the +1 orbit,
-exit 1), ``pde`` at the default point, at three late times (one of them
-1e17), at two points far out in x, in full bits at the pole-adjacent
-point, at the failing point (every branch noted) and where one orbit
-fails (c2 = 0.8), ``evolve`` on the benchmark
-window and the default one, with an uneven sample schedule on the
-benchmark's n (the control and the ansatz run share one stack), with the
-control finishing before the ansatz run, on a window with a pole at that
-n, with samples past one orbit period (the phase reads the integral over
-a whole period), at n = 64 (the benchmark's warm-up) and n = 2048, and
+exit 1) and on a set whose R1(z0) underflows to 0 from below (refused),
+``pde`` at the default point, at three late times (one of them 1e17), at
+two points far out in x, in full bits at the pole-adjacent point, at the
+failing point (every branch noted) and where one orbit fails (c2 = 0.8),
+``evolve`` on the benchmark window and the default one, with an uneven
+sample schedule on the benchmark's n (the control and the ansatz run
+share one stack), with the control finishing before the ansatz run, on a
+window with a pole at that n, with samples past one orbit period (the
+phase reads the integral over a whole period), with every sample time on
+a phase panel edge, at n = 64 (the benchmark's warm-up) and n = 2048, and
 on two parameter sets its pole screen refuses (z0 = 1e-150 on ``pp``: z
 is not real at t = 0; c2 = 0.8 on ``mm``: a negative radicand),
 ``elliptic`` at one point in CSV and in JSON, JSON twins of four of the
@@ -157,6 +158,9 @@ def invocations() -> list:
         ("paper-check", "--z0", "1e-300"),
         ("paper-check", "--c2", "0.8"),
         ("paper-check", "--c2", "0.8", "--t", "0.5"),
+        # R1(z0) = z0 f underflows to 0 from below
+        ("paper-check", "--q", "2", "--c1", "1", "--c2", "4.923", "--c3", "1e-271",
+         "--z0", "4e-245", "--q0=-1.7"),
         ("pde",),
         *(("pde", "--t", t) for t in ("1000", "5115.1", "1e17")),
         *(("pde", "--x", x) for x in ("1e7", "1e300")),
@@ -173,6 +177,9 @@ def invocations() -> list:
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:64", "--dt", "1e-3", "--t-end", "0.01",
          "--format", "json"),
         ("evolve", "--branch", "mm", "--grid=-1.25:1.25:2048", "--dt", "1e-3", "--t-end", "0.2"),
+        # every realized sample time on a phase panel edge
+        ("evolve", "--branch", "mp", "--grid=-0.6:0.6:256,0.25:1.0:4", "--dt", "0.0078125",
+         "--t-end", "1", "--format", "json"),
         # the pole screen's refusals: a state, and a radicand, that fail
         ("evolve", "--branch", "pp", "--z0", "1e-150"),
         ("evolve", "--branch", "mm", "--c2", "0.8"),
