@@ -89,13 +89,13 @@ def test_witness_collapses_a_rational_root():
      "R1(z0) = -2.55795e-14 < 0: z(t) has no real initial slope"),
     (("--q", "3", "--c1", "1", "--c2=-0.7", "--c3=-2.576", "--z0", "0.4"),
      "R1(z0) = -1.42109e-15 < 0: z(t) has no real initial slope"),
+    # a negative value in exponent form, read as a value and not as a flag
+    (("--q", "-1e-3"), "R1(z0) = -15.4416 < 0: z(t) has no real initial slope"),
     # R1(z0) = z0 f underflows to 0 from below: the package refuses it on
     # f, which certify relays before its exact R1(z0) < 0 reads -0
     (("--q", "2", "--c1", "1", "--c2", "4.923", "--c3", "1e-271", "--z0", "4e-245",
       "--q0=-1.7"),
      "R1(z0) = z0 f underflows to 0, f = -6.46144e-243 < 0: z(t) has no real initial slope"),
-    # a negative value in exponent form, read as a value and not as a flag
-    (("--q", "-1e-3"), "R1(z0) = -15.4416 < 0: z(t) has no real initial slope"),
 ])
 def test_refuses_what_the_command_line_refuses(flags, message, capsys):
     # the command line's message, as the command line prints it, and exit 1
