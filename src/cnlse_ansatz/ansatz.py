@@ -147,6 +147,10 @@ REFERENCE_PARAMS = AnsatzParams(q=-1.0, c1=-2.0, c2=0.4, c3=0.13, z0=1.0, Q0=1.0
 # Phase quadrature: Gauss-Legendre nodes per panel and the panel width.
 PHASE_NODES = 16
 PHASE_PANEL = 0.25
+# Whole panels a phase sums at most.  On a lattice without a real period the
+# count grows with |t|: one orbit's phase at 2**16 panels (t = 16384) took
+# 0.9 s and a peak RSS of 322 MiB, at 2**18 panels 3.8 s and 1.2 GiB.
+PHASE_MAX_PANELS = 2 ** 16
 # np.polynomial.legendre.leggauss(PHASE_NODES) bit for bit, mirrored from its x > 0 pairs
 _GL_HALF = np.array([
     (0.09501250983763744, 0.18945061045506864),
@@ -221,36 +225,45 @@ def _checked(value):
     return value
 
 
-def _panel_values(curve: QuarticCurve, z0: float, lo: np.ndarray, hi: np.ndarray) -> dict:
+def _panel_values(curve: QuarticCurve, z0: float, lo: np.ndarray, hi: np.ndarray,
+                  signs: tuple = (1, -1)) -> dict:
     """Gauss-Legendre integrals of z over the panels [lo, hi], given as
-    (panels, 1) columns, per orbit, sigma_z = +1 and -1, of the curve through
+    (panels, 1) columns, per orbit sigma_z of signs, of the curve through
     z0, nan on a panel where z is not real, with those panels' errors, from
-    one closed-form call in which each panel is a row of one halving depth."""
+    one closed-form call in which each panel is a row of one halving depth
+    (an orbit's rows have the same bits with either signs)."""
     half = 0.5 * (hi - lo)
     nodes = lo + half * (1.0 + _GL_X)
-    zs = weierstrass_solution(curve, z0, (1, -1), nodes)
+    zs = weierstrass_solution(curve, z0, signs, nodes)
 
     def integrals(z):
         real = ((z >= 0.0) & (z < math.inf)).all(axis=1)
         errors = [_or_error(_require_real_z, z[i], nodes[i]) for i in np.flatnonzero(~real)]
         return np.where(real, np.sum(half * _GL_W * z, axis=1), np.nan), errors
 
-    return {sigma: integrals(z) for sigma, z in zip((1, -1), zs)}
+    return {sigma: integrals(z) for sigma, z in zip(signs, zs)}
 
 
-def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
-    """Integral of z over [0, t] for each t of ts per orbit of the curve
-    through z0, or its error: the running sum of the whole panels from 0 in
-    the direction of t, plus t's partial panel (of width 0 on a panel edge;
-    see ``phi_of_t``).  Every panel is a row of one ``_panel_values`` call,
-    so a panel's bits do not depend on which times came with it."""
+def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray, signs: tuple = (1, -1)) -> dict:
+    """Integral of z over [0, t] for each t of ts per orbit sigma_z of signs
+    of the curve through z0, or its error: the running sum of the whole
+    panels from 0 in the direction of t, plus t's partial panel (of width 0
+    on a panel edge; see ``phi_of_t``).  Every panel is a row of one
+    ``_panel_values`` call, so a panel's bits do not depend on which times
+    came with it.  Times that need more than PHASE_MAX_PANELS whole panels
+    (on a lattice without a real period) raise ValueError, before any panel
+    is made."""
     sign = np.copysign(1.0, ts)
     whole = np.floor(np.abs(ts) / PHASE_PANEL)
+    if whole.max(initial=0.0) > PHASE_MAX_PANELS:
+        i = np.argmax(whole)
+        raise ValueError(f"the phase at t = {ts[i]:g} needs {whole[i]:.6g} whole panels of z; "
+                         f"at most {PHASE_MAX_PANELS} are summed")
     n = [int(whole[sign == s].max(initial=0)) for s in (1.0, -1.0)]
     edges = [s * PHASE_PANEL * np.arange(m + 1) for s, m in zip((1.0, -1.0), n)]
     lo = np.concatenate([e[:-1] for e in edges] + [sign * whole * PHASE_PANEL])
     hi = np.concatenate([e[1:] for e in edges] + [ts])
-    table = _panel_values(curve, z0, lo[:, None], hi[:, None])
+    table = _panel_values(curve, z0, lo[:, None], hi[:, None], signs)
 
     def integrals(sigma):
         values, errors = table[sigma]
@@ -259,7 +272,7 @@ def _z_integrals(curve: QuarticCurve, z0: float, ts: np.ndarray) -> dict:
         sums = np.concatenate([np.cumsum(np.append(0.0, v)) for v in (ahead, behind)])
         return sums[whole.astype(int) + (sign < 0) * (n[0] + 1)] + partial
 
-    return {sigma: _or_error(integrals, sigma) for sigma in (1, -1)}
+    return {sigma: _or_error(integrals, sigma) for sigma in signs}
 
 
 def _split_periods(period: float | None, t):
@@ -297,7 +310,8 @@ def phi_of_t(params: AnsatzParams, t):
     far = k > 0
     sides, side = np.unique(np.copysign(1.0, ts[far]), return_inverse=True)
     ends = [s * period for s in sides]
-    integral = _checked(_z_integrals(curve, params.z0, np.concatenate((rests, ends)))[sigma])
+    table = _z_integrals(curve, params.z0, np.concatenate((rests, ends)), (sigma,))
+    integral = _checked(table[sigma])
     integral, periods = integral[:ts.size], integral[ts.size:]
     integral[far] += k[far] * periods[side]
     phi = params.phi0 + params.c1 * ts - 2.0 * params.q * integral

@@ -114,11 +114,14 @@ class CliError(Exception):
     """Anything that should end the run with exit code 1 and a message."""
 
 
+# A token that is a value, as -1000 and -.5 are, not a flag: -1e3, -2.5E-1
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value, as -1000 and -.5 are, not a flag: -1e3, -2.5E-1
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     # argparse exits with code 2 on bad flags; the exit-code contract
     # reserves 2 for a different meaning, so route errors through CliError.
@@ -146,11 +149,12 @@ def _add_elliptic_flags(sp) -> None:
 
 
 def _build_parser(argv) -> _Parser:
-    """The parser of ``argv``: every mode is a sub-command, but only the one
-    invoked, the first mode name in ``argv``, gets its flags, since argparse
-    reads no other and building them all costs milliseconds.  The top-level
-    parser has no option that takes a value, so that name is the one
-    argparse dispatches to."""
+    """The parser of ``argv`` that ``_read_run_flags`` does not read: help,
+    ``elliptic`` and every argv it refuses.  Every mode is a sub-command,
+    but only the one invoked, the first mode name in ``argv``, gets its
+    flags, since argparse reads no other.  The top-level parser has no
+    option that takes a value, so that name is the one argparse dispatches
+    to."""
     parser = _Parser(prog="cnlse-ansatz", description=__doc__)
     sub = parser.add_subparsers(dest="mode")
     invoked = next((arg for arg in argv if arg in MODES), None)
@@ -159,6 +163,37 @@ def _build_parser(argv) -> _Parser:
         if mode == invoked:
             (_add_elliptic_flags if mode == "elliptic" else _add_run_flags)(sp)
     return parser
+
+
+def _read_run_flags(argv) -> argparse.Namespace | None:
+    """The namespace ``_build_parser(argv).parse_args(argv)`` returns, read
+    off ``_RUN_FLAGS`` without building a parser, for a run mode followed by
+    ``--NAME=VALUE`` and ``--NAME VALUE`` tokens only: NAME a run flag in
+    full, VALUE of its type and choices, and a VALUE token not read as a
+    flag (it starts with "-" only as a negative number does).  None for
+    any other argv, which argparse reads, help and refusals included."""
+    if not argv or argv[0] not in _DISPATCH:
+        return None
+    values = {flag.replace("-", "_"): None for flag in _RUN_FLAGS}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        settings = _RUN_FLAGS.get(name[2:]) if name.startswith("--") else None
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+                return None
+        if settings is None or text == "--":  # argparse drops a "--" value
+            return None
+        try:
+            value = settings.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in settings.get("choices", (value,)):
+            return None
+        dest = name[2:].replace("-", "_")
+        values[dest] = [*(values[dest] or ()), value] if "action" in settings else value
+    return argparse.Namespace(mode=argv[0], **values)
 
 
 def _load_config(path: str) -> dict:
@@ -666,9 +701,13 @@ MODES = (*_DISPATCH, "elliptic")
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.  A run mode's flags are read off ``_RUN_FLAGS``
+    (``_read_run_flags``); argparse parses only what that refuses, so it
+    alone writes help and refuses flags."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _build_parser(argv).parse_args(argv)
+        ns = _read_run_flags(argv) or _build_parser(argv).parse_args(argv)
         if ns.mode is None:
             raise CliError(f"a mode is required: {', '.join(MODES)}")
         if ns.mode == "elliptic":

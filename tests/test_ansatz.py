@@ -367,22 +367,39 @@ class TestPhase:
 
     def test_one_panel_batch_per_call(self, monkeypatch):
         # every panel a time needs, whole or partial, is a row of one
-        # closed-form call: t = 0.3 reads [0, 0.25] and [0.25, 0.3], and
-        # t = 7.3 = 2 (2w) + 2.305 the 9 whole panels that 2.305 and 2w
-        # share, and the partial panel of each
-        p, calls = with_branch(REFERENCE_PARAMS, 1, 1), []
+        # closed-form call on the branch's orbit alone: t = 0.3 reads
+        # [0, 0.25] and [0.25, 0.3], and t = 7.3 = 2 (2w) + 2.305 the 9
+        # whole panels that 2.305 and 2w share, and the partial panel of each
+        calls = []
         panel_values = ansatz._panel_values
 
-        def counted(curve, z0, lo, hi):
-            calls.append(hi.shape)
-            return panel_values(curve, z0, lo, hi)
+        def counted(curve, z0, lo, hi, signs):
+            calls.append((hi.shape, signs))
+            return panel_values(curve, z0, lo, hi, signs)
 
         monkeypatch.setattr(ansatz, "_panel_values", counted)
-        phi_of_t(p, 0.3)
-        assert calls == [(2, 1)]
-        calls.clear()
-        phi_of_t(p, 7.3)
-        assert calls == [(9 + 2, 1)]
+        for sigma in (1, -1):
+            p = with_branch(REFERENCE_PARAMS, sigma, 1)
+            phi_of_t(p, 0.3)
+            assert calls == [((2, 1), (sigma,))]
+            calls.clear()
+            phi_of_t(p, 7.3)
+            assert calls == [((9 + 2, 1), (sigma,))]
+            calls.clear()
+
+    def test_one_orbit_has_the_bits_of_both(self):
+        # an orbit's panels read alone have the bits of its row of the
+        # two-orbit call that the gauges make
+        curve, z0 = z_curve(REFERENCE_PARAMS), REFERENCE_PARAMS.z0
+        lo = np.array([0.0, 0.25, -7.0, 3.0, 1e3])[:, None]
+        hi = lo + np.array([0.25, 0.05, -0.25, 0.0, 0.25])[:, None]
+        ts = np.array([0.3, -7.3, 2.5])
+        both, sums = ansatz._panel_values(curve, z0, lo, hi), _z_integrals(curve, z0, ts)
+        for sigma in (1, -1):
+            (values, errors), = ansatz._panel_values(curve, z0, lo, hi, (sigma,)).values()
+            assert values.tobytes() == both[sigma][0].tobytes() and errors == []
+            (alone,) = _z_integrals(curve, z0, ts, (sigma,)).values()
+            assert alone.tobytes() == sums[sigma].tobytes()
 
     def test_split_periods_on_an_array_is_the_scalar_rule(self):
         # the array split reads, element by element, the bits of the
@@ -408,6 +425,32 @@ class TestPhase:
             with pytest.raises(NonFiniteSamples) as info:
                 _split_periods(period, np.array([0.5, bad, -bad, 1e3]))
             assert str(info.value) == f"{bad} is not finite: no whole periods to split off"
+
+    @pytest.mark.parametrize("t", [1e17, -1e17, 1e300])
+    def test_far_time_without_a_real_period_is_refused(self, monkeypatch, t):
+        # the equilibrium lattice has no real period, so the whole panels
+        # grow with |t|: past PHASE_MAX_PANELS the phase names t and the
+        # panels it needs, before any panel is made
+        assert real_period(z_curve(EQUILIBRIUM_PARAMS).invariants) is None
+        made = []
+        monkeypatch.setattr(ansatz, "_panel_values", lambda *args: made.append(args))
+        with pytest.raises(ValueError) as info:
+            phi_of_t(EQUILIBRIUM_PARAMS, t)
+        assert str(info.value) == (f"the phase at t = {t:g} needs {abs(t) / PHASE_PANEL:g} "
+                                   f"whole panels of z; at most {ansatz.PHASE_MAX_PANELS} "
+                                   "are summed")
+        assert made == []
+
+    def test_the_panel_cap_is_inclusive(self, monkeypatch):
+        # the last time a cap admits is its last whole panel's edge, in
+        # either direction; the phase there is the equilibrium's closed
+        # form (see below)
+        monkeypatch.setattr(ansatz, "PHASE_MAX_PANELS", 8)
+        p = EQUILIBRIUM_PARAMS
+        for t in (2.0, -2.0):
+            assert abs(phi_of_t(p, t) - t) < 1e-13
+            with pytest.raises(ValueError, match=f"at t = {t * 1.125:g} needs 9 whole panels"):
+                phi_of_t(p, np.array([0.3, t * 1.125]))
 
     def test_equilibrium_closed_form(self):
         # constant z: phi = phi0 + (c1 - 2 q z0) t, here phi0 + t

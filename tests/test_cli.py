@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import importlib.util
@@ -46,6 +47,51 @@ CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(Path(__file__).resolve().parent.parent / "src"),
                 CHILD_ENV.get("PYTHONPATH")) if p
 )
+
+
+def _load_workloads():
+    """perfbench/workloads.py, for the benchmark's invocations."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+BENCHMARK_ARGS = [WORKLOADS.SCAN_ARGS, WORKLOADS.EVOLVE_ARGS, WORKLOADS.late_args(6.0)]
+
+# argv of a run mode, as the flag table and argparse may read it: mostly
+# table flags with a value of their kind, and else flags in full or
+# abbreviated with values that are numbers (negative ones too), valid or
+# invalid choices, empty, or flags or look like them
+_NUMBERS = st.sampled_from(["0.5", "1", "-1e3", "-.5", "-1.", " -1", "nan", "1_0", "1e400",
+                            "-inf", "1e", ""])
+_CHOICES = st.sampled_from(["mm", "pp", "all", "MM", "xx", "csv", "json", "xml"])
+_TEXTS = st.sampled_from(["0.2:1.2:2,0.2:1.2:2", "-0.2:1.2:2,0.2:1.2:2", "-1 :2:3", "r_alg=1e-9",
+                          "1e-9", "a=b", "", "-", "--", "-h", "--help", "--x", "--x=1", "-1e3"])
+_FLAG_NAMES = st.one_of(
+    st.sampled_from(sorted({f[:k] for f in cli._RUN_FLAGS for k in range(1, len(f))})),
+    st.sampled_from([*cli._RUN_FLAGS, "zz", "help", "h", "", "t_end"]),
+)
+_FLAG_VALUES = st.one_of(_NUMBERS, _CHOICES, _TEXTS, st.text(max_size=3))
+
+
+@st.composite
+def _run_argv(draw):
+    argv = [draw(st.sampled_from([*cli._DISPATCH, *cli._DISPATCH, "elliptic", "zz"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 4)):  # mostly a table flag with a value of its kind
+            name = draw(st.sampled_from(list(cli._RUN_FLAGS)))
+            kind = cli._RUN_FLAGS[name]
+            value = draw(_NUMBERS if "type" in kind else _CHOICES if "choices" in kind else _TEXTS)
+        else:
+            name, value = draw(_FLAG_NAMES), draw(_FLAG_VALUES)
+        form = draw(st.sampled_from(["split"] * 4 + ["joined"] * 3 + ["flag", "value"]))
+        argv += {"split": [f"--{name}", value], "joined": [f"--{name}={value}"],
+                 "flag": [f"--{name}"], "value": [value]}[form]
+    return argv
 
 
 def body_lines(path):
@@ -536,6 +582,43 @@ class TestParser:
         want = self.modes(self.every_flag_parser())[mode]
         assert self.help_text([mode, "--help"], capsys) == want.format_help()
 
+    @given(argv=_run_argv())
+    @example(argv=list(BENCHMARK_ARGS[0]))
+    @example(argv=list(BENCHMARK_ARGS[1]))
+    @example(argv=list(BENCHMARK_ARGS[2]))
+    @example(argv=["residuals", "--grid=--"])  # argparse drops the "--" of a value
+    @example(argv=["residuals", "--x", "nan", "--tol", "1", "--tol=r_alg=1e-9"])
+    @settings(max_examples=400, deadline=None)
+    def test_the_flag_table_reads_only_what_argparse_reads(self, argv):
+        # whenever the table reads argv, argparse reads it too, to the same
+        # namespace (nan included, so compared by repr)
+        ns = cli._read_run_flags(argv)
+        if ns is not None:
+            want = cli._build_parser(argv).parse_args(argv)
+            assert {k: repr(v) for k, v in vars(ns).items()} == {
+                k: repr(v) for k, v in vars(want).items()}
+
+    @pytest.mark.parametrize("argv, builds", [
+        *((argv, False) for argv in BENCHMARK_ARGS),
+        (("paper-check",), False),
+        (("residuals", "--bra", "mm"), True),
+        (("residuals", "--help"), True),
+        (("elliptic", "--g2", "1", "--g3", "0", "--u", "0.5"), True),
+    ])
+    def test_runs_build_no_parser(self, monkeypatch, capsys, argv, builds):
+        # a run mode's flags in full are read off the flag table; an
+        # abbreviation, help and elliptic build the one parser of argv
+        progs, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        with contextlib.suppress(SystemExit):
+            assert main(list(argv)) == 0
+        assert (progs.count("cnlse-ansatz") == 1) if builds else progs == []
+
     def test_top_level_help_lists_every_mode(self, capsys):
         assert self.help_text(["--help"], capsys) == self.every_flag_parser().format_help()
 
@@ -906,21 +989,28 @@ class TestEvolve:
         # the window's n is the control's 1024, so the control and the ansatz
         # run advance as one stack for the first 5,000 steps: 20,011 FFT
         # calls in place of 30,012 when each runs alone
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
         calls = []
         for name in ("_fft", "_ifft"):
             fn = getattr(reference, name)
             monkeypatch.setattr(reference, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
-        assert main(list(workloads.EVOLVE_ARGS)) == 0
+        assert main(list(WORKLOADS.EVOLVE_ARGS)) == 0
         assert len(calls) <= 20_100
         md = json.loads(capsys.readouterr().out)["metadata"]
         # the ansatz run's step aliases: its warning is still recorded
         assert md["aliasing_warned"] is True
         assert md["soliton_control_linf"] < 1e-5
+
+    @pytest.mark.parametrize("t_end, dt", [("1e17", "1e16"), ("1e300", "1e299")])
+    def test_a_far_phase_without_a_real_period_is_one_error_line(self, capsys, t_end, dt):
+        # the equilibrium set's z-lattice has no real period, so the phase
+        # at a far sample time would sum more whole panels than it takes
+        argv = ["evolve", "--q", "-2", "--c1", "-3", "--c2", "1.125", "--c3", "-8", "--z0", "1",
+                "--q0", "0", "--branch", "mm", "--grid=-0.1:0.1:64", "--t-end", t_end,
+                "--dt", dt]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the phase at t = "), err
+        assert err[0].endswith(f"whole panels of z; at most {ansatz.PHASE_MAX_PANELS} are summed")
 
     def test_soliton_control_takes_a_step(self):
         # round(1 / dt) is 0 for dt > 2; the control still evolves one step

@@ -10,7 +10,7 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 141 of the list
+flags, that one invocation is compared; without, the 150 of the list
 below: the default and the benchmark ``scan``, a scan of one x at 61
 times (the time stack's longest case), the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
@@ -55,8 +55,12 @@ config files (CONFIGS) with every key set, on four modes, a tol and a
 skip each as a string and as a list, an empty skip, t_end beside t-end,
 an unknown key, a string x, an x of 1e400 and of 10^400, and a file with
 two bad values; the refused flags ``--branch xx``, ``--zz 1``, ``--dt 0``,
-``--tol r_alg=inf`` and ``--tol nope=1``; a plain ``selftest``; and
-``elliptic`` on the degenerate lattice (12, -8).
+``--tol r_alg=inf`` and ``--tol nope=1``; a plain ``selftest``;
+``elliptic`` on the degenerate lattice (12, -8); and the edges between the
+flags a run mode reads off its flag table and those argparse reads: an
+abbreviated flag, a repeated flag, a repeated ``--tol``, a flag without
+its value, a flag whose value is another flag, ``--``, an empty value
+after ``=``, a grid that starts with "-" given as its own token, and ``-h``.
 
 Each invocation runs in a directory of its own that holds the config
 files, the same for both trees, and the file a config's out names there
@@ -202,6 +206,16 @@ def invocations() -> list:
             ("--tol", "nope=1"))),
         ("selftest",),
         ("elliptic", "--g2", "12", "--g3=-8", "--u", "10"),
+        # the edges of the flag table: what it reads, and what it leaves to argparse
+        ("residuals", "--bra", "mm"),
+        ("residuals", "--x", "0.5", "--x", "1"),
+        ("residuals", "--tol", "r_alg=1e-9", "--tol", "p_floor=0.01"),
+        ("residuals", "--x"),
+        ("residuals", "--out", "--x", "1"),
+        ("residuals", "--", "--x", "1"),
+        ("residuals", "--t="),
+        ("scan", "--grid", "-0.2:1.2:2,0.2:1.2:2"),
+        ("residuals", "-h"),
     ]
 
 
