@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NegativeRadicand, NonFiniteSamples, PoleProximity, RealityViolation
 from .elliptic import EllipticInvariants, real_period
-from .quartic import QuarticCurve, _over, _scalars, _times, eval_with_derivatives
+from .quartic import QuarticCurve, _scalars, eval_with_derivatives
 from .quartic import weierstrass_solution
 
 PROFILE_CONSTANTS = ("scalar R2(Q0)", "scalar R2'(Q0)", "scalar R2''(Q0)", "scalar R2'''(Q0)",
@@ -48,16 +48,16 @@ def _q_curve_from_state(params: AnsatzParams, z, zt,
     """The profile curve at the state (z, z_t), carrying ``lattice``, which
     is ``profile_lattice(params)``: a caller making many curves passes it.
     z and z_t are scalars or arrays (a stack), real or complex (P's complex
-    step), each element with the bits of its scalar call."""
+    step)."""
     if np.any(np.real(z) <= 0.0):  # a stack's caller fails such states first, one by one
         raise RealityViolation(f"z = {z:g} <= 0: profile curve needs sqrt(z)")
     q, zero = params.q, 0.0 * np.real(z)  # every coefficient of a stack has z's shape
     return QuarticCurve(
         alpha=zero - 0.5 * q,
         beta=zero,
-        gamma=_over(params.c1 - 3.0 * q * z, 6.0),
+        gamma=(params.c1 - 3.0 * q * z) / 6.0,
         delta=zt / (4.0 * np.sqrt(z)),
-        epsilon=2.0 * params.c2 + _times(1.5 * q * z, z) - params.c1 * z,
+        epsilon=2.0 * params.c2 + 1.5 * q * z * z - params.c1 * z,
         lattice=profile_lattice(params) if lattice is None else lattice,
     )
 
@@ -338,7 +338,7 @@ def _orbit_states(params: AnsatzParams, ts: np.ndarray) -> dict:
         ok = (z > 0.0) & (z < math.inf)
         zs, zts = np.where(ok, z, 1.0), np.where(ok, zt, 0.0)
         curve = _q_curve_from_state(params, zs, zts, lattice)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, as Python's floats read it
+        with np.errstate(over="ignore", invalid="ignore"):
             r = np.array(eval_with_derivatives(curve, params.Q0))
         ok &= ~(r[0] < 0.0)
         errors = [None] * len(ts)

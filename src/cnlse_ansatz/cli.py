@@ -128,6 +128,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
 
+    # Python 3.11 drops the "--" of --NAME=-- and stores []: refuse it as
+    # --NAME -- is refused, a flag without its value
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _fmt12(v) -> str:
     if isinstance(v, float):
@@ -420,12 +427,9 @@ def cmd_paper_check(rc: argparse.Namespace) -> int:
     rows = []
     for (name, (sz, sq)), P, r1, r2, notes in zip(
             rc.branches, *(reports[f] for f in ("P", "r1", "r2", "notes"))):
-        notes = notes.split(";")
-        if {"NegativeRadicand", "PoleProximity", "RealityViolation"}.intersection(notes):
-            # the point fails on this orbit: raise the error of its state
-            _checked(row.profile[sz].errors[0])
-        rows.append((name, sz, sq, P, r1, r2,
-                     notes[0] if notes[0] in ("pole", "pole_adjacent") else ""))
+        _checked(row.profile[sz].errors[0])  # the error of an orbit state that fails at t
+        note = notes.split(";")[0]
+        rows.append((name, sz, sq, P, r1, r2, note if note in ("pole", "pole_adjacent") else ""))
     with _output(rc.out) as stream, contextlib.redirect_stdout(stream):
         print(f"point: x = {_fmt12(rc.x)}, t = {_fmt12(rc.t)}")
         print("branch  sigma_z  sigma_q  P                 r1            r2")

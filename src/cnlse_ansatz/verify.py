@@ -26,14 +26,9 @@ stencil samples the envelope up to a constant phase, so reads no phase.
 The profile lattice is a constant of the parameters, so one wp table at
 the xs serves every row and orbit, read with each row's scalars as
 columns: every number is a (sign, t, x) array, and its notes come from
-masks.  The arrays keep the bits of Python's scalar arithmetic, which
-numpy moves in four places: a complex product is taken by parts (numpy
-fuses a multiply and an add), a complex divided by a float divides its
-parts (numpy multiplies by a reciprocal), |A| is hypot (numpy's complex
-abs rounds otherwise) and a square is ``np.float_power``, the C pow of
-Python's ``**`` (``np.square`` rounds the product).  ``reports_at`` is
-the one-t, one-x case, as a ``ResidualReport`` per sign, and ``report_at``
-its one-sign case, whose P and r2 are ``residual_P`` and ``residual_R2``.
+masks.  ``reports_at`` is the one-t, one-x case, as a ``ResidualReport``
+per sign, and ``report_at`` its one-sign case, whose P and r2 are
+``residual_P`` and ``residual_R2``.
 """
 
 from __future__ import annotations
@@ -208,7 +203,7 @@ class _TimeRow:
             c, z, zt = st.curve, st.z[::n], st.zt[::n]
             ztt = 0.5 * eval_with_derivatives(self.curve, z)[1]
             stepped = _q_curve_from_state(p, z + h * zt, zt + h * ztt, c.lattice)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf, as Python's floats read it
+            with np.errstate(over="ignore", invalid="ignore"):
                 r = np.array(eval_with_derivatives(stepped, p.Q0))
             out[sigma] = types.SimpleNamespace(
                 errors=st.errors[::n], stepped=r[..., None], z=z[:, None],
@@ -333,21 +328,14 @@ def _stencil_residuals(xv, tv, cfg: DiffConfig, p: float, q: float) -> tuple:
     axis, from the values on the x stencil x + _stencil_offsets(cfg.h_x)
     (xv) and on the time stencil t + _stencil_offsets(cfg.h_t) (tv), with
     the mask of the stencils whose values are all finite: elsewhere the
-    residual means nothing.  Each step rounds as Python's complex scalars
-    do: the time differences divide the real and imaginary parts as floats
-    (numpy's complex / float multiplies by a reciprocal), |A| is hypot
-    (numpy's complex abs rounds otherwise) and |A|^2 the C pow of Python's
-    float power."""
+    residual means nothing."""
     xv, tv = np.asarray(xv, dtype=complex), np.asarray(tv, dtype=complex)
     ok = np.isfinite(xv).all(axis=-1) & np.isfinite(tv).all(axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):
         _, axx = _central_differences(xv, cfg.h_x)
-        (at_re, at_im), _ = _central_differences(np.stack((tv.real, tv.imag)), cfg.h_t)
+        at, _ = _central_differences(tv, cfg.h_t)
         a0 = tv[..., 0]
-        m = np.float_power(np.hypot(a0.real, a0.imag), 2)
-        re = -at_im + p * axx.real + q * a0.real * m
-        im = at_re + p * axx.imag + q * a0.imag * m
-    return re + 1j * im, ok
+        return 1j * at + p * axx + q * a0 * np.abs(a0) ** 2, ok
 
 
 def cnlse_residual(field, x: float, t: float, cfg: DiffConfig | None = None,
@@ -407,18 +395,14 @@ def row_reports(row: _TimeRow, params: AnsatzParams, xs, sigmas: tuple) -> dict:
         qs = np.array(_rational_part(prof.nodes[:5, :, 1:], q0, sigmas, *point))
         ys = np.array(_rational_part(rs[..., None, None], q0, sigmas, *parts))
         with np.errstate(invalid="ignore", over="ignore"):  # at a pole, noted below
-            # the C pow of Python's Q ** 2: np.square rounds the product,
-            # which differs for about one Q in a thousand
-            P = Qt.imag / P_STEP - sq[:, 0] * (params.c1 - params.q * (
-                3.0 * prof.z + np.float_power(Q, 2)))
+            P = Qt.imag / P_STEP - sq[:, 0] * (params.c1 - params.q * (3.0 * prof.z + Q * Q))
             r2 = _defect(prof.curve, ys[..., 0, :], R2_SPACE_STEP)
-            # the PDE residual of B = (Q + i sqrt z) e^{i(phi(s) - phi(r))}, the gauge
-            # product by parts as Python's complex product rounds it (numpy's fuses)
-            qs = (qs * g.real - sq[:, 1:] * g.imag) + 1j * (qs * g.imag + sq[:, 1:] * g.real)
+            # the PDE residual of B = (Q + i sqrt z) e^{i(phi(s) - phi(r))}
+            qs = (qs + 1j * sq[:, 1:]) * g
         xv = ys[..., 2, :] + 1j * sq[:, :1]
         tv = np.concatenate((xv[..., :1], np.swapaxes(qs, -1, -2)), axis=-1)
         res, ok = _stencil_residuals(xv, tv, DiffConfig(), 1.0, params.q)
-        pde = np.where(ok, np.hypot(res.real, res.imag), np.nan)
+        pde = np.where(ok, np.abs(res), np.nan)
     except (PoleProximity, RealityViolation, NegativeRadicand) as exc:
         P = r2 = pde = np.full((len(sigmas), nt, len(xs)), np.nan)
         errors, r1, codes = [exc] * nt, np.full(nt, np.nan), 0

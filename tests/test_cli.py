@@ -646,6 +646,30 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--grid=--"],
+        ["elliptic", "--g2", "1", "--g3", "1", "--u=--"],
+        ["residuals", "--x=--"],
+        ["residuals", "--out=--"],
+        ["residuals", "--branch=--"],
+        ["elliptic", "--g2=--", "--g3", "1", "--u", "1"],
+        ["paper-check", "--q=--"],
+        ["residuals", "--format=--"],
+        ["elliptic", "--g2", "1", "--g3", "1", "--u", "1", "--format=--"],
+        ["residuals", "--config=--"],
+        ["evolve", "--t-end=--"],
+        ["selftest", "--tol=--"],
+        ["selftest", "--skip=--"],
+    ])
+    def test_a_dashes_value_is_a_missing_value(self, argv, capsys):
+        # --NAME=-- is refused as --NAME -- is, where argparse would drop the
+        # "--" and store []
+        flag = next(arg for arg in argv if arg.endswith("=--"))[:-3]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: argument {flag}: expected one argument\n"
+
     @pytest.mark.parametrize("mode, flag, value, rest", [
         ("residuals", "--t", "-1e3", []),
         ("residuals", "--t", "-1E3", []),

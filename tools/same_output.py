@@ -10,7 +10,7 @@ PYTHONPATH, and its exit code, standard output and standard error are
 compared, with every line that holds ``generated_at`` (the run's timestamp)
 left out and a warning's location cut to its file name, since the tree's
 path and the line numbers differ between any two trees.  With a MODE and
-flags, that one invocation is compared; without, the 150 of the list
+flags, that one invocation is compared; without, the 156 of the list
 below: the default and the benchmark ``scan``, a scan of one x at 61
 times (the time stack's longest case), the default grid on each single branch
 but ``mm`` (a time row serving a subset of its branches), the default grid
@@ -60,7 +60,9 @@ two bad values; the refused flags ``--branch xx``, ``--zz 1``, ``--dt 0``,
 flags a run mode reads off its flag table and those argparse reads: an
 abbreviated flag, a repeated flag, a repeated ``--tol``, a flag without
 its value, a flag whose value is another flag, ``--``, an empty value
-after ``=``, a grid that starts with "-" given as its own token, and ``-h``.
+after ``=``, a grid that starts with "-" given as its own token, ``-h``,
+and ``--NAME=--`` on a float, a choice, a string and a repeatable flag,
+on ``--config`` and on an ``elliptic`` flag.
 
 Each invocation runs in a directory of its own that holds the config
 files, the same for both trees, and the file a config's out names there
@@ -216,6 +218,13 @@ def invocations() -> list:
         ("residuals", "--t="),
         ("scan", "--grid", "-0.2:1.2:2,0.2:1.2:2"),
         ("residuals", "-h"),
+        # --NAME=--, which argparse refuses as a flag without its value
+        ("residuals", "--x=--"),
+        ("residuals", "--format=--"),
+        ("scan", "--grid=--"),
+        ("selftest", "--tol=--"),
+        ("residuals", "--config=--"),
+        ("elliptic", "--g2", "1", "--g3", "1", "--u=--"),
     ]
 
 
